@@ -12,7 +12,9 @@ palindromic families contributing a parity part and a halved integer part.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import invariants
 from .diagram import Diagram, closure, power, stack, stack_all, tree_tangle, trivial_string_link
@@ -26,9 +28,6 @@ from .multiindex import (
     palindromic_surjections,
     repeat_max,
 )
-
-
-from functools import lru_cache
 
 
 @lru_cache(maxsize=None)
@@ -80,6 +79,15 @@ def whitehead_link() -> Diagram:
     """Linking number zero, vanishing length-3 invariants, and
     invariant 1 on the index 1122."""
     return closure(tree_tangle(2, (1, 2, 2)))
+
+
+def _repetition_free(n: int, k: int):
+    """The repetition-free indices of length 2 through k."""
+    return [
+        index
+        for ln in range(2, k + 1)
+        for index in itertools.permutations(range(1, n + 1), ln)
+    ]
 
 
 def mu_of(l: Diagram, pi: Injection) -> int:
@@ -145,13 +153,10 @@ def homotopy_classes_agree(a: Diagram, b: Diagram, k: int) -> bool:
     up to combined self-crossing changes and k-fold clasp moves."""
     if not 1 <= k <= a.n:
         raise ValueError(f"k={k} out of range 1..{a.n}")
-    import itertools
-
-    for ln in range(2, k + 1):
-        for index in itertools.permutations(range(1, a.n + 1), ln):
-            if invariants.mu(a, index) != invariants.mu(b, index):
-                return False
-    return True
+    if a.closed or b.closed:
+        raise ValueError("exact invariants are defined for string links")
+    indices = _repetition_free(a.n, k)
+    return invariants.evaluate(a, indices) == invariants.evaluate(b, indices)
 
 
 class Verdict(enum.Enum):
@@ -192,15 +197,17 @@ def selfdelta_vector(l: Diagram) -> SelfDeltaVector:
     if not l.closed:
         raise ValueError("self-delta classification applies to closed links")
     n = l.n
-    low = invariants.table(l, 2 * n - 1, 2)
-    failures = {i: r for i, r in low.entries.items() if not r.is_zero()}
+    full = invariants.table(l, 2 * n, 2)
+    failures = {
+        i: r for i, r in full.entries.items() if len(i) < 2 * n and not r.is_zero()
+    }
     if failures:
         return SelfDeltaVector(n, False, failures=failures)
-    entries = {}
-    full = invariants.table(l, 2 * n, 2)
-    for index, r in full.entries.items():
-        if len(index) == 2 * n and repeat_max(index) == 2:
-            entries[index] = r
+    entries = {
+        i: r
+        for i, r in full.entries.items()
+        if len(i) == 2 * n and repeat_max(i) == 2
+    }
     return SelfDeltaVector(n, True, entries=entries)
 
 
@@ -239,26 +246,13 @@ def link_homotopy_trivial(l: Diagram) -> bool:
     """Link-homotopic to a trivial link iff every repetition-free invariant
     vanishes.
 
-    Scanning lengths upward, the first nonzero value is exact (its
-    indeterminacy is a gcd of shorter repetition-free values, all zero), so
-    raw coefficients from one maximal-depth expansion per component decide.
+    The shortest nonzero value is exact (its indeterminacy is a gcd of
+    shorter repetition-free values, all zero), so raw coefficients decide.
     """
     if not l.closed:
         raise ValueError("this decision applies to closed links")
-    import itertools
-
-    from . import wirtinger
-
-    n = l.n
-    series = {
-        comp: wirtinger.longitude_series(l, comp, n, n - 1)
-        for comp in range(1, n + 1)
-    }
-    for ln in range(2, n + 1):
-        for index in itertools.permutations(range(1, n + 1), ln):
-            if series[index[-1]].coefficient(index[:-1]) != 0:
-                return False
-    return True
+    values = invariants.evaluate(l, _repetition_free(l.n, l.n))
+    return not any(values.values())
 
 
 @dataclass
@@ -300,7 +294,7 @@ class BrunnianForm:
 
 def brunnian_representative(l: Diagram) -> BrunnianForm:
     """Exponents of the self-delta representative of a Brunnian link whose
-    repetitionent-2 invariants vanish through length 2n-1.
+    repetition-2 invariants vanish through length 2n-1.
 
     The caller asserts Brunnian-ness; the vanishing hypothesis is checked.
     Parity exponents come from the length-2n palindromic values matched
@@ -319,8 +313,7 @@ def brunnian_representative(l: Diagram) -> BrunnianForm:
     parity = {}
     parts = []
     for phi in palindromic_surjections(2 * n - 1, n, n):
-        tau = palindromic_partner(phi)
-        val = invariants.mu_bar(l, tau.index())
+        val = vec.entries[palindromic_partner(phi).index()]
         if val.modulus != 0:
             raise ValueError("unexpected indeterminacy under the hypothesis")
         parity[phi] = val.value % 2
@@ -329,9 +322,7 @@ def brunnian_representative(l: Diagram) -> BrunnianForm:
     base = stack_all(parts, n)
     doubled = {}
     for tau in palindromic_surjections(2 * n, n, n):
-        diff = invariants.mu_bar(l, tau.index()).value - invariants.mu(
-            base, tau.index()
-        )
+        diff = vec.entries[tau.index()].value - invariants.mu(base, tau.index())
         if diff % 2:
             raise ValueError(
                 f"parity obstruction at {tau.values}: difference {diff} is odd"
@@ -339,7 +330,7 @@ def brunnian_representative(l: Diagram) -> BrunnianForm:
         doubled[tau] = diff // 2
     single = {}
     for eta in ascending_surjections(2 * n, n, n):
-        single[eta] = invariants.mu_bar(l, eta.index()).value
+        single[eta] = vec.entries[eta.index()].value
     return BrunnianForm(n, parity, doubled, single)
 
 

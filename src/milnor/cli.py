@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,7 +27,6 @@ class JobConfig:
     max_r: int = 2
     cyclic_delta: bool = True
     fmt: str = "json"
-    jobs: int = 1
     strict: bool = False
 
     def __post_init__(self):
@@ -61,15 +59,10 @@ def _emit(data, fmt, text_renderer=None):
 
 def cmd_invariants(cfg: JobConfig) -> int:
     diagrams = [_read(p) for p in cfg.inputs]
-
-    def one(d):
-        return invariants.table(d, cfg.max_length, cfg.max_r, cyclic=cfg.cyclic_delta)
-
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            tables = list(pool.map(one, diagrams))
-    else:
-        tables = [one(d) for d in diagrams]
+    tables = [
+        invariants.table(d, cfg.max_length, cfg.max_r, cyclic=cfg.cyclic_delta)
+        for d in diagrams
+    ]
     if cfg.fmt == "json":
         _emit([t.to_json() for t in tables], "json")
     else:
@@ -211,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="indeterminacy with or without cyclic rotations of subindices",
     )
     inv.add_argument("--format", choices=["json", "table"], default="json")
-    inv.add_argument("--jobs", type=int, default=1)
 
     cl = sub.add_parser("classify", help="classification reports")
     group = cl.add_mutually_exclusive_group(required=True)
@@ -252,7 +244,6 @@ def main(argv=None) -> int:
                 max_r=args.max_r,
                 cyclic_delta=(args.delta_mode == "milnor-cyclic"),
                 fmt=args.format,
-                jobs=args.jobs,
             )
             return cmd_invariants(cfg)
         if args.command == "classify":

@@ -1,15 +1,29 @@
 """Milnor invariants: exact values for string links, residue classes for links.
 
-For a string link the invariant of an index I is the coefficient of
-X_{i_1}...X_{i_{m-1}} in the expansion of the last index's longitude,
-computed at recursion depth |I|.  For a closed link the same integer is
-taken modulo the indeterminacy: the gcd of the invariants of all indices
-obtained by deleting at least one entry (and, by default, cyclically
-rotating the result).
+Every value comes from one query, ``evaluate``: for a batch of indices it
+takes one depth D, the longest index, and reads the invariant of I as the
+coefficient of X_{i_1}...X_{i_{m-1}} in the Magnus expansion of the last
+index's longitude at depth D, truncated at degree D-1.  Lower-degree
+coefficients are depth-stable, so one expansion per component serves the
+whole batch.
+
+For a closed link the same integer is taken modulo the indeterminacy
+Delta(I): the gcd of the invariants of all indices obtained by deleting at
+least one entry (and, by default, cyclically rotating the result).
+``residues`` closes a query set under one-entry deletion (and rotation),
+evaluates the closure once, and assembles Delta shortest index first by
+
+    Delta(I) = gcd over one-entry deletions J of I (and their rotations)
+               of mu(J) and Delta(J).
+
+Every proper deletion is a one-entry deletion or a deletion of one, and
+rotation commutes with deletion, so the recursion is exact.  The residues
+of a link are cached on it, so repeated queries assemble nothing twice.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from . import wirtinger
@@ -47,59 +61,75 @@ def _check_index(d: Diagram, index) -> tuple[int, ...]:
     return index
 
 
-def _raw(d: Diagram, index) -> int:
-    depth = len(index)
-    series = wirtinger.longitude_series(d, index[-1], depth, depth - 1)
-    return series.coefficient(index[:-1])
+def evaluate(d: Diagram, indices) -> dict[tuple[int, ...], int]:
+    """The coefficient of each index, all read at one depth: the length of
+    the longest index, truncated one degree below it."""
+    indices = list(dict.fromkeys(_check_index(d, index) for index in indices))
+    if not indices:
+        return {}
+    depth = max(len(index) for index in indices)
+    series = {
+        comp: wirtinger.longitude_series(d, comp, depth, depth - 1)
+        for comp in {index[-1] for index in indices}
+    }
+    return {index: series[index[-1]].coefficient(index[:-1]) for index in indices}
+
+
+def _deletions(index, cyclic: bool):
+    """The one-entry deletions of length at least 2, with their rotations
+    when ``cyclic`` is set."""
+    if len(index) <= 2:
+        return set()
+    subs = {index[:k] + index[k + 1 :] for k in range(len(index))}
+    if cyclic:
+        subs = {s[r:] + s[:r] for s in subs for r in range(len(s))}
+    return subs
+
+
+def residues(l: Diagram, indices, cyclic: bool = True) -> dict[tuple[int, ...], Residue]:
+    """Residue-class invariants of a closed link, with the indeterminacy
+    over deletion subindices, including their cyclic rotations unless
+    ``cyclic`` is disabled."""
+    if not l.closed:
+        raise ValueError("residue invariants are defined for closed links")
+    indices = [_check_index(l, index) for index in indices]
+    known = l._cache.setdefault(("residues", cyclic), {})
+    todo = {index for index in indices if index not in known}
+    frontier = list(todo)
+    while frontier:
+        for sub in _deletions(frontier.pop(), cyclic):
+            if sub not in known and sub not in todo:
+                todo.add(sub)
+                frontier.append(sub)
+    if todo:
+        values = evaluate(l, todo)
+        for index in sorted(todo, key=len):
+            # gcd(mu(J), Delta(J)) survives the reduction of mu(J) mod Delta(J)
+            g = 0
+            for sub in _deletions(index, cyclic):
+                g = math.gcd(g, known[sub].value, known[sub].modulus)
+            known[index] = Residue(values[index], g)
+    return {index: known[index] for index in indices}
 
 
 def mu(l: Diagram, index) -> int:
     """Exact string-link invariant of one index."""
     if l.closed:
         raise ValueError("exact invariants are defined for string links")
-    return _raw(l, _check_index(l, index))
+    (value,) = evaluate(l, [index]).values()
+    return value
 
 
-def _deletion_subindices(index):
-    m = len(index)
-    out = set()
-    for mask in range(1, 2**m - 1):
-        sub = tuple(index[i] for i in range(m) if mask >> i & 1)
-        if len(sub) >= 2:
-            out.add(sub)
-    return out
+def mu_bar(l: Diagram, index, cyclic: bool = True) -> Residue:
+    """Residue-class invariant of a closed link."""
+    (r,) = residues(l, [index], cyclic).values()
+    return r
 
 
 def indeterminacy(l: Diagram, index, cyclic: bool = True) -> int:
     """gcd of the invariants of all proper deletion subindices, including
     their cyclic rotations unless ``cyclic`` is disabled."""
-    if not l.closed:
-        raise ValueError("indeterminacy applies to closed links")
-    index = _check_index(l, index)
-    subs = _deletion_subindices(index)
-    if cyclic:
-        closure_set = set()
-        for sub in subs:
-            for r in range(len(sub)):
-                closure_set.add(sub[r:] + sub[:r])
-        subs = closure_set
-    g = 0
-    for sub in sorted(subs, key=lambda s: (len(s), s)):
-        g = math.gcd(g, _raw(l, sub))
-        if g == 1:
-            break
-    return g
-
-
-def mu_bar(l: Diagram, index, cyclic: bool = True) -> Residue:
-    """Residue-class invariant of a closed link."""
-    if not l.closed:
-        raise ValueError("residue invariants are defined for closed links")
-    index = _check_index(l, index)
-    key = ("mubar", index, cyclic)
-    if key not in l._cache:
-        l._cache[key] = Residue(_raw(l, index), indeterminacy(l, index, cyclic))
-    return l._cache[key]
+    return mu_bar(l, index, cyclic).modulus
 
 
 def invariant(d: Diagram, index, cyclic: bool = True) -> Residue:
@@ -112,8 +142,6 @@ def invariant(d: Diagram, index, cyclic: bool = True) -> Residue:
 def indices_up_to(n: int, max_len: int, max_r: int):
     """All indices with 2 <= length <= max_len and repetition bound max_r,
     by length then lexicographically."""
-    import itertools
-
     for ln in range(2, max_len + 1):
         for index in itertools.product(range(1, n + 1), repeat=ln):
             if repeat_max(index) <= max_r:
@@ -169,12 +197,7 @@ class InvariantTable:
 
 
 def table(d: Diagram, max_len: int, max_r: int, cyclic: bool = True) -> InvariantTable:
-    """Evaluate every index within the filters.
-
-    The longitude expansions are computed once per component at the maximal
-    depth; lower-degree coefficients are depth-stable, so all shorter
-    indices read off the same series.
-    """
+    """Evaluate every index within the filters in one batch."""
     if max_len < 2:
         raise ValueError("max_len must be at least 2")
     if max_r < 1:
@@ -186,25 +209,9 @@ def table(d: Diagram, max_len: int, max_r: int, cyclic: bool = True) -> Invarian
         max_r=max_r,
         closed=d.closed,
     )
-    series = {
-        comp: wirtinger.longitude_series(d, comp, max_len, max_len - 1)
-        for comp in range(1, d.n + 1)
-    }
-    raw = {}
-    import itertools
-
-    for ln in range(2, max_len + 1):
-        for index in itertools.product(range(1, d.n + 1), repeat=ln):
-            raw[index] = series[index[-1]].coefficient(index[:-1])
-    for index in indices_up_to(d.n, max_len, max_r):
-        if d.closed:
-            subs = _deletion_subindices(index)
-            if cyclic:
-                subs = {s[r:] + s[:r] for s in subs for r in range(len(s))}
-            g = 0
-            for sub in subs:
-                g = math.gcd(g, raw[sub])
-            out.entries[index] = Residue(raw[index], g)
-        else:
-            out.entries[index] = Residue(raw[index], 0)
+    indices = indices_up_to(d.n, max_len, max_r)
+    if d.closed:
+        out.entries = residues(d, indices, cyclic)
+    else:
+        out.entries = {i: Residue(v, 0) for i, v in evaluate(d, indices).items()}
     return out

@@ -61,20 +61,6 @@ class TestInvariantsCmd:
         assert code == 0
         assert all(row["value"] == 0 for row in json.loads(out)[0]["invariants"])
 
-    def test_jobs_flag(self, capsys, workdir):
-        code, out = run(
-            capsys,
-            "invariants",
-            workdir["hopf"],
-            workdir["trivial2"],
-            "--jobs",
-            "2",
-            "--max-length",
-            "2",
-        )
-        assert code == 0
-        assert len(json.loads(out)) == 2
-
     def test_parse_error_exit_code(self, capsys, workdir, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -112,6 +98,48 @@ class TestClassifyCmd:
             workdir["hopf"],
         )
         assert code == 3
+
+    def test_self_delta_evaluates_each_link_once(self, capsys, workdir, monkeypatch):
+        from milnor import invariants, wirtinger
+        from milnor.classify import whitehead_link
+
+        white = workdir["dir"] / "whitehead.json"
+        white.write_text(json.dumps(to_pd_json(whitehead_link())))
+        builds, assembled, inside = [], [], []
+        meridian_series = wirtinger._meridian_series
+        residues = invariants.residues
+        evaluate = invariants.evaluate
+
+        def spy_meridians(d, depth, q):
+            if ("meridians", depth, q) not in d._cache:
+                builds.append((d.name, d.n, depth, q))
+            return meridian_series(d, depth, q)
+
+        def spy_residues(l, indices, cyclic=True):
+            inside.append(l)
+            try:
+                return residues(l, indices, cyclic)
+            finally:
+                inside.pop()
+
+        def spy_evaluate(d, indices):
+            if inside:
+                assembled.append(d.name)
+            return evaluate(d, indices)
+
+        monkeypatch.setattr(wirtinger, "_meridian_series", spy_meridians)
+        monkeypatch.setattr(invariants, "residues", spy_residues)
+        monkeypatch.setattr(invariants, "evaluate", spy_evaluate)
+        code, out = run(
+            capsys, "classify", "--self-delta", str(white), workdir["trivial2"]
+        )
+        assert code == 0
+        assert json.loads(out)["selfdelta_equivalent"] == "no"
+        # the inputs have n=2; their 4-component cables are separate diagrams
+        inputs = sorted(b for b in builds if b[1] == 2)
+        assert inputs == [("trivial2", 2, 4, 3), ("whitehead", 2, 4, 3)]
+        assert {b[2:] for b in builds if b[1] == 4} == {(4, 3)}
+        assert sorted(assembled) == ["trivial2", "whitehead"]
 
     def test_mixed_kind_error(self, capsys, workdir):
         assert (

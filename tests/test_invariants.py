@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import pytest
 
@@ -17,13 +18,16 @@ from milnor.diagram import (
 from milnor.invariants import (
     InvariantTable,
     Residue,
+    evaluate,
     indeterminacy,
     indices_up_to,
     invariant,
     mu,
     mu_bar,
+    residues,
     table,
 )
+from milnor.wirtinger import longitude_series
 
 
 def hopf():
@@ -36,6 +40,11 @@ def borromean():
 
 def whitehead():
     return closure(tree_tangle(2, (1, 2, 2)))
+
+
+def stacked_clasps():
+    # linking number 2, so the length-3 values are residues mod 2
+    return closure(stack(from_braid(2, [1, 1]), from_braid(2, [1, 1])))
 
 
 class TestResidue:
@@ -110,10 +119,7 @@ class TestMuBar:
             assert mu_bar(b, (i, j)).is_zero()
 
     def test_residue_wraps(self):
-        # stacking two clasps and a generator: linking 2 forces length-3
-        # values into residues mod 2
-        d = closure(stack(from_braid(2, [1, 1]), from_braid(2, [1, 1])))
-        r = mu_bar(d, (1, 2, 2))
+        r = mu_bar(stacked_clasps(), (1, 2, 2))
         assert r.modulus == 2
 
     def test_uniform_access(self):
@@ -164,6 +170,46 @@ class TestTable:
             table(hopf(), 1, 1)
         with pytest.raises(ValueError):
             table(hopf(), 2, 0)
+
+
+def reference_value(d, index):
+    """The coefficient read at the index's own depth."""
+    depth = len(index)
+    return longitude_series(d, index[-1], depth, depth - 1).coefficient(index[:-1])
+
+
+def reference_residue(l, index, cyclic):
+    """Delta by brute force over every deletion mask."""
+    m = len(index)
+    subs = set()
+    for mask in range(1, 2**m - 1):
+        sub = tuple(index[i] for i in range(m) if mask >> i & 1)
+        if len(sub) >= 2:
+            subs.update(sub[r:] + sub[:r] for r in range(len(sub) if cyclic else 1))
+    g = 0
+    for sub in subs:
+        g = math.gcd(g, reference_value(l, sub))
+    return Residue(reference_value(l, index), g)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("cyclic", [True, False])
+    @pytest.mark.parametrize("make", [hopf, whitehead, borromean, stacked_clasps])
+    def test_residues(self, make, cyclic):
+        indices = list(indices_up_to(make().n, 4, 2))
+        got = residues(make(), indices, cyclic)
+        ref = make()
+        assert got == {i: reference_residue(ref, i, cyclic) for i in indices}
+
+    def test_evaluate_mixed_lengths(self):
+        def make():
+            return stack(from_braid(3, [1, 1, 2, 2]), tree_tangle(3, (1, 2, 3)))
+
+        indices = list(indices_up_to(3, 4, 2))[::-1]
+        got = evaluate(make(), indices)
+        ref = make()
+        assert got == {i: reference_value(ref, i) for i in indices}
+        assert {len(i) for i, v in got.items() if v} == {2, 3, 4}
 
 
 class TestIndicesUpTo:
