@@ -90,6 +90,7 @@ def _repetition_free(n: int, k: int):
     ]
 
 
+# unused here; kept because perfbench/traced_child.py wraps it by name
 def mu_of(l: Diagram, pi: Injection) -> int:
     return invariants.mu(l, pi.values)
 
@@ -120,17 +121,21 @@ def homotopy_normal_form(l: Diagram) -> HomotopyNormalForm:
 
     Level by level: the exponent of each arity-(i+1) injection is the
     string link's invariant minus the same invariant of the concretely
-    rebuilt product of all lower levels.
+    rebuilt product of all lower levels.  The string link is read once, at
+    depth n; each partial product once, at its level's depth.
     """
     if l.closed:
         raise ValueError("normal forms are defined for string links")
     n = l.n
+    injections = all_injections(n)
+    target = invariants.evaluate(l, [pi.values for pi in injections])
     exponents: dict[Injection, int] = {}
     partial = trivial_string_link(n)
     for k in range(2, n + 1):
-        level = [pi for pi in all_injections(n) if pi.k == k]
+        level = [pi for pi in injections if pi.k == k]
+        built = invariants.evaluate(partial, [pi.values for pi in level])
         for pi in level:
-            exponents[pi] = mu_of(l, pi) - mu_of(partial, pi)
+            exponents[pi] = target[pi.values] - built[pi.values]
         for pi in level:
             if exponents[pi]:
                 partial = stack(partial, injection_generator(pi, exponents[pi]))
@@ -142,8 +147,6 @@ def link_homotopic(a: Diagram, b: Diagram) -> bool:
     agree."""
     if a.closed or b.closed:
         raise ValueError("this decision applies to string links")
-    if a.n != b.n:
-        raise ValueError("component counts differ")
     return homotopy_classes_agree(a, b, a.n)
 
 
@@ -155,6 +158,8 @@ def homotopy_classes_agree(a: Diagram, b: Diagram, k: int) -> bool:
         raise ValueError(f"k={k} out of range 1..{a.n}")
     if a.closed or b.closed:
         raise ValueError("exact invariants are defined for string links")
+    if a.n != b.n:
+        raise ValueError("component counts differ")
     indices = _repetition_free(a.n, k)
     return invariants.evaluate(a, indices) == invariants.evaluate(b, indices)
 

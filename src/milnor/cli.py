@@ -11,29 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import classify, invariants
 from .diagram import Diagram, DiagramError, cable, cable_map, load_diagram, to_pd_json
 from .multiindex import Injection, Surjection
-
-
-@dataclass
-class JobConfig:
-    command: str
-    inputs: list = field(default_factory=list)
-    max_length: int = 4
-    max_r: int = 2
-    cyclic_delta: bool = True
-    fmt: str = "json"
-    strict: bool = False
-
-    def __post_init__(self):
-        if self.max_length < 2:
-            raise ValueError("max length must be at least 2")
-        if self.max_r < 1:
-            raise ValueError("max r must be at least 1")
 
 
 def _read(path: str) -> Diagram:
@@ -57,13 +39,10 @@ def _emit(data, fmt, text_renderer=None):
         print(text_renderer(data) if text_renderer else data)
 
 
-def cmd_invariants(cfg: JobConfig) -> int:
-    diagrams = [_read(p) for p in cfg.inputs]
-    tables = [
-        invariants.table(d, cfg.max_length, cfg.max_r, cyclic=cfg.cyclic_delta)
-        for d in diagrams
-    ]
-    if cfg.fmt == "json":
+def cmd_invariants(files: list[str], max_length: int, max_r: int, fmt: str) -> int:
+    diagrams = [_read(p) for p in files]
+    tables = [invariants.table(d, max_length, max_r) for d in diagrams]
+    if fmt == "json":
         _emit([t.to_json() for t in tables], "json")
     else:
         for t in tables:
@@ -72,8 +51,8 @@ def cmd_invariants(cfg: JobConfig) -> int:
     return 0
 
 
-def cmd_classify(cfg: JobConfig, mode: str) -> int:
-    diagrams = [_read(p) for p in cfg.inputs]
+def cmd_classify(files: list[str], mode: str, fmt: str, strict: bool) -> int:
+    diagrams = [_read(p) for p in files]
     if not 1 <= len(diagrams) <= 2:
         raise DiagramError("classify expects one or two input diagrams")
     kinds = {d.closed for d in diagrams}
@@ -121,8 +100,8 @@ def cmd_classify(cfg: JobConfig, mode: str) -> int:
         lines = [f"{k}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(rep.items())]
         return "\n".join(lines)
 
-    _emit(report, cfg.fmt, render)
-    if undecided and cfg.strict:
+    _emit(report, fmt, render)
+    if undecided and strict:
         return 3
     return 0
 
@@ -197,12 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     inv.add_argument("files", nargs="+")
     inv.add_argument("--max-length", type=int, default=4)
     inv.add_argument("--max-r", type=int, default=2)
-    inv.add_argument(
-        "--delta-mode",
-        choices=["milnor-cyclic", "paper-strict"],
-        default="milnor-cyclic",
-        help="indeterminacy with or without cyclic rotations of subindices",
-    )
     inv.add_argument("--format", choices=["json", "table"], default="json")
 
     cl = sub.add_parser("classify", help="classification reports")
@@ -237,23 +210,10 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         if args.command == "invariants":
-            cfg = JobConfig(
-                command="invariants",
-                inputs=args.files,
-                max_length=args.max_length,
-                max_r=args.max_r,
-                cyclic_delta=(args.delta_mode == "milnor-cyclic"),
-                fmt=args.format,
-            )
-            return cmd_invariants(cfg)
+            return cmd_invariants(args.files, args.max_length, args.max_r, args.format)
         if args.command == "classify":
-            cfg = JobConfig(
-                command="classify",
-                inputs=args.files,
-                fmt=args.format,
-                strict=args.strict,
-            )
-            return cmd_classify(cfg, "homotopy" if args.homotopy else "self-delta")
+            mode = "homotopy" if args.homotopy else "self-delta"
+            return cmd_classify(args.files, mode, args.format, args.strict)
         if args.command == "generate":
             if args.kind != "whitehead" and not args.spec:
                 print("generate: missing specification", file=sys.stderr)

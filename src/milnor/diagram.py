@@ -804,7 +804,57 @@ def parse_pd(data) -> Diagram:
         for _, cid, role in sorted(per_comp[comp - 1]):
             events[comp - 1].append((cid, role))
     signs = [p[2] for p in passages]
-    return Diagram(n, events, signs, closed=closed, name=data.get("name") or None)
+    d = Diagram(n, events, signs, closed=closed, name=data.get("name") or None)
+    _check_planar(d)
+    return d
+
+
+def _check_planar(d: Diagram) -> None:
+    """Reject walk data that no diagram on the sphere realizes.
+
+    Each component's last passage is joined to its first, which closes a
+    planar string link planarly.  The crossings, with their edge ends in the
+    counterclockwise order ``to_pd_json`` writes, then span a 4-valent graph
+    with a rotation system; it embeds in the sphere iff V - E + F = 2 on each
+    connected piece, that is F = V + 2 * pieces, since E = 2V.  Faces are the
+    orbits of "follow the edge, then step to the next end counterclockwise".
+    """
+    order = {1: ("uin", "oin", "uout", "oout"), -1: ("uin", "oout", "uout", "oin")}
+
+    def end(cid, name):
+        return 4 * cid + order[d.signs[cid]].index(name)
+
+    mate = [0] * (4 * d.crossing_count)
+    piece = list(range(d.crossing_count))
+
+    def root(c):
+        while piece[c] != c:
+            piece[c] = c = piece[piece[c]]
+        return c
+
+    for ev in d.events:
+        for (c1, r1), (c2, r2) in zip(ev, ev[1:] + ev[:1]):
+            a, b = end(c1, r1 + "out"), end(c2, r2 + "in")
+            mate[a], mate[b] = b, a
+            piece[root(c1)] = root(c2)
+    faces = 0
+    seen = [False] * len(mate)
+    for start in range(len(mate)):
+        if seen[start]:
+            continue
+        faces += 1
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            y = mate[x]
+            x = y - y % 4 + (y + 1) % 4
+    pieces = len({root(c) for c in range(d.crossing_count)})
+    if faces != d.crossing_count + 2 * pieces:
+        raise DiagramError(
+            f"diagram is not planar: {faces} faces where a planar diagram "
+            f"with {d.crossing_count} crossings in {pieces} connected pieces "
+            f"has {d.crossing_count + 2 * pieces}"
+        )
 
 
 def load_diagram(data) -> Diagram:

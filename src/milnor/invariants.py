@@ -7,18 +7,21 @@ index's longitude at depth D, truncated at degree D-1.  Lower-degree
 coefficients are depth-stable, so one expansion per component serves the
 whole batch.
 
-For a closed link the same integer is taken modulo the indeterminacy
-Delta(I): the gcd of the invariants of all indices obtained by deleting at
-least one entry (and, by default, cyclically rotating the result).
-``residues`` closes a query set under one-entry deletion (and rotation),
-evaluates the closure once, and assembles Delta shortest index first by
+For a closed link the same integer is taken modulo Milnor's indeterminacy
+Delta(I), the gcd of the invariants of all indices obtained from I by
+deleting at least one entry and permuting the rest cyclically.  By
+Milnor's cyclic symmetry (Isotopy of links, 1957, Thm. 6) the invariant
+of a classical link is unchanged modulo Delta by rotating its index, so
+the gcd over deletions and their rotations equals the gcd over deletions
+alone, which is what is computed here.  ``residues`` closes a query set
+under one-entry deletion, evaluates the closure once, and assembles Delta
+shortest index first by
 
-    Delta(I) = gcd over one-entry deletions J of I (and their rotations)
-               of mu(J) and Delta(J).
+    Delta(I) = gcd over one-entry deletions J of I of mu(J) and Delta(J).
 
-Every proper deletion is a one-entry deletion or a deletion of one, and
-rotation commutes with deletion, so the recursion is exact.  The residues
-of a link are cached on it, so repeated queries assemble nothing twice.
+Every proper deletion is a one-entry deletion or a deletion of one, so the
+recursion is exact.  The residues of a link are cached on it, so repeated
+queries assemble nothing twice.
 """
 
 from __future__ import annotations
@@ -75,29 +78,24 @@ def evaluate(d: Diagram, indices) -> dict[tuple[int, ...], int]:
     return {index: series[index[-1]].coefficient(index[:-1]) for index in indices}
 
 
-def _deletions(index, cyclic: bool):
-    """The one-entry deletions of length at least 2, with their rotations
-    when ``cyclic`` is set."""
+def _deletions(index):
+    """The one-entry deletions of length at least 2."""
     if len(index) <= 2:
         return set()
-    subs = {index[:k] + index[k + 1 :] for k in range(len(index))}
-    if cyclic:
-        subs = {s[r:] + s[:r] for s in subs for r in range(len(s))}
-    return subs
+    return {index[:k] + index[k + 1 :] for k in range(len(index))}
 
 
-def residues(l: Diagram, indices, cyclic: bool = True) -> dict[tuple[int, ...], Residue]:
-    """Residue-class invariants of a closed link, with the indeterminacy
-    over deletion subindices, including their cyclic rotations unless
-    ``cyclic`` is disabled."""
+def residues(l: Diagram, indices) -> dict[tuple[int, ...], Residue]:
+    """Residue-class invariants of a closed link, each modulo the gcd over
+    its proper deletion subindices."""
     if not l.closed:
         raise ValueError("residue invariants are defined for closed links")
     indices = [_check_index(l, index) for index in indices]
-    known = l._cache.setdefault(("residues", cyclic), {})
+    known = l._cache.setdefault("residues", {})
     todo = {index for index in indices if index not in known}
     frontier = list(todo)
     while frontier:
-        for sub in _deletions(frontier.pop(), cyclic):
+        for sub in _deletions(frontier.pop()):
             if sub not in known and sub not in todo:
                 todo.add(sub)
                 frontier.append(sub)
@@ -106,7 +104,7 @@ def residues(l: Diagram, indices, cyclic: bool = True) -> dict[tuple[int, ...], 
         for index in sorted(todo, key=len):
             # gcd(mu(J), Delta(J)) survives the reduction of mu(J) mod Delta(J)
             g = 0
-            for sub in _deletions(index, cyclic):
+            for sub in _deletions(index):
                 g = math.gcd(g, known[sub].value, known[sub].modulus)
             known[index] = Residue(values[index], g)
     return {index: known[index] for index in indices}
@@ -120,22 +118,21 @@ def mu(l: Diagram, index) -> int:
     return value
 
 
-def mu_bar(l: Diagram, index, cyclic: bool = True) -> Residue:
+def mu_bar(l: Diagram, index) -> Residue:
     """Residue-class invariant of a closed link."""
-    (r,) = residues(l, [index], cyclic).values()
+    (r,) = residues(l, [index]).values()
     return r
 
 
-def indeterminacy(l: Diagram, index, cyclic: bool = True) -> int:
-    """gcd of the invariants of all proper deletion subindices, including
-    their cyclic rotations unless ``cyclic`` is disabled."""
-    return mu_bar(l, index, cyclic).modulus
+def indeterminacy(l: Diagram, index) -> int:
+    """gcd of the invariants of all proper deletion subindices."""
+    return mu_bar(l, index).modulus
 
 
-def invariant(d: Diagram, index, cyclic: bool = True) -> Residue:
+def invariant(d: Diagram, index) -> Residue:
     """Uniform access: exact for string links, residue for links."""
     if d.closed:
-        return mu_bar(d, index, cyclic)
+        return mu_bar(d, index)
     return Residue(mu(d, index), 0)
 
 
@@ -196,7 +193,7 @@ class InvariantTable:
         )
 
 
-def table(d: Diagram, max_len: int, max_r: int, cyclic: bool = True) -> InvariantTable:
+def table(d: Diagram, max_len: int, max_r: int) -> InvariantTable:
     """Evaluate every index within the filters in one batch."""
     if max_len < 2:
         raise ValueError("max_len must be at least 2")
@@ -211,7 +208,7 @@ def table(d: Diagram, max_len: int, max_r: int, cyclic: bool = True) -> Invarian
     )
     indices = indices_up_to(d.n, max_len, max_r)
     if d.closed:
-        out.entries = residues(d, indices, cyclic)
+        out.entries = residues(d, indices)
     else:
         out.entries = {i: Residue(v, 0) for i, v in evaluate(d, indices).items()}
     return out

@@ -181,6 +181,10 @@ class TestLinkHomotopic:
         with pytest.raises(ValueError):
             link_homotopic(trivial_string_link(2), trivial_string_link(3))
 
+    def test_classes_agree_count_mismatch(self):
+        with pytest.raises(ValueError, match="component counts differ"):
+            homotopy_classes_agree(from_braid(2, [1, 1]), from_braid(3, [1, 1]), 2)
+
 
 class TestSelfDelta:
     def test_trivial_vector(self):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from milnor.cli import JobConfig, main
+from milnor.cli import main
 from milnor.diagram import closure, from_braid, parse_pd, to_pd_json, trivial_link
 
 
@@ -69,6 +69,24 @@ class TestInvariantsCmd:
     def test_missing_file(self, workdir):
         assert main(["invariants", str(workdir["dir"] / "nope.json")]) == 2
 
+    def test_filter_validation_exit_code(self, capsys, workdir):
+        assert main(["invariants", workdir["hopf"], "--max-length", "1"]) == 2
+        assert main(["invariants", workdir["hopf"], "--max-r", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "max_len must be at least 2" in err and "max_r must be at least 1" in err
+
+    def test_non_planar_exit_code(self, capsys, workdir):
+        virtual_hopf = workdir["dir"] / "virtual_hopf.json"
+        virtual_hopf.write_text(json.dumps({
+            "kind": "link",
+            "components": 2,
+            "pd": [[1, 2, 1, 2]],
+            "component_of_arc": {"1": 1, "2": 2},
+            "orientation": {"1": 1, "2": 2},
+        }))
+        assert main(["invariants", str(virtual_hopf)]) == 2
+        assert "not planar" in capsys.readouterr().err
+
 
 class TestClassifyCmd:
     def test_self_delta_pair(self, capsys, workdir):
@@ -115,10 +133,10 @@ class TestClassifyCmd:
                 builds.append((d.name, d.n, depth, q))
             return meridian_series(d, depth, q)
 
-        def spy_residues(l, indices, cyclic=True):
+        def spy_residues(l, indices):
             inside.append(l)
             try:
-                return residues(l, indices, cyclic)
+                return residues(l, indices)
             finally:
                 inside.pop()
 
@@ -140,6 +158,42 @@ class TestClassifyCmd:
         assert inputs == [("trivial2", 2, 4, 3), ("whitehead", 2, 4, 3)]
         assert {b[2:] for b in builds if b[1] == 4} == {(4, 3)}
         assert sorted(assembled) == ["trivial2", "whitehead"]
+
+    def test_homotopy_evaluates_the_input_once(self, capsys, workdir, monkeypatch):
+        from milnor import invariants, wirtinger
+        from milnor.classify import injection_generator
+        from milnor.diagram import stack_all
+        from milnor.multiindex import Injection
+
+        exponents = {(1, 2): 1, (2, 4): -1, (1, 2, 3): 1, (2, 1, 3, 4): 1}
+        parts = [injection_generator(Injection(4, v), e) for v, e in exponents.items()]
+        path = workdir["dir"] / "product4.json"
+        path.write_text(json.dumps(to_pd_json(stack_all(parts, 4))))
+        builds, evaluated = [], []
+        meridian_series = wirtinger._meridian_series
+        evaluate = invariants.evaluate
+
+        def spy_meridians(d, depth, q):
+            if ("meridians", depth, q) not in d._cache:
+                builds.append((d.name, depth, q))
+            return meridian_series(d, depth, q)
+
+        def spy_evaluate(d, indices):
+            evaluated.append(d.name)
+            return evaluate(d, indices)
+
+        monkeypatch.setattr(wirtinger, "_meridian_series", spy_meridians)
+        monkeypatch.setattr(invariants, "evaluate", spy_evaluate)
+        code, out = run(capsys, "classify", "--homotopy", str(path))
+        assert code == 0
+        form = {
+            tuple(row["injection"]): row["exponent"]
+            for row in json.loads(out)["normal_forms"]["product4"]
+        }
+        assert {v: e for v, e in form.items() if e} == exponents
+        assert [b for b in builds if b[0] == "product4"] == [("product4", 4, 3)]
+        # the input once, then one partial product per level k = 2, 3, 4
+        assert evaluated == ["product4", None, None, None]
 
     def test_mixed_kind_error(self, capsys, workdir):
         assert (
@@ -193,10 +247,3 @@ class TestCableCmd:
         assert code == 0
         assert json.loads(out)["components"] == 4
 
-
-class TestJobConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            JobConfig(command="invariants", max_length=1)
-        with pytest.raises(ValueError):
-            JobConfig(command="invariants", max_r=0)

@@ -294,6 +294,34 @@ class TestPDFiles:
         with pytest.raises(DiagramError):
             parse_pd({"components": 2})
 
+    def test_virtual_hopf_rejected(self):
+        # one crossing shared by two single-passage circles: a virtual link
+        data = {
+            "kind": "link",
+            "components": 2,
+            "pd": [[1, 2, 1, 2]],
+            "component_of_arc": {"1": 1, "2": 2},
+            "orientation": {"1": 1, "2": 2},
+        }
+        with pytest.raises(DiagramError, match="not planar"):
+            parse_pd(data)
+
+    def test_virtual_trefoil_rejected(self):
+        # Gauss code O1 U2 U1 O2 has no planar realization
+        virtual = Diagram(1, [[(0, "o"), (1, "u"), (0, "u"), (1, "o")]], [1, 1], True)
+        with pytest.raises(DiagramError, match="not planar"):
+            parse_pd(to_pd_json(virtual))
+
+    def test_planar_constructions_accepted(self):
+        for d in [
+            from_braid(3, [1, 2, -1, 2, 1], closed=True),
+            from_braid(4, [1, 1, 3, 3], closed=True),  # two connected pieces
+            cable(closure(tree_tangle(2, (1, 2, 2))), [2, 1]),
+            stack(tree_tangle(3, (1, 2, 3)), invert(tree_tangle(3, (2, 1, 3)))),
+            with_kink(trivial_link(2), 2, 1),
+        ]:
+            assert parse_pd(to_pd_json(d)).canonical_form() == d.canonical_form()
+
     def test_braid_file(self):
         d = load_diagram({"strands": 2, "word": [1, 1], "kind": "closure"})
         assert d.closed and d.n == 2

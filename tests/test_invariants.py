@@ -3,8 +3,10 @@ import json
 import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from milnor.diagram import (
+    braid_permutation,
     cable,
     cable_map,
     closure,
@@ -45,6 +47,15 @@ def whitehead():
 def stacked_clasps():
     # linking number 2, so the length-3 values are residues mod 2
     return closure(stack(from_braid(2, [1, 1]), from_braid(2, [1, 1])))
+
+
+@st.composite
+def pure_braid_words(draw):
+    strands = draw(st.integers(2, 3))
+    letter = st.integers(1, strands - 1).flatmap(lambda g: st.sampled_from([g, -g]))
+    word = draw(st.lists(letter, max_size=4))
+    assume(braid_permutation(strands, word) == list(range(1, strands + 1)))
+    return strands, word
 
 
 class TestResidue:
@@ -98,13 +109,6 @@ class TestIndeterminacy:
 
     def test_trivial(self):
         assert indeterminacy(trivial_link(2), (1, 2, 2)) == 0
-
-    def test_strict_vs_cyclic(self):
-        # cyclic rotations may only refine the gcd
-        for index in [(1, 2, 2), (2, 1, 2), (1, 2, 1, 2)]:
-            g_strict = indeterminacy(hopf(), index, cyclic=False)
-            g_cyc = indeterminacy(hopf(), index, cyclic=True)
-            assert g_cyc == 0 or (g_strict == 0 or g_strict % g_cyc == 0)
 
 
 class TestMuBar:
@@ -179,7 +183,8 @@ def reference_value(d, index):
 
 
 def reference_residue(l, index, cyclic):
-    """Delta by brute force over every deletion mask."""
+    """Delta by brute force over every deletion mask, with Milnor's cyclic
+    rotations of each deletion when ``cyclic`` is set."""
     m = len(index)
     subs = set()
     for mask in range(1, 2**m - 1):
@@ -193,13 +198,23 @@ def reference_residue(l, index, cyclic):
 
 
 class TestAgainstReference:
+    # deletions alone give Milnor's gcd over deletions and their rotations
     @pytest.mark.parametrize("cyclic", [True, False])
     @pytest.mark.parametrize("make", [hopf, whitehead, borromean, stacked_clasps])
     def test_residues(self, make, cyclic):
         indices = list(indices_up_to(make().n, 4, 2))
-        got = residues(make(), indices, cyclic)
+        got = residues(make(), indices)
         ref = make()
         assert got == {i: reference_residue(ref, i, cyclic) for i in indices}
+
+    @settings(max_examples=25, deadline=None)
+    @given(pure_braid_words())
+    def test_residues_closed_pure_braids(self, braid):
+        strands, word = braid
+        indices = list(indices_up_to(strands, 4, 2))
+        got = residues(closure(from_braid(strands, word)), indices)
+        ref = closure(from_braid(strands, word))
+        assert got == {i: reference_residue(ref, i, True) for i in indices}
 
     def test_evaluate_mixed_lengths(self):
         def make():
