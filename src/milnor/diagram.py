@@ -428,6 +428,79 @@ def with_kink(d: Diagram, comp: int, sign: int, at: int = 0) -> Diagram:
     return Diagram(d.n, events, d.signs + (sign,), closed=d.closed)
 
 
+def reduced(d: Diagram) -> Diagram:
+    """The diagram with cancelling Reidemeister pairs removed until none is
+    left: (R1) a crossing whose over- and under-passages are adjacent on one
+    walk, and (R2) two opposite-sign crossings whose under-passages are
+    adjacent on one walk and whose over-passages are adjacent on one walk.
+
+    Adjacency wraps at the base point of a closed component and never at the
+    ends of a string link.  Both moves are Tietze moves on the Wirtinger
+    presentation.  On a string link every Magnus coefficient of every
+    longitude is unchanged.  On a closed link a move that removes a
+    component's last under-passage, or straddles its base point, changes
+    which arc the longitude recursion identifies with the base arc, so a
+    coefficient may change by a multiple of its indeterminacy; residues are
+    unchanged.  Crossings keep their relative order and the name is kept;
+    the result is cached on ``d`` and is its own reduction.
+    """
+    if "reduced" in d._cache:
+        return d._cache["reduced"]
+    nxt: dict = {}
+    prv: dict = {}
+    for ev in d.events:
+        for a, b in zip(ev, ev[1:] + ev[:1] if d.closed else ev[1:]):
+            nxt[a], prv[b] = b, a
+    alive = set(range(d.crossing_count))
+
+    def remove(*cids):
+        touched = []
+        for cid in cids:
+            alive.discard(cid)
+            for p in ((cid, OVER), (cid, UNDER)):
+                a, b = prv.pop(p, None), nxt.pop(p, None)
+                if a is not None and a != p:
+                    nxt[a] = b
+                    touched.append(a[0])
+                if b is not None and b != p:
+                    prv[b] = a
+                    touched.append(b[0])
+        return touched
+
+    todo = list(alive)
+    while todo:
+        cid = todo.pop()
+        if cid not in alive:
+            continue
+        o, u = (cid, OVER), (cid, UNDER)
+        if nxt.get(o) == u or nxt.get(u) == o:
+            todo.extend(remove(cid))
+            continue
+        for p in (nxt.get(u), prv.get(u)):
+            if (
+                p is not None
+                and p[1] == UNDER
+                and d.signs[p[0]] == -d.signs[cid]
+                and (p[0], OVER) in (nxt.get(o), prv.get(o))
+            ):
+                todo.extend(remove(cid, p[0]))
+                break
+    if len(alive) == d.crossing_count:
+        out = d
+    else:
+        kept = sorted(alive)
+        new_id = {cid: k for k, cid in enumerate(kept)}
+        events = [
+            [(new_id[cid], role) for cid, role in ev if cid in alive]
+            for ev in d.events
+        ]
+        signs = [d.signs[cid] for cid in kept]
+        out = Diagram(d.n, events, signs, d.closed, name=d.name)
+        out._cache["reduced"] = out
+    d._cache["reduced"] = out
+    return out
+
+
 # -- cabling ------------------------------------------------------------------
 
 
@@ -493,7 +566,9 @@ def cable(l: Diagram, multiplicities: Sequence[int]) -> Diagram:
         for g in twist_word:
             p = abs(g) - 1
             a, b = perm[p], perm[p + 1]
-            over_copy, under_copy = (a, b) if g > 0 else (b, a)
+            # a positive letter puts the copy at position p + 1 over; the
+            # opposite choice gives walk data no planar diagram realizes
+            over_copy, under_copy = (b, a) if g > 0 else (a, b)
             cid = len(signs)
             signs.append(1 if g > 0 else -1)
             events[new_of[i - 1][over_copy] - 1].append((cid, OVER))

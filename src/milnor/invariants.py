@@ -1,7 +1,9 @@
 """Milnor invariants: exact values for string links, residue classes for links.
 
 Every value comes from one query, ``evaluate``: for a batch of indices it
-takes one depth D, the longest index, and reads the invariant of I as the
+reduces the diagram once (``diagram.reduced`` cancels R1 kinks and R2
+bigons, which are Tietze moves on the Wirtinger presentation), takes one
+depth D, the longest index, and reads the invariant of I as the
 coefficient of X_{i_1}...X_{i_{m-1}} in the Magnus expansion of the last
 index's longitude at depth D, truncated at degree D-1.  Lower-degree
 coefficients are depth-stable, so one expansion per component serves the
@@ -30,7 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from . import wirtinger
-from .diagram import Diagram
+from .diagram import Diagram, reduced
 from .multiindex import format_index, repeat_max
 
 
@@ -71,6 +73,7 @@ def evaluate(d: Diagram, indices) -> dict[tuple[int, ...], int]:
     if not indices:
         return {}
     depth = max(len(index) for index in indices)
+    d = reduced(d)
     series = {
         comp: wirtinger.longitude_series(d, comp, depth, depth - 1)
         for comp in {index[-1] for index in indices}

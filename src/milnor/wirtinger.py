@@ -6,7 +6,11 @@ m_i; passing to depth t+1, walking a component from its base arc, each
 under-passage conjugates the running word by the depth-t word of the
 over-arc, with the conjugation direction given by the crossing sign.  The
 zero-framed longitude of a component multiplies the over-arc words along its
-under-passages and strips the accumulated self-framing.
+under-passages and strips the accumulated self-framing.  The correction
+x_i^(-w) multiplies on the left: a kink contributes x_k^(+-1), which is
+lambda_{<k}^-1 x_i^(+-1) lambda_{<k}, so it moves x_i^(+-1) to the left of
+the partial longitude lambda_{<k}.  For a string link, whose longitude need
+not commute with x_i, only the left correction cancels it.
 
 The same recursion is implemented twice: on free-group words (exact, for
 inspection and small depths) and on truncated Magnus series (used by the
@@ -127,7 +131,7 @@ def longitude_word(d: Diagram, comp: int, depth: int) -> Word:
         out = out * (over if c.sign == 1 else over.inverse())
     w = d.writhe(comp)
     correction = Word(d.n, (-comp if w > 0 else comp,) * abs(w))
-    return out * correction
+    return correction * out
 
 
 def _meridian_series(d: Diagram, depth: int, q: int):
@@ -193,6 +197,6 @@ def longitude_series(d: Diagram, comp: int, depth: int, q: int) -> magnus.Series
     if w:
         corr = magnus.generator_series(comp, -1 if w > 0 else 1, d.n, q)
         for _ in range(abs(w)):
-            out = out * corr
+            out = corr * out
     d._cache[key] = out
     return out

@@ -3,7 +3,14 @@ import json
 import pytest
 
 from milnor.cli import main
-from milnor.diagram import closure, from_braid, parse_pd, to_pd_json, trivial_link
+from milnor.diagram import (
+    closure,
+    from_braid,
+    parse_pd,
+    to_pd_json,
+    trivial_link,
+    with_kink,
+)
 
 
 @pytest.fixture
@@ -241,6 +248,14 @@ class TestCableCmd:
         assert data["source_component"] == [1, 1, 2, 2]
         d = parse_pd(data)
         assert d.n == 4
+
+    def test_cable_of_kinked_link_reads_back(self, capsys, tmp_path):
+        kinked = tmp_path / "kinked.json"
+        hopf = closure(from_braid(2, [1, 1]))
+        kinked.write_text(json.dumps(to_pd_json(with_kink(hopf, 1, 1))))
+        out_path = tmp_path / "c.json"
+        assert main(["cable", str(kinked), "2", "-o", str(out_path)]) == 0
+        assert main(["invariants", str(out_path)]) == 0
 
     def test_uniform_multiplicity(self, capsys, workdir):
         code, out = run(capsys, "cable", workdir["hopf"], "2")

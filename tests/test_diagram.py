@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 
@@ -17,6 +18,7 @@ from milnor.diagram import (
     load_diagram,
     parse_pd,
     power,
+    reduced,
     run_slices,
     stack,
     to_pd_json,
@@ -25,7 +27,14 @@ from milnor.diagram import (
     trivial_string_link,
     with_kink,
 )
+from milnor.classify import (
+    HomotopyNormalForm,
+    milnor_link,
+    surjection_generator,
+    whitehead_link,
+)
 from milnor.freegroup import Word, commutator, generator
+from milnor.multiindex import all_injections, selfdelta_generator_indices
 from milnor import invariants, wirtinger
 
 
@@ -164,6 +173,29 @@ class TestCable:
         assert c.linking_number(1, 2) == 0
         assert c.linking_number(3, 4) == 0
         assert c.linking_number(1, 3) == 1
+
+    @pytest.mark.parametrize("mult", [2, 3])
+    def test_framing_twists_planar(self, mult):
+        # links with nonzero self-writhe get full twists between the copies
+        hopf = closure(from_braid(2, [1, 1]))
+        for l in [
+            with_kink(hopf, 1, 1),
+            with_kink(with_kink(hopf, 2, -1, at=1), 1, 1),
+            with_kink(whitehead_link(), 2, -1, at=3),
+            from_braid(3, [1, 1, 1, 2, 2], closed=True),
+        ]:
+            c = cable(l, [mult] * l.n)
+            assert parse_pd(to_pd_json(c)).canonical_form() == c.canonical_form()
+            for i, j in itertools.combinations(range(1, c.n + 1), 2):
+                if c.source_component[i - 1] == c.source_component[j - 1]:
+                    assert c.linking_number(i, j) == 0
+
+    def test_kinked_cable_values(self):
+        # a kink is an isotopy, so the zero-framed cables agree
+        for l in [closure(from_braid(2, [1, 1])), whitehead_link()]:
+            kinked = with_kink(with_kink(l, 1, 1), 2, -1, at=1)
+            want = invariants.table(cable(l, (2, 2)), 4, 2)
+            assert invariants.table(cable(kinked, (2, 2)), 4, 2) == want
 
     def test_multiplicity_validation(self):
         with pytest.raises(DiagramError):
@@ -329,3 +361,85 @@ class TestPDFiles:
         assert not s.closed
         with pytest.raises(DiagramError):
             load_diagram({"strands": 2, "word": [1], "kind": "stringlink"})
+
+
+def corpus():
+    """The links ``scripts/generate_corpus.py`` writes, by name."""
+    items = {
+        "trivial2": trivial_link(2),
+        "trivial3": trivial_link(3),
+        "hopf": closure(from_braid(2, [1, 1])),
+        "whitehead": whitehead_link(),
+        "milnor3": milnor_link(3),
+        "milnor4": milnor_link(4),
+    }
+    for n in (2, 3):
+        for m in range(n + 1, 2 * n + 1):
+            for tau in selfdelta_generator_indices(n, m):
+                name = f"vtau_n{n}_{''.join(map(str, tau.values))}_k{tau.k}"
+                items[name] = closure(surjection_generator(tau))
+    return items
+
+
+def products(n, shape, seed):
+    """A product of generators shaped like the homotopy benchmark's: per
+    arity 2..n, ``shape`` nonzero exponents of random sign."""
+    rng = random.Random(seed)
+    exponents = {pi: 0 for pi in all_injections(n)}
+    for k, count in zip(range(2, n + 1), shape):
+        for pi in rng.sample([pi for pi in all_injections(n) if pi.k == k], count):
+            exponents[pi] = rng.choice((-1, 1))
+    return HomotopyNormalForm(n, exponents).realize()
+
+
+class TestReduced:
+    def test_r1_kinks(self):
+        s = from_braid(2, [1, 1])
+        for comp, sign, at in [(1, 1, 0), (1, -1, 1), (2, 1, 2), (2, -1, 1)]:
+            kinked = with_kink(with_kink(s, comp, sign, at), 3 - comp, -sign)
+            assert reduced(kinked).canonical_form() == s.canonical_form()
+
+    def test_r2_bigons(self):
+        assert reduced(from_braid(3, [2, 1, -1, -2])).crossing_count == 0
+        assert reduced(from_braid(2, [1, 1, 1, -1], closed=True)).crossing_count == 2
+        # same signs: a clasp, not a bigon
+        assert reduced(from_braid(2, [1, 1])).crossing_count == 2
+
+    def test_wraps_only_on_closed_components(self):
+        w = whitehead_link()
+        assert reduced(w).crossing_count == 9
+        assert reduced(cut_open(w)).crossing_count == 17
+
+    def test_keeps_name_and_caches(self):
+        w = whitehead_link()
+        w.name = "whitehead"
+        r = reduced(w)
+        assert r.name == "whitehead" and r.closed and r.n == 2
+        assert reduced(w) is r and reduced(r) is r
+        t = trivial_link(2)
+        assert reduced(t) is t
+
+    def test_crossing_counts(self):
+        items = corpus()
+        counts = {
+            name: (items[name].crossing_count, reduced(items[name]).crossing_count)
+            for name in ("whitehead", "milnor4", "vtau_n3_121_k3")
+        }
+        assert counts == {
+            "whitehead": (38, 9),
+            "milnor4": (92, 20),
+            "vtau_n3_121_k3": (478, 211),
+        }
+
+    def test_reduced_walks_are_diagrams(self):
+        diagrams = []
+        for d in corpus().values():
+            diagrams += [d, cable(d, [2] * d.n)]
+        for seed in range(3):
+            diagrams += [products(4, (3, 2, 2), seed), products(5, (2, 2, 2, 1), seed)]
+        for d in diagrams:
+            r = reduced(d)
+            # parse_pd rejects walk data that no planar diagram realizes
+            assert parse_pd(to_pd_json(r)).canonical_form() == r.canonical_form()
+            assert reduced(r) is r
+            assert r.crossing_count <= d.crossing_count

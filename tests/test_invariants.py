@@ -5,17 +5,20 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from milnor.classify import injection_generator, surjection_generator
 from milnor.diagram import (
     braid_permutation,
     cable,
     cable_map,
     closure,
     from_braid,
+    reduced,
     stack,
     stack_all,
     tree_tangle,
     trivial_link,
     trivial_string_link,
+    with_kink,
 )
 from milnor.invariants import (
     InvariantTable,
@@ -29,6 +32,7 @@ from milnor.invariants import (
     residues,
     table,
 )
+from milnor.multiindex import Injection, selfdelta_generator_indices
 from milnor.wirtinger import longitude_series
 
 
@@ -225,6 +229,81 @@ class TestAgainstReference:
         ref = make()
         assert got == {i: reference_value(ref, i) for i in indices}
         assert {len(i) for i, v in got.items() if v} == {2, 3, 4}
+
+
+# string links of the corpus: Whitehead's, the n=2 self-delta generators
+# and the (1,2,3) injection generator
+STRING_LINKS = [
+    tree_tangle(2, (1, 2, 2)),
+    *(
+        surjection_generator(tau)
+        for m in (3, 4)
+        for tau in selfdelta_generator_indices(2, m)
+    ),
+    injection_generator(Injection(3, (1, 2, 3))),
+]
+
+
+@st.composite
+def reidemeister_moves(draw, n):
+    """One to three moves: ("kink", component, sign, place) inserts an R1
+    curl, ("bigon", generator, sign, place) an R2 bigon between strands
+    ``generator`` and ``generator + 1``; ``place`` picks the position."""
+    place = st.integers(0, 500)
+    sign = st.sampled_from([1, -1])
+    kink = st.tuples(st.just("kink"), st.integers(1, n), sign, place)
+    bigon = st.tuples(st.just("bigon"), st.integers(1, n - 1), sign, place)
+    return draw(st.lists(st.one_of(kink, bigon), min_size=1, max_size=3))
+
+
+def with_kinks(d, moves):
+    for kind, comp, sign, place in moves:
+        if kind == "kink":
+            d = with_kink(d, comp, sign, place % (len(d.events[comp - 1]) + 1))
+    return d
+
+
+def assert_reidemeister_invariant(original, moved):
+    """(a) the table is unchanged, (b) the moves reduce away, (c) evaluation
+    on the reduced walk agrees with the unreduced longitudes: exactly on a
+    string link, modulo the indeterminacy on a closed link."""
+    assert table(moved, 4, 2) == table(original, 4, 2)
+    assert reduced(moved).crossing_count <= reduced(original).crossing_count
+    indices = list(indices_up_to(moved.n, 4, 2))
+    if moved.closed:
+        ref = {i: reference_residue(moved, i, False) for i in indices}
+        assert residues(moved, indices) == ref
+    else:
+        ref = {i: reference_value(moved, i) for i in indices}
+        assert evaluate(moved, indices) == ref
+
+
+class TestReidemeister:
+    @settings(max_examples=30, deadline=None)
+    @given(pure_braid_words(), st.data())
+    def test_closed_pure_braids(self, braid, data):
+        strands, word = braid
+        moves = data.draw(reidemeister_moves(strands))
+        moved = list(word)
+        for kind, gen, sign, place in moves:
+            if kind == "bigon":
+                at = place % (len(moved) + 1)
+                moved[at:at] = [sign * gen, -sign * gen]
+        original = closure(from_braid(strands, word))
+        moved = with_kinks(closure(from_braid(strands, moved)), moves)
+        assert_reidemeister_invariant(original, moved)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.sampled_from(STRING_LINKS), st.data())
+    def test_corpus_string_links(self, original, data):
+        moves = data.draw(reidemeister_moves(original.n))
+        moved = original
+        for kind, gen, sign, place in moves:
+            if kind == "bigon":
+                bigon = from_braid(original.n, [sign * gen, -sign * gen])
+                moved = stack(bigon, moved) if place % 2 else stack(moved, bigon)
+        moved = with_kinks(moved, moves)
+        assert_reidemeister_invariant(original, moved)
 
 
 class TestIndicesUpTo:

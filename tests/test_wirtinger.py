@@ -2,17 +2,21 @@ import itertools
 
 import pytest
 
+from milnor.classify import injection_generator
 from milnor.diagram import (
     closure,
     from_braid,
     stack,
+    stack_all,
     tree_tangle,
     trivial_link,
     trivial_string_link,
     with_kink,
 )
 from milnor.freegroup import Word
+from milnor.invariants import evaluate, indices_up_to
 from milnor.magnus import expand
+from milnor.multiindex import Injection
 from milnor.wirtinger import (
     longitude_series,
     longitude_word,
@@ -101,6 +105,32 @@ class TestLongitude:
         d = with_kink(with_kink(from_braid(2, [1, 1]), 1, 1), 1, 1, at=1)
         w = longitude_word(d, 1, 2)
         assert w.exponent_sum(1) == 0
+
+    def test_kinks_keep_string_link_values(self):
+        # a kink's longitude factor is x_i^(+-1) moved to the left of the
+        # partial longitude, which a string link's longitude need not commute
+        # with, so the framing correction must multiply on the left
+        s = stack_all(
+            [
+                injection_generator(Injection(3, (2, 3)), -1),
+                injection_generator(Injection(3, (1, 2, 3)), 1),
+                injection_generator(Injection(3, (1, 2, 3)), -1),
+            ],
+            3,
+        )
+        indices = list(indices_up_to(3, 4, 2))
+        want = evaluate(s, indices)
+        assert want[(2, 3)] == -1 and want[(2, 3, 3)] == 1
+        for comp in (1, 2, 3):
+            length = len(s.events[comp - 1])
+            for at, sign in [(0, 1), (length // 2, -1), (length, 1), (1, -1)]:
+                kinked = with_kink(s, comp, sign, at)
+                assert evaluate(kinked, indices) == want, (comp, sign, at)
+                raw = {
+                    i: longitude_series(kinked, i[-1], 4, 3).coefficient(i[:-1])
+                    for i in indices
+                }
+                assert raw == want, (comp, sign, at)
 
     def test_series_matches_word(self):
         for d in corpus():
