@@ -52,8 +52,10 @@ def _surjection_base(tau: Surjection) -> Diagram:
         # stray values on the paired even-length family are cancelled by
         # measured correcting factors; the matched partner value stays odd
         parts = [base]
-        for eta in ascending_surjections(2 * n, n, n):
-            stray = invariants.mu(base, eta.index())
+        etas = ascending_surjections(2 * n, n, n)
+        strays = invariants.evaluate(base, [eta.index() for eta in etas])
+        for eta in etas:
+            stray = strays[eta.index()]
             if stray:
                 parts.append(power(tree_tangle(n, eta.values + (n, n)), -stray))
         base = stack_all(parts, n)
@@ -326,8 +328,10 @@ def brunnian_representative(l: Diagram) -> BrunnianForm:
             parts.append(surjection_generator(phi, 1))
     base = stack_all(parts, n)
     doubled = {}
-    for tau in palindromic_surjections(2 * n, n, n):
-        diff = vec.entries[tau.index()].value - invariants.mu(base, tau.index())
+    taus = palindromic_surjections(2 * n, n, n)
+    built = invariants.evaluate(base, [tau.index() for tau in taus])
+    for tau in taus:
+        diff = vec.entries[tau.index()].value - built[tau.index()]
         if diff % 2:
             raise ValueError(
                 f"parity obstruction at {tau.values}: difference {diff} is odd"

@@ -1,161 +1,232 @@
 """Truncated integer power series in non-commuting variables.
 
 The Magnus expansion substitutes 1 + X_j for the j-th meridian generator and
-the alternating geometric series for its inverse.  Series are truncated at a
-total degree q and store one dense coefficient array per degree: the
-degree-d coefficients live in a flat numpy array of length n**d, indexed by
-the base-n digits of the monomial.  Exactness is preserved by an overflow
-guard that retries the offending product with Python-integer (object) dtype.
+the alternating geometric series for its inverse.  A series lives on a
+``Basis``: a factor-closed set of monomials (every contiguous subword of a
+member is a member), sorted by (degree, lexicographic monomial).  The
+monomials outside such a set span a two-sided ideal, so products and
+inverses taken modulo that ideal leave every coefficient inside the set
+exact (the free differential calculus view: Fox, Free differential calculus
+I, Ann. of Math. 57, 1953).  Truncation at total degree q is the dense basis
+of all monomials of degree at most q; a batch of queries needs only the
+factor closure of its own monomials.
+
+A series is one flat int64 vector over its basis.  The basis lists every
+split w = uv of every monomial as a pair of positions, so a product is one
+gather, one multiply and one segment sum.  Exactness is preserved by an
+overflow guard: every output coefficient is bounded by L1(a) * peak(b),
+computed in floating point, and above 2**60 the product is taken with
+Python-integer (object) dtype instead.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 
 from .freegroup import Word
 
-_GUARD = np.int64(1) << 60
+_GUARD = float(2**60)
 
 
-def _monomial_offset(n: int, monomial) -> int:
-    off = 0
-    for v in monomial:
-        if not 1 <= v <= n:
-            raise ValueError(f"variable index {v} out of range 1..{n}")
-        off = off * n + (v - 1)
-    return off
+class Basis:
+    """A factor-closed monomial set in X_1..X_n, sorted by (degree, lex).
+
+    ``pos`` maps each monomial to its position.  ``left[k]``/``right[k]``
+    are the positions of u and v for the k-th split w = uv; the splits of
+    the i-th monomial start at ``starts[i]``, shortest u first.
+    ``bounds[d]`` is the position of the first monomial of degree d.
+    """
+
+    __slots__ = ("n", "q", "words", "pos", "left", "right", "starts", "bounds", "_hash")
+
+    def __init__(self, n: int, words):
+        words = sorted(words, key=lambda w: (len(w), w))
+        if n < 1 or not words or words[0] != ():
+            raise ValueError("a basis needs n >= 1 and the empty monomial")
+        for w in words:
+            if len(w) == 1 and not 1 <= w[0] <= n:
+                raise ValueError(f"variable index {w[0]} out of range 1..{n}")
+        self.n = n
+        self.q = len(words[-1])
+        self.words = tuple(words)
+        self.pos = pos = {w: i for i, w in enumerate(words)}
+        left, right, starts = [], [], []
+        try:
+            for w in words:
+                starts.append(len(left))
+                for k in range(len(w) + 1):
+                    left.append(pos[w[:k]])
+                    right.append(pos[w[k:]])
+        except KeyError as exc:
+            raise ValueError(f"monomial set is not factor-closed: {exc}") from None
+        self.left = np.array(left, dtype=np.intp)
+        self.right = np.array(right, dtype=np.intp)
+        self.starts = np.array(starts, dtype=np.intp)
+        self.bounds = np.searchsorted([len(w) for w in words], np.arange(self.q + 2))
+        self._hash = hash((n, self.words))
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Basis):
+            return NotImplemented
+        return self is other or (self.n == other.n and self.words == other.words)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Basis(n={self.n}, q={self.q}, size={len(self.words)})"
+
+
+@lru_cache(maxsize=32)
+def _basis(n: int, words: frozenset) -> Basis:
+    return Basis(n, words)
+
+
+def closure(n: int, monomials) -> Basis:
+    """The smallest factor-closed basis containing the given monomials."""
+    seen = {()}
+    frontier = [tuple(w) for w in monomials]
+    while frontier:
+        w = frontier.pop()
+        if w not in seen:
+            seen.add(w)
+            frontier += (w[:-1], w[1:])
+    return _basis(n, frozenset(seen))
+
+
+@lru_cache(maxsize=32)
+def dense(n: int, q: int) -> Basis:
+    """Every monomial of degree at most q: plain degree truncation."""
+    if n < 1 or q < 0:
+        raise ValueError("need n >= 1 and q >= 0")
+    letters = range(1, n + 1)
+    words = (w for d in range(q + 1) for w in itertools.product(letters, repeat=d))
+    return _basis(n, frozenset(words))
 
 
 class Series:
-    """An integer power series in X_1..X_n truncated beyond degree q."""
+    """An integer power series in X_1..X_n modulo the monomials outside its
+    basis; on ``dense(n, q)`` that is truncation beyond degree q."""
 
-    __slots__ = ("n", "q", "coeffs")
+    __slots__ = ("basis", "x", "_norms")
 
-    def __init__(self, n: int, q: int, coeffs=None):
-        if n < 1 or q < 0:
-            raise ValueError("need n >= 1 and q >= 0")
-        self.n = n
-        self.q = q
-        if coeffs is None:
-            coeffs = [np.zeros(n**d, dtype=np.int64) for d in range(q + 1)]
-        self.coeffs = coeffs
+    def __init__(self, basis: Basis, x=None):
+        self.basis = basis
+        self.x = np.zeros(len(basis), dtype=np.int64) if x is None else x
+        self._norms = None
 
-    def copy(self) -> "Series":
-        return Series(self.n, self.q, [c.copy() for c in self.coeffs])
+    @property
+    def n(self) -> int:
+        return self.basis.n
+
+    @property
+    def q(self) -> int:
+        return self.basis.q
+
+    @property
+    def coeffs(self) -> list:
+        """Read-only per-degree views of the coefficient vector."""
+        b = self.basis.bounds
+        views = [self.x[b[d] : b[d + 1]] for d in range(self.q + 1)]
+        for v in views:
+            v.flags.writeable = False
+        return views
 
     @property
     def constant(self) -> int:
-        return int(self.coeffs[0][0])
+        return int(self.x[0])
+
+    def _position(self, monomial) -> int:
+        monomial = tuple(monomial)
+        for v in monomial:
+            if not 1 <= v <= self.n:
+                raise ValueError(f"variable index {v} out of range 1..{self.n}")
+        if len(monomial) > self.q:
+            raise ValueError(
+                f"monomial degree {len(monomial)} exceeds truncation {self.q}"
+            )
+        try:
+            return self.basis.pos[monomial]
+        except KeyError:
+            raise ValueError(f"monomial {monomial} is outside the basis") from None
 
     def coefficient(self, monomial) -> int:
-        monomial = tuple(monomial)
-        if len(monomial) > self.q:
-            raise ValueError(
-                f"monomial degree {len(monomial)} exceeds truncation {self.q}"
-            )
-        return int(self.coeffs[len(monomial)][_monomial_offset(self.n, monomial)])
+        return int(self.x[self._position(monomial)])
 
     def set_coefficient(self, monomial, value: int) -> None:
-        monomial = tuple(monomial)
-        if len(monomial) > self.q:
-            raise ValueError(
-                f"monomial degree {len(monomial)} exceeds truncation {self.q}"
-            )
-        self.coeffs[len(monomial)][_monomial_offset(self.n, monomial)] = value
+        self.x[self._position(monomial)] = value
+        self._norms = None
 
-    def _as_object(self) -> "Series":
-        return Series(self.n, self.q, [c.astype(object) for c in self.coeffs])
+    def _l1_peak(self) -> tuple[float, float]:
+        """L1 norm and largest magnitude of an int64 vector, in float64 so
+        that neither can wrap; cached, series are not changed by products."""
+        if self._norms is None:
+            a = np.abs(self.x.astype(np.float64))
+            self._norms = (float(a.sum()), float(a.max()))
+        return self._norms
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.q == other.q
-            and all(np.array_equal(a, b) for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return self.basis == other.basis and np.array_equal(self.x, other.x)
 
     def __mul__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
             return NotImplemented
-        if self.n != other.n or self.q != other.q:
-            raise ValueError("series parameters differ")
-        a, b = self, other
-        exact = a.coeffs[0].dtype == object or b.coeffs[0].dtype == object
-        if not exact:
-            # |out| <= L1(a) * peak(b) termwise, so this bound rules out
-            # int64 wraparound before it can happen
-            l1a = sum(int(np.abs(c).sum()) for c in a.coeffs)
-            pkb = max(int(np.abs(c).max(initial=0)) for c in b.coeffs)
-            if l1a * pkb > int(_GUARD):
-                exact = True
-        if exact:
-            if a.coeffs[0].dtype != object:
-                a = a._as_object()
-            if b.coeffs[0].dtype != object:
-                b = b._as_object()
-        out = Series(self.n, self.q)
-        if exact:
-            out.coeffs = [c.astype(object) for c in out.coeffs]
-        for da in range(self.q + 1):
-            ca = a.coeffs[da]
-            if not ca.any():
-                continue
-            for db in range(self.q + 1 - da):
-                cb = b.coeffs[db]
-                if not cb.any():
-                    continue
-                out.coeffs[da + db] += np.outer(ca, cb).ravel()
-        return out
-
-    def __add__(self, other: "Series") -> "Series":
-        if self.n != other.n or self.q != other.q:
-            raise ValueError("series parameters differ")
-        return Series(
-            self.n, self.q, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __sub__(self, other: "Series") -> "Series":
-        if self.n != other.n or self.q != other.q:
-            raise ValueError("series parameters differ")
-        return Series(
-            self.n, self.q, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        b = self.basis
+        if b != other.basis:
+            raise ValueError("series bases differ")
+        x, y = self.x, other.x
+        # |out[w]| <= sum over splits w = uv of |x[u]| |y[v]| <= L1(x) peak(y),
+        # partial sums included, since the u of distinct splits differ
+        if (
+            x.dtype == object
+            or y.dtype == object
+            or self._l1_peak()[0] * other._l1_peak()[1] > _GUARD
+        ):
+            x, y = x.astype(object), y.astype(object)
+        return Series(b, np.add.reduceat(x[b.left] * y[b.right], b.starts))
 
     def inverse(self) -> "Series":
-        """Ring inverse; requires constant term +1 or -1."""
+        """Ring inverse; requires constant term +1 or -1.
+
+        Solved degree by degree from x * y = 1: for w nonempty,
+        y[w] = -c0 * sum over splits w = uv, u nonempty, of x[u] y[v], and
+        every such v is shorter than w.  The work is that of one product.
+        """
         c0 = self.constant
         if c0 not in (1, -1):
             raise ValueError("series with constant term != +-1 has no inverse")
-        # (c0 + N)^-1 = c0 (1 + c0 N)^-1 = c0 sum (-c0 N)^j
-        nilpotent = self.copy()
-        nilpotent.coeffs[0] = nilpotent.coeffs[0] * 0
-        out = one(self.n, self.q)
-        term = one(self.n, self.q)
-        for _ in range(self.q):
-            term = term * nilpotent
-            for d in range(self.q + 1):
-                term.coeffs[d] = term.coeffs[d] * (-c0)
-            out = out + term
-        if c0 == -1:
-            for d in range(self.q + 1):
-                out.coeffs[d] = out.coeffs[d] * -1
-        return out
+        b = self.basis
+        x = self.x.copy()
+        x[0] = 0
+        y = np.zeros_like(x)
+        y[0] = c0
+        l1 = np.inf if x.dtype == object else self._l1_peak()[0] - 1.0
+        peak = 1.0
+        for d in range(1, self.q + 1):
+            lo, hi = b.bounds[d], b.bounds[d + 1]
+            if y.dtype != object and l1 * peak > _GUARD:
+                x, y = x.astype(object), y.astype(object)
+            s0 = b.starts[lo]
+            s1 = b.starts[hi] if hi < len(b) else len(b.left)
+            terms = x[b.left[s0:s1]] * y[b.right[s0:s1]]
+            y[lo:hi] = np.add.reduceat(terms, b.starts[lo:hi] - s0) * -c0
+            if y.dtype != object:
+                peak = max(peak, float(np.abs(y[lo:hi].astype(np.float64)).max()))
+        return Series(b, y)
 
     def monomials(self):
         """Yield (monomial, coefficient) with nonzero coefficient, ordered by
         (degree, lexicographic monomial)."""
-        for d in range(self.q + 1):
-            arr = self.coeffs[d]
-            for flat in np.flatnonzero(arr):
-                mono = []
-                rem = int(flat)
-                for _ in range(d):
-                    mono.append(rem % self.n + 1)
-                    rem //= self.n
-                yield tuple(reversed(mono)), int(arr[flat])
+        for i in np.flatnonzero(self.x):
+            yield self.basis.words[i], int(self.x[i])
 
     def __str__(self) -> str:
         parts = []
@@ -176,29 +247,32 @@ class Series:
     __repr__ = __str__
 
 
-def zero(n: int, q: int) -> Series:
-    return Series(n, q)
-
-
-def one(n: int, q: int) -> Series:
-    s = Series(n, q)
-    s.coeffs[0][0] = 1
+def unit(basis: Basis) -> Series:
+    s = Series(basis)
+    s.x[0] = 1
     return s
 
 
-def generator_series(j: int, sign: int, n: int, q: int) -> Series:
-    """1 + X_j for sign +1; 1 - X_j + X_j^2 - ... up to degree q for -1."""
-    if not 1 <= j <= n:
-        raise ValueError(f"variable index {j} out of range 1..{n}")
+def zero(n: int, q: int) -> Series:
+    return Series(dense(n, q))
+
+
+def one(n: int, q: int) -> Series:
+    return unit(dense(n, q))
+
+
+def generator_series(j: int, sign: int, basis: Basis) -> Series:
+    """1 + X_j for sign +1; 1 - X_j + X_j^2 - ... for -1, on the basis."""
+    if not 1 <= j <= basis.n:
+        raise ValueError(f"variable index {j} out of range 1..{basis.n}")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    s = one(n, q)
-    if sign == 1:
-        if q >= 1:
-            s.set_coefficient((j,), 1)
-        return s
-    for d in range(1, q + 1):
-        s.set_coefficient((j,) * d, (-1) ** d)
+    s = unit(basis)
+    for d in range(1, basis.q + 1 if sign == -1 else min(basis.q, 1) + 1):
+        i = basis.pos.get((j,) * d)
+        if i is None:
+            break
+        s.x[i] = sign**d
     return s
 
 
@@ -208,12 +282,8 @@ def expand(word: Word, q: int, n: int | None = None) -> Series:
         n = word.rank
     elif n != word.rank:
         raise ValueError("rank mismatch")
-    out = one(n, q)
+    basis = dense(n, q)
+    out = unit(basis)
     for x in word.letters:
-        out = out * generator_series(abs(x), 1 if x > 0 else -1, n, q)
+        out = out * generator_series(abs(x), 1 if x > 0 else -1, basis)
     return out
-
-
-def all_monomials(n: int, degree: int):
-    """All monomials of one degree in lexicographic order."""
-    return itertools.product(range(1, n + 1), repeat=degree)

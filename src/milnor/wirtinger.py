@@ -13,8 +13,9 @@ the partial longitude lambda_{<k}.  For a string link, whose longitude need
 not commute with x_i, only the left correction cancels it.
 
 The same recursion is implemented twice: on free-group words (exact, for
-inspection and small depths) and on truncated Magnus series (used by the
-invariant engine; word length would blow up at the depths tables need).
+inspection and small depths) and on Magnus series over a monomial basis
+(used by the invariant engine, which sizes the basis by its query; word
+length would blow up at the depths tables need).
 """
 
 from __future__ import annotations
@@ -134,25 +135,25 @@ def longitude_word(d: Diagram, comp: int, depth: int) -> Word:
     return correction * out
 
 
-def _meridian_series(d: Diagram, depth: int, q: int):
-    key = ("meridians", depth, q)
+def _meridian_series(d: Diagram, depth: int, basis: magnus.Basis):
+    key = ("meridians", depth, basis)
     if key in d._cache:
         return d._cache[key]
     if depth < 1:
         raise ValueError("depth must be at least 1")
     n = d.n
-    base = {
-        (comp, a): magnus.generator_series(comp, 1, n, q)
+    gens = {comp: magnus.generator_series(comp, 1, basis) for comp in range(1, n + 1)}
+    series = {
+        (comp, a): gens[comp]
         for comp in range(1, n + 1)
         for a in range(d.arc_count(comp))
     }
-    series = base
     for _ in range(depth - 1):
         prev = series
         inv_cache: dict[tuple[int, int], magnus.Series] = {}
         series = {}
         for comp in range(1, n + 1):
-            cur = magnus.generator_series(comp, 1, n, q)
+            cur = gens[comp]
             series[(comp, 0)] = cur
             arc = 0
             for cid, role in d.events[comp - 1]:
@@ -176,16 +177,18 @@ def _meridian_series(d: Diagram, depth: int, q: int):
     return series
 
 
-def longitude_series(d: Diagram, comp: int, depth: int, q: int) -> magnus.Series:
-    """Magnus expansion of the zero-framed longitude, truncated at degree q,
+def longitude_series(
+    d: Diagram, comp: int, depth: int, basis: magnus.Basis
+) -> magnus.Series:
+    """Magnus expansion of the zero-framed longitude on a monomial basis,
     with arc meridians refined to the given depth.  Cached per diagram."""
-    key = ("longitude", comp, depth, q)
+    key = ("longitude", comp, depth, basis)
     if key in d._cache:
         return d._cache[key]
     if not 1 <= comp <= d.n:
         raise ValueError(f"component {comp} out of range")
-    series = _meridian_series(d, depth, q)
-    out = magnus.one(d.n, q)
+    series = _meridian_series(d, depth, basis)
+    out = magnus.unit(basis)
     for cid, role in d.events[comp - 1]:
         if role != UNDER:
             continue
@@ -195,7 +198,7 @@ def longitude_series(d: Diagram, comp: int, depth: int, q: int) -> magnus.Series
         out = out * (over if c.sign == 1 else over.inverse())
     w = d.writhe(comp)
     if w:
-        corr = magnus.generator_series(comp, -1 if w > 0 else 1, d.n, q)
+        corr = magnus.generator_series(comp, -1 if w > 0 else 1, basis)
         for _ in range(abs(w)):
             out = corr * out
     d._cache[key] = out

@@ -302,6 +302,34 @@ class TestBrunnian:
         with pytest.raises(ValueError):
             brunnian_representative(hopf())
 
+    def test_reads_the_rebuilt_parity_part_once(self, monkeypatch):
+        # the length-2n palindromic values of the rebuilt parity part come
+        # from one batch, so its meridians are built once
+        from milnor import classify, wirtinger
+        from milnor.diagram import reduced
+
+        phis = palindromic_surjections(5, 3, 3)
+        l = closure(stack_all([surjection_generator(phi) for phi in phis], 3))
+        stacked, builds = [], []
+        meridian_series = wirtinger._meridian_series
+
+        def spy_stack_all(parts, n):
+            stacked.append(stack_all(parts, n))
+            return stacked[-1]
+
+        def spy_meridians(d, depth, basis):
+            if ("meridians", depth, basis) not in d._cache:
+                builds.append(d)
+            return meridian_series(d, depth, basis)
+
+        monkeypatch.setattr(classify, "stack_all", spy_stack_all)
+        monkeypatch.setattr(wirtinger, "_meridian_series", spy_meridians)
+        form = brunnian_representative(l)
+        assert form.parity == {phi: 1 for phi in phis}
+        base = reduced(stacked[-1])
+        assert len(palindromic_surjections(6, 3, 3)) > 1
+        assert sum(d is base for d in builds) == 1
+
 
 class TestCablingCrossCheck:
     def test_corpus(self):

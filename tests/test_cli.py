@@ -135,10 +135,10 @@ class TestClassifyCmd:
         residues = invariants.residues
         evaluate = invariants.evaluate
 
-        def spy_meridians(d, depth, q):
-            if ("meridians", depth, q) not in d._cache:
-                builds.append((d.name, d.n, depth, q))
-            return meridian_series(d, depth, q)
+        def spy_meridians(d, depth, basis):
+            if ("meridians", depth, basis) not in d._cache:
+                builds.append((d.name, d.n, depth, basis.q))
+            return meridian_series(d, depth, basis)
 
         def spy_residues(l, indices):
             inside.append(l)
@@ -180,10 +180,10 @@ class TestClassifyCmd:
         meridian_series = wirtinger._meridian_series
         evaluate = invariants.evaluate
 
-        def spy_meridians(d, depth, q):
-            if ("meridians", depth, q) not in d._cache:
-                builds.append((d.name, depth, q))
-            return meridian_series(d, depth, q)
+        def spy_meridians(d, depth, basis):
+            if ("meridians", depth, basis) not in d._cache:
+                builds.append((d.name, depth, basis.q))
+            return meridian_series(d, depth, basis)
 
         def spy_evaluate(d, indices):
             evaluated.append(d.name)
@@ -201,6 +201,21 @@ class TestClassifyCmd:
         assert [b for b in builds if b[0] == "product4"] == [("product4", 4, 3)]
         # the input once, then one partial product per level k = 2, 3, 4
         assert evaluated == ["product4", None, None, None]
+
+    def test_self_delta_milnor4_completes(self, capsys, workdir):
+        # the doubling check reads the repetition-free indices of length up
+        # to 8 on the 8-component cable: 69,281 injective monomials, where
+        # dense series of degree 7 in 8 variables took gigabytes
+        from milnor.classify import milnor_link
+
+        path = workdir["dir"] / "milnor4.json"
+        path.write_text(json.dumps(to_pd_json(milnor_link(4))))
+        code, out = run(capsys, "classify", "--self-delta", str(path))
+        assert code == 0
+        report = json.loads(out)
+        assert report["doubling_consistency"] == {"milnor4": True}
+        assert report["selfdelta_trivial"] == {"milnor4": False}
+        assert not report["vectors"]["milnor4"]["hypothesis_ok"]
 
     def test_mixed_kind_error(self, capsys, workdir):
         assert (

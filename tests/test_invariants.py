@@ -32,6 +32,7 @@ from milnor.invariants import (
     residues,
     table,
 )
+from milnor.magnus import dense
 from milnor.multiindex import Injection, selfdelta_generator_indices
 from milnor.wirtinger import longitude_series
 
@@ -183,7 +184,8 @@ class TestTable:
 def reference_value(d, index):
     """The coefficient read at the index's own depth."""
     depth = len(index)
-    return longitude_series(d, index[-1], depth, depth - 1).coefficient(index[:-1])
+    series = longitude_series(d, index[-1], depth, dense(d.n, depth - 1))
+    return series.coefficient(index[:-1])
 
 
 def reference_residue(l, index, cyclic):
@@ -304,6 +306,43 @@ class TestReidemeister:
                 moved = stack(bigon, moved) if place % 2 else stack(moved, bigon)
         moved = with_kinks(moved, moves)
         assert_reidemeister_invariant(original, moved)
+
+
+def assert_matches_dense(d, indices):
+    """``evaluate`` on the query's factor closure equals the coefficients of
+    the dense expansion at (depth, depth - 1) on the same reduced walk."""
+    depth = max(len(i) for i in indices)
+    r = reduced(d)
+    want = {
+        i: longitude_series(r, i[-1], depth, dense(d.n, depth - 1)).coefficient(i[:-1])
+        for i in indices
+    }
+    assert evaluate(d, indices) == want
+
+
+def index_batches(n, max_len):
+    index = st.lists(st.integers(1, n), min_size=2, max_size=max_len).map(tuple)
+    return st.lists(index, min_size=1, max_size=8)
+
+
+class TestAgainstDense:
+    @settings(max_examples=30, deadline=None)
+    @given(pure_braid_words(), st.data())
+    def test_closed_pure_braids(self, braid, data):
+        strands, word = braid
+        indices = data.draw(index_batches(strands, 5))
+        assert_matches_dense(closure(from_braid(strands, word)), indices)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(STRING_LINKS), st.data())
+    def test_corpus_string_links(self, d, data):
+        assert_matches_dense(d, data.draw(index_batches(d.n, 5)))
+
+    def test_repetition_bounded_tables(self):
+        # the two index sets the classifications read: r = 1 and r <= 2
+        for d in STRING_LINKS:
+            for max_r in (1, 2):
+                assert_matches_dense(d, list(indices_up_to(d.n, 2 * d.n, max_r)))
 
 
 class TestIndicesUpTo:

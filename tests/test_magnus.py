@@ -1,8 +1,21 @@
+import itertools
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from milnor.freegroup import Word, commutator, generator, nested_commutator
-from milnor.magnus import Series, all_monomials, expand, generator_series, one, zero
+from milnor.magnus import (
+    Basis,
+    Series,
+    closure,
+    dense,
+    expand,
+    generator_series,
+    one,
+    zero,
+)
+from milnor.multiindex import repeat_max
 
 # -- independent oracle: dict-based truncated polynomials ---------------------
 
@@ -29,6 +42,18 @@ def poly_expand(word, q):
     return out
 
 
+def poly_inverse(a, q):
+    """(c0 + N)^-1 = c0 sum_k (-c0 N)^k, truncated beyond degree q."""
+    c0 = a[()]
+    step = {m: -c0 * c for m, c in a.items() if m}
+    out, term = {(): 1}, {(): 1}
+    for _ in range(q):
+        term = poly_mul(term, step, q)
+        for m, c in term.items():
+            out[m] = out.get(m, 0) + c
+    return {m: c0 * c for m, c in out.items() if c}
+
+
 def as_dict(series):
     return dict(series.monomials())
 
@@ -41,32 +66,32 @@ words3 = st.builds(
 
 class TestGeneratorSeries:
     def test_positive(self):
-        s = generator_series(1, 1, 2, 3)
+        s = generator_series(1, 1, dense(2, 3))
         assert as_dict(s) == {(): 1, (1,): 1}
 
     def test_negative(self):
-        s = generator_series(1, -1, 2, 3)
+        s = generator_series(1, -1, dense(2, 3))
         assert as_dict(s) == {(): 1, (1,): -1, (1, 1): 1, (1, 1, 1): -1}
 
     def test_geometric_identity(self):
-        s = generator_series(1, 1, 2, 3) * generator_series(1, -1, 2, 3)
+        s = generator_series(1, 1, dense(2, 3)) * generator_series(1, -1, dense(2, 3))
         assert s == one(2, 3)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            generator_series(3, 1, 2, 3)
+            generator_series(3, 1, dense(2, 3))
         with pytest.raises(ValueError):
-            generator_series(1, 2, 2, 3)
+            generator_series(1, 2, dense(2, 3))
 
 
 class TestMultiply:
     def test_distributes(self):
-        a = generator_series(1, 1, 2, 2)
-        b = generator_series(2, 1, 2, 2)
+        a = generator_series(1, 1, dense(2, 2))
+        b = generator_series(2, 1, dense(2, 2))
         assert as_dict(a * b) == {(): 1, (1,): 1, (2,): 1, (1, 2): 1}
 
     def test_truncates(self):
-        a = generator_series(1, 1, 2, 1)
+        a = generator_series(1, 1, dense(2, 1))
         assert as_dict(a * a) == {(): 1, (1,): 2}
 
     def test_identity(self):
@@ -94,14 +119,14 @@ class TestExpand:
         for r in range(2, 5):
             w = nested_commutator([generator(4, j) for j in range(1, r + 1)])
             s = expand(w, r - 0)
-            for mono in all_monomials(4, r):
+            for mono in itertools.product(range(1, 5), repeat=r):
                 if mono[-1] != r:
                     continue
                 expected = 1 if mono == tuple(range(1, r + 1)) else 0
                 assert s.coefficient(mono) == expected
             # everything below the bracket degree vanishes
             for d in range(1, r):
-                for mono in all_monomials(4, d):
+                for mono in itertools.product(range(1, 5), repeat=d):
                     assert s.coefficient(mono) == 0
 
     def test_against_oracle(self):
@@ -149,6 +174,119 @@ class TestSeriesOps:
         s.set_coefficient((1,), 2**40)
         p = s * s
         assert p.coefficient((1, 1)) == 2**80
+
+
+class TestOverflowGuard:
+    def test_l1_sum_does_not_wrap(self):
+        # L1(a) = 1 + 2**63 wraps to a negative int64; the guard must still
+        # see that the product leaves int64 range
+        a = one(2, 2)
+        a.set_coefficient((1,), 2**62)
+        a.set_coefficient((2,), 2**62)
+        b = one(2, 2)
+        b.set_coefficient((1,), 3)
+        p = a * b
+        assert p.coefficient((1, 1)) == 3 * 2**62
+        assert p.coefficient((2, 1)) == 3 * 2**62
+        assert p.coefficient((1,)) == 2**62 + 3
+
+    def test_near_boundary_stays_int64(self):
+        # L1(a) * peak(b) = 2**60 exactly: the guard's bound, still int64
+        a = one(2, 2)
+        a.set_coefficient((1,), 2**30 - 1)
+        b = one(2, 2)
+        b.set_coefficient((2,), 2**30)
+        p = a * b
+        assert p.coeffs[0].dtype == np.int64
+        assert p.coefficient((1, 2)) == (2**30 - 1) * 2**30
+        # one more unit of L1 crosses the bound and falls back, still exact
+        a.set_coefficient((1,), 2**30)
+        p = a * b
+        assert p.coeffs[0].dtype == object
+        assert p.coefficient((1, 2)) == 2**60
+
+    def test_inverse_leaves_int64_exactly(self):
+        s = one(1, 3)
+        s.set_coefficient((1,), 2**40)
+        want = {(): 1, (1,): -(2**40), (1, 1): 2**80, (1, 1, 1): -(2**120)}
+        assert as_dict(s.inverse()) == want
+        assert s * s.inverse() == one(1, 3)
+
+
+class TestBasis:
+    def test_dense_is_degree_truncation(self):
+        b = dense(2, 2)
+        assert b.words == ((), (1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2))
+        assert b.q == 2 and len(b.left) == 1 + 2 * 2 + 4 * 3
+
+    def test_closure_is_factor_closed_and_minimal(self):
+        b = closure(3, [(1, 2, 3), (2, 2)])
+        assert set(b.words) == {(), (1,), (2,), (3,), (1, 2), (2, 3), (2, 2), (1, 2, 3)}
+        assert b == closure(3, [(2, 2), (1, 2, 3)])
+        assert b != dense(3, 3) and b.q == 3
+
+    def test_rejects_open_sets(self):
+        with pytest.raises(ValueError):
+            Basis(2, [(), (1,), (1, 2)])
+        with pytest.raises(ValueError):
+            closure(2, [(1, 3)])
+
+    def test_outside_the_basis(self):
+        s = Series(closure(2, [(1, 2)]))
+        assert s.coefficient((1, 2)) == 0
+        with pytest.raises(ValueError):
+            s.coefficient((2, 1))
+        with pytest.raises(ValueError):
+            s * one(2, 2)
+
+    def test_generator_series_stops_at_the_basis(self):
+        b = closure(2, [(1, 1, 2)])
+        assert as_dict(generator_series(1, -1, b)) == {(): 1, (1,): -1, (1, 1): 1}
+        assert as_dict(generator_series(2, 1, b)) == {(): 1, (2,): 1}
+
+
+@st.composite
+def basis_series(draw):
+    """A factor-closed basis (injective words, repetition at most 2, or the
+    closure of random words) with two random series on it, the second with
+    constant term +-1; coefficients sometimes leave int64 range."""
+    n = draw(st.integers(1, 3))
+    q = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["injective", "r2", "random"]))
+    if kind == "random":
+        word = st.lists(st.integers(1, n), max_size=q).map(tuple)
+        basis = closure(n, draw(st.lists(word, min_size=1, max_size=6)))
+    else:
+        bound = 1 if kind == "injective" else 2
+        basis = closure(
+            n, [w for w in dense(n, q).words if repeat_max(w) <= bound]
+        )
+    coeff = st.one_of(st.integers(-9, 9), st.integers(-(2**62), 2**62))
+    size = len(basis.words)
+    a, b = (
+        dict(zip(basis.words, draw(st.lists(coeff, min_size=size, max_size=size))))
+        for _ in range(2)
+    )
+    b[()] = draw(st.sampled_from([1, -1]))
+    return basis, a, b
+
+
+def on_basis(basis, coeffs):
+    s = Series(basis)
+    for m, c in coeffs.items():
+        s.set_coefficient(m, c)
+    return s
+
+
+@settings(max_examples=150, deadline=None)
+@given(basis_series())
+def test_basis_product_and_inverse_match_oracle(drawn):
+    basis, a, b = drawn
+    inside = set(basis.words)
+    want = {m: c for m, c in poly_mul(a, b, basis.q).items() if m in inside}
+    assert as_dict(on_basis(basis, a) * on_basis(basis, b)) == want
+    inv = {m: c for m, c in poly_inverse(b, basis.q).items() if m in inside}
+    assert as_dict(on_basis(basis, b).inverse()) == inv
 
 
 @settings(max_examples=200)
