@@ -7,26 +7,29 @@ repetition-bounded invariants vanish through length 2n-1 are classified up
 to self-delta equivalence by their length-2n, repetition-2 invariants; a
 Brunnian representative is assembled from the doubled generators, with the
 palindromic families contributing a parity part and a halved integer part.
+
+Each input's normal form or self-delta vector is computed once, cached on
+the diagram, and read by every verdict on that input.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from . import invariants
-from .diagram import Diagram, closure, power, stack, stack_all, tree_tangle, trivial_string_link
-from .invariants import Residue
+from .diagram import Diagram, cable, closure, power, stack, stack_all, tree_tangle
+from .diagram import trivial_string_link
 from .multiindex import (
     Injection,
     Surjection,
     all_injections,
     ascending_surjections,
+    format_index,
     palindromic_partner,
     palindromic_surjections,
-    repeat_max,
 )
 
 
@@ -124,10 +127,13 @@ def homotopy_normal_form(l: Diagram) -> HomotopyNormalForm:
     Level by level: the exponent of each arity-(i+1) injection is the
     string link's invariant minus the same invariant of the concretely
     rebuilt product of all lower levels.  The string link is read once, at
-    depth n; each partial product once, at its level's depth.
+    depth n; each partial product once, at its level's depth.  The form is
+    cached on the string link.
     """
     if l.closed:
         raise ValueError("normal forms are defined for string links")
+    if "normal_form" in l._cache:
+        return l._cache["normal_form"]
     n = l.n
     injections = all_injections(n)
     target = invariants.evaluate(l, [pi.values for pi in injections])
@@ -141,15 +147,19 @@ def homotopy_normal_form(l: Diagram) -> HomotopyNormalForm:
         for pi in level:
             if exponents[pi]:
                 partial = stack(partial, injection_generator(pi, exponents[pi]))
-    return HomotopyNormalForm(n, exponents)
+    l._cache["normal_form"] = HomotopyNormalForm(n, exponents)
+    return l._cache["normal_form"]
 
 
 def link_homotopic(a: Diagram, b: Diagram) -> bool:
-    """String links are link-homotopic iff all repetition-free invariants
-    agree."""
+    """String links are link-homotopic iff their normal forms agree: the
+    exponents are a complete link-homotopy invariant (Habegger-Lin, The
+    classification of links up to link-homotopy, 1990)."""
     if a.closed or b.closed:
         raise ValueError("this decision applies to string links")
-    return homotopy_classes_agree(a, b, a.n)
+    if a.n != b.n:
+        raise ValueError("component counts differ")
+    return homotopy_normal_form(a) == homotopy_normal_form(b)
 
 
 def homotopy_classes_agree(a: Diagram, b: Diagram, k: int) -> bool:
@@ -174,79 +184,82 @@ class Verdict(enum.Enum):
 
 @dataclass
 class SelfDeltaVector:
-    n: int
-    hypothesis_ok: bool
-    failures: dict = field(default_factory=dict)  # index -> Residue, low order
-    entries: dict = field(default_factory=dict)  # index -> Residue, length 2n
+    """Every invariant of a closed link with repetition at most 2 and length
+    at most 2n, as residues: the one table each self-delta verdict reads.
+
+    The classification's hypothesis is that the values shorter than 2n
+    vanish; when it holds, the length-2n values (each component used
+    exactly twice) classify the link up to self-delta equivalence, and the
+    link is self-delta trivial iff the whole table vanishes.
+    """
+
+    table: invariants.InvariantTable
+
+    def __post_init__(self):
+        n = self.n = self.table.n
+        values = self.table.entries
+        # the nonzero values shorter than 2n, and the classifying length-2n
+        # values, reported only when the hypothesis holds
+        self.failures = {
+            i: r for i, r in values.items() if len(i) < 2 * n and not r.is_zero()
+        }
+        self.hypothesis_ok = not self.failures
+        self.entries = {}
+        if self.hypothesis_ok:
+            self.entries = {i: r for i, r in values.items() if len(i) == 2 * n}
+        self.trivial = all(r.is_zero() for r in values.values())
+
+    def equivalent(self, other: SelfDeltaVector) -> Verdict:
+        """Both hypotheses holding, the links are self-delta equivalent iff
+        their length-2n values agree.  Otherwise the verdict is no when some
+        value of the tables provably differs, and undecided when nothing
+        separates them."""
+        if self.n != other.n:
+            raise ValueError("component counts differ")
+        if self.hypothesis_ok and other.hypothesis_ok:
+            return Verdict.YES if self.entries == other.entries else Verdict.NO
+        if self.table.entries != other.table.entries:
+            return Verdict.NO
+        return Verdict.UNDECIDED
 
     def to_json(self):
-        from .multiindex import format_index
-
         data = {
             "components": self.n,
             "hypothesis_ok": self.hypothesis_ok,
-            "entries": {
-                format_index(i, self.n): {"value": r.value, "modulus": r.modulus}
-                for i, r in sorted(self.entries.items())
-            },
+            "entries": _residues_json(self.entries, self.n),
         }
         if self.failures:
-            data["low_order_nonzero"] = {
-                format_index(i, self.n): {"value": r.value, "modulus": r.modulus}
-                for i, r in sorted(self.failures.items())
-            }
+            data["low_order_nonzero"] = _residues_json(self.failures, self.n)
         return data
 
 
+def _residues_json(values: dict, n: int) -> dict:
+    return {
+        format_index(i, n): {"value": r.value, "modulus": r.modulus}
+        for i, r in sorted(values.items())
+    }
+
+
 def selfdelta_vector(l: Diagram) -> SelfDeltaVector:
-    """Check the vanishing hypothesis (repetition at most 2, length at most
-    2n-1) and, when it holds, collect the classifying length-2n values."""
+    """The self-delta vector of a closed link, from one table through length
+    2n, cached on the link."""
     if not l.closed:
         raise ValueError("self-delta classification applies to closed links")
-    n = l.n
-    full = invariants.table(l, 2 * n, 2)
-    failures = {
-        i: r for i, r in full.entries.items() if len(i) < 2 * n and not r.is_zero()
-    }
-    if failures:
-        return SelfDeltaVector(n, False, failures=failures)
-    entries = {
-        i: r
-        for i, r in full.entries.items()
-        if len(i) == 2 * n and repeat_max(i) == 2
-    }
-    return SelfDeltaVector(n, True, entries=entries)
+    if "selfdelta_vector" not in l._cache:
+        l._cache["selfdelta_vector"] = SelfDeltaVector(invariants.table(l, 2 * l.n, 2))
+    return l._cache["selfdelta_vector"]
 
 
 def selfdelta_equivalent(a: Diagram, b: Diagram) -> Verdict:
-    """Decide self-delta equivalence where the classification applies.
-
-    Both hypotheses holding, the links are equivalent iff their classifying
-    vectors agree.  Otherwise the verdict is no when some invariant with
-    repetition at most 2 (length at most 2n) provably differs, and
-    undecided when nothing separates them.
-    """
-    if not (a.closed and b.closed):
-        raise ValueError("self-delta decisions apply to closed links")
-    if a.n != b.n:
-        raise ValueError("component counts differ")
-    va, vb = selfdelta_vector(a), selfdelta_vector(b)
-    if va.hypothesis_ok and vb.hypothesis_ok:
-        return Verdict.YES if va.entries == vb.entries else Verdict.NO
-    ta = invariants.table(a, 2 * a.n, 2)
-    tb = invariants.table(b, 2 * b.n, 2)
-    if ta.entries != tb.entries:
-        return Verdict.NO
-    return Verdict.UNDECIDED
+    """Decide self-delta equivalence where the classification applies; see
+    ``SelfDeltaVector.equivalent``."""
+    return selfdelta_vector(a).equivalent(selfdelta_vector(b))
 
 
 def selfdelta_trivial(l: Diagram) -> bool:
     """Self-delta equivalent to a trivial link iff every invariant with
     repetition at most 2 vanishes (length 2n suffices)."""
-    if not l.closed:
-        raise ValueError("self-delta decisions apply to closed links")
-    t = invariants.table(l, 2 * l.n, 2)
-    return all(r.is_zero() for r in t.entries.values())
+    return selfdelta_vector(l).trivial
 
 
 def link_homotopy_trivial(l: Diagram) -> bool:
@@ -346,10 +359,4 @@ def brunnian_representative(l: Diagram) -> BrunnianForm:
 def cabling_cross_check(l: Diagram) -> bool:
     """Two routes to triviality must agree: every repetition-2 invariant of
     the link vanishes iff the doubled link is link-homotopically trivial."""
-    from .diagram import cable
-
-    if not l.closed:
-        raise ValueError("expects a closed link")
-    return selfdelta_trivial(l) == link_homotopy_trivial(
-        cable(l, [2] * l.n)
-    )
+    return selfdelta_vector(l).trivial == link_homotopy_trivial(cable(l, [2] * l.n))

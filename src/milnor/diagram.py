@@ -296,6 +296,8 @@ def braid_ops(word):
 def braid_permutation(strands, word):
     perm = list(range(1, strands + 1))
     for g in word:
+        if g == 0:
+            raise DiagramError("braid letters are nonzero integers")
         i = abs(g) - 1
         if i + 1 >= strands:
             raise DiagramError(f"braid letter {g} needs more than {strands} strands")
@@ -309,15 +311,13 @@ def from_braid(strands, word, closed=False, name=None):
     perm = braid_permutation(strands, word)
     if not closed and perm != list(range(1, strands + 1)):
         raise DiagramError(f"braid is not pure (permutation {perm})")
-    ops = braid_ops(word)
     if closed:
         # close off by relabeling: walk the closure as the braid's trace
-        d = _run_braid_closure(strands, word)
-        return Diagram(d.n, d.events, d.signs, closed=True, name=name)
-    return run_slices(strands, ops, closed=False, name=name)
+        return _run_braid_closure(strands, word, name)
+    return run_slices(strands, braid_ops(word), closed=False, name=name)
 
 
-def _run_braid_closure(strands, word):
+def _run_braid_closure(strands, word, name=None):
     """Closure of an arbitrary braid: components follow the braid's cycles."""
     perm = braid_permutation(strands, word)
     # cycles of the permutation top->bottom; each cycle is one component
@@ -352,7 +352,7 @@ def _run_braid_closure(strands, word):
         for s in cyc:
             ev.extend(per_strand[s])
         events.append(ev)
-    return Diagram(n, events, signs, closed=True)
+    return Diagram(n, events, signs, closed=True, name=name)
 
 
 # -- composition operations ----------------------------------------------
@@ -631,20 +631,6 @@ def commutator_tangle(word: Word, target: int, n: int) -> Diagram:
         ops.append(("x", pos - 1, "R"))
         pos -= 1
     return run_slices(n, ops, closed=False)
-
-
-def _permute_ops(current, target, mover_over=True):
-    """Adjacent-transposition ops turning one strand order into another; the
-    strand moving left passes over (or under) everything it crosses."""
-    cur = list(current)
-    ops = []
-    for goal in range(len(target)):
-        src = cur.index(target[goal])
-        while src > goal:
-            ops.append(("x", src - 1, "R" if mover_over else "L"))
-            cur[src - 1], cur[src] = cur[src], cur[src - 1]
-            src -= 1
-    return ops
 
 
 def _pure_braid_generator(i, j, m):

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from milnor.classify import (
     BrunnianForm,
@@ -33,6 +34,57 @@ from milnor.multiindex import (
 
 def hopf():
     return closure(from_braid(2, [1, 1]))
+
+
+def clasp_word(i, j, sign):
+    """sigma_{j-1} ... sigma_{i+1} sigma_i^2 sigma_{i+1}^-1 ... sigma_{j-1}^-1,
+    the pure braid clasping strands i < j, or its inverse when sign < 0."""
+    conj = list(range(j - 1, i, -1))
+    word = conj + [i, i] + [-g for g in reversed(conj)]
+    return word if sign > 0 else [-g for g in reversed(word)]
+
+
+@st.composite
+def clasp_braid_pairs(draw):
+    """Two pure braids on n = 2..4 strands: a product of clasps, and the same
+    clasps reordered, optionally with a clasp and its inverse spliced in.
+    The linking numbers agree; the longer invariants may or may not."""
+    n = draw(st.integers(2, 4))
+    pair = st.integers(1, n - 1).flatmap(lambda i: st.tuples(st.just(i), st.integers(i + 1, n)))
+    clasps = draw(st.lists(st.tuples(pair, st.sampled_from([1, -1])), max_size=4))
+    shuffled = draw(st.permutations(clasps))
+    if draw(st.booleans()):
+        spliced = draw(st.tuples(pair, st.sampled_from([1, -1])))
+        at = draw(st.integers(0, len(shuffled)))
+        shuffled = shuffled[:at] + [spliced, (spliced[0], -spliced[1])] + shuffled[at:]
+
+    def braid(factors):
+        return from_braid(n, [g for (i, j), s in factors for g in clasp_word(i, j, s)])
+
+    return braid(clasps), braid(shuffled)
+
+
+@st.composite
+def normal_form_pairs(draw):
+    """A product of commutator generators in normal-form order on n = 2..4
+    strands, and either the same product with a generator and its inverse
+    spliced in (homotopic) or the product with one exponent changed (not)."""
+    n = draw(st.integers(2, 4))
+    pis = all_injections(n)
+    chosen = draw(st.lists(st.sampled_from(pis), max_size=3, unique=True))
+    exps = {pi: draw(st.sampled_from([1, -1, 2])) for pi in chosen}
+    parts = [injection_generator(pi, exps[pi]) for pi in pis if pi in exps]
+    if draw(st.booleans()):
+        pi, e = draw(st.sampled_from(pis)), draw(st.sampled_from([1, -1]))
+        at = draw(st.integers(0, len(parts)))
+        other = parts[:at] + [injection_generator(pi, e), injection_generator(pi, -e)] + parts[at:]
+        homotopic = True
+    else:
+        pi = draw(st.sampled_from(pis))
+        exps[pi] = exps.get(pi, 0) + draw(st.sampled_from([1, -1]))
+        other = [injection_generator(q, exps[q]) for q in pis if exps.get(q)]
+        homotopic = False
+    return stack_all(parts, n), stack_all(other, n), homotopic
 
 
 class TestGenerators:
@@ -180,6 +232,21 @@ class TestLinkHomotopic:
     def test_count_mismatch(self):
         with pytest.raises(ValueError):
             link_homotopic(trivial_string_link(2), trivial_string_link(3))
+
+    # the normal form is a complete link-homotopy invariant (Habegger-Lin):
+    # comparing forms decides what comparing every repetition-free invariant
+    # decides
+    @settings(max_examples=25, deadline=None)
+    @given(clasp_braid_pairs())
+    def test_normal_forms_decide_clasp_braids(self, pair):
+        a, b = pair
+        assert link_homotopic(a, b) == homotopy_classes_agree(a, b, a.n)
+
+    @settings(max_examples=25, deadline=None)
+    @given(normal_form_pairs())
+    def test_normal_forms_decide_generator_products(self, pair):
+        a, b, homotopic = pair
+        assert link_homotopic(a, b) == homotopy_classes_agree(a, b, a.n) == homotopic
 
     def test_classes_agree_count_mismatch(self):
         with pytest.raises(ValueError, match="component counts differ"):

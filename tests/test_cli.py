@@ -130,10 +130,11 @@ class TestClassifyCmd:
 
         white = workdir["dir"] / "whitehead.json"
         white.write_text(json.dumps(to_pd_json(whitehead_link())))
-        builds, assembled, inside = [], [], []
+        builds, assembled, inside, tables = [], [], [], []
         meridian_series = wirtinger._meridian_series
         residues = invariants.residues
         evaluate = invariants.evaluate
+        table = invariants.table
 
         def spy_meridians(d, depth, basis):
             if ("meridians", depth, basis) not in d._cache:
@@ -152,9 +153,14 @@ class TestClassifyCmd:
                 assembled.append(d.name)
             return evaluate(d, indices)
 
+        def spy_table(d, max_len, max_r):
+            tables.append(d.name)
+            return table(d, max_len, max_r)
+
         monkeypatch.setattr(wirtinger, "_meridian_series", spy_meridians)
         monkeypatch.setattr(invariants, "residues", spy_residues)
         monkeypatch.setattr(invariants, "evaluate", spy_evaluate)
+        monkeypatch.setattr(invariants, "table", spy_table)
         code, out = run(
             capsys, "classify", "--self-delta", str(white), workdir["trivial2"]
         )
@@ -165,6 +171,9 @@ class TestClassifyCmd:
         assert inputs == [("trivial2", 2, 4, 3), ("whitehead", 2, 4, 3)]
         assert {b[2:] for b in builds if b[1] == 4} == {(4, 3)}
         assert sorted(assembled) == ["trivial2", "whitehead"]
+        # every verdict (vector, triviality, doubling check, pair) reads one
+        # table per input
+        assert sorted(tables) == ["trivial2", "whitehead"]
 
     def test_homotopy_evaluates_the_input_once(self, capsys, workdir, monkeypatch):
         from milnor import invariants, wirtinger
@@ -172,10 +181,15 @@ class TestClassifyCmd:
         from milnor.diagram import stack_all
         from milnor.multiindex import Injection
 
+        def write(name, exponents):
+            parts = [injection_generator(Injection(4, v), e) for v, e in exponents.items()]
+            path = workdir["dir"] / f"{name}.json"
+            path.write_text(json.dumps(to_pd_json(stack_all(parts, 4))))
+            return str(path)
+
         exponents = {(1, 2): 1, (2, 4): -1, (1, 2, 3): 1, (2, 1, 3, 4): 1}
-        parts = [injection_generator(Injection(4, v), e) for v, e in exponents.items()]
-        path = workdir["dir"] / "product4.json"
-        path.write_text(json.dumps(to_pd_json(stack_all(parts, 4))))
+        path = write("product4", exponents)
+        other = write("other4", {(1, 2): 1, (2, 4): -1, (1, 2, 4): 1})
         builds, evaluated = [], []
         meridian_series = wirtinger._meridian_series
         evaluate = invariants.evaluate
@@ -191,7 +205,7 @@ class TestClassifyCmd:
 
         monkeypatch.setattr(wirtinger, "_meridian_series", spy_meridians)
         monkeypatch.setattr(invariants, "evaluate", spy_evaluate)
-        code, out = run(capsys, "classify", "--homotopy", str(path))
+        code, out = run(capsys, "classify", "--homotopy", path)
         assert code == 0
         form = {
             tuple(row["injection"]): row["exponent"]
@@ -201,6 +215,17 @@ class TestClassifyCmd:
         assert [b for b in builds if b[0] == "product4"] == [("product4", 4, 3)]
         # the input once, then one partial product per level k = 2, 3, 4
         assert evaluated == ["product4", None, None, None]
+
+        # a pair: the verdict compares the normal forms already computed, so
+        # neither input is read a second time
+        builds.clear()
+        evaluated.clear()
+        code, out = run(capsys, "classify", "--homotopy", path, other)
+        assert code == 0
+        assert json.loads(out)["link_homotopic"] is False
+        inputs = [b for b in builds if b[0] is not None]
+        assert inputs == [("product4", 4, 3), ("other4", 4, 3)]
+        assert [name for name in evaluated if name] == ["product4", "other4"]
 
     def test_self_delta_milnor4_completes(self, capsys, workdir):
         # the doubling check reads the repetition-free indices of length up

@@ -76,6 +76,12 @@ class TestBraids:
     def test_bad_letter(self):
         with pytest.raises(DiagramError):
             from_braid(2, [2])
+        for closed in (False, True):
+            with pytest.raises(DiagramError, match="nonzero"):
+                from_braid(2, [1, 0, 1], closed=closed)
+
+    def test_closure_keeps_name(self):
+        assert from_braid(2, [1, 1], closed=True, name="hopf").name == "hopf"
 
 
 class TestStack:

@@ -1,13 +1,21 @@
 """Smoke test of the shipped scripts: each runs to completion, and every
-diagram file the corpus script writes loads and evaluates."""
+diagram file the corpus script writes loads and evaluates.  The benchmark's
+trace harness runs a classify pair of each mode."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
 
-from milnor.cli import main
+import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+from milnor.classify import injection_generator, whitehead_link
+from milnor.cli import main
+from milnor.diagram import from_braid, to_pd_json, trivial_link
+from milnor.multiindex import Injection
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def test_corpus_and_demo_run(tmp_path, capsys):
@@ -25,3 +33,38 @@ def test_corpus_and_demo_run(tmp_path, capsys):
         check=True,
         capture_output=True,
     )
+
+
+@pytest.mark.parametrize(
+    "mode, verdict, make",
+    [
+        (
+            "--self-delta",
+            "classify.selfdelta_equivalent",
+            lambda: (whitehead_link(), trivial_link(2)),
+        ),
+        (
+            "--homotopy",
+            "classify.link_homotopic",
+            lambda: (from_braid(3, [1, 1]), injection_generator(Injection(3, (1, 2, 3)))),
+        ),
+    ],
+)
+def test_trace_harness_runs_a_pair(tmp_path, mode, verdict, make):
+    # the harness wraps classify's public functions by name, so renaming or
+    # deleting one stops it before the op runs
+    files = []
+    for name, d in zip("ab", make()):
+        files.append(tmp_path / f"{name}.json")
+        files[-1].write_text(json.dumps(to_pd_json(d)))
+    spans = tmp_path / "spans.json"
+    harness = ROOT / "perfbench" / "traced_child.py"
+    argv = ["classify", mode, *map(str, files)]
+    done = subprocess.run(
+        [sys.executable, str(harness), str(spans), "op", *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    names = {span[0] for span in json.loads(spans.read_text())["spans"]}
+    assert {"cli.main", verdict} <= names
