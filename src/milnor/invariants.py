@@ -31,12 +31,11 @@ queries assemble nothing twice.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from . import magnus, wirtinger
 from .diagram import Diagram, reduced
-from .multiindex import format_index, repeat_max
+from .multiindex import format_index
 
 
 @dataclass(frozen=True, order=True)
@@ -145,11 +144,14 @@ def invariant(d: Diagram, index) -> Residue:
 
 def indices_up_to(n: int, max_len: int, max_r: int):
     """All indices with 2 <= length <= max_len and repetition bound max_r,
-    by length then lexicographically."""
-    for ln in range(2, max_len + 1):
-        for index in itertools.product(range(1, n + 1), repeat=ln):
-            if repeat_max(index) <= max_r:
-                yield index
+    by length then lexicographically.  Each length extends the words of the
+    one before by every letter still under the bound, in order, so no word
+    outside the bound is built."""
+    words = [()]
+    for ln in range(1, max_len + 1):
+        words = [w + (a,) for w in words for a in range(1, n + 1) if w.count(a) < max_r]
+        if ln >= 2:
+            yield from words
 
 
 @dataclass

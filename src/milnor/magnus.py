@@ -11,24 +11,62 @@ I, Ann. of Math. 57, 1953).  Truncation at total degree q is the dense basis
 of all monomials of degree at most q; a batch of queries needs only the
 factor closure of its own monomials.
 
-A series is one flat int64 vector over its basis.  The basis lists every
-split w = uv of every monomial as a pair of positions, so a product is one
-gather, one multiply and one segment sum.  Exactness is preserved by an
-overflow guard: every output coefficient is bounded by L1(a) * peak(b),
-computed in floating point, and above 2**60 the product is taken with
-Python-integer (object) dtype instead.
+A series is one flat coefficient vector over its basis.  The basis lists
+every split w = uv of every monomial as a pair of positions, so a product is
+one gather, one multiply and one segment sum.  The basis picks one of two
+kernels from the length of that split table:
+
+* below ``NUMPY_SPLITS`` splits the vector is a list of Python integers, the
+  gathers are prebuilt ``operator.itemgetter``s and the segment sum is a
+  running sum differenced at each segment end.  Python integers are exact,
+  so no guard is needed, and numpy is never imported;
+* from ``NUMPY_SPLITS`` on the vector is an int64 array and the segment sum
+  is ``np.add.reduceat``.  Exactness is preserved by an overflow guard: every
+  output coefficient is bounded by L1(a) * peak(b), computed in floating
+  point, and above 2**60 the product is taken with Python-integer (object)
+  dtype instead.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from functools import lru_cache
-
-import numpy as np
+from operator import itemgetter, mul, neg, sub
 
 from .freegroup import Word
 
 _GUARD = float(2**60)
+# Split-table size from which a basis uses the numpy kernel.  Measured on a
+# 2-CPU x86-64 machine, Python 3.11, numpy 2.4: a product costs the same in
+# both kernels near 130 splits (about 12 us) and 2.4x more in Python at 261;
+# the Python inverse stays faster up to about 400 splits; numpy is 4-6x
+# faster at 900 splits and 13x at 6,700.  Importing numpy costs 0.16 s of
+# CPU, which below 256 splits outweighs what numpy saves on the few thousand
+# products of a query: every link-homotopy query (at most 141 splits) and the
+# n = 2 self-delta queries stay on the Python side and never import it.
+NUMPY_SPLITS = 256
+
+np = None  # numpy, bound by _numpy() when the first large basis is built
+
+
+def _numpy():
+    """The numpy module, imported on first use."""
+    global np
+    if np is None:
+        import numpy
+
+        np = numpy
+    return np
+
+
+def _gather(positions):
+    """A function mapping a sequence to the tuple of its items at the given
+    positions; ``itemgetter`` alone returns a bare item for one position."""
+    if len(positions) == 1:
+        (i,) = positions
+        return lambda s: (s[i],)
+    return itemgetter(*positions)
 
 
 class Basis:
@@ -37,10 +75,15 @@ class Basis:
     ``pos`` maps each monomial to its position.  ``left[k]``/``right[k]``
     are the positions of u and v for the k-th split w = uv; the splits of
     the i-th monomial start at ``starts[i]``, shortest u first.
-    ``bounds[d]`` is the position of the first monomial of degree d.
+    ``bounds[d]`` is the position of the first monomial of degree d.  On a
+    basis of fewer than ``NUMPY_SPLITS`` splits ``small`` is true and the
+    split table is held in Python lists; otherwise in numpy arrays.
     """
 
-    __slots__ = ("n", "q", "words", "pos", "left", "right", "starts", "bounds", "_hash")
+    __slots__ = (
+        "n", "q", "words", "pos", "left", "right", "starts", "bounds", "small",
+        "_mul_plan", "_inverse_plan", "_hash",
+    )
 
     def __init__(self, n: int, words):
         words = sorted(words, key=lambda w: (len(w), w))
@@ -50,7 +93,7 @@ class Basis:
             if len(w) == 1 and not 1 <= w[0] <= n:
                 raise ValueError(f"variable index {w[0]} out of range 1..{n}")
         self.n = n
-        self.q = len(words[-1])
+        self.q = q = len(words[-1])
         self.words = tuple(words)
         self.pos = pos = {w: i for i, w in enumerate(words)}
         left, right, starts = [], [], []
@@ -62,10 +105,28 @@ class Basis:
                     right.append(pos[w[k:]])
         except KeyError as exc:
             raise ValueError(f"monomial set is not factor-closed: {exc}") from None
-        self.left = np.array(left, dtype=np.intp)
-        self.right = np.array(right, dtype=np.intp)
-        self.starts = np.array(starts, dtype=np.intp)
-        self.bounds = np.searchsorted([len(w) for w in words], np.arange(self.q + 2))
+        degrees = [len(w) for w in words]
+        self.bounds = bounds = [bisect_left(degrees, d) for d in range(q + 2)]
+        self.small = len(left) < NUMPY_SPLITS
+        if self.small:
+            self.left, self.right, self.starts = left, right, starts
+            # running sum position of each monomial's last split
+            ends = [s - 1 for s in starts[1:]] + [len(left) - 1]
+            self._mul_plan = (_gather(left), _gather(right), _gather(ends))
+            # per degree d >= 1: the splits with u nonempty, d per monomial
+            self._inverse_plan = []
+            for d in range(1, q + 1):
+                lo, hi = bounds[d], bounds[d + 1]
+                ks = [s + k for s in starts[lo:hi] for k in range(1, d + 1)]
+                gather_left = _gather([left[k] for k in ks])
+                gather_right = _gather([right[k] for k in ks])
+                self._inverse_plan.append((d, lo, hi, gather_left, gather_right))
+        else:
+            np = _numpy()
+            self.left = np.array(left, dtype=np.intp)
+            self.right = np.array(right, dtype=np.intp)
+            self.starts = np.array(starts, dtype=np.intp)
+            self._mul_plan = self._inverse_plan = None
         self._hash = hash((n, self.words))
 
     def __len__(self) -> int:
@@ -118,7 +179,9 @@ class Series:
 
     def __init__(self, basis: Basis, x=None):
         self.basis = basis
-        self.x = np.zeros(len(basis), dtype=np.int64) if x is None else x
+        if x is None:
+            x = [0] * len(basis) if basis.small else np.zeros(len(basis), np.int64)
+        self.x = x
         self._norms = None
 
     @property
@@ -131,9 +194,12 @@ class Series:
 
     @property
     def coeffs(self) -> list:
-        """Read-only per-degree views of the coefficient vector."""
+        """Read-only per-degree numpy views of the coefficient vector; on a
+        small basis, int64 copies (object dtype where a value leaves int64)."""
         b = self.basis.bounds
         views = [self.x[b[d] : b[d + 1]] for d in range(self.q + 1)]
+        if self.basis.small:
+            views = [_int_array(v) for v in views]
         for v in views:
             v.flags.writeable = False
         return views
@@ -160,7 +226,7 @@ class Series:
         return int(self.x[self._position(monomial)])
 
     def set_coefficient(self, monomial, value: int) -> None:
-        self.x[self._position(monomial)] = value
+        self.x[self._position(monomial)] = int(value)
         self._norms = None
 
     def _l1_peak(self) -> tuple[float, float]:
@@ -174,6 +240,8 @@ class Series:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
+        if self.basis.small:
+            return self.basis == other.basis and self.x == other.x
         return self.basis == other.basis and np.array_equal(self.x, other.x)
 
     def __mul__(self, other: "Series") -> "Series":
@@ -183,6 +251,11 @@ class Series:
         if b != other.basis:
             raise ValueError("series bases differ")
         x, y = self.x, other.x
+        if b.small:
+            gather_left, gather_right, gather_ends = b._mul_plan
+            run = itertools.accumulate(map(mul, gather_left(x), gather_right(y)))
+            ends = gather_ends(list(run))
+            return Series(b, list(map(sub, ends, (0,) + ends[:-1])))
         # |out[w]| <= sum over splits w = uv of |x[u]| |y[v]| <= L1(x) peak(y),
         # partial sums included, since the u of distinct splits differ
         if (
@@ -204,6 +277,17 @@ class Series:
         if c0 not in (1, -1):
             raise ValueError("series with constant term != +-1 has no inverse")
         b = self.basis
+        if b.small:
+            x = self.x
+            y = [0] * len(b)
+            y[0] = c0
+            for d, lo, hi, gather_left, gather_right in b._inverse_plan:
+                terms = map(mul, gather_left(x), gather_right(y))
+                run = list(itertools.accumulate(terms, initial=0))
+                # each monomial of degree d has d splits with u nonempty
+                sums = map(sub, run[d::d], run[:-1:d])
+                y[lo:hi] = map(neg, sums) if c0 == 1 else sums
+            return Series(b, y)
         x = self.x.copy()
         x[0] = 0
         y = np.zeros_like(x)
@@ -225,6 +309,11 @@ class Series:
     def monomials(self):
         """Yield (monomial, coefficient) with nonzero coefficient, ordered by
         (degree, lexicographic monomial)."""
+        if self.basis.small:
+            for w, c in zip(self.basis.words, self.x):
+                if c:
+                    yield w, c
+            return
         for i in np.flatnonzero(self.x):
             yield self.basis.words[i], int(self.x[i])
 
@@ -245,6 +334,14 @@ class Series:
         return text[2:] if text.startswith("+ ") else text
 
     __repr__ = __str__
+
+
+def _int_array(values):
+    np = _numpy()
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
 def unit(basis: Basis) -> Series:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -302,3 +306,49 @@ class TestCableCmd:
         assert code == 0
         assert json.loads(out)["components"] == 4
 
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def cli_imports(*argv):
+    """The modules a fresh ``python -m milnor.cli`` process imports, read
+    from ``-X importtime``; asserts that the command succeeds."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "milnor.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return {
+        line.rsplit("|", 1)[-1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+class TestStartup:
+    """Queries on split tables below magnus.NUMPY_SPLITS never load numpy."""
+
+    def test_homotopy_of_a_four_component_string_link(self, tmp_path):
+        path = tmp_path / "vpi.json"
+        assert main(["generate", "v-pi", "1,2,3,4", "-o", str(path)]) == 0
+        assert json.loads(path.read_text())["kind"] == "stringlink"
+        modules = cli_imports("classify", "--homotopy", str(path))
+        assert "milnor.magnus" in modules
+        assert "numpy" not in modules
+
+    def test_self_delta_of_whitehead(self, tmp_path):
+        path = tmp_path / "w.json"
+        assert main(["generate", "whitehead", "-o", str(path)]) == 0
+        modules = cli_imports("classify", "--self-delta", str(path))
+        assert "milnor.magnus" in modules
+        assert "numpy" not in modules
+
+    def test_self_delta_of_milnor3_loads_numpy(self, tmp_path):
+        path = tmp_path / "m3.json"
+        assert main(["generate", "milnor-link", "3", "-o", str(path)]) == 0
+        assert "numpy" in cli_imports("classify", "--self-delta", str(path))

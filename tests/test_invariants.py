@@ -33,7 +33,7 @@ from milnor.invariants import (
     table,
 )
 from milnor.magnus import dense
-from milnor.multiindex import Injection, selfdelta_generator_indices
+from milnor.multiindex import Injection, repeat_max, selfdelta_generator_indices
 from milnor.wirtinger import longitude_series
 
 
@@ -351,6 +351,19 @@ class TestIndicesUpTo:
         assert idx == [(1, 2), (2, 1)]
         idx2 = list(indices_up_to(2, 2, 2))
         assert idx2 == [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+    def test_matches_the_filter_over_all_words(self):
+        for n in range(1, 5):
+            for max_r in (1, 2, 3):
+                want = [
+                    index
+                    for ln in range(2, 9)
+                    for index in itertools.product(range(1, n + 1), repeat=ln)
+                    if repeat_max(index) <= max_r
+                ]
+                for max_len in range(2, 9):
+                    got = list(indices_up_to(n, max_len, max_r))
+                    assert got == [i for i in want if len(i) <= max_len]
 
 
 class TestTheorems:

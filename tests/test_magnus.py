@@ -2,10 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from milnor.freegroup import Word, commutator, generator, nested_commutator
 from milnor.magnus import (
+    NUMPY_SPLITS,
     Basis,
     Series,
     closure,
@@ -13,6 +14,7 @@ from milnor.magnus import (
     expand,
     generator_series,
     one,
+    unit,
     zero,
 )
 from milnor.multiindex import repeat_max
@@ -176,10 +178,66 @@ class TestSeriesOps:
         assert p.coefficient((1, 1)) == 2**80
 
 
+def large_one(n, q):
+    """The unit on dense(n, q)'s monomials padded with powers of one more
+    variable X_{n+1} until the basis takes the numpy kernel; no product or
+    inverse of series in X_1..X_n has a nonzero coefficient on the padding."""
+    for k in range(1, 100):
+        basis = closure(n + 1, list(dense(n, q).words) + [(n + 1,) * k])
+        if not basis.small:
+            return unit(basis)
+    raise AssertionError("no padded basis reaches NUMPY_SPLITS")
+
+
 class TestOverflowGuard:
+    """The int64 kernel's guard, on bases of at least NUMPY_SPLITS splits."""
+
     def test_l1_sum_does_not_wrap(self):
         # L1(a) = 1 + 2**63 wraps to a negative int64; the guard must still
         # see that the product leaves int64 range
+        a = large_one(2, 2)
+        a.set_coefficient((1,), 2**62)
+        a.set_coefficient((2,), 2**62)
+        b = large_one(2, 2)
+        b.set_coefficient((1,), 3)
+        p = a * b
+        assert p.coefficient((1, 1)) == 3 * 2**62
+        assert p.coefficient((2, 1)) == 3 * 2**62
+        assert p.coefficient((1,)) == 2**62 + 3
+
+    def test_near_boundary_stays_int64(self):
+        # L1(a) * peak(b) = 2**60 exactly: the guard's bound, still int64
+        a = large_one(2, 2)
+        a.set_coefficient((1,), 2**30 - 1)
+        b = large_one(2, 2)
+        b.set_coefficient((2,), 2**30)
+        p = a * b
+        assert p.coeffs[0].dtype == np.int64
+        assert p.coefficient((1, 2)) == (2**30 - 1) * 2**30
+        # one more unit of L1 crosses the bound and falls back, still exact
+        a.set_coefficient((1,), 2**30)
+        p = a * b
+        assert p.coeffs[0].dtype == object
+        assert p.coefficient((1, 2)) == 2**60
+
+    def test_inverse_leaves_int64_exactly(self):
+        s = large_one(1, 3)
+        s.set_coefficient((1,), 2**40)
+        want = {(): 1, (1,): -(2**40), (1, 1): 2**80, (1, 1, 1): -(2**120)}
+        assert as_dict(s.inverse()) == want
+        assert s * s.inverse() == large_one(1, 3)
+
+
+class TestPythonKernelExactness:
+    """The same values on bases below NUMPY_SPLITS, held as Python integers."""
+
+    def test_small_bases_hold_python_integers(self):
+        assert one(2, 2).basis.small and one(1, 3).basis.small
+        assert not large_one(2, 2).basis.small
+        assert len(large_one(2, 2).basis.left) >= NUMPY_SPLITS
+        assert isinstance(one(2, 2).x, list)
+
+    def test_l1_sum_does_not_wrap(self):
         a = one(2, 2)
         a.set_coefficient((1,), 2**62)
         a.set_coefficient((2,), 2**62)
@@ -190,20 +248,20 @@ class TestOverflowGuard:
         assert p.coefficient((2, 1)) == 3 * 2**62
         assert p.coefficient((1,)) == 2**62 + 3
 
-    def test_near_boundary_stays_int64(self):
-        # L1(a) * peak(b) = 2**60 exactly: the guard's bound, still int64
+    def test_near_boundary(self):
         a = one(2, 2)
         a.set_coefficient((1,), 2**30 - 1)
         b = one(2, 2)
         b.set_coefficient((2,), 2**30)
         p = a * b
-        assert p.coeffs[0].dtype == np.int64
         assert p.coefficient((1, 2)) == (2**30 - 1) * 2**30
-        # one more unit of L1 crosses the bound and falls back, still exact
         a.set_coefficient((1,), 2**30)
         p = a * b
-        assert p.coeffs[0].dtype == object
         assert p.coefficient((1, 2)) == 2**60
+        # coeffs reports int64 while values fit, object dtype once one leaves
+        assert p.coeffs[2].dtype == np.int64
+        a.set_coefficient((1,), 2**40)
+        assert (a * b).coeffs[2].dtype == object
 
     def test_inverse_leaves_int64_exactly(self):
         s = one(1, 3)
@@ -247,17 +305,24 @@ class TestBasis:
 
 @st.composite
 def basis_series(draw):
-    """A factor-closed basis (injective words, repetition at most 2, or the
-    closure of random words) with two random series on it, the second with
-    constant term +-1; coefficients sometimes leave int64 range."""
-    n = draw(st.integers(1, 3))
-    q = draw(st.integers(1, 4))
-    kind = draw(st.sampled_from(["injective", "r2", "random"]))
+    """A factor-closed basis (injective words, repetition at most 2, every
+    word, or the closure of random words) on either side of NUMPY_SPLITS,
+    with two random series on it, the second with constant term +-1;
+    coefficients sometimes leave int64 range."""
+    if draw(st.booleans()):
+        # the numpy kernel: 261, 400 and 547 splits
+        n, q, kind = draw(
+            st.sampled_from([(4, 4, "injective"), (3, 4, "r2"), (3, 4, "dense")])
+        )
+    else:
+        n = draw(st.integers(1, 3))
+        q = draw(st.integers(0, 4))
+        kind = draw(st.sampled_from(["injective", "r2", "dense", "random"]))
     if kind == "random":
         word = st.lists(st.integers(1, n), max_size=q).map(tuple)
         basis = closure(n, draw(st.lists(word, min_size=1, max_size=6)))
     else:
-        bound = 1 if kind == "injective" else 2
+        bound = {"injective": 1, "r2": 2, "dense": q}[kind]
         basis = closure(
             n, [w for w in dense(n, q).words if repeat_max(w) <= bound]
         )
@@ -278,8 +343,20 @@ def on_basis(basis, coeffs):
     return s
 
 
+def near_2_62(basis):
+    """Two series with every coefficient within 2**9 of +-2**62 (bases of at
+    most 170 monomials), the second with constant term -1."""
+    a = {w: (-1) ** i * (2**62 - i) for i, w in enumerate(basis.words)}
+    b = {w: (-1) ** i * (2**62 - 3 * i) for i, w in enumerate(basis.words)}
+    b[()] = -1
+    return basis, a, b
+
+
 @settings(max_examples=150, deadline=None)
 @given(basis_series())
+@example(near_2_62(dense(1, 0)))  # one split: a one-item gather
+@example(near_2_62(dense(2, 3)))  # the Python kernel, 49 splits
+@example(near_2_62(dense(3, 4)))  # the numpy kernel, 547 splits
 def test_basis_product_and_inverse_match_oracle(drawn):
     basis, a, b = drawn
     inside = set(basis.words)
