@@ -2,15 +2,15 @@
 
 Every value comes from one query, ``evaluate``: for a batch of indices it
 reduces the diagram once (``diagram.reduced`` cancels R1 kinks and R2
-bigons, which are Tietze moves on the Wirtinger presentation), takes one
-depth D, the longest index, and reads the invariant of I as the
-coefficient of X_{i_1}...X_{i_{m-1}} in the Magnus expansion of the last
-index's longitude at depth D.  Lower-degree coefficients are
-depth-stable, so one expansion per component serves the whole batch.  The
-expansion lives on the factor closure of the batch's monomials
-X_{i_1}...X_{i_{m-1}} (``magnus.closure``): every monomial outside it lies
-in an ideal that no coefficient inside it depends on, so a repetition-free
-or repetition-2 batch never pays for the dense degree-(D-1) truncation.
+bigons, which are Tietze moves on the Wirtinger presentation) and reads
+the invariant of I as the coefficient of X_{i_1}...X_{i_{m-1}} in the
+Magnus expansion of the last index's longitude, exact in every degree
+(``wirtinger.longitude_series``), so one expansion per component serves
+the whole batch.  The expansion lives on the factor closure of the
+batch's monomials X_{i_1}...X_{i_{m-1}} (``magnus.closure``): every
+monomial outside it lies in an ideal that no coefficient inside it
+depends on, so a repetition-free or repetition-2 batch never pays for the
+dense truncation at its longest index.
 
 For a closed link the same integer is taken modulo Milnor's indeterminacy
 Delta(I), the gcd of the invariants of all indices obtained from I by
@@ -69,16 +69,15 @@ def _check_index(d: Diagram, index) -> tuple[int, ...]:
 
 
 def evaluate(d: Diagram, indices) -> dict[tuple[int, ...], int]:
-    """The coefficient of each index, all read at one depth, the length of
-    the longest index, on the factor closure of the batch's monomials."""
+    """The coefficient of each index, read off one longitude expansion per
+    component on the factor closure of the batch's monomials."""
     indices = list(dict.fromkeys(_check_index(d, index) for index in indices))
     if not indices:
         return {}
-    depth = max(len(index) for index in indices)
     basis = magnus.closure(d.n, [index[:-1] for index in indices])
     d = reduced(d)
     series = {
-        comp: wirtinger.longitude_series(d, comp, depth, basis)
+        comp: wirtinger.longitude_series(d, comp, basis)
         for comp in {index[-1] for index in indices}
     }
     return {index: series[index[-1]].coefficient(index[:-1]) for index in indices}

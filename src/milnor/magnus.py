@@ -13,13 +13,17 @@ factor closure of its own monomials.
 
 A series is one flat coefficient vector over its basis.  The basis lists
 every split w = uv of every monomial as a pair of positions, so a product is
-one gather, one multiply and one segment sum.  The basis picks one of two
-kernels from the length of that split table:
+one gather, one multiply and one segment sum.  The splits with u and v both
+nonempty, grouped by degree, give ``Basis.inner``: the step by which a
+graded recursion solves one degree from the degrees below it.  The basis
+picks one of two kernels from the length of its split table:
 
 * below ``NUMPY_SPLITS`` splits the vector is a list of Python integers, the
   gathers are prebuilt ``operator.itemgetter``s and the segment sum is a
-  running sum differenced at each segment end.  Python integers are exact,
-  so no guard is needed, and numpy is never imported;
+  running sum differenced at each segment end; a product gathers only the
+  inner splits and adds the two splits with u or v empty once per monomial.
+  Python integers are exact, so no guard is needed, and numpy is never
+  imported;
 * from ``NUMPY_SPLITS`` on the vector is an int64 array and the segment sum
   is ``np.add.reduceat``.  Exactness is preserved by an overflow guard: every
   output coefficient is bounded by L1(a) * peak(b), computed in floating
@@ -32,20 +36,22 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from functools import lru_cache
-from operator import itemgetter, mul, neg, sub
+from operator import add, itemgetter, mul, neg, sub
 
 from .freegroup import Word
 
 _GUARD = float(2**60)
 # Split-table size from which a basis uses the numpy kernel.  Measured on a
-# 2-CPU x86-64 machine, Python 3.11, numpy 2.4: a product costs the same in
-# both kernels near 130 splits (about 12 us) and 2.4x more in Python at 261;
-# the Python inverse stays faster up to about 400 splits; numpy is 4-6x
-# faster at 900 splits and 13x at 6,700.  Importing numpy costs 0.16 s of
-# CPU, which below 256 splits outweighs what numpy saves on the few thousand
-# products of a query: every link-homotopy query (at most 141 splits) and the
-# n = 2 self-delta queries stay on the Python side and never import it.
-NUMPY_SPLITS = 256
+# 2-CPU x86-64 machine, Python 3.11, numpy 2.4, on the graded meridians and
+# longitudes of 3-component links and their 2-cables (23 to 877 reduced
+# crossings): the Python kernel takes 2.3-2.9x numpy's time at 583 and 940
+# splits, 5-8x at 2,383.  Importing numpy costs 0.145 s of CPU, which below
+# 1024 splits exceeds what numpy saves on every query measured (at most
+# 0.10 s, the 877-crossing cable at 583 splits), and at 2,383 splits no
+# longer does (0.54 s saved there).  So every link-homotopy query (at most
+# 141 splits), the r <= 2 table of a 3-component link (940) and a doubled
+# 3-component link through length 4 (583) stay on Python integers.
+NUMPY_SPLITS = 1024
 
 np = None  # numpy, bound by _numpy() when the first large basis is built
 
@@ -62,10 +68,10 @@ def _numpy():
 
 def _gather(positions):
     """A function mapping a sequence to the tuple of its items at the given
-    positions; ``itemgetter`` alone returns a bare item for one position."""
-    if len(positions) == 1:
-        (i,) = positions
-        return lambda s: (s[i],)
+    positions; ``itemgetter`` alone returns a bare item for one position and
+    takes no empty list."""
+    if len(positions) <= 1:
+        return lambda s: tuple(s[i] for i in positions)
     return itemgetter(*positions)
 
 
@@ -78,11 +84,13 @@ class Basis:
     ``bounds[d]`` is the position of the first monomial of degree d.  On a
     basis of fewer than ``NUMPY_SPLITS`` splits ``small`` is true and the
     split table is held in Python lists; otherwise in numpy arrays.
+    ``inner`` sums over the inner splits (u and v both nonempty) of one
+    degree: the step of every graded recursion.
     """
 
     __slots__ = (
         "n", "q", "words", "pos", "left", "right", "starts", "bounds", "small",
-        "_mul_plan", "_inverse_plan", "_hash",
+        "_mul_plan", "_inner_plan", "_hash",
     )
 
     def __init__(self, n: int, words):
@@ -110,24 +118,68 @@ class Basis:
         self.small = len(left) < NUMPY_SPLITS
         if self.small:
             self.left, self.right, self.starts = left, right, starts
-            # running sum position of each monomial's last split
-            ends = [s - 1 for s in starts[1:]] + [len(left) - 1]
-            self._mul_plan = (_gather(left), _gather(right), _gather(ends))
-            # per degree d >= 1: the splits with u nonempty, d per monomial
-            self._inverse_plan = []
-            for d in range(1, q + 1):
-                lo, hi = bounds[d], bounds[d + 1]
-                ks = [s + k for s in starts[lo:hi] for k in range(1, d + 1)]
-                gather_left = _gather([left[k] for k in ks])
-                gather_right = _gather([right[k] for k in ks])
-                self._inverse_plan.append((d, lo, hi, gather_left, gather_right))
+            # the inner splits of every monomial, in basis order, and where
+            # each monomial's run of them begins and ends
+            inner_left, inner_right, first, last = [], [], [], []
+            for s, w in zip(starts, words):
+                first.append(len(inner_left))
+                inner_left += left[s + 1 : s + len(w)]
+                inner_right += right[s + 1 : s + len(w)]
+                last.append(len(inner_left))
+            self._mul_plan = (
+                _gather(inner_left), _gather(inner_right), _gather(last), _gather(first)
+            )
+            self._inner_plan = [None, None]
+            for d in range(2, q + 1):
+                k0, k1 = first[bounds[d]], last[bounds[d + 1] - 1]
+                self._inner_plan.append(
+                    (_gather(inner_left[k0:k1]), _gather(inner_right[k0:k1]))
+                )
         else:
             np = _numpy()
             self.left = np.array(left, dtype=np.intp)
             self.right = np.array(right, dtype=np.intp)
             self.starts = np.array(starts, dtype=np.intp)
-            self._mul_plan = self._inverse_plan = None
+            self._inner_plan = [None, None]
+            for d in range(2, q + 1):
+                ks = self.starts[bounds[d] : bounds[d + 1], None] + np.arange(1, d)
+                self._inner_plan.append((self.left[ks.ravel()], self.right[ks.ravel()]))
+            self._mul_plan = None
         self._hash = hash((n, self.words))
+
+    def inner(self, d: int, x, y, acc=None, sign: int = 1, extra=None):
+        """acc + sign * (s + extra) over the monomials of degree d, where s
+        sums x[u] y[v] over each monomial's d - 1 inner splits w = uv (u and
+        v nonempty); acc and extra are degree-d slices, zero when None.
+
+        Only degrees 1..d-1 of x and y are read, so a recursion that solves
+        degree d from lower degrees can call it on the vectors it is
+        filling.  Every argument is a coefficient vector or slice of this
+        basis's kernel; the result is a new list or array.
+        """
+        if self.small:
+            if d > 1:
+                gather_left, gather_right = self._inner_plan[d]
+                terms = map(mul, gather_left(x), gather_right(y))
+                run = list(itertools.accumulate(terms, initial=0))
+                sums = map(sub, run[d - 1 :: d - 1], run[: -1 : d - 1])
+            else:
+                sums = itertools.repeat(0, self.bounds[2] - self.bounds[1])
+            if extra is not None:
+                sums = map(add, sums, extra)
+            if acc is None:
+                return list(sums if sign > 0 else map(neg, sums))
+            return list(map(add if sign > 0 else sub, acc, sums))
+        if d > 1:
+            left, right = self._inner_plan[d]
+            sums = (x[left] * y[right]).reshape(-1, d - 1).sum(axis=1)
+        else:
+            sums = np.zeros(self.bounds[2] - self.bounds[1], dtype=np.int64)
+        if extra is not None:
+            sums = sums + extra
+        if acc is None:
+            return sums if sign > 0 else -sums
+        return acc + sums if sign > 0 else acc - sums
 
     def __len__(self) -> int:
         return len(self.words)
@@ -252,10 +304,20 @@ class Series:
             raise ValueError("series bases differ")
         x, y = self.x, other.x
         if b.small:
-            gather_left, gather_right, gather_ends = b._mul_plan
-            run = itertools.accumulate(map(mul, gather_left(x), gather_right(y)))
-            ends = gather_ends(list(run))
-            return Series(b, list(map(sub, ends, (0,) + ends[:-1])))
+            # the inner splits of each monomial w through one running sum, and
+            # the two splits with u or v empty as x0 y[w] + x[w] y0
+            gather_left, gather_right, gather_last, gather_first = b._mul_plan
+            terms = map(mul, gather_left(x), gather_right(y))
+            run = list(itertools.accumulate(terms, initial=0))
+            x0, y0 = x[0], y[0]
+            ends = map(
+                add,
+                y if x0 == 1 else map(mul, itertools.repeat(x0), y),
+                x if y0 == 1 else map(mul, x, itertools.repeat(y0)),
+            )
+            out = list(map(add, map(sub, gather_last(run), gather_first(run)), ends))
+            out[0] = x0 * y0
+            return Series(b, out)
         # |out[w]| <= sum over splits w = uv of |x[u]| |y[v]| <= L1(x) peak(y),
         # partial sums included, since the u of distinct splits differ
         if (
@@ -270,39 +332,30 @@ class Series:
         """Ring inverse; requires constant term +1 or -1.
 
         Solved degree by degree from x * y = 1: for w nonempty,
-        y[w] = -c0 * sum over splits w = uv, u nonempty, of x[u] y[v], and
-        every such v is shorter than w.  The work is that of one product.
+        y[w] = -(x[w] + c0 * s[w]), where s sums x[u] y[v] over the inner
+        splits w = uv (``Basis.inner``), every such v shorter than w.  The
+        work is that of one product.
         """
         c0 = self.constant
         if c0 not in (1, -1):
             raise ValueError("series with constant term != +-1 has no inverse")
         b = self.basis
-        if b.small:
-            x = self.x
-            y = [0] * len(b)
-            y[0] = c0
-            for d, lo, hi, gather_left, gather_right in b._inverse_plan:
-                terms = map(mul, gather_left(x), gather_right(y))
-                run = list(itertools.accumulate(terms, initial=0))
-                # each monomial of degree d has d splits with u nonempty
-                sums = map(sub, run[d::d], run[:-1:d])
-                y[lo:hi] = map(neg, sums) if c0 == 1 else sums
-            return Series(b, y)
-        x = self.x.copy()
-        x[0] = 0
-        y = np.zeros_like(x)
+        x = self.x
+        y = Series(b).x
         y[0] = c0
-        l1 = np.inf if x.dtype == object else self._l1_peak()[0] - 1.0
-        peak = 1.0
+        if not b.small:
+            # |y[w]| <= (L1(x) - |c0|) peak(y over shorter monomials)
+            l1 = np.inf if x.dtype == object else self._l1_peak()[0] - 1.0
+            peak = 1.0
         for d in range(1, self.q + 1):
             lo, hi = b.bounds[d], b.bounds[d + 1]
-            if y.dtype != object and l1 * peak > _GUARD:
+            if not b.small and y.dtype != object and l1 * peak > _GUARD:
                 x, y = x.astype(object), y.astype(object)
-            s0 = b.starts[lo]
-            s1 = b.starts[hi] if hi < len(b) else len(b.left)
-            terms = x[b.left[s0:s1]] * y[b.right[s0:s1]]
-            y[lo:hi] = np.add.reduceat(terms, b.starts[lo:hi] - s0) * -c0
-            if y.dtype != object:
+            part = x[lo:hi]
+            if c0 == -1:
+                part = [-v for v in part] if b.small else -part
+            y[lo:hi] = b.inner(d, x, y, None, -c0, part)
+            if not b.small and y.dtype != object:
                 peak = max(peak, float(np.abs(y[lo:hi].astype(np.float64)).max()))
         return Series(b, y)
 

@@ -21,8 +21,15 @@ from milnor.classify import (
     surjection_generator,
     whitehead_link,
 )
-from milnor.diagram import closure, from_braid, stack_all, trivial_link, trivial_string_link
-from milnor.invariants import Residue, mu
+from milnor.diagram import (
+    cable,
+    closure,
+    from_braid,
+    stack_all,
+    trivial_link,
+    trivial_string_link,
+)
+from milnor.invariants import Residue, evaluate, mu
 from milnor.multiindex import (
     Injection,
     Surjection,
@@ -384,10 +391,12 @@ class TestBrunnian:
             stacked.append(stack_all(parts, n))
             return stacked[-1]
 
-        def spy_meridians(d, depth, basis):
-            if ("meridians", depth, basis) not in d._cache:
+        def spy_meridians(d, basis):
+            before = d._cache.get("meridians")
+            state = meridian_series(d, basis)
+            if state is not before:
                 builds.append(d)
-            return meridian_series(d, depth, basis)
+            return state
 
         monkeypatch.setattr(classify, "stack_all", spy_stack_all)
         monkeypatch.setattr(wirtinger, "_meridian_series", spy_meridians)
@@ -402,3 +411,54 @@ class TestCablingCrossCheck:
     def test_corpus(self):
         for l in [trivial_link(2), trivial_link(3), hopf(), whitehead_link()]:
             assert cabling_cross_check(l)
+
+    def test_stops_at_the_first_nonzero_length(self, monkeypatch):
+        # vtau_n3_23_k1: the doubled link's first nonzero repetition-free
+        # value has length 4, so the check builds no cable basis beyond it
+        from milnor import wirtinger
+
+        def link():
+            return closure(surjection_generator(Surjection(3, 1, (2, 3))))
+
+        doubled = cable(link(), [2, 2, 2])
+        nonzero = [
+            any(evaluate(doubled, itertools.permutations(range(1, 7), k)).values())
+            for k in range(2, 5)
+        ]
+        assert nonzero == [False, False, True]
+        degrees = []
+        meridian_series = wirtinger._meridian_series
+
+        def spy_meridians(d, basis):
+            if d.n == 6:
+                degrees.append(basis.q)
+            return meridian_series(d, basis)
+
+        monkeypatch.setattr(wirtinger, "_meridian_series", spy_meridians)
+        assert cabling_cross_check(link())
+        assert max(degrees) == 3
+
+    def test_scan_computes_each_degree_once(self, monkeypatch):
+        # Surjection(3, 3, (1, 1, 2, 2)): the doubled link has no nonzero
+        # repetition-free value below length 6, so the check reads every
+        # length, each extending the graded recursion of the one before;
+        # every degree of every arc's meridian (and of every inverse a
+        # longitude needs) is computed once over the whole scan
+        from milnor import magnus, wirtinger
+        from milnor.diagram import reduced
+
+        l = closure(surjection_generator(Surjection(3, 3, (1, 1, 2, 2))))
+        doubled = cable(l, [2, 2, 2])
+        calls = []
+        inner = magnus.Basis.inner
+
+        def spy_inner(basis, d, *args):
+            if basis.n == 6:
+                calls.append(d)
+            return inner(basis, d, *args)
+
+        monkeypatch.setattr(magnus.Basis, "inner", spy_inner)
+        assert not link_homotopy_trivial(doubled)
+        walk = wirtinger._walk(reduced(doubled))
+        per_degree = 2 * len(walk.passages) + len(walk.inverted)
+        assert sorted(calls) == [d for d in range(1, 6) for _ in range(per_degree)]

@@ -140,10 +140,13 @@ class TestClassifyCmd:
         evaluate = invariants.evaluate
         table = invariants.table
 
-        def spy_meridians(d, depth, basis):
-            if ("meridians", depth, basis) not in d._cache:
-                builds.append((d.name, d.n, depth, basis.q))
-            return meridian_series(d, depth, basis)
+        def spy_meridians(d, basis):
+            # a build is a call that walks new degrees; depth is q + 1
+            before = d._cache.get("meridians")
+            state = meridian_series(d, basis)
+            if state is not before:
+                builds.append((d.name, d.n, basis.q + 1, basis.q))
+            return state
 
         def spy_residues(l, indices):
             inside.append(l)
@@ -173,7 +176,9 @@ class TestClassifyCmd:
         # the inputs have n=2; their 4-component cables are separate diagrams
         inputs = sorted(b for b in builds if b[1] == 2)
         assert inputs == [("trivial2", 2, 4, 3), ("whitehead", 2, 4, 3)]
-        assert {b[2:] for b in builds if b[1] == 4} == {(4, 3)}
+        # the doubling check reads each cable one length at a time: neither
+        # cable has a nonzero repetition-free value below length 4
+        assert {b[2:] for b in builds if b[1] == 4} == {(2, 1), (3, 2), (4, 3)}
         assert sorted(assembled) == ["trivial2", "whitehead"]
         # every verdict (vector, triviality, doubling check, pair) reads one
         # table per input
@@ -198,10 +203,12 @@ class TestClassifyCmd:
         meridian_series = wirtinger._meridian_series
         evaluate = invariants.evaluate
 
-        def spy_meridians(d, depth, basis):
-            if ("meridians", depth, basis) not in d._cache:
-                builds.append((d.name, depth, basis.q))
-            return meridian_series(d, depth, basis)
+        def spy_meridians(d, basis):
+            before = d._cache.get("meridians")
+            state = meridian_series(d, basis)
+            if state is not before:
+                builds.append((d.name, basis.q + 1, basis.q))
+            return state
 
         def spy_evaluate(d, indices):
             evaluated.append(d.name)
@@ -348,7 +355,29 @@ class TestStartup:
         assert "milnor.magnus" in modules
         assert "numpy" not in modules
 
-    def test_self_delta_of_milnor3_loads_numpy(self, tmp_path):
+    def test_self_delta_of_milnor3(self, tmp_path):
+        # the r <= 2 table (940 splits) and the doubled link's scan, which
+        # stops at length 3 (103 splits)
         path = tmp_path / "m3.json"
         assert main(["generate", "milnor-link", "3", "-o", str(path)]) == 0
+        modules = cli_imports("classify", "--self-delta", str(path))
+        assert "milnor.magnus" in modules
+        assert "numpy" not in modules
+
+    def test_self_delta_of_a_three_component_generator(self, tmp_path):
+        # vtau_n3_23_k1: the doubled link's scan stops at length 4 (583 splits)
+        from milnor.classify import surjection_generator
+        from milnor.multiindex import Surjection
+
+        path = tmp_path / "vtau.json"
+        link = closure(surjection_generator(Surjection(3, 1, (2, 3))))
+        path.write_text(json.dumps(to_pd_json(link)))
+        modules = cli_imports("classify", "--self-delta", str(path))
+        assert "milnor.magnus" in modules
+        assert "numpy" not in modules
+
+    def test_self_delta_of_milnor4_loads_numpy(self, tmp_path):
+        # the r <= 2 table through length 8 has 35,157 splits
+        path = tmp_path / "m4.json"
+        assert main(["generate", "milnor-link", "4", "-o", str(path)]) == 0
         assert "numpy" in cli_imports("classify", "--self-delta", str(path))

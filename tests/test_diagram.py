@@ -239,7 +239,7 @@ class TestCommutatorTangle:
 
         w = Word(4, (1, 2, -1, 3, -2, -3))
         t = commutator_tangle(w, 4, 4)
-        series = wirtinger.longitude_series(t, 4, 3, dense(4, 2))
+        series = wirtinger.longitude_series(t, 4, dense(4, 2))
         ref = expand(w, 2)
         for mono in itertools.product((1, 2, 3), repeat=2):
             assert series.coefficient(mono) == ref.coefficient(mono)

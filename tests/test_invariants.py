@@ -183,8 +183,7 @@ class TestTable:
 
 def reference_value(d, index):
     """The coefficient read at the index's own depth."""
-    depth = len(index)
-    series = longitude_series(d, index[-1], depth, dense(d.n, depth - 1))
+    series = longitude_series(d, index[-1], dense(d.n, len(index) - 1))
     return series.coefficient(index[:-1])
 
 
@@ -314,7 +313,7 @@ def assert_matches_dense(d, indices):
     depth = max(len(i) for i in indices)
     r = reduced(d)
     want = {
-        i: longitude_series(r, i[-1], depth, dense(d.n, depth - 1)).coefficient(i[:-1])
+        i: longitude_series(r, i[-1], dense(d.n, depth - 1)).coefficient(i[:-1])
         for i in indices
     }
     assert evaluate(d, indices) == want

@@ -23,10 +23,13 @@ from milnor.multiindex import repeat_max
 
 
 def poly_mul(a, b, q):
+    by_degree = {}
+    for mb, cb in b.items():
+        by_degree.setdefault(len(mb), []).append((mb, cb))
     out = {}
     for ma, ca in a.items():
-        for mb, cb in b.items():
-            if len(ma) + len(mb) <= q:
+        for db in range(q - len(ma) + 1):
+            for mb, cb in by_degree.get(db, ()):
                 key = ma + mb
                 out[key] = out.get(key, 0) + ca * cb
     return {m: c for m, c in out.items() if c}
@@ -310,9 +313,9 @@ def basis_series(draw):
     with two random series on it, the second with constant term +-1;
     coefficients sometimes leave int64 range."""
     if draw(st.booleans()):
-        # the numpy kernel: 261, 400 and 547 splits
+        # the numpy kernel: 1,317, 1,529 and 1,593 splits
         n, q, kind = draw(
-            st.sampled_from([(4, 4, "injective"), (3, 4, "r2"), (3, 4, "dense")])
+            st.sampled_from([(4, 4, "r2"), (8, 3, "injective"), (4, 4, "dense")])
         )
     else:
         n = draw(st.integers(1, 3))
@@ -328,10 +331,17 @@ def basis_series(draw):
         )
     coeff = st.one_of(st.integers(-9, 9), st.integers(-(2**62), 2**62))
     size = len(basis.words)
-    a, b = (
-        dict(zip(basis.words, draw(st.lists(coeff, min_size=size, max_size=size))))
-        for _ in range(2)
-    )
+    if basis.small:
+        values = [draw(st.lists(coeff, min_size=size, max_size=size)) for _ in range(2)]
+    else:
+        # hundreds of coefficients come from one seeded generator, not one
+        # draw each, which would cost seconds per example
+        rnd = draw(st.randoms(use_true_random=False))
+        values = [
+            [rnd.choice((rnd.randint(-9, 9), rnd.randint(-(2**62), 2**62))) for _ in range(size)]
+            for _ in range(2)
+        ]
+    a, b = (dict(zip(basis.words, v)) for v in values)
     b[()] = draw(st.sampled_from([1, -1]))
     return basis, a, b
 
@@ -344,8 +354,8 @@ def on_basis(basis, coeffs):
 
 
 def near_2_62(basis):
-    """Two series with every coefficient within 2**9 of +-2**62 (bases of at
-    most 170 monomials), the second with constant term -1."""
+    """Two series with every coefficient within 2**11 of +-2**62 (bases of at
+    most 682 monomials), the second with constant term -1."""
     a = {w: (-1) ** i * (2**62 - i) for i, w in enumerate(basis.words)}
     b = {w: (-1) ** i * (2**62 - 3 * i) for i, w in enumerate(basis.words)}
     b[()] = -1
@@ -356,7 +366,7 @@ def near_2_62(basis):
 @given(basis_series())
 @example(near_2_62(dense(1, 0)))  # one split: a one-item gather
 @example(near_2_62(dense(2, 3)))  # the Python kernel, 49 splits
-@example(near_2_62(dense(3, 4)))  # the numpy kernel, 547 splits
+@example(near_2_62(dense(3, 5)))  # the numpy kernel, 2,005 splits
 def test_basis_product_and_inverse_match_oracle(drawn):
     basis, a, b = drawn
     inside = set(basis.words)

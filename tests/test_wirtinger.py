@@ -1,11 +1,16 @@
 import itertools
 
+import oracles
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from milnor.classify import injection_generator
+from milnor import magnus, wirtinger
+from milnor.classify import injection_generator, surjection_generator, whitehead_link
 from milnor.diagram import (
+    cable,
     closure,
     from_braid,
+    reduced,
     stack,
     stack_all,
     tree_tangle,
@@ -15,8 +20,8 @@ from milnor.diagram import (
 )
 from milnor.freegroup import Word
 from milnor.invariants import evaluate, indices_up_to
-from milnor.magnus import dense, expand
-from milnor.multiindex import Injection
+from milnor.magnus import NUMPY_SPLITS, Basis, dense, expand
+from milnor.multiindex import Injection, repeat_max, selfdelta_generator_indices
 from milnor.wirtinger import (
     longitude_series,
     longitude_word,
@@ -128,7 +133,7 @@ class TestLongitude:
                 kinked = with_kink(s, comp, sign, at)
                 assert evaluate(kinked, indices) == want, (comp, sign, at)
                 raw = {
-                    i: longitude_series(kinked, i[-1], 4, basis).coefficient(i[:-1])
+                    i: longitude_series(kinked, i[-1], basis).coefficient(i[:-1])
                     for i in indices
                 }
                 assert raw == want, (comp, sign, at)
@@ -137,15 +142,18 @@ class TestLongitude:
         for d in corpus():
             for comp in range(1, d.n + 1):
                 for depth, q in [(2, 1), (3, 2)]:
-                    s = longitude_series(d, comp, depth, dense(d.n, q))
+                    s = longitude_series(d, comp, dense(d.n, q))
                     assert s == expand(longitude_word(d, comp, depth), q)
 
     def test_depth_stability(self):
+        # the depth-by-depth oracle is stable below its depth, and the graded
+        # walk equals it at depth q + 1
         for d in corpus():
             for comp in range(1, d.n + 1):
                 q = 3
-                lo = longitude_series(d, comp, 4, dense(d.n, q))
-                hi = longitude_series(d, comp, 5, dense(d.n, q))
+                lo = oracles.longitude_series(d, comp, 4, dense(d.n, q))
+                hi = oracles.longitude_series(d, comp, 5, dense(d.n, q))
+                assert longitude_series(d, comp, dense(d.n, q)) == lo
                 for deg in range(q):
                     for mono in itertools.product(range(1, d.n + 1), repeat=deg):
                         assert lo.coefficient(mono) == hi.coefficient(mono)
@@ -162,7 +170,151 @@ class TestLongitude:
 
         w = commutator(generator(3, 1), generator(3, 2))
         t = commutator_tangle(w, 3, 3)
-        series = longitude_series(t, 3, 3, dense(3, 2))
+        series = longitude_series(t, 3, dense(3, 2))
         ref = expand(w, 2)
         for mono in itertools.product((1, 2), repeat=2):
             assert series.coefficient(mono) == ref.coefficient(mono)
+
+
+# -- the graded walk against the depth-by-depth oracle ------------------------
+
+
+@st.composite
+def kinked_pure_braids(draw):
+    """An open or closed pure braid on 2-3 strands, a product of conjugated
+    squares of generators, with R2 bigons spliced into its word and R1 kinks
+    drawn on its walk.  Nothing is reduced: ``longitude_series`` reads the
+    walk it is given."""
+    n = draw(st.integers(2, 3))
+    letter = st.integers(1, n - 1).flatmap(lambda g: st.sampled_from([g, -g]))
+    word = []
+    for _ in range(draw(st.integers(0, 3))):
+        conj, g = draw(st.lists(letter, max_size=2)), draw(letter)
+        word += conj + [g, g] + [-x for x in reversed(conj)]
+    for _ in range(draw(st.integers(0, 2))):
+        g, at = draw(letter), draw(st.integers(0, len(word)))
+        word[at:at] = [g, -g]
+    d = from_braid(n, word, closed=draw(st.booleans()))
+    for _ in range(draw(st.integers(0, 2))):
+        comp = draw(st.integers(1, n))
+        at = draw(st.integers(0, len(d.events[comp - 1])))
+        d = with_kink(d, comp, draw(st.sampled_from([1, -1])), at)
+    return d
+
+
+def numpy_basis(n):
+    """A dense basis on n = 2..4 variables large enough for the numpy kernel."""
+    basis = dense(n, {2: 7, 3: 5, 4: 4}[n])
+    assert len(basis.left) >= NUMPY_SPLITS
+    return basis
+
+
+@st.composite
+def query_bases(draw, n):
+    """A factor-closed basis on either side of NUMPY_SPLITS: injective,
+    repetition at most 2, dense, the closure of random words, or large."""
+    kind = draw(st.sampled_from(["injective", "r2", "dense", "random", "numpy"]))
+    if kind == "numpy":
+        return numpy_basis(n)
+    q = draw(st.integers(1, 4))
+    if kind == "random":
+        word = st.lists(st.integers(1, n), min_size=1, max_size=q).map(tuple)
+        return magnus.closure(n, draw(st.lists(word, min_size=1, max_size=6)))
+    bound = {"injective": 1, "r2": 2, "dense": q}[kind]
+    return magnus.closure(n, [w for w in dense(n, q).words if repeat_max(w) <= bound])
+
+
+def assert_matches_oracle(d, basis, t=None):
+    """Every longitude on basis equals the oracle's at depth q + 1; with t,
+    each is first read on the basis's monomials through degree t, so that
+    the query on basis extends a graded recursion stopped at degree t."""
+    if t is not None:
+        prefix = magnus.closure(basis.n, [w for w in basis.words if len(w) <= t])
+    for comp in range(1, d.n + 1):
+        if t is not None:
+            longitude_series(d, comp, prefix)
+        want = oracles.longitude_series(d, comp, basis.q + 1, basis)
+        got = longitude_series(d, comp, basis)
+        assert got == want, (d, comp, basis)
+        # the Python kernel holds Python integers, whatever kernel the rows
+        # it was read from used
+        assert not basis.small or all(type(c) is int for c in got.x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kinked_pure_braids(), st.data())
+def test_graded_longitudes_match_the_depth_oracle(d, data):
+    basis = data.draw(query_bases(d.n))
+    assert_matches_oracle(d, basis, data.draw(st.integers(0, basis.q)))
+
+
+def test_corpus_string_links_match_the_depth_oracle():
+    # the r <= 2 query of each n = 2 string link; on the (1,2,3) injection
+    # generator, the injective query, a numpy-kernel query extending it, and
+    # two Python-kernel queries from the numpy rows: one on a prefix of the
+    # numpy basis, one on a basis that shares only degree 1 with it
+    for d in [
+        tree_tangle(2, (1, 2, 2)),
+        *(surjection_generator(tau) for m in (3, 4) for tau in selfdelta_generator_indices(2, m)),
+    ]:
+        basis = magnus.closure(2, [i[:-1] for i in indices_up_to(2, 4, 2)])
+        assert_matches_oracle(d, basis, 1)
+    d = injection_generator(Injection(3, (1, 2, 3)))
+    injective = magnus.closure(3, list(itertools.permutations((1, 2, 3), 2)))
+    assert_matches_oracle(d, injective)
+    assert_matches_oracle(d, numpy_basis(3), 2)
+    assert_matches_oracle(d, dense(3, 2))
+    assert_matches_oracle(d, magnus.closure(3, [(1, 2, 3), (3, 1)]))
+
+
+def test_cable_matches_the_depth_oracle():
+    # the doubled Whitehead link on its injective query and on a numpy basis
+    d = reduced(cable(whitehead_link(), [2, 2]))
+    injective = magnus.closure(4, list(itertools.permutations(range(1, 5), 3)))
+    assert_matches_oracle(d, injective, 2)
+    assert_matches_oracle(d, numpy_basis(4), 3)
+
+
+class TestGradedOverflowGuard:
+    """The int64 walk's guard bounds each degree's inner-split sums and the
+    running sums along a walk.  The degree-1 rows of a positive braid's
+    graded recursion are scaled to +-c times each arc's generator, and
+    degree 2 is walked on a numpy-kernel basis; the values must equal the
+    same walk on the Python kernel exactly."""
+
+    def walk(self, word, c, monkeypatch):
+        # twenty variables make degree 2 alone a numpy-kernel split table;
+        # X_3..X_20 stay zero
+        d = from_braid(2, word)
+        low = wirtinger._Graded(d, dense(20, 1), None)
+        # meridians of component i start as 1 + c X_i, inverses as 1 - c X_i
+        for rows, sign in ((low.m, 1), (low.inv, -1)):
+            for row in rows:
+                row[1:3] = [sign * c * v for v in row[1:3]]
+        words = dense(20, 2).words
+        fast = wirtinger._Graded(d, Basis(20, words), low)
+        monkeypatch.setattr(magnus, "NUMPY_SPLITS", len(fast.basis.left) + 1)
+        exact = wirtinger._Graded(d, Basis(20, words), low)
+        assert not fast.basis.small and exact.basis.small
+        assert fast.m.tolist() == exact.m and fast.inv.tolist() == exact.inv
+        for comp in (1, 2):
+            mine = dict(fast.longitude(comp, fast.basis).monomials())
+            assert mine == dict(exact.longitude(comp, exact.basis).monomials())
+        return fast, max(abs(v) for row in exact.m for v in row)
+
+    def test_near_bound_stays_int64(self, monkeypatch):
+        # two passages add c**2 = 2**56 twice each: the bound is 2**58 + 1
+        fast, peak = self.walk([1, 1], 2**28, monkeypatch)
+        assert fast.m.dtype == magnus.np.int64 and peak == 2**56
+
+    def test_segment_sums_cross(self, monkeypatch):
+        # one inner-split product is 2**62, and two passages take a
+        # coefficient past int64
+        fast, peak = self.walk([1, 1, 1, 1, -1, -1], 2**31, monkeypatch)
+        assert fast.m.dtype == object and peak >= 2**63
+
+    def test_running_sum_crosses(self, monkeypatch):
+        # each inner-split product is c**2 = 2**56, below the guard, but 256
+        # passages of one sign add them up past int64
+        fast, peak = self.walk([1] * 512, 2**28, monkeypatch)
+        assert fast.m.dtype == object and peak >= 2**63
