@@ -86,15 +86,6 @@ def whitehead_link() -> Diagram:
     return closure(tree_tangle(2, (1, 2, 2)))
 
 
-def _repetition_free(n: int, k: int):
-    """The repetition-free indices of length 2 through k."""
-    return [
-        index
-        for ln in range(2, k + 1)
-        for index in itertools.permutations(range(1, n + 1), ln)
-    ]
-
-
 # unused here; kept because perfbench/traced_child.py wraps it by name
 def mu_of(l: Diagram, pi: Injection) -> int:
     return invariants.mu(l, pi.values)
@@ -172,7 +163,7 @@ def homotopy_classes_agree(a: Diagram, b: Diagram, k: int) -> bool:
         raise ValueError("exact invariants are defined for string links")
     if a.n != b.n:
         raise ValueError("component counts differ")
-    indices = _repetition_free(a.n, k)
+    indices = list(invariants.indices_up_to(a.n, k, 1))
     return invariants.evaluate(a, indices) == invariants.evaluate(b, indices)
 
 

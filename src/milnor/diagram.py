@@ -282,17 +282,6 @@ def run_slices(n, ops, closed=False, name=None):
 # -- braids ------------------------------------------------------------------
 
 
-def braid_ops(word):
-    """Slice ops of a braid word; generator +i is the strand at position i
-    passing over its right neighbour, -i the mirror crossing."""
-    ops = []
-    for g in word:
-        if g == 0:
-            raise DiagramError("braid letters are nonzero integers")
-        ops.append(("x", abs(g) - 1, "L" if g > 0 else "R"))
-    return ops
-
-
 def braid_permutation(strands, word):
     perm = list(range(1, strands + 1))
     for g in word:
@@ -306,20 +295,13 @@ def braid_permutation(strands, word):
 
 
 def from_braid(strands, word, closed=False, name=None):
-    """The string link traced by a braid word (or its closure)."""
+    """The string link traced by a pure braid word, or the closure of any
+    braid word; generator +i is the strand at position i passing over its
+    right neighbour, -i the mirror crossing."""
     word = list(word)
     perm = braid_permutation(strands, word)
     if not closed and perm != list(range(1, strands + 1)):
         raise DiagramError(f"braid is not pure (permutation {perm})")
-    if closed:
-        # close off by relabeling: walk the closure as the braid's trace
-        return _run_braid_closure(strands, word, name)
-    return run_slices(strands, braid_ops(word), closed=False, name=name)
-
-
-def _run_braid_closure(strands, word, name=None):
-    """Closure of an arbitrary braid: components follow the braid's cycles."""
-    perm = braid_permutation(strands, word)
     # cycles of the permutation top->bottom; each cycle is one component
     comp_of_start = {}
     cycles = []
@@ -332,7 +314,6 @@ def _run_braid_closure(strands, word, name=None):
             cyc.append(cur)
             cur = perm.index(cur) + 1
         cycles.append(cyc)
-    n = len(cycles)
     # trace events: simulate, tagging each passage with the entering strand
     pos_strand = list(range(1, strands + 1))
     per_strand = {s: [] for s in pos_strand}
@@ -346,13 +327,8 @@ def _run_braid_closure(strands, word, name=None):
         per_strand[over_s].append((cid, OVER))
         per_strand[under_s].append((cid, UNDER))
         pos_strand[i], pos_strand[i + 1] = right, left
-    events = []
-    for cyc in cycles:
-        ev = []
-        for s in cyc:
-            ev.extend(per_strand[s])
-        events.append(ev)
-    return Diagram(n, events, signs, closed=True, name=name)
+    events = [[e for s in cyc for e in per_strand[s]] for cyc in cycles]
+    return Diagram(len(cycles), events, signs, closed=closed, name=name)
 
 
 # -- composition operations ----------------------------------------------
@@ -574,11 +550,7 @@ def cable(l: Diagram, multiplicities: Sequence[int]) -> Diagram:
             events[new_of[i - 1][over_copy] - 1].append((cid, OVER))
             events[new_of[i - 1][under_copy] - 1].append((cid, UNDER))
             perm[p], perm[p + 1] = perm[p + 1], perm[p]
-    out = Diagram(n_new, events, signs, closed=True)
-    out.source_component = tuple(
-        i for i in range(1, l.n + 1) for _ in range(mult[i - 1])
-    )
-    return out
+    return Diagram(n_new, events, signs, closed=True)
 
 
 def cable_map(l: Diagram, multiplicities: Sequence[int]):

@@ -11,24 +11,26 @@ I, Ann. of Math. 57, 1953).  Truncation at total degree q is the dense basis
 of all monomials of degree at most q; a batch of queries needs only the
 factor closure of its own monomials.
 
-A series is one flat coefficient vector over its basis.  The basis lists
-every split w = uv of every monomial as a pair of positions, so a product is
-one gather, one multiply and one segment sum.  The splits with u and v both
-nonempty, grouped by degree, give ``Basis.inner``: the step by which a
-graded recursion solves one degree from the degrees below it.  The basis
-picks one of two kernels from the length of its split table:
+A series is one flat coefficient vector over its basis.  The basis
+tabulates the inner splits w = uv (u and v both nonempty) of every
+monomial, in basis order, as pairs of positions; the two splits with u or v
+empty are the ends x0 y[w] + x[w] y0, added once per monomial.  So a
+product is one gather and one multiply over that table, one segment sum and
+the ends, and the table's slice of one degree gives ``Basis.inner``: the
+step by which a graded recursion solves one degree from the degrees below
+it.  The basis picks one of two kernels from its split count (every split,
+len(w) + 1 per monomial):
 
 * below ``NUMPY_SPLITS`` splits the vector is a list of Python integers, the
   gathers are prebuilt ``operator.itemgetter``s and the segment sum is a
-  running sum differenced at each segment end; a product gathers only the
-  inner splits and adds the two splits with u or v empty once per monomial.
-  Python integers are exact, so no guard is needed, and numpy is never
-  imported;
+  running sum differenced at each segment end.  Python integers are exact,
+  so no guard is needed, and numpy is never imported;
 * from ``NUMPY_SPLITS`` on the vector is an int64 array and the segment sum
-  is ``np.add.reduceat``.  Exactness is preserved by an overflow guard: every
-  output coefficient is bounded by L1(a) * peak(b), computed in floating
-  point, and above 2**60 the product is taken with Python-integer (object)
-  dtype instead.
+  is one ``np.add.reduceat`` over the runs of the monomials of degree 2 and
+  up.  Exactness is preserved by an overflow guard: every output
+  coefficient is bounded by L1(a) * peak(b), computed in floating point,
+  and above 2**60 the product is taken with Python-integer (object) dtype
+  instead.
 """
 
 from __future__ import annotations
@@ -41,16 +43,18 @@ from operator import add, itemgetter, mul, neg, sub
 from .freegroup import Word
 
 _GUARD = float(2**60)
-# Split-table size from which a basis uses the numpy kernel.  Measured on a
-# 2-CPU x86-64 machine, Python 3.11, numpy 2.4, on the graded meridians and
-# longitudes of 3-component links and their 2-cables (23 to 877 reduced
-# crossings): the Python kernel takes 2.3-2.9x numpy's time at 583 and 940
-# splits, 5-8x at 2,383.  Importing numpy costs 0.145 s of CPU, which below
-# 1024 splits exceeds what numpy saves on every query measured (at most
-# 0.10 s, the 877-crossing cable at 583 splits), and at 2,383 splits no
-# longer does (0.54 s saved there).  So every link-homotopy query (at most
-# 141 splits), the r <= 2 table of a 3-component link (940) and a doubled
-# 3-component link through length 4 (583) stay on Python integers.
+# Split count from which a basis uses the numpy kernel: every split is
+# counted (len(w) + 1 per monomial w), though only the inner ones are
+# stored.  Measured on a 2-CPU x86-64 machine, Python 3.11, numpy 2.4, on
+# the graded meridians and longitudes of 3-component links and their
+# 2-cables (23 to 877 reduced crossings): the Python kernel takes 2.3-2.9x
+# numpy's time at 583 and 940 splits, 5-8x at 2,383.  Importing numpy
+# costs 0.145 s of CPU, which below 1024 splits exceeds what numpy saves on
+# every query measured (at most 0.10 s, the 877-crossing cable at 583
+# splits), and at 2,383 splits no longer does (0.54 s saved there).  So
+# every link-homotopy query (at most 141 splits), the r <= 2 table of a
+# 3-component link (940) and a doubled 3-component link through length 4
+# (583) stay on Python integers.
 NUMPY_SPLITS = 1024
 
 np = None  # numpy, bound by _numpy() when the first large basis is built
@@ -78,19 +82,19 @@ def _gather(positions):
 class Basis:
     """A factor-closed monomial set in X_1..X_n, sorted by (degree, lex).
 
-    ``pos`` maps each monomial to its position.  ``left[k]``/``right[k]``
-    are the positions of u and v for the k-th split w = uv; the splits of
-    the i-th monomial start at ``starts[i]``, shortest u first.
-    ``bounds[d]`` is the position of the first monomial of degree d.  On a
-    basis of fewer than ``NUMPY_SPLITS`` splits ``small`` is true and the
-    split table is held in Python lists; otherwise in numpy arrays.
-    ``inner`` sums over the inner splits (u and v both nonempty) of one
-    degree: the step of every graded recursion.
+    ``pos`` maps each monomial to its position and ``bounds[d]`` is the
+    position of the first monomial of degree d.  ``splits`` counts the
+    splits w = uv of every monomial, len(w) + 1 each; below
+    ``NUMPY_SPLITS`` of them ``small`` is true and coefficient vectors are
+    Python lists, otherwise numpy arrays.  Only the inner splits (u and v
+    both nonempty) are tabulated, d - 1 per degree-d monomial in basis
+    order: ``inner`` sums over those of one degree, the step of every
+    graded recursion, and a product sums over all of them at once.
     """
 
     __slots__ = (
-        "n", "q", "words", "pos", "left", "right", "starts", "bounds", "small",
-        "_mul_plan", "_inner_plan", "_hash",
+        "n", "q", "words", "pos", "bounds", "splits", "small", "_product", "_inner",
+        "_hash",
     )
 
     def __init__(self, n: int, words):
@@ -104,47 +108,35 @@ class Basis:
         self.q = q = len(words[-1])
         self.words = tuple(words)
         self.pos = pos = {w: i for i, w in enumerate(words)}
-        left, right, starts = [], [], []
+        # the inner splits of every monomial, and where each monomial's run
+        # of them begins, with the table's length appended
+        left, right, cuts = [], [], []
         try:
             for w in words:
-                starts.append(len(left))
-                for k in range(len(w) + 1):
+                cuts.append(len(left))
+                for k in range(1, len(w)):
                     left.append(pos[w[:k]])
                     right.append(pos[w[k:]])
         except KeyError as exc:
             raise ValueError(f"monomial set is not factor-closed: {exc}") from None
+        cuts.append(len(left))
         degrees = [len(w) for w in words]
         self.bounds = bounds = [bisect_left(degrees, d) for d in range(q + 2)]
-        self.small = len(left) < NUMPY_SPLITS
+        self.splits = sum(degrees) + len(words)
+        self.small = self.splits < NUMPY_SPLITS
+        spans = [(cuts[bounds[d]], cuts[bounds[d + 1]]) for d in range(2, q + 1)]
         if self.small:
-            self.left, self.right, self.starts = left, right, starts
-            # the inner splits of every monomial, in basis order, and where
-            # each monomial's run of them begins and ends
-            inner_left, inner_right, first, last = [], [], [], []
-            for s, w in zip(starts, words):
-                first.append(len(inner_left))
-                inner_left += left[s + 1 : s + len(w)]
-                inner_right += right[s + 1 : s + len(w)]
-                last.append(len(inner_left))
-            self._mul_plan = (
-                _gather(inner_left), _gather(inner_right), _gather(last), _gather(first)
-            )
-            self._inner_plan = [None, None]
-            for d in range(2, q + 1):
-                k0, k1 = first[bounds[d]], last[bounds[d + 1] - 1]
-                self._inner_plan.append(
-                    (_gather(inner_left[k0:k1]), _gather(inner_right[k0:k1]))
-                )
+            self._product = (_gather(left), _gather(right), _gather(cuts))
+            self._inner = [(_gather(left[i:j]), _gather(right[i:j])) for i, j in spans]
         else:
             np = _numpy()
-            self.left = np.array(left, dtype=np.intp)
-            self.right = np.array(right, dtype=np.intp)
-            self.starts = np.array(starts, dtype=np.intp)
-            self._inner_plan = [None, None]
-            for d in range(2, q + 1):
-                ks = self.starts[bounds[d] : bounds[d + 1], None] + np.arange(1, d)
-                self._inner_plan.append((self.left[ks.ravel()], self.right[ks.ravel()]))
-            self._mul_plan = None
+            left = np.array(left, dtype=np.intp)
+            right = np.array(right, dtype=np.intp)
+            # the first monomial of degree 2 or more, and where the run of
+            # each one from there begins
+            lo = bounds[min(q + 1, 2)]
+            self._product = (left, right, lo, np.array(cuts[lo:-1], dtype=np.intp))
+            self._inner = [(left[i:j], right[i:j]) for i, j in spans]
         self._hash = hash((n, self.words))
 
     def inner(self, d: int, x, y, acc=None, sign: int = 1, extra=None):
@@ -159,7 +151,7 @@ class Basis:
         """
         if self.small:
             if d > 1:
-                gather_left, gather_right = self._inner_plan[d]
+                gather_left, gather_right = self._inner[d - 2]
                 terms = map(mul, gather_left(x), gather_right(y))
                 run = list(itertools.accumulate(terms, initial=0))
                 sums = map(sub, run[d - 1 :: d - 1], run[: -1 : d - 1])
@@ -171,7 +163,7 @@ class Basis:
                 return list(sums if sign > 0 else map(neg, sums))
             return list(map(add if sign > 0 else sub, acc, sums))
         if d > 1:
-            left, right = self._inner_plan[d]
+            left, right = self._inner[d - 2]
             sums = (x[left] * y[right]).reshape(-1, d - 1).sum(axis=1)
         else:
             sums = np.zeros(self.bounds[2] - self.bounds[1], dtype=np.int64)
@@ -303,19 +295,19 @@ class Series:
         if b != other.basis:
             raise ValueError("series bases differ")
         x, y = self.x, other.x
+        x0, y0 = x[0], y[0]
         if b.small:
-            # the inner splits of each monomial w through one running sum, and
-            # the two splits with u or v empty as x0 y[w] + x[w] y0
-            gather_left, gather_right, gather_last, gather_first = b._mul_plan
+            # a running sum over the inner splits, differenced at each
+            # monomial's run, and the two ends x0 y[w] + x[w] y0
+            gather_left, gather_right, gather_cuts = b._product
             terms = map(mul, gather_left(x), gather_right(y))
-            run = list(itertools.accumulate(terms, initial=0))
-            x0, y0 = x[0], y[0]
+            at = gather_cuts(list(itertools.accumulate(terms, initial=0)))
             ends = map(
                 add,
                 y if x0 == 1 else map(mul, itertools.repeat(x0), y),
                 x if y0 == 1 else map(mul, x, itertools.repeat(y0)),
             )
-            out = list(map(add, map(sub, gather_last(run), gather_first(run)), ends))
+            out = list(map(add, map(sub, at[1:], at[:-1]), ends))
             out[0] = x0 * y0
             return Series(b, out)
         # |out[w]| <= sum over splits w = uv of |x[u]| |y[v]| <= L1(x) peak(y),
@@ -326,7 +318,12 @@ class Series:
             or self._l1_peak()[0] * other._l1_peak()[1] > _GUARD
         ):
             x, y = x.astype(object), y.astype(object)
-        return Series(b, np.add.reduceat(x[b.left] * y[b.right], b.starts))
+            x0, y0 = x[0], y[0]
+        left, right, lo, runs = b._product
+        out = x0 * y + x * y0
+        out[0] = x0 * y0
+        out[lo:] += np.add.reduceat(x[left] * y[right], runs)
+        return Series(b, out)
 
     def inverse(self) -> "Series":
         """Ring inverse; requires constant term +1 or -1.

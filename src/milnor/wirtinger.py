@@ -218,17 +218,16 @@ class _Graded:
     inverse then follows from m m^-1 = 1 as m^-1[d] = -(m[d] + s(m, m^-1)[d]).
     The result is the fixed point of the depth-by-depth refinement, which
     it equals at depth ``q + 1`` (depth stability: Milnor, Isotopy of links,
-    1957).  The rows are kept, so a query on a basis holding the same
-    monomials through degree t copies them through degree t and solves only
-    the degrees above.
+    1957).  A state serves only its own basis; a query on another basis
+    that holds the same monomials through degree t builds a new state,
+    which copies the rows through degree t and solves only the degrees
+    above.
     """
 
     def __init__(self, d: Diagram, basis: magnus.Basis, old: "_Graded | None"):
         self.walk = walk = _walk(d)
         self.basis = basis
         self.slot = {arc: j for j, arc in enumerate(walk.inverted)}
-        self.factors = {}  # (arc, sign, basis) -> Series
-        self.longitudes = {}  # (comp, basis) -> Series
         t = 0 if old is None else _shared_degree(old.basis, basis)
         keep = basis.bounds[t + 1]
         self.m = self._rows(walk.arcs, None if old is None else old.m, keep)
@@ -237,12 +236,6 @@ class _Graded:
             self.m, self.inv = self.m.astype(object), self.inv.astype(object)
         for deg in range(t + 1, basis.q + 1):
             self._degree(deg)
-
-    def serves(self, basis: magnus.Basis) -> bool:
-        """Whether basis is this basis or its monomials through some degree."""
-        return basis == self.basis or (
-            basis.q <= self.basis.q and _shared_degree(self.basis, basis) == basis.q
-        )
 
     def _rows(self, count: int, old, keep: int):
         """count coefficient vectors in this basis's kernel: the first keep
@@ -312,43 +305,28 @@ class _Graded:
             bound += float((l1[list(self.walk.inverted)] * inv_peak).max())
         return bound
 
-    def _factor(self, arc: int, sign: int, basis: magnus.Basis) -> magnus.Series:
-        """The meridian of arc, or its inverse for sign -1, on basis."""
-        key = (arc, sign, basis)
-        if key not in self.factors:
-            row = self.m[arc] if sign == 1 else self.inv[self.slot[arc]]
-            if basis != self.basis:
-                row = row[: len(basis)]
-                if basis.small and not self.basis.small:
-                    row = row.tolist()
-            self.factors[key] = magnus.Series(basis, row)
-        return self.factors[key]
-
-    def longitude(self, comp: int, basis: magnus.Basis) -> magnus.Series:
-        """The zero-framed longitude of comp on basis, which this serves: the
-        product of the over-arc meridians along the walk, inverted at a
-        negative crossing, with the framing correction x_comp^(-w) multiplied
-        on the left.  Cached per basis."""
-        key = (comp, basis)
-        if key in self.longitudes:
-            return self.longitudes[key]
-        out = magnus.unit(basis)
+    def longitude(self, comp: int) -> magnus.Series:
+        """The zero-framed longitude of comp: the product of the over-arc
+        meridians along the walk, inverted at a negative crossing, with the
+        framing correction x_comp^(-w) multiplied on the left."""
+        b = self.basis
+        out = magnus.unit(b)
         for o, sign in self.walk.factors[comp]:
-            out = out * self._factor(o, sign, basis)
+            row = self.m[o] if sign == 1 else self.inv[self.slot[o]]
+            out = out * magnus.Series(b, row)
         w = self.walk.writhe[comp]
         if w:
-            corr = magnus.generator_series(comp, -1 if w > 0 else 1, basis)
+            corr = magnus.generator_series(comp, -1 if w > 0 else 1, b)
             for _ in range(abs(w)):
                 out = corr * out
-        self.longitudes[key] = out
         return out
 
 
 def _meridian_series(d: Diagram, basis: magnus.Basis) -> _Graded:
-    """The graded recursion of d serving basis: the cached one when it
-    serves basis, otherwise one extended from it, which replaces it."""
+    """The graded recursion of d on basis: the cached one when it is on
+    basis, otherwise one extended from it, which replaces it."""
     state = d._cache.get("meridians")
-    if state is None or not state.serves(basis):
+    if state is None or state.basis != basis:
         state = _Graded(d, basis, state)
         d._cache["meridians"] = state
     return state
@@ -360,4 +338,4 @@ def longitude_series(d: Diagram, comp: int, basis: magnus.Basis) -> magnus.Serie
     depth ``basis.q + 1``)."""
     if not 1 <= comp <= d.n:
         raise ValueError(f"component {comp} out of range")
-    return _meridian_series(d, basis).longitude(comp, basis)
+    return _meridian_series(d, basis).longitude(comp)

@@ -191,9 +191,10 @@ class TestCable:
             from_braid(3, [1, 1, 1, 2, 2], closed=True),
         ]:
             c = cable(l, [mult] * l.n)
+            source = cable_map(l, [mult] * l.n)
             assert parse_pd(to_pd_json(c)).canonical_form() == c.canonical_form()
             for i, j in itertools.combinations(range(1, c.n + 1), 2):
-                if c.source_component[i - 1] == c.source_component[j - 1]:
+                if source[i - 1] == source[j - 1]:
                     assert c.linking_number(i, j) == 0
 
     def test_kinked_cable_values(self):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from milnor.freegroup import Word, commutator, generator, nested_commutator
+from milnor.invariants import indices_up_to
 from milnor.magnus import (
     NUMPY_SPLITS,
     Basis,
@@ -237,7 +238,7 @@ class TestPythonKernelExactness:
     def test_small_bases_hold_python_integers(self):
         assert one(2, 2).basis.small and one(1, 3).basis.small
         assert not large_one(2, 2).basis.small
-        assert len(large_one(2, 2).basis.left) >= NUMPY_SPLITS
+        assert large_one(2, 2).basis.splits >= NUMPY_SPLITS
         assert isinstance(one(2, 2).x, list)
 
     def test_l1_sum_does_not_wrap(self):
@@ -278,13 +279,30 @@ class TestBasis:
     def test_dense_is_degree_truncation(self):
         b = dense(2, 2)
         assert b.words == ((), (1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2))
-        assert b.q == 2 and len(b.left) == 1 + 2 * 2 + 4 * 3
+        assert b.q == 2 and b.splits == 1 + 2 * 2 + 4 * 3
 
     def test_closure_is_factor_closed_and_minimal(self):
         b = closure(3, [(1, 2, 3), (2, 2)])
         assert set(b.words) == {(), (1,), (2,), (3,), (1, 2), (2, 3), (2, 2), (1, 2, 3)}
         assert b == closure(3, [(2, 2), (1, 2, 3)])
         assert b != dense(3, 3) and b.q == 3
+
+    def test_split_count_picks_the_kernel(self):
+        # every split w = uv counts, len(w) + 1 per monomial
+        b = closure(3, [(1, 2, 3), (2, 2), (3, 1)])
+        assert b.splits == sum(len(w) + 1 for w in b.words) == 23
+        assert dense(2, 2).splits == 17
+        # the three bases measured at NUMPY_SPLITS: the r <= 2 query through
+        # length 6 at n = 3, and the n = 6 injective queries through lengths
+        # 4 and 5
+        r2 = closure(3, [index[:-1] for index in indices_up_to(3, 6, 2)])
+        inj4, inj5 = (
+            closure(6, [p[:-1] for p in itertools.permutations(range(1, 7), k)])
+            for k in (4, 5)
+        )
+        assert (r2.splits, r2.small) == (940, True)
+        assert (inj4.splits, inj4.small) == (583, True)
+        assert (inj5.splits, inj5.small) == (2383, False)
 
     def test_rejects_open_sets(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,10 @@
 """Smoke test of the shipped scripts: each runs to completion, and every
 diagram file the corpus script writes loads and evaluates.  The benchmark's
-trace harness runs a classify pair of each mode."""
+trace harness runs a classify pair of each mode, and every name it wraps
+exists."""
 
+import ast
+import importlib
 import json
 import subprocess
 import sys
@@ -68,3 +71,27 @@ def test_trace_harness_runs_a_pair(tmp_path, mode, verdict, make):
     assert done.returncode == 0, done.stderr
     names = {span[0] for span in json.loads(spans.read_text())["spans"]}
     assert {"cli.main", verdict} <= names
+
+
+def test_trace_harness_names_exist():
+    # every name the harness wraps, read from its source without importing
+    # it: each name listed in TRACED and each method it rebinds on a class
+    tree = ast.parse((ROOT / "perfbench" / "traced_child.py").read_text())
+    wrapped = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Assign):
+            continue
+        (target,) = node.targets
+        if isinstance(target, ast.Name) and target.id == "TRACED":
+            for module, names in zip(node.value.keys, node.value.values):
+                wrapped += [(module.id, ast.literal_eval(name)) for name in names.elts]
+        elif isinstance(target, ast.Attribute) and isinstance(target.value, ast.Attribute):
+            wrapped.append((target.value.value.id, f"{target.value.attr}.{target.attr}"))
+    assert ("magnus", "Series.__mul__") in wrapped
+    assert ("magnus", "Series.inverse") in wrapped
+    assert len(wrapped) > 30
+    for module, path in wrapped:
+        obj = importlib.import_module(f"milnor.{module}")
+        for attr in path.split("."):
+            assert hasattr(obj, attr), f"{module}.{path}"
+            obj = getattr(obj, attr)
