@@ -281,33 +281,24 @@ class BrunnianForm:
     doubled: dict  # Surjection (palindromic, length 2n) -> int
     single: dict  # Surjection (ascending, length 2n) -> int
 
+    def _families(self):
+        """(JSON key, [(surjection, exponent)] by value sequence) per family,
+        in stacking order."""
+        for label, family in (
+            ("parity", self.parity), ("palindromic", self.doubled), ("paired", self.single)
+        ):
+            yield label, sorted(family.items(), key=lambda kv: kv[0].values)
+
     def realize(self) -> Diagram:
-        parts = []
-        for phi, e in sorted(self.parity.items(), key=lambda kv: kv[0].values):
-            if e:
-                parts.append(surjection_generator(phi, e))
-        for tau, e in sorted(self.doubled.items(), key=lambda kv: kv[0].values):
-            if e:
-                parts.append(surjection_generator(tau, e))
-        for eta, e in sorted(self.single.items(), key=lambda kv: kv[0].values):
-            if e:
-                parts.append(surjection_generator(eta, e))
+        parts = [
+            surjection_generator(t, e) for _, terms in self._families() for t, e in terms if e
+        ]
         return stack_all(parts, self.n)
 
     def to_json(self):
         return {
-            "parity": [
-                {"surjection": list(p.values), "exponent": e}
-                for p, e in sorted(self.parity.items(), key=lambda kv: kv[0].values)
-            ],
-            "palindromic": [
-                {"surjection": list(t.values), "exponent": e}
-                for t, e in sorted(self.doubled.items(), key=lambda kv: kv[0].values)
-            ],
-            "paired": [
-                {"surjection": list(t.values), "exponent": e}
-                for t, e in sorted(self.single.items(), key=lambda kv: kv[0].values)
-            ],
+            label: [{"surjection": list(t.values), "exponent": e} for t, e in terms]
+            for label, terms in self._families()
         }
 
 

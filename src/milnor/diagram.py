@@ -112,55 +112,6 @@ class Diagram:
             if c.over[0] == comp and c.under[0] == comp
         )
 
-    def linking_number(self, i, j):
-        if i == j:
-            raise DiagramError("linking number needs two distinct components")
-        total = sum(
-            c.sign
-            for c in self.crossings
-            if {c.over[0], c.under[0]} == {i, j}
-        )
-        if total % 2:
-            raise DiagramError("odd crossing sign sum between two components")
-        return total // 2
-
-    def canonical_form(self):
-        """Walk data with crossings renumbered by first appearance; equal
-        canonical forms mean equal diagrams up to crossing relabeling."""
-        relabel: dict[int, int] = {}
-        out = []
-        for ev in self.events:
-            row = []
-            for cid, role in ev:
-                new = relabel.setdefault(cid, len(relabel))
-                row.append((new, role, self.signs[cid]))
-            out.append(tuple(row))
-        return (self.n, self.closed, tuple(out))
-
-    def is_isomorphic(self, other):
-        """Equality up to crossing relabeling and, for closed diagrams, up to
-        rotating each component's base point."""
-        if (self.n, self.closed, self.crossing_count) != (
-            other.n,
-            other.closed,
-            other.crossing_count,
-        ):
-            return False
-        if not self.closed:
-            return self.canonical_form() == other.canonical_form()
-        import itertools
-
-        mine = self.canonical_form()
-        lengths = [len(ev) for ev in other.events]
-        for shifts in itertools.product(*(range(max(1, l)) for l in lengths)):
-            ev = [
-                ev_i[s:] + ev_i[:s]
-                for ev_i, s in zip(other.events, shifts)
-            ]
-            if Diagram(other.n, ev, other.signs, True).canonical_form() == mine:
-                return True
-        return False
-
     def __repr__(self):
         kind = "Link" if self.closed else "StringLink"
         label = f" {self.name!r}" if self.name else ""
@@ -735,7 +686,10 @@ def parse_pd(data) -> Diagram:
         succ = {int(k): int(v) for k, v in data["orientation"].items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise DiagramError(f"malformed diagram file: {exc}") from None
-    closed = data.get("kind", "link") == "link"
+    kind = data.get("kind", "link")
+    if kind not in ("link", "stringlink"):
+        raise DiagramError(f"unknown diagram kind {kind!r}")
+    closed = kind == "link"
     if closed and "endpoints" in data:
         raise DiagramError("closed links do not carry endpoints")
     for row in pd:

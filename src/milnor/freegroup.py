@@ -41,10 +41,6 @@ class Word:
     def inverse(self) -> "Word":
         return Word(self.rank, tuple(-x for x in reversed(self.letters)))
 
-    def conjugate(self, by: "Word") -> "Word":
-        """by * self * by^-1."""
-        return by * self * by.inverse()
-
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -57,35 +53,3 @@ class Word:
     def __str__(self) -> str:
         return " ".join(str(x) for x in self.letters)
 
-
-def identity(rank: int) -> Word:
-    return Word(rank)
-
-
-def generator(rank: int, j: int, sign: int = 1) -> Word:
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return Word(rank, (sign * j,))
-
-
-def commutator(a: Word, b: Word) -> Word:
-    """a b a^-1 b^-1."""
-    if a.rank != b.rank:
-        raise ValueError("rank mismatch")
-    return a * b * a.inverse() * b.inverse()
-
-
-def nested_commutator(factors: list[Word]) -> Word:
-    """Right-normed bracket [w_1, [w_2, [..., w_r]...]]; a single factor is
-    returned as is."""
-    if not factors:
-        raise ValueError("need at least one factor")
-    word = factors[-1]
-    for w in reversed(factors[:-1]):
-        word = commutator(w, word)
-    return word
-
-
-def parse_word(text: str, rank: int) -> Word:
-    letters = tuple(int(t) for t in text.split())
-    return Word(rank, letters)

@@ -252,7 +252,7 @@ class Series:
     def constant(self) -> int:
         return int(self.x[0])
 
-    def _position(self, monomial) -> int:
+    def coefficient(self, monomial) -> int:
         monomial = tuple(monomial)
         for v in monomial:
             if not 1 <= v <= self.n:
@@ -262,20 +262,14 @@ class Series:
                 f"monomial degree {len(monomial)} exceeds truncation {self.q}"
             )
         try:
-            return self.basis.pos[monomial]
+            return int(self.x[self.basis.pos[monomial]])
         except KeyError:
             raise ValueError(f"monomial {monomial} is outside the basis") from None
 
-    def coefficient(self, monomial) -> int:
-        return int(self.x[self._position(monomial)])
-
-    def set_coefficient(self, monomial, value: int) -> None:
-        self.x[self._position(monomial)] = int(value)
-        self._norms = None
-
     def _l1_peak(self) -> tuple[float, float]:
         """L1 norm and largest magnitude of an int64 vector, in float64 so
-        that neither can wrap; cached, series are not changed by products."""
+        that neither can wrap; cached, since a series never changes after
+        construction."""
         if self._norms is None:
             a = np.abs(self.x.astype(np.float64))
             self._norms = (float(a.sum()), float(a.max()))
@@ -398,14 +392,6 @@ def unit(basis: Basis) -> Series:
     s = Series(basis)
     s.x[0] = 1
     return s
-
-
-def zero(n: int, q: int) -> Series:
-    return Series(dense(n, q))
-
-
-def one(n: int, q: int) -> Series:
-    return unit(dense(n, q))
 
 
 def generator_series(j: int, sign: int, basis: Basis) -> Series:

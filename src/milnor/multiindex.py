@@ -19,35 +19,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 Index = Tuple[int, ...]
-
-
-def as_index(entries: Iterable[int], n: int | None = None) -> Index:
-    idx = tuple(int(e) for e in entries)
-    for e in idx:
-        if e < 1 or (n is not None and e > n):
-            raise ValueError(f"index entry {e} out of range 1..{n}")
-    return idx
-
-
-def repeat_max(index: Sequence[int]) -> int:
-    """Maximum multiplicity of any value in the index (0 for the empty index)."""
-    if not index:
-        return 0
-    return max(index.count(v) for v in set(index))
-
-
-def parse_index(text: str, n: int) -> Index:
-    """Parse "12233" (only when n <= 9) or "1,2,2,3,3" into an index tuple."""
-    text = text.strip()
-    if "," in text:
-        parts = [p for p in text.split(",") if p.strip()]
-        return as_index((int(p) for p in parts), n)
-    if n > 9:
-        raise ValueError("digit-string indices are only unambiguous for n <= 9")
-    return as_index((int(ch) for ch in text), n)
 
 
 def format_index(index: Sequence[int], n: int) -> str:
@@ -83,11 +57,6 @@ class Injection:
     @property
     def k(self) -> int:
         return len(self.values)
-
-    @property
-    def target(self) -> int:
-        """Component carrying the commutator, the largest value pi(k)."""
-        return self.values[-1]
 
 
 def injections(k: int, n: int) -> list[Injection]:
@@ -145,11 +114,6 @@ class Surjection:
     def index(self) -> Index:
         """The length-m invariant index tau(1)...tau(m-2) k k."""
         return self.values + (self.k, self.k)
-
-
-def reversed_surjection(tau: Surjection) -> Surjection:
-    """Precompose with i -> m-1-i, i.e. reverse the value sequence."""
-    return Surjection(tau.n, tau.k, tau.values[::-1])
 
 
 def surjections(m: int, k: int, n: int) -> list[Surjection]:

@@ -11,14 +11,18 @@ moves x_i^(+-1) to the left of the partial longitude lambda_{<k}.  For a
 string link, whose longitude need not commute with x_i, only the left
 correction cancels it.
 
-The recursion is implemented twice.  On free-group words it refines every
-arc depth by depth, each pass conjugating by the previous pass's words;
-the words are exact at every depth and serve inspection and small depths.
-On Magnus series over a monomial basis (used by the invariant engine,
-which sizes the basis by its query) it is graded: degree d of every
-meridian depends only on lower degrees of the over-arcs, so one walk per
-degree fills it for every arc, and a larger query reuses every degree a
-smaller one on the same monomials computed (``_Graded``).
+One refinement serves words and the test oracle.  ``_unders`` yields each
+under-passage with its over-arc; ``_refine`` refines every arc's meridian
+depth by depth, each pass conjugating by the previous pass's meridians, and
+``_longitude`` multiplies a longitude from them.  Both work on any element
+with ``*`` and ``inverse()``: on free-group words they give
+``meridian_words`` and ``longitude_word``, exact at every depth, and the
+tests run them on Magnus series as the oracle of the graded walk.  The
+invariant engine uses the graded walk ``_Graded`` on Magnus series over a
+monomial basis, which it sizes by its query: degree d of every meridian
+depends only on lower degrees of the over-arcs, so one walk per degree fills
+it for every arc, and a larger query reuses every degree a smaller one on
+the same monomials computed.
 """
 
 from __future__ import annotations
@@ -48,16 +52,6 @@ class Presentation:
     component_of: dict
     relations: tuple[Relation, ...]
 
-    def dump(self) -> str:
-        lines = [f"arcs: {len(self.arcs)}, relations: {len(self.relations)}"]
-        for r in self.relations:
-            e = "^-1" if r.sign == 1 else ""
-            lines.append(
-                f"x{r.out_arc} = x{r.over_arc}{e} x{r.in_arc} x{r.over_arc}"
-                + ("" if r.sign == 1 else "^-1")
-            )
-        return "\n".join(lines)
-
 
 def presentation(d: Diagram) -> Presentation:
     """One generator per diagram arc (PD edge) and one conjugation relation
@@ -82,60 +76,66 @@ def presentation(d: Diagram) -> Presentation:
     return Presentation(d, arcs, component_of, tuple(relations))
 
 
-def _arc_wrap(d: Diagram, comp: int, ordinal: int) -> int:
-    # in a closed diagram the arc after the final under-passage is the base arc
-    if d.closed and ordinal >= d.arc_count(comp):
-        return 0
-    return ordinal
+def _unders(d: Diagram, comp: int):
+    """Yield comp's under-passages in walk order, each as ((over comp, over
+    arc), sign).  In a closed diagram the arc after a component's final
+    under-passage is its base arc."""
+    for cid, role in d.events[comp - 1]:
+        if role == UNDER:
+            c = d.crossings[cid]
+            oc, op = c.over
+            arc = d.arc_at(oc, op)
+            yield (oc, 0 if d.closed and arc >= d.arc_count(oc) else arc), c.sign
+
+
+def _refine(d: Diagram, depth: int, base) -> dict:
+    """Each arc's meridian, keyed (comp, arc), after depth passes from the
+    base meridians base(comp).  Every arc starts at its component's base
+    meridian; each pass walks every component from its base arc, conjugating
+    the running meridian by the previous pass's over-arc meridian at each
+    under-passage.  The elements need only ``*`` and ``inverse()``."""
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    gens = {comp: base(comp) for comp in range(1, d.n + 1)}
+    out = {(comp, a): x for comp, x in gens.items() for a in range(d.arc_count(comp))}
+    for _ in range(depth - 1):
+        prev, out = out, {}
+        for comp, cur in gens.items():
+            out[(comp, 0)] = cur
+            for arc, (over, sign) in enumerate(_unders(d, comp), start=1):
+                o = prev[over]
+                cur = o.inverse() * cur * o if sign == 1 else o * cur * o.inverse()
+                if arc < d.arc_count(comp):
+                    out[(comp, arc)] = cur
+    return out
+
+
+def _longitude(d: Diagram, comp: int, meridians: dict, one):
+    """The zero-framed longitude of comp multiplied from the meridians of
+    ``_refine``: x_comp^(-w) on the left, then the over-arc meridians along
+    comp's under-passages, inverted at a negative crossing; one is the
+    identity element."""
+    x, w = meridians[(comp, 0)], d.writhe(comp)
+    correction = x.inverse() if w > 0 else x
+    out = one
+    for _ in range(abs(w)):
+        out = out * correction
+    for over, sign in _unders(d, comp):
+        out = out * (meridians[over] if sign == 1 else meridians[over].inverse())
+    return out
 
 
 def meridian_words(d: Diagram, depth: int) -> dict[tuple[int, int], Word]:
     """Exact meridian words per arc at a given depth.  Word lengths grow
     quickly with depth; intended for inspection and cross-checks."""
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    words = {
-        (comp, a): Word(d.n, (comp,))
-        for comp in range(1, d.n + 1)
-        for a in range(d.arc_count(comp))
-    }
-    for _ in range(depth - 1):
-        prev = words
-        words = {}
-        for comp in range(1, d.n + 1):
-            cur = Word(d.n, (comp,))
-            words[(comp, 0)] = cur
-            arc = 0
-            for cid, role in d.events[comp - 1]:
-                if role != UNDER:
-                    continue
-                c = d.crossings[cid]
-                oc, op = c.over
-                over = prev[(oc, _arc_wrap(d, oc, d.arc_at(oc, op)))]
-                conj = over.inverse() if c.sign == 1 else over
-                cur = conj * cur * conj.inverse()
-                arc += 1
-                if arc < d.arc_count(comp):
-                    words[(comp, arc)] = cur
-    return words
+    return _refine(d, depth, lambda comp: Word(d.n, (comp,)))
 
 
 def longitude_word(d: Diagram, comp: int, depth: int) -> Word:
     """Zero-framed longitude as an exact word at a given depth."""
     if not 1 <= comp <= d.n:
         raise ValueError(f"component {comp} out of range")
-    words = meridian_words(d, depth)
-    out = Word(d.n)
-    for cid, role in d.events[comp - 1]:
-        if role != UNDER:
-            continue
-        c = d.crossings[cid]
-        oc, op = c.over
-        over = words[(oc, _arc_wrap(d, oc, d.arc_at(oc, op)))]
-        out = out * (over if c.sign == 1 else over.inverse())
-    w = d.writhe(comp)
-    correction = Word(d.n, (-comp if w > 0 else comp,) * abs(w))
-    return correction * out
+    return _longitude(d, comp, meridian_words(d, depth), Word(d.n))
 
 
 @dataclass(frozen=True)
@@ -166,17 +166,10 @@ def _walk(d: Diagram) -> _Walk:
     index = {arc: i for i, arc in enumerate(arcs)}
     passages, factors = [], {}
     for comp in range(1, d.n + 1):
-        arc, factors[comp] = 0, []
-        for cid, role in d.events[comp - 1]:
-            if role != UNDER:
-                continue
-            c = d.crossings[cid]
-            oc, op = c.over
-            over = index[(oc, _arc_wrap(d, oc, d.arc_at(oc, op)))]
-            factors[comp].append((over, c.sign))
-            arc += 1
-            if arc < d.arc_count(comp):
-                passages.append((index[(comp, arc - 1)], index[(comp, arc)], over, c.sign))
+        factors[comp] = [(index[over], sign) for over, sign in _unders(d, comp)]
+        leading = factors[comp][: d.arc_count(comp) - 1]
+        for arc, (over, sign) in enumerate(leading, start=1):
+            passages.append((index[(comp, arc - 1)], index[(comp, arc)], over, sign))
     inverted = sorted({o for fs in factors.values() for o, sign in fs if sign == -1})
     bases = tuple((comp, index[(comp, 0)]) for comp in range(1, d.n + 1))
     writhe = {comp: d.writhe(comp) for comp in range(1, d.n + 1)}

@@ -1,9 +1,12 @@
 import itertools
 import json
 import math
+from collections import Counter
+from functools import lru_cache
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from oracles import repeat_max
 
 from milnor.classify import injection_generator, surjection_generator
 from milnor.diagram import (
@@ -33,7 +36,7 @@ from milnor.invariants import (
     table,
 )
 from milnor.magnus import dense
-from milnor.multiindex import Injection, repeat_max, selfdelta_generator_indices
+from milnor.multiindex import Injection, selfdelta_generator_indices
 from milnor.wirtinger import longitude_series
 
 
@@ -365,7 +368,58 @@ class TestIndicesUpTo:
                     assert got == [i for i in want if len(i) <= max_len]
 
 
+@lru_cache(maxsize=None)
+def infiltration(u, v):
+    """The infiltration product u ^ v of two words as {word: multiplicity}:
+    u ^ () = u, () ^ v = v and, for letters a and b, ua ^ vb =
+    (u ^ vb)a + (ua ^ v)b + [a = b](u ^ v)a (Chen, Fox and Lyndon, Free
+    differential calculus IV, 1958).  Its top-degree part is the shuffle."""
+    if not u or not v:
+        return {u + v: 1}
+    out = Counter()
+    for w, c in infiltration(u[:-1], v).items():
+        out[w + u[-1:]] += c
+    for w, c in infiltration(u, v[:-1]).items():
+        out[w + v[-1:]] += c
+    if u[-1] == v[-1]:
+        for w, c in infiltration(u[:-1], v[:-1]).items():
+            out[w + u[-1:]] += c
+    return dict(out)
+
+
+@st.composite
+def string_links(draw):
+    """A pure braid on 2-4 strands, a product of conjugated squares of
+    generators, sometimes stacked with a tree tangle."""
+    n = draw(st.integers(2, 4))
+    letter = st.integers(1, n - 1).flatmap(lambda g: st.sampled_from([g, -g]))
+    word = []
+    for _ in range(draw(st.integers(1, 3))):
+        conj, g = draw(st.lists(letter, max_size=2)), draw(letter)
+        word += conj + [g, g] + [-x for x in reversed(conj)]
+    d = from_braid(n, word)
+    if draw(st.booleans()):
+        leaves = draw(st.permutations(range(1, n + 1)))[: draw(st.integers(2, n))]
+        d = stack(d, tree_tangle(n, leaves))
+    return d
+
+
 class TestTheorems:
+    @settings(max_examples=60, deadline=None)
+    @given(string_links(), st.data())
+    def test_infiltration_product(self, d, data):
+        # the Magnus expansion of a longitude is group-like, so its
+        # coefficients multiply by the infiltration product:
+        # sum over H of (I ^ J)_H mu(Hk) = mu(Ik) mu(Jk)
+        entry = st.integers(1, d.n)
+        i = tuple(data.draw(st.lists(entry, min_size=1, max_size=3)))
+        j = tuple(data.draw(st.lists(entry, min_size=1, max_size=2)))
+        k = data.draw(entry)
+        product = infiltration(i, j)
+        values = evaluate(d, [i + (k,), j + (k,)] + [h + (k,) for h in product])
+        lhs = sum(c * values[h + (k,)] for h, c in product.items())
+        assert lhs == values[i + (k,)] * values[j + (k,)]
+
     def test_additivity_on_generators(self):
         # both factors have vanishing invariants below their own level, so
         # stacking adds values through the sum of the windows

@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from oracles import commutator, nested_commutator, repeat_max
 
-from milnor.freegroup import Word, commutator, generator, nested_commutator
+from milnor.freegroup import Word
 from milnor.invariants import indices_up_to
 from milnor.magnus import (
     NUMPY_SPLITS,
@@ -14,11 +15,8 @@ from milnor.magnus import (
     dense,
     expand,
     generator_series,
-    one,
     unit,
-    zero,
 )
-from milnor.multiindex import repeat_max
 
 # -- independent oracle: dict-based truncated polynomials ---------------------
 
@@ -64,6 +62,12 @@ def as_dict(series):
     return dict(series.monomials())
 
 
+def on_basis(basis, coeffs):
+    """The series on basis with the given coefficients, zero elsewhere."""
+    x = [coeffs.get(w, 0) for w in basis.words]
+    return Series(basis, x if basis.small else np.array(x, dtype=np.int64))
+
+
 words3 = st.builds(
     lambda letters: Word(3, tuple(letters)),
     st.lists(st.sampled_from([1, 2, 3, -1, -2, -3]), max_size=10),
@@ -81,7 +85,7 @@ class TestGeneratorSeries:
 
     def test_geometric_identity(self):
         s = generator_series(1, 1, dense(2, 3)) * generator_series(1, -1, dense(2, 3))
-        assert s == one(2, 3)
+        assert s == unit(dense(2, 3))
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -102,28 +106,28 @@ class TestMultiply:
 
     def test_identity(self):
         a = expand(Word(2, (1, 2, -1)), 3)
-        assert a * one(2, 3) == a
+        assert a * unit(dense(2, 3)) == a
 
     def test_parameter_mismatch(self):
         with pytest.raises(ValueError):
-            one(2, 3) * one(3, 3)
+            unit(dense(2, 3)) * unit(dense(3, 3))
         with pytest.raises(ValueError):
-            one(2, 3) * one(2, 2)
+            unit(dense(2, 3)) * unit(dense(2, 2))
 
 
 class TestExpand:
     def test_empty(self):
-        assert expand(Word(3), 2) == one(3, 2)
+        assert expand(Word(3), 2) == unit(dense(3, 2))
 
     def test_commutator(self):
-        w = commutator(generator(2, 1), generator(2, 2))
+        w = commutator(Word(2, (1,)), Word(2, (2,)))
         assert as_dict(expand(w, 2)) == {(): 1, (1, 2): 1, (2, 1): -1}
 
     def test_nested_lowest_terms(self):
         # the right-normed bracket has coefficient +1 on its own ordered
         # monomial and nothing else ending in the last letter, in its degree
         for r in range(2, 5):
-            w = nested_commutator([generator(4, j) for j in range(1, r + 1)])
+            w = nested_commutator([Word(4, (j,)) for j in range(1, r + 1)])
             s = expand(w, r - 0)
             for mono in itertools.product(range(1, 5), repeat=r):
                 if mono[-1] != r:
@@ -142,7 +146,7 @@ class TestExpand:
 
 class TestCoefficient:
     def test_basic(self):
-        w = commutator(generator(2, 1), generator(2, 2))
+        w = commutator(Word(2, (1,)), Word(2, (2,)))
         s = expand(w, 2)
         assert s.coefficient((1, 2)) == 1
         assert s.coefficient((2, 1)) == -1
@@ -150,46 +154,43 @@ class TestCoefficient:
 
     def test_degree_guard(self):
         with pytest.raises(ValueError):
-            one(2, 2).coefficient((1, 1, 1))
+            unit(dense(2, 2)).coefficient((1, 1, 1))
 
 
 class TestSeriesOps:
     def test_inverse(self):
         s = expand(Word(3, (1, 2, 3, -1)), 3)
-        assert s * s.inverse() == one(3, 3)
-        assert s.inverse() * s == one(3, 3)
+        assert s * s.inverse() == unit(dense(3, 3))
+        assert s.inverse() * s == unit(dense(3, 3))
 
     def test_inverse_needs_unit(self):
         with pytest.raises(ValueError):
-            zero(2, 2).inverse()
+            Series(dense(2, 2)).inverse()
 
     def test_str(self):
-        w = commutator(generator(2, 1), generator(2, 2))
+        w = commutator(Word(2, (1,)), Word(2, (2,)))
         assert str(expand(w, 2)) == "1 + X1X2 - X2X1"
-        assert str(zero(2, 2)) == "0"
+        assert str(Series(dense(2, 2))) == "0"
 
     def test_str_coefficients(self):
-        s = zero(2, 2)
-        s.set_coefficient((), -3)
-        s.set_coefficient((1, 2), 2)
+        s = on_basis(dense(2, 2), {(): -3, (1, 2): 2})
         assert str(s) == "- 3 + 2X1X2"
 
     def test_object_fallback_exactness(self):
         # huge coefficients leave int64 range but stay exact
-        s = one(1, 2)
-        s.set_coefficient((1,), 2**40)
+        s = on_basis(dense(1, 2), {(): 1, (1,): 2**40})
         p = s * s
         assert p.coefficient((1, 1)) == 2**80
 
 
-def large_one(n, q):
-    """The unit on dense(n, q)'s monomials padded with powers of one more
-    variable X_{n+1} until the basis takes the numpy kernel; no product or
-    inverse of series in X_1..X_n has a nonzero coefficient on the padding."""
+def large_basis(n, q):
+    """dense(n, q)'s monomials padded with powers of one more variable
+    X_{n+1} until the basis takes the numpy kernel; no product or inverse of
+    series in X_1..X_n has a nonzero coefficient on the padding."""
     for k in range(1, 100):
         basis = closure(n + 1, list(dense(n, q).words) + [(n + 1,) * k])
         if not basis.small:
-            return unit(basis)
+            return basis
     raise AssertionError("no padded basis reaches NUMPY_SPLITS")
 
 
@@ -199,11 +200,8 @@ class TestOverflowGuard:
     def test_l1_sum_does_not_wrap(self):
         # L1(a) = 1 + 2**63 wraps to a negative int64; the guard must still
         # see that the product leaves int64 range
-        a = large_one(2, 2)
-        a.set_coefficient((1,), 2**62)
-        a.set_coefficient((2,), 2**62)
-        b = large_one(2, 2)
-        b.set_coefficient((1,), 3)
+        a = on_basis(large_basis(2, 2), {(): 1, (1,): 2**62, (2,): 2**62})
+        b = on_basis(large_basis(2, 2), {(): 1, (1,): 3})
         p = a * b
         assert p.coefficient((1, 1)) == 3 * 2**62
         assert p.coefficient((2, 1)) == 3 * 2**62
@@ -211,68 +209,60 @@ class TestOverflowGuard:
 
     def test_near_boundary_stays_int64(self):
         # L1(a) * peak(b) = 2**60 exactly: the guard's bound, still int64
-        a = large_one(2, 2)
-        a.set_coefficient((1,), 2**30 - 1)
-        b = large_one(2, 2)
-        b.set_coefficient((2,), 2**30)
+        basis = large_basis(2, 2)
+        a = on_basis(basis, {(): 1, (1,): 2**30 - 1})
+        b = on_basis(basis, {(): 1, (2,): 2**30})
         p = a * b
         assert p.coeffs[0].dtype == np.int64
         assert p.coefficient((1, 2)) == (2**30 - 1) * 2**30
         # one more unit of L1 crosses the bound and falls back, still exact
-        a.set_coefficient((1,), 2**30)
+        a = on_basis(basis, {(): 1, (1,): 2**30})
         p = a * b
         assert p.coeffs[0].dtype == object
         assert p.coefficient((1, 2)) == 2**60
 
     def test_inverse_leaves_int64_exactly(self):
-        s = large_one(1, 3)
-        s.set_coefficient((1,), 2**40)
+        s = on_basis(large_basis(1, 3), {(): 1, (1,): 2**40})
         want = {(): 1, (1,): -(2**40), (1, 1): 2**80, (1, 1, 1): -(2**120)}
         assert as_dict(s.inverse()) == want
-        assert s * s.inverse() == large_one(1, 3)
+        assert s * s.inverse() == unit(large_basis(1, 3))
 
 
 class TestPythonKernelExactness:
     """The same values on bases below NUMPY_SPLITS, held as Python integers."""
 
     def test_small_bases_hold_python_integers(self):
-        assert one(2, 2).basis.small and one(1, 3).basis.small
-        assert not large_one(2, 2).basis.small
-        assert large_one(2, 2).basis.splits >= NUMPY_SPLITS
-        assert isinstance(one(2, 2).x, list)
+        assert dense(2, 2).small and dense(1, 3).small
+        assert not large_basis(2, 2).small
+        assert large_basis(2, 2).splits >= NUMPY_SPLITS
+        assert isinstance(unit(dense(2, 2)).x, list)
 
     def test_l1_sum_does_not_wrap(self):
-        a = one(2, 2)
-        a.set_coefficient((1,), 2**62)
-        a.set_coefficient((2,), 2**62)
-        b = one(2, 2)
-        b.set_coefficient((1,), 3)
+        a = on_basis(dense(2, 2), {(): 1, (1,): 2**62, (2,): 2**62})
+        b = on_basis(dense(2, 2), {(): 1, (1,): 3})
         p = a * b
         assert p.coefficient((1, 1)) == 3 * 2**62
         assert p.coefficient((2, 1)) == 3 * 2**62
         assert p.coefficient((1,)) == 2**62 + 3
 
     def test_near_boundary(self):
-        a = one(2, 2)
-        a.set_coefficient((1,), 2**30 - 1)
-        b = one(2, 2)
-        b.set_coefficient((2,), 2**30)
+        a = on_basis(dense(2, 2), {(): 1, (1,): 2**30 - 1})
+        b = on_basis(dense(2, 2), {(): 1, (2,): 2**30})
         p = a * b
         assert p.coefficient((1, 2)) == (2**30 - 1) * 2**30
-        a.set_coefficient((1,), 2**30)
+        a = on_basis(dense(2, 2), {(): 1, (1,): 2**30})
         p = a * b
         assert p.coefficient((1, 2)) == 2**60
         # coeffs reports int64 while values fit, object dtype once one leaves
         assert p.coeffs[2].dtype == np.int64
-        a.set_coefficient((1,), 2**40)
+        a = on_basis(dense(2, 2), {(): 1, (1,): 2**40})
         assert (a * b).coeffs[2].dtype == object
 
     def test_inverse_leaves_int64_exactly(self):
-        s = one(1, 3)
-        s.set_coefficient((1,), 2**40)
+        s = on_basis(dense(1, 3), {(): 1, (1,): 2**40})
         want = {(): 1, (1,): -(2**40), (1, 1): 2**80, (1, 1, 1): -(2**120)}
         assert as_dict(s.inverse()) == want
-        assert s * s.inverse() == one(1, 3)
+        assert s * s.inverse() == unit(dense(1, 3))
 
 
 class TestBasis:
@@ -316,7 +306,7 @@ class TestBasis:
         with pytest.raises(ValueError):
             s.coefficient((2, 1))
         with pytest.raises(ValueError):
-            s * one(2, 2)
+            s * unit(dense(2, 2))
 
     def test_generator_series_stops_at_the_basis(self):
         b = closure(2, [(1, 1, 2)])
@@ -364,13 +354,6 @@ def basis_series(draw):
     return basis, a, b
 
 
-def on_basis(basis, coeffs):
-    s = Series(basis)
-    for m, c in coeffs.items():
-        s.set_coefficient(m, c)
-    return s
-
-
 def near_2_62(basis):
     """Two series with every coefficient within 2**11 of +-2**62 (bases of at
     most 682 monomials), the second with constant term -1."""
@@ -405,7 +388,7 @@ def test_expand_is_multiplicative(a, b):
 def test_group_like(w):
     s = expand(w, 3)
     assert s.constant == 1
-    assert s * expand(w.inverse(), 3) == one(3, 3)
+    assert s * expand(w.inverse(), 3) == unit(dense(3, 3))
 
 
 @given(words3, words3)

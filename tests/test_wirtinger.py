@@ -21,7 +21,7 @@ from milnor.diagram import (
 from milnor.freegroup import Word
 from milnor.invariants import evaluate, indices_up_to
 from milnor.magnus import NUMPY_SPLITS, Basis, dense, expand
-from milnor.multiindex import Injection, repeat_max, selfdelta_generator_indices
+from milnor.multiindex import Injection, selfdelta_generator_indices
 from milnor.wirtinger import (
     longitude_series,
     longitude_word,
@@ -55,7 +55,6 @@ class TestPresentation:
         d = tree_tangle(3, (1, 2, 3))
         p = presentation(d)
         assert len(p.relations) == d.crossing_count
-        assert "x" in p.dump()
 
 
 class TestMeridians:
@@ -166,9 +165,8 @@ class TestLongitude:
         # the target longitude's expansion agrees with the word's on
         # monomials avoiding the target variable
         from milnor.diagram import commutator_tangle
-        from milnor.freegroup import commutator, generator
 
-        w = commutator(generator(3, 1), generator(3, 2))
+        w = oracles.commutator(Word(3, (1,)), Word(3, (2,)))
         t = commutator_tangle(w, 3, 3)
         series = longitude_series(t, 3, dense(3, 2))
         ref = expand(w, 2)
@@ -221,7 +219,8 @@ def query_bases(draw, n):
         word = st.lists(st.integers(1, n), min_size=1, max_size=q).map(tuple)
         return magnus.closure(n, draw(st.lists(word, min_size=1, max_size=6)))
     bound = {"injective": 1, "r2": 2, "dense": q}[kind]
-    return magnus.closure(n, [w for w in dense(n, q).words if repeat_max(w) <= bound])
+    words = [w for w in dense(n, q).words if oracles.repeat_max(w) <= bound]
+    return magnus.closure(n, words)
 
 
 def assert_matches_oracle(d, basis, t=None):
