@@ -15,7 +15,6 @@ the diagram, and read by every verdict on that input.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,6 +27,7 @@ from .multiindex import (
     all_injections,
     ascending_surjections,
     format_index,
+    injections,
     palindromic_partner,
     palindromic_surjections,
 )
@@ -126,12 +126,11 @@ def homotopy_normal_form(l: Diagram) -> HomotopyNormalForm:
     if "normal_form" in l._cache:
         return l._cache["normal_form"]
     n = l.n
-    injections = all_injections(n)
-    target = invariants.evaluate(l, [pi.values for pi in injections])
+    target = invariants.evaluate(l, [pi.values for pi in all_injections(n)])
     exponents: dict[Injection, int] = {}
     partial = trivial_string_link(n)
     for k in range(2, n + 1):
-        level = [pi for pi in injections if pi.k == k]
+        level = injections(k, n)
         built = invariants.evaluate(partial, [pi.values for pi in level])
         for pi in level:
             exponents[pi] = target[pi.values] - built[pi.values]
@@ -259,16 +258,17 @@ def link_homotopy_trivial(l: Diagram) -> bool:
 
     The shortest nonzero value is exact (its indeterminacy is a gcd of
     shorter repetition-free values, all zero), so raw coefficients decide,
-    and the decision stops at the first length with a nonzero value.  The
-    indices of length k need the injective monomials of degree below k,
-    the monomials of length k-1's query and one degree more, so each
-    length extends the graded recursion of the one before: a scan that
-    finds nothing costs one query at length n.
+    and the decision stops at the first length with a nonzero value.  Each
+    length k reads only the ordered injections: when every shorter value
+    vanishes, the level-k exponents of the cut-open link's normal form
+    (``homotopy_normal_form``) are exactly these values, and they vanish
+    iff every repetition-free value of length k does (Habegger-Lin, The
+    classification of links up to link-homotopy, 1990).
     """
     if not l.closed:
         raise ValueError("this decision applies to closed links")
     for k in range(2, l.n + 1):
-        indices = itertools.permutations(range(1, l.n + 1), k)
+        indices = [pi.values for pi in injections(k, l.n)]
         if any(invariants.evaluate(l, indices).values()):
             return False
     return True

@@ -684,7 +684,7 @@ def parse_pd(data) -> Diagram:
         pd = [list(map(int, row)) for row in data["pd"]]
         comp_of = {int(k): int(v) for k, v in data["component_of_arc"].items()}
         succ = {int(k): int(v) for k, v in data["orientation"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DiagramError(f"malformed diagram file: {exc}") from None
     kind = data.get("kind", "link")
     if kind not in ("link", "stringlink"):
@@ -848,6 +848,8 @@ def load_diagram(data) -> Diagram:
     """Load either a PD file or a braid file."""
     if isinstance(data, str):
         data = json.loads(data)
+    if not isinstance(data, dict):
+        raise DiagramError("a diagram file holds a JSON object")
     if "pd" in data:
         return parse_pd(data)
     if "word" in data:

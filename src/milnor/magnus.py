@@ -53,8 +53,11 @@ _GUARD = float(2**60)
 # every query measured (at most 0.10 s, the 877-crossing cable at 583
 # splits), and at 2,383 splits no longer does (0.54 s saved there).  So
 # every link-homotopy query (at most 141 splits), the r <= 2 table of a
-# 3-component link (940) and a doubled 3-component link through length 4
-# (583) stay on Python integers.
+# 3-component link (940) and every length of the doubling scan of a
+# 3-component link (at most 587, at length 6) stay on Python integers: no
+# 3-component self-delta report loads numpy.  The r <= 2 table of a
+# 4-component link (35,157) and the doubling scan of one from length 5
+# (1,773) use numpy.
 NUMPY_SPLITS = 1024
 
 np = None  # numpy, bound by _numpy() when the first large basis is built

@@ -21,8 +21,7 @@ tests run them on Magnus series as the oracle of the graded walk.  The
 invariant engine uses the graded walk ``_Graded`` on Magnus series over a
 monomial basis, which it sizes by its query: degree d of every meridian
 depends only on lower degrees of the over-arcs, so one walk per degree fills
-it for every arc, and a larger query reuses every degree a smaller one on
-the same monomials computed.
+it for every arc.
 """
 
 from __future__ import annotations
@@ -179,18 +178,6 @@ def _walk(d: Diagram) -> _Walk:
     return d._cache["walk"]
 
 
-def _shared_degree(a: magnus.Basis, b: magnus.Basis) -> int:
-    """The largest t such that both bases hold the same monomials through
-    degree t, which then sit at the same positions in both."""
-    t = 0
-    while t < min(a.q, b.q) and (
-        a.words[a.bounds[t + 1] : a.bounds[t + 2]]
-        == b.words[b.bounds[t + 1] : b.bounds[t + 2]]
-    ):
-        t += 1
-    return t
-
-
 class _Graded:
     """The graded meridian recursion of one diagram on one basis: the Magnus
     series of every arc's meridian, and of the inverse of each meridian a
@@ -211,45 +198,26 @@ class _Graded:
     inverse then follows from m m^-1 = 1 as m^-1[d] = -(m[d] + s(m, m^-1)[d]).
     The result is the fixed point of the depth-by-depth refinement, which
     it equals at depth ``q + 1`` (depth stability: Milnor, Isotopy of links,
-    1957).  A state serves only its own basis; a query on another basis
-    that holds the same monomials through degree t builds a new state,
-    which copies the rows through degree t and solves only the degrees
-    above.
+    1957).  A state serves only its own basis and solves it from degree 1.
     """
 
-    def __init__(self, d: Diagram, basis: magnus.Basis, old: "_Graded | None"):
+    def __init__(self, d: Diagram, basis: magnus.Basis):
         self.walk = walk = _walk(d)
         self.basis = basis
         self.slot = {arc: j for j, arc in enumerate(walk.inverted)}
-        t = 0 if old is None else _shared_degree(old.basis, basis)
-        keep = basis.bounds[t + 1]
-        self.m = self._rows(walk.arcs, None if old is None else old.m, keep)
-        self.inv = self._rows(len(walk.inverted), None if old is None else old.inv, keep)
-        if not basis.small and object in (self.m.dtype, self.inv.dtype):
-            self.m, self.inv = self.m.astype(object), self.inv.astype(object)
-        for deg in range(t + 1, basis.q + 1):
+        self.m = self._rows(walk.arcs)
+        self.inv = self._rows(len(walk.inverted))
+        for deg in range(1, basis.q + 1):
             self._degree(deg)
 
-    def _rows(self, count: int, old, keep: int):
-        """count coefficient vectors in this basis's kernel: the first keep
-        positions of old's rows when given, else constant term 1; the rest
-        zero."""
+    def _rows(self, count: int):
+        """count coefficient vectors in this basis's kernel, each with
+        constant term 1 and zero elsewhere."""
         b = self.basis
-        if old is None:
-            prefix, keep = [[1]] * count, 1
-        elif isinstance(old, list):
-            prefix = [row[:keep] for row in old]
-        else:
-            prefix = old[:, :keep]
         if b.small:
-            if not isinstance(prefix, list):
-                prefix = prefix.tolist()
-            pad = [0] * (len(b) - keep)
-            return [row + pad for row in prefix]
-        if isinstance(prefix, list):
-            prefix = magnus._int_array(prefix) if prefix else magnus.np.zeros((0, keep), int)
-        rows = magnus.np.zeros((count, len(b)), dtype=prefix.dtype)
-        rows[:, :keep] = prefix
+            return [[1] + [0] * (len(b) - 1) for _ in range(count)]
+        rows = magnus.np.zeros((count, len(b)), dtype=magnus.np.int64)
+        rows[:, 0] = 1
         return rows
 
     def _degree(self, deg: int) -> None:
@@ -316,12 +284,13 @@ class _Graded:
 
 
 def _meridian_series(d: Diagram, basis: magnus.Basis) -> _Graded:
-    """The graded recursion of d on basis: the cached one when it is on
-    basis, otherwise one extended from it, which replaces it."""
-    state = d._cache.get("meridians")
+    """The graded recursion of d on basis, cached on d: the cached one when
+    it is on basis, otherwise a new one, which replaces it."""
+    state = d._cache.pop("meridians", None)
     if state is None or state.basis != basis:
-        state = _Graded(d, basis, state)
-        d._cache["meridians"] = state
+        del state  # freed before the new state fills
+        state = _Graded(d, basis)
+    d._cache["meridians"] = state
     return state
 
 

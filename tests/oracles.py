@@ -5,9 +5,14 @@
 meridians, and the longitude multiplied from them, are exact in every degree
 below ``depth`` (Milnor, Isotopy of links, 1957).  It costs ``depth - 1``
 full products per pass, and the graded walk is checked against it.
+``link_homotopy_trivial`` reads every repetition-free value of a closed link,
+where the engine reads only the ordered injections.
 """
 
+import itertools
+
 from milnor import magnus
+from milnor.invariants import evaluate
 from milnor.wirtinger import _longitude, _refine
 
 
@@ -20,6 +25,16 @@ def longitude_series(d, comp, depth, basis):
     """The zero-framed longitude multiplied from the meridians at ``depth``,
     with the framing correction x_comp^(-w) on the left."""
     return _longitude(d, comp, meridian_series(d, depth, basis), magnus.unit(basis))
+
+
+def link_homotopy_trivial(l):
+    """Whether every repetition-free value of a closed link vanishes, read
+    over all k-permutations one length k at a time, stopping at the first
+    nonzero one: the shortest nonzero value is exact."""
+    for k in range(2, l.n + 1):
+        if any(evaluate(l, itertools.permutations(range(1, l.n + 1), k)).values()):
+            return False
+    return True
 
 
 def canonical_form(d):

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,7 +26,9 @@ from milnor.diagram import (
     cable,
     closure,
     from_braid,
+    power,
     stack_all,
+    tree_tangle,
     trivial_link,
     trivial_string_link,
 )
@@ -35,6 +38,7 @@ from milnor.multiindex import (
     Surjection,
     all_injections,
     ascending_surjections,
+    injections,
     palindromic_surjections,
 )
 
@@ -69,6 +73,30 @@ def clasp_braid_pairs(draw):
         return from_braid(n, [g for (i, j), s in factors for g in clasp_word(i, j, s)])
 
     return braid(clasps), braid(shuffled)
+
+
+@st.composite
+def closed_links(draw):
+    """A closed link on n = 2..4 components: a closed product of clasps, or
+    a closed stack of tree tangles, each grasping at least min(3, n)
+    distinct components in any order, so that values land on indices that
+    are not ordered injections; sometimes followed by the inverse of its
+    first tree."""
+    n = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        pair = st.integers(1, n - 1).flatmap(
+            lambda i: st.tuples(st.just(i), st.integers(i + 1, n))
+        )
+        clasps = draw(st.lists(st.tuples(pair, st.sampled_from([1, -1])), max_size=4))
+        word = [g for (i, j), s in clasps for g in clasp_word(i, j, s)]
+        return closure(from_braid(n, word))
+    leaves = st.integers(min(3, n), n).flatmap(
+        lambda k: st.permutations(range(1, n + 1)).map(lambda p: tuple(p[:k]))
+    )
+    trees = draw(st.lists(st.tuples(leaves, st.sampled_from([1, -1])), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        trees.append((trees[0][0], -trees[0][1]))
+    return closure(stack_all([power(tree_tangle(n, v), e) for v, e in trees], n))
 
 
 @st.composite
@@ -303,6 +331,13 @@ class TestSelfDelta:
         assert not link_homotopy_trivial(hopf())
         assert not link_homotopy_trivial(milnor_link(3))
 
+    # when every shorter value vanishes, the ordered injections of length k
+    # vanish iff every repetition-free value of length k does (Habegger-Lin)
+    @settings(max_examples=60, deadline=None)
+    @given(closed_links())
+    def test_homotopy_triviality_reads_the_ordered_injections(self, l):
+        assert link_homotopy_trivial(l) == oracles.link_homotopy_trivial(l)
+
 
 class TestBrunnian:
     def test_trivial(self):
@@ -438,27 +473,41 @@ class TestCablingCrossCheck:
         assert cabling_cross_check(link())
         assert max(degrees) == 3
 
-    def test_scan_computes_each_degree_once(self, monkeypatch):
+    def test_scan_reads_the_ordered_injections(self, monkeypatch):
         # Surjection(3, 3, (1, 1, 2, 2)): the doubled link has no nonzero
         # repetition-free value below length 6, so the check reads every
-        # length, each extending the graded recursion of the one before;
-        # every degree of every arc's meridian (and of every inverse a
-        # longitude needs) is computed once over the whole scan
+        # length k on the closure of its ordered injections' monomials; each
+        # basis is built once, and every degree of every arc's meridian (and
+        # of every inverse a longitude needs) once on it
         from milnor import magnus, wirtinger
         from milnor.diagram import reduced
 
         l = closure(surjection_generator(Surjection(3, 3, (1, 1, 2, 2))))
         doubled = cable(l, [2, 2, 2])
-        calls = []
-        inner = magnus.Basis.inner
+        built, calls = [], []
+        graded, inner = wirtinger._Graded.__init__, magnus.Basis.inner
+
+        def spy_graded(state, d, basis):
+            if d.n == 6:
+                built.append(basis)
+            graded(state, d, basis)
 
         def spy_inner(basis, d, *args):
             if basis.n == 6:
-                calls.append(d)
+                calls.append((basis, d))
             return inner(basis, d, *args)
 
+        monkeypatch.setattr(wirtinger._Graded, "__init__", spy_graded)
         monkeypatch.setattr(magnus.Basis, "inner", spy_inner)
         assert not link_homotopy_trivial(doubled)
+        want = [
+            magnus.closure(6, [pi.values[:-1] for pi in injections(k, 6)])
+            for k in range(2, 7)
+        ]
+        assert built == want
+        assert [len(b) for b in built] == [6, 16, 42, 88, 130]
         walk = wirtinger._walk(reduced(doubled))
         per_degree = 2 * len(walk.passages) + len(walk.inverted)
-        assert sorted(calls) == [d for d in range(1, 6) for _ in range(per_degree)]
+        assert calls == [
+            (b, d) for b in want for d in range(1, b.q + 1) for _ in range(per_degree)
+        ]

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from oracles import canonical_form
 
+from milnor.classify import surjection_generator
 from milnor.cli import main
 from milnor.diagram import (
     closure,
@@ -16,6 +17,7 @@ from milnor.diagram import (
     trivial_link,
     with_kink,
 )
+from milnor.multiindex import Surjection
 
 
 @pytest.fixture
@@ -77,6 +79,22 @@ class TestInvariantsCmd:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["invariants", str(bad)]) == 2
+
+    @pytest.mark.parametrize("text", ["5", "null", "[]", '"pd"'])
+    def test_non_object_exit_code(self, capsys, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["invariants", str(bad)]) == 2
+        assert "holds a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["component_of_arc", "orientation"])
+    def test_list_mapping_exit_code(self, capsys, tmp_path, field):
+        data = to_pd_json(closure(from_braid(2, [1, 1])))
+        data[field] = list(data[field].values())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["invariants", str(bad)]) == 2
+        assert "malformed diagram file" in capsys.readouterr().err
 
     def test_missing_file(self, workdir):
         assert main(["invariants", str(workdir["dir"] / "nope.json")]) == 2
@@ -240,9 +258,9 @@ class TestClassifyCmd:
         assert [name for name in evaluated if name] == ["product4", "other4"]
 
     def test_self_delta_milnor4_completes(self, capsys, workdir):
-        # the doubling check reads the repetition-free indices of length up
-        # to 8 on the 8-component cable: 69,281 injective monomials, where
-        # dense series of degree 7 in 8 variables took gigabytes
+        # the input fails the hypothesis at length 4, and the doubling
+        # check's scan of the 8-component cable stops at length 4, where
+        # its ordered injections need 114 monomials
         from milnor.classify import milnor_link
 
         path = workdir["dir"] / "milnor4.json"
@@ -358,7 +376,7 @@ class TestStartup:
 
     def test_self_delta_of_milnor3(self, tmp_path):
         # the r <= 2 table (940 splits) and the doubled link's scan, which
-        # stops at length 3 (103 splits)
+        # stops at length 3 (41 splits)
         path = tmp_path / "m3.json"
         assert main(["generate", "milnor-link", "3", "-o", str(path)]) == 0
         modules = cli_imports("classify", "--self-delta", str(path))
@@ -366,13 +384,17 @@ class TestStartup:
         assert "numpy" not in modules
 
     def test_self_delta_of_a_three_component_generator(self, tmp_path):
-        # vtau_n3_23_k1: the doubled link's scan stops at length 4 (583 splits)
-        from milnor.classify import surjection_generator
-        from milnor.multiindex import Surjection
+        # vtau_n3_23_k1: the doubled link's scan stops at length 4 (139 splits)
+        self.assert_self_delta_skips_numpy(tmp_path, Surjection(3, 1, (2, 3)))
 
+    def test_self_delta_of_a_full_length_scan(self, tmp_path):
+        # vtau_n3_1122_k3: the doubled link's scan reads every length and
+        # ends at length 6 (587 splits)
+        self.assert_self_delta_skips_numpy(tmp_path, Surjection(3, 3, (1, 1, 2, 2)))
+
+    def assert_self_delta_skips_numpy(self, tmp_path, tau):
         path = tmp_path / "vtau.json"
-        link = closure(surjection_generator(Surjection(3, 1, (2, 3))))
-        path.write_text(json.dumps(to_pd_json(link)))
+        path.write_text(json.dumps(to_pd_json(closure(surjection_generator(tau)))))
         modules = cli_imports("classify", "--self-delta", str(path))
         assert "milnor.magnus" in modules
         assert "numpy" not in modules
