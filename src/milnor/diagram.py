@@ -57,6 +57,8 @@ class Diagram:
         self._validate_and_index()
 
     def _validate_and_index(self):
+        if self.n < 1:
+            raise DiagramError("a diagram needs at least one component")
         if len(self.events) != self.n:
             raise DiagramError("component count does not match event lists")
         seen: dict[int, dict[str, tuple[int, int]]] = {}
@@ -720,6 +722,9 @@ def parse_pd(data) -> Diagram:
             raise DiagramError("string links need endpoint data") from None
         if len(tops) != n:
             raise DiagramError("need one top endpoint per component")
+        for e in tops:
+            if e not in comp_of:
+                raise DiagramError(f"top endpoint {e} lacks a component")
         starts = {comp_of[e]: e for e in tops}
         if set(starts) != set(range(1, n + 1)):
             raise DiagramError("top endpoints must cover all components")

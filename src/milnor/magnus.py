@@ -12,25 +12,25 @@ of all monomials of degree at most q; a batch of queries needs only the
 factor closure of its own monomials.
 
 A series is one flat coefficient vector over its basis.  The basis
-tabulates the inner splits w = uv (u and v both nonempty) of every
-monomial, in basis order, as pairs of positions; the two splits with u or v
-empty are the ends x0 y[w] + x[w] y0, added once per monomial.  So a
-product is one gather and one multiply over that table, one segment sum and
-the ends, and the table's slice of one degree gives ``Basis.inner``: the
-step by which a graded recursion solves one degree from the degrees below
-it.  The basis picks one of two kernels from its split count (every split,
+tabulates, degree by degree, the inner splits w = uv (u and v both nonempty)
+of every monomial, as pairs of positions; ``Basis.inner`` sums the products
+over those of one degree.  Every series operation is one graded recursion
+on that step: a product x y is solved degree by degree from
+out[w] = x0 y[w] + x[w] y0 + s(x, y)[w], a right quotient p / o from the
+same identity read for q in q o = p, the inverse is the quotient 1 / o, and
+the meridian walk of ``wirtinger`` solves its conjugations the same way.
+The basis picks one of two kernels from its split count (every split,
 len(w) + 1 per monomial):
 
 * below ``NUMPY_SPLITS`` splits the vector is a list of Python integers, the
-  gathers are prebuilt ``operator.itemgetter``s and the segment sum is a
-  running sum differenced at each segment end.  Python integers are exact,
-  so no guard is needed, and numpy is never imported;
-* from ``NUMPY_SPLITS`` on the vector is an int64 array and the segment sum
-  is one ``np.add.reduceat`` over the runs of the monomials of degree 2 and
-  up.  Exactness is preserved by an overflow guard: every output
-  coefficient is bounded by L1(a) * peak(b), computed in floating point,
-  and above 2**60 the product is taken with Python-integer (object) dtype
-  instead.
+  gathers are prebuilt ``operator.itemgetter``s and each monomial's d - 1
+  consecutive products are summed.  Python integers are exact, so no guard
+  is needed, and numpy is never imported;
+* from ``NUMPY_SPLITS`` on the vector is an int64 array and a degree's sums
+  are one gather, multiply and reshaped row sum.  Exactness is preserved by
+  an overflow guard: every value an operation computes is bounded in
+  floating point, and above 2**60 it is taken with Python-integer (object)
+  dtype instead.
 """
 
 from __future__ import annotations
@@ -90,15 +90,12 @@ class Basis:
     splits w = uv of every monomial, len(w) + 1 each; below
     ``NUMPY_SPLITS`` of them ``small`` is true and coefficient vectors are
     Python lists, otherwise numpy arrays.  Only the inner splits (u and v
-    both nonempty) are tabulated, d - 1 per degree-d monomial in basis
-    order: ``inner`` sums over those of one degree, the step of every
-    graded recursion, and a product sums over all of them at once.
+    both nonempty) are tabulated, d - 1 per degree-d monomial, one table per
+    degree: ``inner`` sums over one of them, the step of every series
+    operation.
     """
 
-    __slots__ = (
-        "n", "q", "words", "pos", "bounds", "splits", "small", "_product", "_inner",
-        "_hash",
-    )
+    __slots__ = ("n", "q", "words", "pos", "bounds", "splits", "small", "_inner", "_hash")
 
     def __init__(self, n: int, words):
         words = sorted(words, key=lambda w: (len(w), w))
@@ -111,35 +108,25 @@ class Basis:
         self.q = q = len(words[-1])
         self.words = tuple(words)
         self.pos = pos = {w: i for i, w in enumerate(words)}
-        # the inner splits of every monomial, and where each monomial's run
-        # of them begins, with the table's length appended
-        left, right, cuts = [], [], []
-        try:
-            for w in words:
-                cuts.append(len(left))
-                for k in range(1, len(w)):
-                    left.append(pos[w[:k]])
-                    right.append(pos[w[k:]])
-        except KeyError as exc:
-            raise ValueError(f"monomial set is not factor-closed: {exc}") from None
-        cuts.append(len(left))
         degrees = [len(w) for w in words]
         self.bounds = bounds = [bisect_left(degrees, d) for d in range(q + 2)]
         self.splits = sum(degrees) + len(words)
         self.small = self.splits < NUMPY_SPLITS
-        spans = [(cuts[bounds[d]], cuts[bounds[d + 1]]) for d in range(2, q + 1)]
-        if self.small:
-            self._product = (_gather(left), _gather(right), _gather(cuts))
-            self._inner = [(_gather(left[i:j]), _gather(right[i:j])) for i, j in spans]
-        else:
-            np = _numpy()
-            left = np.array(left, dtype=np.intp)
-            right = np.array(right, dtype=np.intp)
-            # the first monomial of degree 2 or more, and where the run of
-            # each one from there begins
-            lo = bounds[min(q + 1, 2)]
-            self._product = (left, right, lo, np.array(cuts[lo:-1], dtype=np.intp))
-            self._inner = [(left[i:j], right[i:j]) for i, j in spans]
+        # the positions of u and v over the inner splits w = uv of each
+        # degree's monomials, in basis order
+        self._inner = []
+        for d in range(2, q + 1):
+            layer = words[bounds[d] : bounds[d + 1]]
+            try:
+                left = [pos[w[:k]] for w in layer for k in range(1, d)]
+                right = [pos[w[k:]] for w in layer for k in range(1, d)]
+            except KeyError as exc:
+                raise ValueError(f"monomial set is not factor-closed: {exc}") from None
+            if self.small:
+                self._inner.append((_gather(left), _gather(right)))
+            else:
+                np = _numpy()
+                self._inner.append((np.array(left, np.intp), np.array(right, np.intp)))
         self._hash = hash((n, self.words))
 
     def inner(self, d: int, x, y, acc=None, sign: int = 1, extra=None):
@@ -156,8 +143,8 @@ class Basis:
             if d > 1:
                 gather_left, gather_right = self._inner[d - 2]
                 terms = map(mul, gather_left(x), gather_right(y))
-                run = list(itertools.accumulate(terms, initial=0))
-                sums = map(sub, run[d - 1 :: d - 1], run[: -1 : d - 1])
+                # each monomial's d - 1 consecutive terms, summed
+                sums = terms if d == 2 else map(sum, zip(*[terms] * (d - 1)))
             else:
                 sums = itertools.repeat(0, self.bounds[2] - self.bounds[1])
             if extra is not None:
@@ -286,72 +273,76 @@ class Series:
         return self.basis == other.basis and np.array_equal(self.x, other.x)
 
     def __mul__(self, other: "Series") -> "Series":
+        """The product, solved degree by degree: for w nonempty,
+        out[w] = x0 y[w] + x[w] y0 + s(x, y)[w], where s sums x[u] y[v] over
+        the inner splits w = uv (``Basis.inner``)."""
         if not isinstance(other, Series):
             return NotImplemented
         b = self.basis
         if b != other.basis:
             raise ValueError("series bases differ")
         x, y = self.x, other.x
-        x0, y0 = x[0], y[0]
-        if b.small:
-            # a running sum over the inner splits, differenced at each
-            # monomial's run, and the two ends x0 y[w] + x[w] y0
-            gather_left, gather_right, gather_cuts = b._product
-            terms = map(mul, gather_left(x), gather_right(y))
-            at = gather_cuts(list(itertools.accumulate(terms, initial=0)))
-            ends = map(
-                add,
-                y if x0 == 1 else map(mul, itertools.repeat(x0), y),
-                x if y0 == 1 else map(mul, x, itertools.repeat(y0)),
-            )
-            out = list(map(add, map(sub, at[1:], at[:-1]), ends))
-            out[0] = x0 * y0
-            return Series(b, out)
-        # |out[w]| <= sum over splits w = uv of |x[u]| |y[v]| <= L1(x) peak(y),
-        # partial sums included, since the u of distinct splits differ
-        if (
+        # |out[w]| <= sum over every split w = uv of |x[u]| |y[v]|
+        # <= L1(x) peak(y), partial sums included, since the u of distinct
+        # splits differ
+        if not b.small and (
             x.dtype == object
             or y.dtype == object
             or self._l1_peak()[0] * other._l1_peak()[1] > _GUARD
         ):
             x, y = x.astype(object), y.astype(object)
-            x0, y0 = x[0], y[0]
-        left, right, lo, runs = b._product
-        out = x0 * y + x * y0
+        x0, y0 = self.constant, other.constant
+        # the splits with u or v empty, then every degree's inner splits;
+        # degree 1 has none
+        left, right = _scaled(x0, y), _scaled(y0, x)
+        out = list(map(add, left, right)) if b.small else left + right
         out[0] = x0 * y0
-        out[lo:] += np.add.reduceat(x[left] * y[right], runs)
+        for d in range(2, b.q + 1):
+            lo, hi = b.bounds[d], b.bounds[d + 1]
+            out[lo:hi] = b.inner(d, x, y, out[lo:hi])
         return Series(b, out)
 
-    def inverse(self) -> "Series":
-        """Ring inverse; requires constant term +1 or -1.
+    def __truediv__(self, other: "Series") -> "Series":
+        """The right quotient q with q o = p, where p is self and o is other;
+        requires o's constant term o0 to be +1 or -1.
 
-        Solved degree by degree from x * y = 1: for w nonempty,
-        y[w] = -(x[w] + c0 * s[w]), where s sums x[u] y[v] over the inner
-        splits w = uv (``Basis.inner``), every such v shorter than w.  The
-        work is that of one product.
+        Solved degree by degree from the product's identity: for w nonempty,
+        q[w] = o0 (p[w] - q0 o[w] - s(q, o)[w]), where s reads only the
+        degrees of q below w's, which are solved already.
         """
-        c0 = self.constant
+        if not isinstance(other, Series):
+            return NotImplemented
+        b = self.basis
+        if b != other.basis:
+            raise ValueError("series bases differ")
+        c0 = other.constant
         if c0 not in (1, -1):
             raise ValueError("series with constant term != +-1 has no inverse")
-        b = self.basis
-        x = self.x
-        y = Series(b).x
-        y[0] = c0
+        p, o = self.x, other.x
+        q0 = c0 * self.constant
+        q = [0] * len(b) if b.small else np.zeros_like(p)
+        q[0] = q0
         if not b.small:
-            # |y[w]| <= (L1(x) - |c0|) peak(y over shorter monomials)
-            l1 = np.inf if x.dtype == object else self._l1_peak()[0] - 1.0
-            peak = 1.0
-        for d in range(1, self.q + 1):
+            if p.dtype == object or o.dtype == object:
+                p, o, q = p.astype(object), o.astype(object), q.astype(object)
+            else:
+                # |q[w]| <= peak(p) + peak(q over shorter monomials) (L1(o) - 1),
+                # partial sums included, since the v of distinct splits differ
+                peak_p, l1_o = self._l1_peak()[1], other._l1_peak()[0] - 1.0
+                peak = float(abs(q0))
+        for d in range(1, b.q + 1):
             lo, hi = b.bounds[d], b.bounds[d + 1]
-            if not b.small and y.dtype != object and l1 * peak > _GUARD:
-                x, y = x.astype(object), y.astype(object)
-            part = x[lo:hi]
-            if c0 == -1:
-                part = [-v for v in part] if b.small else -part
-            y[lo:hi] = b.inner(d, x, y, None, -c0, part)
-            if not b.small and y.dtype != object:
-                peak = max(peak, float(np.abs(y[lo:hi].astype(np.float64)).max()))
-        return Series(b, y)
+            if not b.small and q.dtype != object and peak_p + peak * l1_o > _GUARD:
+                p, o, q = p.astype(object), o.astype(object), q.astype(object)
+            q[lo:hi] = b.inner(d, q, o, _scaled(c0, p[lo:hi]), -c0, _scaled(q0, o[lo:hi]))
+            if not b.small and q.dtype != object:
+                peak = max(peak, float(np.abs(q[lo:hi].astype(np.float64)).max()))
+        return Series(b, q)
+
+    def inverse(self) -> "Series":
+        """Ring inverse, the quotient 1 / self; requires constant term +1 or
+        -1."""
+        return unit(self.basis) / self
 
     def monomials(self):
         """Yield (monomial, coefficient) with nonzero coefficient, ordered by
@@ -381,6 +372,13 @@ class Series:
         return text[2:] if text.startswith("+ ") else text
 
     __repr__ = __str__
+
+
+def _scaled(c: int, part):
+    """c times a coefficient slice, the slice itself when c is 1."""
+    if c == 1:
+        return part
+    return [c * v for v in part] if isinstance(part, list) else c * part
 
 
 def _int_array(values):

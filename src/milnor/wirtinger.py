@@ -144,8 +144,7 @@ class _Walk:
     ``bases`` pairs each component with its base arc; ``passages`` lists
     the under-passages that lead to a further arc, as (arc in, arc out,
     over-arc, sign), each component's in walk order; ``factors[comp]`` lists
-    the longitude factors of comp as (over-arc, sign) along its walk;
-    ``inverted`` lists the arcs whose meridian some longitude inverts; and
+    the longitude factors of comp as (over-arc, sign) along its walk; and
     ``writhe[comp]`` is comp's self-writhe, which its longitude cancels.
     """
 
@@ -153,7 +152,6 @@ class _Walk:
     bases: tuple
     passages: tuple
     factors: dict
-    inverted: tuple
     writhe: dict
 
 
@@ -169,20 +167,16 @@ def _walk(d: Diagram) -> _Walk:
         leading = factors[comp][: d.arc_count(comp) - 1]
         for arc, (over, sign) in enumerate(leading, start=1):
             passages.append((index[(comp, arc - 1)], index[(comp, arc)], over, sign))
-    inverted = sorted({o for fs in factors.values() for o, sign in fs if sign == -1})
     bases = tuple((comp, index[(comp, 0)]) for comp in range(1, d.n + 1))
     writhe = {comp: d.writhe(comp) for comp in range(1, d.n + 1)}
-    d._cache["walk"] = _Walk(
-        len(arcs), bases, tuple(passages), factors, tuple(inverted), writhe
-    )
+    d._cache["walk"] = _Walk(len(arcs), bases, tuple(passages), factors, writhe)
     return d._cache["walk"]
 
 
 class _Graded:
     """The graded meridian recursion of one diagram on one basis: the Magnus
-    series of every arc's meridian, and of the inverse of each meridian a
-    longitude inverts, solved degree by degree through the basis's top
-    degree.
+    series of every arc's meridian, solved degree by degree through the
+    basis's top degree.
 
     At an under-passage with sign +1 the next arc's meridian is
     m' = o^-1 m o, where o is the over-arc's meridian, so o m' = m o; with
@@ -194,38 +188,37 @@ class _Graded:
 
     where s(x, y)[d] sums x[u] y[v] over the inner splits of each degree-d
     monomial (``Basis.inner``), which read degrees below d only.  One walk
-    per degree, in walk order, therefore fills degree d of every arc; an
-    inverse then follows from m m^-1 = 1 as m^-1[d] = -(m[d] + s(m, m^-1)[d]).
-    The result is the fixed point of the depth-by-depth refinement, which
-    it equals at depth ``q + 1`` (depth stability: Milnor, Isotopy of links,
-    1957).  A state serves only its own basis and solves it from degree 1.
+    per degree, in walk order, therefore fills degree d of every arc.  The
+    result is the fixed point of the depth-by-depth refinement, which it
+    equals at depth ``q + 1`` (depth stability: Milnor, Isotopy of links,
+    1957).  A state serves only its own basis and solves it from degree 1;
+    a longitude multiplies its rows, and divides by them at a negative
+    crossing, with the same step.
     """
 
     def __init__(self, d: Diagram, basis: magnus.Basis):
         self.walk = walk = _walk(d)
         self.basis = basis
-        self.slot = {arc: j for j, arc in enumerate(walk.inverted)}
-        self.m = self._rows(walk.arcs)
-        self.inv = self._rows(len(walk.inverted))
+        if basis.small:
+            self.m = [[1] + [0] * (len(basis) - 1) for _ in range(walk.arcs)]
+        else:
+            np = magnus.np
+            self.m = np.zeros((walk.arcs, len(basis)), dtype=np.int64)
+            self.m[:, 0] = 1
+            # the guard's running L1 norm and peak of each row over the
+            # finished degrees, and the passages as index arrays
+            self.l1, self.peak = np.zeros(walk.arcs), np.zeros(walk.arcs)
+            if walk.passages:
+                self.passage_arrays = tuple(np.array(c) for c in zip(*walk.passages))
         for deg in range(1, basis.q + 1):
             self._degree(deg)
-
-    def _rows(self, count: int):
-        """count coefficient vectors in this basis's kernel, each with
-        constant term 1 and zero elsewhere."""
-        b = self.basis
-        if b.small:
-            return [[1] + [0] * (len(b) - 1) for _ in range(count)]
-        rows = magnus.np.zeros((count, len(b)), dtype=magnus.np.int64)
-        rows[:, 0] = 1
-        return rows
 
     def _degree(self, deg: int) -> None:
         b = self.basis
         lo, hi = b.bounds[deg], b.bounds[deg + 1]
         if not b.small and self.m.dtype != object and self._bound(deg) > magnus._GUARD:
-            self.m, self.inv = self.m.astype(object), self.inv.astype(object)
-        m, inv, inner = self.m, self.inv, b.inner
+            self.m = self.m.astype(object)
+        m, inner = self.m, b.inner
         if deg == 1:
             for comp, arc in self.walk.bases:
                 i = b.pos.get((comp,))
@@ -238,43 +231,39 @@ class _Graded:
             else:
                 step = inner(deg, m[o], m[a], m[a][lo:hi])
                 m[out][lo:hi] = inner(deg, m[out], m[o], step, -1)
-        for j, a in enumerate(self.walk.inverted):
-            inv[j][lo:hi] = inner(deg, m[a], inv[j], None, -1, m[a][lo:hi])
 
     def _bound(self, deg: int) -> float:
         """On the int64 kernel, a bound on every value degree deg computes,
         partial sums included.  |s(x, y)[w]| <= L1(x) peak(y) over degrees
         1..deg-1; each passage adds two such sums to a running value that
-        starts at most 1, and the bound adds all of them.  An inverse adds
-        one more to a value of the walk."""
+        starts at most 1, and the bound adds all of them.  Degree deg - 1 is
+        folded into the running norms first, one slice at a time."""
         np = magnus.np
-        top = self.basis.bounds[deg]
-        norms = []
-        for rows in (self.m, self.inv):
-            a = np.abs(rows[:, 1:top].astype(np.float64))
-            norms += [a.sum(axis=1), a.max(axis=1, initial=0.0)]
-        l1, peak, inv_l1, inv_peak = norms
-        bound = 1.0
-        if self.walk.passages:
-            a, out, o, sign = (np.array(c) for c in zip(*self.walk.passages))
-            plus = sign == 1
-            # sign +1: s(m, o) and s(o, m'); sign -1: s(o, m) and s(m', o)
-            first = np.where(plus, l1[a] * peak[o], l1[o] * peak[a])
-            second = np.where(plus, l1[o] * peak[out], l1[out] * peak[o])
-            bound += float(first.sum() + second.sum())
-        if self.walk.inverted:
-            bound += float((l1[list(self.walk.inverted)] * inv_peak).max())
-        return bound
+        if deg > 1:
+            b = self.basis
+            a = self.m[:, b.bounds[deg - 1] : b.bounds[deg]].astype(np.float64)
+            np.abs(a, out=a)
+            self.l1 += a.sum(axis=1)
+            np.maximum(self.peak, a.max(axis=1), out=self.peak)
+        if not self.walk.passages:
+            return 1.0
+        l1, peak = self.l1, self.peak
+        a, out, o, sign = self.passage_arrays
+        plus = sign == 1
+        # sign +1: s(m, o) and s(o, m'); sign -1: s(o, m) and s(m', o)
+        first = np.where(plus, l1[a] * peak[o], l1[o] * peak[a])
+        second = np.where(plus, l1[o] * peak[out], l1[out] * peak[o])
+        return 1.0 + float(first.sum() + second.sum())
 
     def longitude(self, comp: int) -> magnus.Series:
         """The zero-framed longitude of comp: the product of the over-arc
-        meridians along the walk, inverted at a negative crossing, with the
-        framing correction x_comp^(-w) multiplied on the left."""
+        meridians along the walk, divided by at a negative crossing, with
+        the framing correction x_comp^(-w) multiplied on the left."""
         b = self.basis
         out = magnus.unit(b)
         for o, sign in self.walk.factors[comp]:
-            row = self.m[o] if sign == 1 else self.inv[self.slot[o]]
-            out = out * magnus.Series(b, row)
+            row = magnus.Series(b, self.m[o])
+            out = out * row if sign == 1 else out / row
         w = self.walk.writhe[comp]
         if w:
             corr = magnus.generator_series(comp, -1 if w > 0 else 1, b)

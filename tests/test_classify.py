@@ -477,27 +477,34 @@ class TestCablingCrossCheck:
         # Surjection(3, 3, (1, 1, 2, 2)): the doubled link has no nonzero
         # repetition-free value below length 6, so the check reads every
         # length k on the closure of its ordered injections' monomials; each
-        # basis is built once, and every degree of every arc's meridian (and
-        # of every inverse a longitude needs) once on it
+        # basis is built once, and every degree of every arc's meridian once
+        # on it, two inner-split sums per passage
         from milnor import magnus, wirtinger
         from milnor.diagram import reduced
 
         l = closure(surjection_generator(Surjection(3, 3, (1, 1, 2, 2))))
         doubled = cable(l, [2, 2, 2])
-        built, calls = [], []
-        graded, inner = wirtinger._Graded.__init__, magnus.Basis.inner
+        built, degrees, open_counts = [], [], []
+        graded, degree = wirtinger._Graded.__init__, wirtinger._Graded._degree
+        inner = magnus.Basis.inner
 
         def spy_graded(state, d, basis):
             if d.n == 6:
                 built.append(basis)
             graded(state, d, basis)
 
+        def spy_degree(state, deg):
+            open_counts.append(0)
+            degree(state, deg)
+            degrees.append((state.basis, deg, open_counts.pop()))
+
         def spy_inner(basis, d, *args):
-            if basis.n == 6:
-                calls.append((basis, d))
+            if open_counts:
+                open_counts[-1] += 1
             return inner(basis, d, *args)
 
         monkeypatch.setattr(wirtinger._Graded, "__init__", spy_graded)
+        monkeypatch.setattr(wirtinger._Graded, "_degree", spy_degree)
         monkeypatch.setattr(magnus.Basis, "inner", spy_inner)
         assert not link_homotopy_trivial(doubled)
         want = [
@@ -506,8 +513,7 @@ class TestCablingCrossCheck:
         ]
         assert built == want
         assert [len(b) for b in built] == [6, 16, 42, 88, 130]
-        walk = wirtinger._walk(reduced(doubled))
-        per_degree = 2 * len(walk.passages) + len(walk.inverted)
-        assert calls == [
-            (b, d) for b in want for d in range(1, b.q + 1) for _ in range(per_degree)
+        passages = len(wirtinger._walk(reduced(doubled)).passages)
+        assert degrees == [
+            (b, d, 2 * passages) for b in want for d in range(1, b.q + 1)
         ]

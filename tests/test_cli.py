@@ -96,6 +96,39 @@ class TestInvariantsCmd:
         assert main(["invariants", str(bad)]) == 2
         assert "malformed diagram file" in capsys.readouterr().err
 
+    def test_unknown_top_endpoint_exit_code(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "kind": "stringlink",
+            "components": 1,
+            "pd": [],
+            "component_of_arc": {"1": 1},
+            "orientation": {},
+            "endpoints": {"top": [7], "bottom": [1]},
+        }))
+        assert main(["invariants", str(bad)]) == 2
+        assert "top endpoint 7 lacks a component" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, data",
+        [
+            (["invariants"], {"strands": -2, "word": []}),
+            (
+                ["classify", "--self-delta"],
+                {"kind": "link", "components": 0, "pd": [], "component_of_arc": {},
+                 "orientation": {}},
+            ),
+            (["generate", "trivial", "0"], None),
+        ],
+    )
+    def test_zero_components_exit_code(self, capsys, tmp_path, args, data):
+        if data is not None:
+            empty = tmp_path / "empty.json"
+            empty.write_text(json.dumps(data))
+            args = args + [str(empty)]
+        assert main(args) == 2
+        assert "at least one component" in capsys.readouterr().err
+
     def test_missing_file(self, workdir):
         assert main(["invariants", str(workdir["dir"] / "nope.json")]) == 2
 

@@ -227,6 +227,17 @@ class TestOverflowGuard:
         assert as_dict(s.inverse()) == want
         assert s * s.inverse() == unit(large_basis(1, 3))
 
+    def test_division_leaves_int64_exactly(self):
+        # (1 + cX) / (-1 + cX) = -(1 + 2cX + 2c^2 X^2 + 2c^3 X^3): degree 2
+        # crosses the guard, and the rest is solved on Python integers
+        c = 2**40
+        p = on_basis(large_basis(1, 3), {(): 1, (1,): c})
+        o = on_basis(large_basis(1, 3), {(): -1, (1,): c})
+        q = p / o
+        assert q.x.dtype == object
+        assert as_dict(q) == {(): -1, (1,): -2 * c, (1, 1): -2 * c**2, (1, 1, 1): -2 * c**3}
+        assert q * o == p
+
 
 class TestPythonKernelExactness:
     """The same values on bases below NUMPY_SPLITS, held as Python integers."""
@@ -375,6 +386,11 @@ def test_basis_product_and_inverse_match_oracle(drawn):
     assert as_dict(on_basis(basis, a) * on_basis(basis, b)) == want
     inv = {m: c for m, c in poly_inverse(b, basis.q).items() if m in inside}
     assert as_dict(on_basis(basis, b).inverse()) == inv
+    # the right quotient p / o, the q with q o = p
+    p, o = on_basis(basis, a), on_basis(basis, b)
+    quotient = poly_mul(a, poly_inverse(b, basis.q), basis.q)
+    assert as_dict(p / o) == {m: c for m, c in quotient.items() if m in inside}
+    assert (p / o) * o == p
 
 
 @settings(max_examples=200)
