@@ -59,6 +59,10 @@ def cmd_classify(files: list[str], mode: str, fmt: str, strict: bool) -> int:
     if len(kinds) > 1:
         raise DiagramError("cannot mix links and string links in one decision")
     closed = kinds.pop()
+    if len(diagrams) == 2:
+        a, b = diagrams
+        if a.name == b.name and (a.events, a.signs) != (b.events, b.signs):
+            raise DiagramError(f"two different diagrams are named {a.name!r}")
     report = {"mode": mode, "inputs": [d.name for d in diagrams]}
     undecided = False
     if mode == "homotopy":

@@ -3,10 +3,11 @@
 The combinatorial core of a diagram here is the *walk*: for every component,
 the ordered sequence of crossing passages (each tagged over or under), plus a
 sign per crossing.  This is exactly the data consumed by the Wirtinger
-presentation and longitude computations.  Geometric constructors (braids,
-commutator tangles, the generator links) produce walks by executing a Morse
-slice program, so every constructed diagram is planar by construction; PD
-files round-trip through the same structure.
+presentation and longitude computations.  Every constructed crossing comes
+from one Morse slice executor, ``run_slices``: braids and their closures,
+the framing twists of a cable, commutator tangles and the generator links
+all execute a slice program, so every constructed diagram is planar by
+construction; PD files round-trip through the same structure.
 
 Sign convention: a crossing is positive when rotating the under-strand
 direction counterclockwise by 90 degrees aligns it with the over-strand
@@ -204,15 +205,15 @@ def run_slices(n, ops, closed=False, name=None):
             down_leg.down_link = up_leg
         else:
             raise DiagramError(f"unknown op {op!r}")
-    if len(row) != n:
+    if len(row) != len(starts):
         raise DiagramError("program ends with wrong point count")
     for want, leg in enumerate(row, start=1):
         if leg.direction != 1:
             raise DiagramError("a strand exits flowing upward")
-        leg.down_link = ("end", want)
-    events = [[] for _ in range(n)]
+        leg.down_link = want
+    walks, exit_of = {}, {}
     for strand, leg in enumerate(starts, start=1):
-        acc = events[strand - 1]
+        acc = walks[strand] = []
         while True:
             if leg.direction == 1:
                 acc.extend(leg.events)
@@ -222,14 +223,21 @@ def run_slices(n, ops, closed=False, name=None):
                 nxt = leg.up_link
             if nxt is None:
                 raise DiagramError("a strand runs off the diagram")
-            if isinstance(nxt, tuple):
-                if nxt[1] != strand:
-                    raise DiagramError(
-                        f"strand {strand} exits at position {nxt[1]}"
-                    )
+            if isinstance(nxt, int):
                 break
             leg = nxt
-    return Diagram(n, events, signs, closed=closed, name=name)
+        if not closed and nxt != strand:
+            raise DiagramError(f"strand {strand} exits at position {nxt}")
+        exit_of[strand] = nxt
+    # each strand continues as the strand that starts where it exits
+    events = []
+    for strand in walks:
+        if strand in exit_of:
+            events.append([])
+            while strand in exit_of:
+                events[-1].extend(walks[strand])
+                strand = exit_of.pop(strand)
+    return Diagram(len(events), events, signs, closed=closed, name=name)
 
 
 # -- braids ------------------------------------------------------------------
@@ -247,6 +255,11 @@ def braid_permutation(strands, word):
     return perm
 
 
+def _braid_ops(word, offset=0):
+    """Slice ops of a braid word whose first strand is at ``offset``."""
+    return [("x", offset + abs(g) - 1, "L" if g > 0 else "R") for g in word]
+
+
 def from_braid(strands, word, closed=False, name=None):
     """The string link traced by a pure braid word, or the closure of any
     braid word; generator +i is the strand at position i passing over its
@@ -255,33 +268,7 @@ def from_braid(strands, word, closed=False, name=None):
     perm = braid_permutation(strands, word)
     if not closed and perm != list(range(1, strands + 1)):
         raise DiagramError(f"braid is not pure (permutation {perm})")
-    # cycles of the permutation top->bottom; each cycle is one component
-    comp_of_start = {}
-    cycles = []
-    for s in range(1, strands + 1):
-        if s in comp_of_start:
-            continue
-        cyc, cur = [], s
-        while cur not in comp_of_start:
-            comp_of_start[cur] = len(cycles) + 1
-            cyc.append(cur)
-            cur = perm.index(cur) + 1
-        cycles.append(cyc)
-    # trace events: simulate, tagging each passage with the entering strand
-    pos_strand = list(range(1, strands + 1))
-    per_strand = {s: [] for s in pos_strand}
-    signs = []
-    for g in word:
-        i = abs(g) - 1
-        left, right = pos_strand[i], pos_strand[i + 1]
-        over_s, under_s = (left, right) if g > 0 else (right, left)
-        cid = len(signs)
-        signs.append(1 if g > 0 else -1)  # downward strands only
-        per_strand[over_s].append((cid, OVER))
-        per_strand[under_s].append((cid, UNDER))
-        pos_strand[i], pos_strand[i + 1] = right, left
-    events = [[e for s in cyc for e in per_strand[s]] for cyc in cycles]
-    return Diagram(len(cycles), events, signs, closed=closed, name=name)
+    return run_slices(strands, _braid_ops(word), closed=closed, name=name)
 
 
 # -- composition operations ----------------------------------------------
@@ -479,30 +466,19 @@ def cable(l: Diagram, multiplicities: Sequence[int]) -> Diagram:
                     cu = mult[c.under[0] - 1]
                     ss = range(cu, 0, -1) if c.sign == 1 else range(1, cu + 1)
                     ev_new.extend((grid[cid][u - 1][s - 1], OVER) for u in ss)
-    # framing correction: full twists so parallel copies have linking zero
+    # framing correction: full twists so parallel copies have linking zero;
+    # the copies are numbered right to left across the twist, the choice
+    # that a planar diagram realizes
     for i in range(1, l.n + 1):
-        ci = mult[i - 1]
-        w = l.writhe(i)
+        ci, w = mult[i - 1], l.writhe(i)
         if ci < 2 or w == 0:
             continue
-        twist_word = []
-        for _ in range(ci):
-            twist_word.extend(range(1, ci))
-        twist_word = twist_word * abs(w)
-        if w > 0:
-            twist_word = [-g for g in reversed(twist_word)]
-        perm = list(range(ci))  # position -> copy ordinal (0-based)
-        for g in twist_word:
-            p = abs(g) - 1
-            a, b = perm[p], perm[p + 1]
-            # a positive letter puts the copy at position p + 1 over; the
-            # opposite choice gives walk data no planar diagram realizes
-            over_copy, under_copy = (b, a) if g > 0 else (a, b)
-            cid = len(signs)
-            signs.append(1 if g > 0 else -1)
-            events[new_of[i - 1][over_copy] - 1].append((cid, OVER))
-            events[new_of[i - 1][under_copy] - 1].append((cid, UNDER))
-            perm[p], perm[p + 1] = perm[p + 1], perm[p]
+        letters = [ci - g if w < 0 else -g for g in range(1, ci)] * (ci * abs(w))
+        twist = from_braid(ci, letters)
+        off = len(signs)
+        signs.extend(twist.signs)
+        for comp, ev in zip(reversed(new_of[i - 1]), twist.events):
+            events[comp - 1].extend((cid + off, role) for cid, role in ev)
     return Diagram(n_new, events, signs, closed=True)
 
 
@@ -612,8 +588,7 @@ def tree_tangle(n: int, leaves: Sequence[int]) -> Diagram:
         for pos in range(x - 1, p, -1):
             ops.append(("x", pos - 1, "R"))
     # the chain pattern itself
-    for g in _bracket_braid(m):
-        ops.append(("x", n + abs(g) - 1, "L" if g > 0 else "R"))
+    ops.extend(_braid_ops(_bracket_braid(m), n))
     # close the chain off: entries meet their returns, innermost first
     for i in range(m, 0, -1):
         ops.append(("min", n + i - 1))
@@ -676,16 +651,23 @@ def to_pd_json(d: Diagram) -> dict:
     return data
 
 
+def _int(value):
+    """A JSON integer: floats, booleans and strings are rejected."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def parse_pd(data) -> Diagram:
     """Parse the JSON form back into a diagram, validating the edge
     structure, component walks, and crossing orientations."""
     if isinstance(data, str):
         data = json.loads(data)
     try:
-        n = int(data["components"])
-        pd = [list(map(int, row)) for row in data["pd"]]
-        comp_of = {int(k): int(v) for k, v in data["component_of_arc"].items()}
-        succ = {int(k): int(v) for k, v in data["orientation"].items()}
+        n = _int(data["components"])
+        pd = [list(map(_int, row)) for row in data["pd"]]
+        comp_of = {int(k): _int(v) for k, v in data["component_of_arc"].items()}
+        succ = {int(k): _int(v) for k, v in data["orientation"].items()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DiagramError(f"malformed diagram file: {exc}") from None
     kind = data.get("kind", "link")
@@ -717,9 +699,9 @@ def parse_pd(data) -> Diagram:
         starts = {c: min(es) for c, es in edges_of.items()}
     else:
         try:
-            tops = [int(e) for e in data["endpoints"]["top"]]
-        except (KeyError, TypeError, ValueError):
-            raise DiagramError("string links need endpoint data") from None
+            tops = [_int(e) for e in data["endpoints"]["top"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DiagramError(f"string links need endpoint data: {exc}") from None
         if len(tops) != n:
             raise DiagramError("need one top endpoint per component")
         for e in tops:
@@ -855,12 +837,14 @@ def load_diagram(data) -> Diagram:
         data = json.loads(data)
     if not isinstance(data, dict):
         raise DiagramError("a diagram file holds a JSON object")
+    if not isinstance(data.get("name", ""), (str, type(None))):
+        raise DiagramError("a diagram name is a string")
     if "pd" in data:
         return parse_pd(data)
     if "word" in data:
         try:
-            strands = int(data["strands"])
-            word = [int(g) for g in data["word"]]
+            strands = _int(data["strands"])
+            word = [_int(g) for g in data["word"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise DiagramError(f"malformed braid file: {exc}") from None
         kind = data.get("kind", "stringlink")

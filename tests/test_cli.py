@@ -96,6 +96,53 @@ class TestInvariantsCmd:
         assert main(["invariants", str(bad)]) == 2
         assert "malformed diagram file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "keys, loosen",
+        [
+            (["components"], lambda v: v + 0.5),
+            (["pd", 0, 1], float),
+            (["component_of_arc", "1"], bool),
+            (["orientation", "1"], str),
+            (["endpoints", "top", 0], float),
+        ],
+    )
+    def test_loose_pd_value_exit_code(self, capsys, tmp_path, keys, loosen):
+        # each file would load as the clasp if the value were cast to int
+        data = to_pd_json(from_braid(2, [1, 1]))
+        *path, last = keys
+        target = data
+        for key in path:
+            target = target[key]
+        target[last] = loosen(target[last])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["invariants", str(bad)]) == 2
+        assert "is not an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"strands": 2.8, "word": [True, "1"], "kind": "closure"},
+            {"strands": 2, "word": [1.9, 1.2], "kind": "closure"},
+            {"strands": "2", "word": [1, 1], "kind": "closure"},
+            {"strands": 2, "word": "11", "kind": "closure"},
+        ],
+    )
+    def test_loose_braid_value_exit_code(self, capsys, tmp_path, data):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["invariants", str(bad)]) == 2
+        assert "is not an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", [["hopf"], {"a": 1}, 7])
+    def test_non_string_name_exit_code(self, capsys, tmp_path, name):
+        data = to_pd_json(closure(from_braid(2, [1, 1])))
+        data["name"] = name
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["classify", "--self-delta", str(bad)]) == 2
+        assert "name is a string" in capsys.readouterr().err
+
     def test_unknown_top_endpoint_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({
@@ -162,6 +209,27 @@ class TestClassifyCmd:
         )
         assert code == 0
         assert json.loads(out)["selfdelta_equivalent"] == "yes"
+
+    @pytest.mark.parametrize("mode", ["--homotopy", "--self-delta"])
+    def test_pair_with_one_name_exit_code(self, capsys, workdir, mode):
+        # keyed by name, the report would keep only the second input
+        from milnor.classify import whitehead_link
+
+        braid = {"strands": 2, "word": [1, 1, 1, 1], "kind": "stringlink", "name": "x"}
+        files = {
+            "--homotopy": [braid, dict(braid, word=[1, 1])],
+            "--self-delta": [
+                dict(to_pd_json(whitehead_link()), name="x"),
+                dict(to_pd_json(closure(from_braid(2, [1, 1]))), name="x"),
+            ],
+        }[mode]
+        paths = []
+        for k, data in enumerate(files):
+            path = workdir["dir"] / f"same_name_{k}.json"
+            path.write_text(json.dumps(data))
+            paths.append(str(path))
+        assert main(["classify", mode, *paths]) == 2
+        assert "two different diagrams are named 'x'" in capsys.readouterr().err
 
     def test_homotopy_stringlink(self, capsys, workdir):
         code, out = run(capsys, "classify", "--homotopy", workdir["braid"])

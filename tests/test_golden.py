@@ -9,7 +9,11 @@ The set:
 * ``classify --homotopy`` on each closed corpus link and on two ``generate
   v-pi`` string links;
 * ``classify --self-delta`` on each corpus link under 100 crossings and on
-  one pair.
+  one pair;
+* ``invariants``, ``classify --self-delta`` and ``cable`` at multiplicities
+  2 and 3,2 on two braid files, closures of non-pure braids whose components
+  have nonzero self-writhe, so the cable adds framing twists;
+* ``generate`` of each generator kind, printed to standard output.
 
 A change that means to alter the output re-records the table by running
 this file as a script from the repository root::
@@ -38,6 +42,17 @@ SMALL = [
 ]
 PAIR = ["vtau_n3_12_k3", "vtau_n3_13_k2"]
 STRING_LINKS = {"vpi_123": "1,2,3", "vpi_2134": "2,1,3,4"}
+# self-writhe +3 on component 1; -3 on both components
+BRAIDS = {
+    "braid_pos": {"strands": 3, "word": [1, 1, 1, 2, 2], "kind": "closure"},
+    "braid_neg": {
+        "strands": 4, "word": [-1, -1, -1, 2, 2, -3, -3, -3], "kind": "closure"
+    },
+}
+GENERATE = [
+    ["whitehead"], ["milnor-link", "4"], ["v-pi", "2,1,3,4"],
+    ["v-tau", "1,2,1", "--k", "3"], ["trivial", "3"],
+]
 
 
 def _run(*argv):
@@ -48,7 +63,7 @@ def _run(*argv):
 
 
 def write_inputs(outdir: Path) -> dict:
-    """The corpus and the string links as files, by name."""
+    """The corpus, the string links and the braids as files, by name."""
     corpus = runpy.run_path(str(ROOT / "scripts" / "generate_corpus.py"))["main"]
     argv = sys.argv
     sys.argv = ["generate_corpus.py", str(outdir)]
@@ -60,12 +75,16 @@ def write_inputs(outdir: Path) -> dict:
     for name, values in STRING_LINKS.items():
         code, _ = _run("generate", "v-pi", values, "-o", str(outdir / f"{name}.json"))
         assert code == 0
+    for name, data in BRAIDS.items():
+        (outdir / f"{name}.json").write_text(json.dumps(data))
     return {p.stem: str(p) for p in sorted(outdir.glob("*.json"))}
 
 
 def commands(files: dict) -> dict:
     """Each command's argument list, keyed by a name free of paths."""
-    corpus = sorted(name for name in files if name not in STRING_LINKS)
+    corpus = sorted(
+        name for name in files if name not in STRING_LINKS and name not in BRAIDS
+    )
     out = {}
     for name in corpus:
         out[f"invariants --max-length 4 {name}"] = [
@@ -77,6 +96,13 @@ def commands(files: dict) -> dict:
         out["classify --self-delta " + " ".join(names)] = [
             "classify", "--self-delta", *(files[name] for name in names)
         ]
+    for name in sorted(BRAIDS):
+        out[f"invariants {name}"] = ["invariants", files[name]]
+        out[f"classify --self-delta {name}"] = ["classify", "--self-delta", files[name]]
+        for mults in ["2", "3,2"]:
+            out[f"cable {name} {mults}"] = ["cable", files[name], mults]
+    for argv in GENERATE:
+        out["generate " + " ".join(argv)] = ["generate", *argv]
     return out
 
 
@@ -87,7 +113,7 @@ def digest(argv) -> str:
 
 def test_output_is_byte_identical(tmp_path):
     files = write_inputs(tmp_path)
-    assert len(files) == 22 + len(STRING_LINKS)
+    assert len(files) == 22 + len(STRING_LINKS) + len(BRAIDS)
     want = json.loads(TABLE.read_text())
     got = {key: digest(argv) for key, argv in commands(files).items()}
     assert sorted(got) == sorted(want)

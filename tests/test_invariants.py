@@ -8,7 +8,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from oracles import repeat_max
 
-from milnor.classify import injection_generator, surjection_generator
+from milnor.classify import (
+    injection_generator,
+    milnor_link,
+    surjection_generator,
+    whitehead_link,
+)
 from milnor.diagram import (
     braid_permutation,
     cable,
@@ -310,6 +315,46 @@ class TestReidemeister:
         assert_reidemeister_invariant(original, moved)
 
 
+@st.composite
+def r3_pairs(draw, pure):
+    """Two braid words on 3-4 strands that differ by one R3 move: random
+    letters, then s_i s_(i+1) s_i or s_(i+1) s_i s_(i+1) with one sign, then
+    random letters; for ``pure`` the words end with letters that undo their
+    permutation."""
+    strands = draw(st.integers(3, 4))
+    letter = st.integers(1, strands - 1).flatmap(lambda g: st.sampled_from([g, -g]))
+    before, after = draw(st.lists(letter, max_size=3)), draw(st.lists(letter, max_size=3))
+    i, s = draw(st.integers(1, strands - 2)), draw(st.sampled_from([1, -1]))
+    left = before + [s * i, s * (i + 1), s * i]
+    right = before + [s * (i + 1), s * i, s * (i + 1)]
+    perm = braid_permutation(strands, left + after)
+    while pure and perm != sorted(perm):
+        p = next(p for p in range(strands - 1) if perm[p] > perm[p + 1])
+        perm[p], perm[p + 1] = perm[p + 1], perm[p]
+        after.append(draw(st.sampled_from([1, -1])) * (p + 1))
+    return strands, left + after, right + after
+
+
+class TestR3:
+    @settings(max_examples=75, deadline=None)
+    @given(r3_pairs(pure=True))
+    def test_pure_braids_exact(self, pair):
+        strands, left, right = pair
+        indices = list(indices_up_to(strands, 5, 2))
+        assert evaluate(from_braid(strands, left), indices) == evaluate(
+            from_braid(strands, right), indices
+        )
+
+    @settings(max_examples=75, deadline=None)
+    @given(r3_pairs(pure=False))
+    def test_closures_residues(self, pair):
+        strands, left, right = pair
+        a = from_braid(strands, left, closed=True)
+        b = from_braid(strands, right, closed=True)
+        indices = list(indices_up_to(a.n, 4, 2))
+        assert a.n == b.n and residues(a, indices) == residues(b, indices)
+
+
 def assert_matches_dense(d, indices):
     """``evaluate`` on the query's factor closure equals the coefficients of
     the dense expansion at (depth, depth - 1) on the same reduced walk."""
@@ -404,6 +449,62 @@ def string_links(draw):
     return d
 
 
+def lifts(index):
+    """The two indices on the 2-parallel that the cable map sends to
+    ``index``: the first occurrence of i goes to copy 2i - 1 and the second
+    to copy 2i, or the other way round."""
+    seen = Counter()
+    one, other = [], []
+    for i in index:
+        seen[i] += 1
+        one.append(2 * i - 2 + seen[i])
+        other.append(2 * i + 1 - seen[i])
+    return tuple(one), tuple(other)
+
+
+def assert_parallel_copies(l):
+    """Milnor, Isotopy of links (1957), Thm. 7: each lift of an index with
+    r <= 2 to the zero-framed 2-parallel has the index's residue class."""
+    indices = list(indices_up_to(l.n, min(2 * l.n, 5), 2))
+    want = residues(l, indices)
+    lifted = {index: lifts(index) for index in indices}
+    got = residues(cable(l, [2] * l.n), [j for js in lifted.values() for j in js])
+    for index, js in lifted.items():
+        assert [got[j] for j in js] == [want[index]] * 2, index
+
+
+# closed corpus links on at most 3 components and under 100 crossings
+SMALL_CLOSED = {
+    "hopf": hopf(),
+    "whitehead": whitehead_link(),
+    "milnor3": milnor_link(3),
+    "trivial2": trivial_link(2),
+    "trivial3": trivial_link(3),
+    **{
+        f"vtau_n{n}_{''.join(map(str, tau.values))}_k{tau.k}": closure(
+            surjection_generator(tau)
+        )
+        for n in (2, 3)
+        for m in range(n + 1, 2 * n + 1)
+        for tau in selfdelta_generator_indices(n, m)
+    },
+}
+SMALL_CLOSED = {name: l for name, l in SMALL_CLOSED.items() if l.crossing_count < 100}
+
+
+@st.composite
+def kinked_closed_braids(draw):
+    """The closure of a braid word on 2-3 strands with one to three kinks."""
+    strands = draw(st.integers(2, 3))
+    letter = st.integers(1, strands - 1).flatmap(lambda g: st.sampled_from([g, -g]))
+    l = from_braid(strands, draw(st.lists(letter, max_size=6)), closed=True)
+    for _ in range(draw(st.integers(1, 3))):
+        comp = draw(st.integers(1, l.n))
+        at = draw(st.integers(0, len(l.events[comp - 1])))
+        l = with_kink(l, comp, draw(st.sampled_from([1, -1])), at)
+    return l
+
+
 class TestTheorems:
     @settings(max_examples=60, deadline=None)
     @given(string_links(), st.data())
@@ -443,6 +544,15 @@ class TestTheorems:
         for index in indices_up_to(3, 3, 2):
             pulled = tuple(hmap[i - 1] for i in index)
             assert mu_bar(c, index) == mu_bar(h, pulled)
+
+    @pytest.mark.parametrize("name", sorted(SMALL_CLOSED))
+    def test_parallel_copies_corpus(self, name):
+        assert_parallel_copies(SMALL_CLOSED[name])
+
+    @settings(max_examples=60, deadline=None)
+    @given(kinked_closed_braids())
+    def test_parallel_copies_kinked_braids(self, l):
+        assert_parallel_copies(l)
 
     def test_cyclic_symmetry(self):
         for l in [hopf(), borromean(), whitehead()]:
