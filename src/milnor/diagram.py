@@ -7,7 +7,8 @@ presentation and longitude computations.  Every constructed crossing comes
 from one Morse slice executor, ``run_slices``: braids and their closures,
 the framing twists of a cable, commutator tangles and the generator links
 all execute a slice program, so every constructed diagram is planar by
-construction; PD files round-trip through the same structure.
+construction.  ``to_pd_json`` alone defines the PD file layout: a file
+is read back only if it is that layout of the walks it traces.
 
 Sign convention: a crossing is positive when rotating the under-strand
 direction counterclockwise by 90 degrees aligns it with the over-strand
@@ -18,6 +19,7 @@ and the linking number of the resulting clasp is +1.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Sequence
@@ -163,6 +165,7 @@ def run_slices(n, ops, closed=False, name=None):
     """
     row = [_Leg(i, 1) for i in range(1, n + 1)]
     starts = list(row)
+    legs = len(row)
     signs = []
     for op in ops:
         kind = op[0]
@@ -188,6 +191,7 @@ def run_slices(n, ops, closed=False, name=None):
             if not 0 <= pos <= len(row):
                 raise DiagramError(f"birth position {pos} out of range")
             a, b = _Leg(None, 1), _Leg(None, -1)
+            legs += 2
             if down == "L":
                 b.up_link = a
                 row[pos:pos] = [a, b]
@@ -215,6 +219,7 @@ def run_slices(n, ops, closed=False, name=None):
     for strand, leg in enumerate(starts, start=1):
         acc = walks[strand] = []
         while True:
+            legs -= 1
             if leg.direction == 1:
                 acc.extend(leg.events)
                 nxt = leg.down_link
@@ -229,6 +234,8 @@ def run_slices(n, ops, closed=False, name=None):
         if not closed and nxt != strand:
             raise DiagramError(f"strand {strand} exits at position {nxt}")
         exit_of[strand] = nxt
+    if legs:
+        raise DiagramError("a closed loop meets no strand")
     # each strand continues as the strand that starts where it exits
     events = []
     for strand in walks:
@@ -659,8 +666,17 @@ def _int(value):
 
 
 def parse_pd(data) -> Diagram:
-    """Parse the JSON form back into a diagram, validating the edge
-    structure, component walks, and crossing orientations."""
+    """Parse the JSON form back into a diagram.
+
+    Each component's walk is read off ``orientation``: from its least edge on
+    a link, from its top endpoint on a string link.  A crossing's
+    under-passage sits at its incoming edge ``row[0]``.  Its over-passage
+    sits at ``row[1]`` (sign +1) if that edge flows on to ``row[3]`` and is
+    no under-passage's or earlier over-passage's incoming edge, else at
+    ``row[3]`` (sign -1).  The file must then be ``to_pd_json`` of the result
+    with its edges renumbered in walk order, so that function alone defines
+    the layout.
+    """
     if isinstance(data, str):
         data = json.loads(data)
     try:
@@ -679,138 +695,95 @@ def parse_pd(data) -> Diagram:
     for row in pd:
         if len(row) != 4:
             raise DiagramError(f"crossing {row} is not a 4-tuple")
-    counts: dict[int, int] = {}
-    for row in pd:
-        for e in row:
-            counts[e] = counts.get(e, 0) + 1
-    for e, k in counts.items():
-        if e not in comp_of:
-            raise DiagramError(f"edge {e} lacks a component")
-        if k > 2:
-            raise DiagramError(f"edge {e} used {k} times")
-    # build the edge chain of every component
-    chains: list[list[int]] = []
     edges_of: dict[int, list[int]] = {}
     for e, c in comp_of.items():
         edges_of.setdefault(c, []).append(e)
-    if set(edges_of) != set(range(1, n + 1)):
+    if len(edges_of) != n or set(edges_of) != set(range(1, n + 1)):
         raise DiagramError("component labels must be 1..n")
     if closed:
-        starts = {c: min(es) for c, es in edges_of.items()}
+        starts = [min(edges_of[c]) for c in range(1, n + 1)]
     else:
         try:
-            tops = [_int(e) for e in data["endpoints"]["top"]]
+            endpoints = {
+                k: list(map(_int, data["endpoints"][k])) for k in ("top", "bottom")
+            }
         except (KeyError, TypeError, ValueError) as exc:
             raise DiagramError(f"string links need endpoint data: {exc}") from None
-        if len(tops) != n:
+        if len(endpoints["top"]) != n:
             raise DiagramError("need one top endpoint per component")
-        for e in tops:
+        for e in endpoints["top"]:
             if e not in comp_of:
                 raise DiagramError(f"top endpoint {e} lacks a component")
-        starts = {comp_of[e]: e for e in tops}
-        if set(starts) != set(range(1, n + 1)):
+        start_of = {comp_of[e]: e for e in endpoints["top"]}
+        if len(start_of) != n:
             raise DiagramError("top endpoints must cover all components")
-    for comp in range(1, n + 1):
-        es = set(edges_of[comp])
-        chain = [starts[comp]]
-        while True:
-            nxt = succ.get(chain[-1])
-            if nxt is None:
-                if closed:
-                    raise DiagramError(
-                        f"component {comp} is not a cycle (edge {chain[-1]} stops)"
-                    )
-                break
-            if nxt == chain[0] and closed:
-                break
-            if nxt in chain:
-                raise DiagramError(f"edge {nxt} revisited in component {comp}")
-            if comp_of.get(nxt) != comp:
-                raise DiagramError(f"successor of {chain[-1]} leaves component {comp}")
-            chain.append(nxt)
-        if set(chain) != es:
-            raise DiagramError(f"component {comp} does not traverse its edges")
-        chains.append(chain)
-    # transitions: edge -> (component, index); consumed by passages
-    trans_at: dict[int, tuple[int, int]] = {}
-    for comp, chain in enumerate(chains, start=1):
-        last = len(chain) - 1
-        for j, e in enumerate(chain):
-            if j < last or closed:
-                if e in trans_at:
-                    raise DiagramError(f"edge {e} has two successors")
-                trans_at[e] = (comp, j)
-    succ_of = lambda comp, j: chains[comp - 1][(j + 1) % len(chains[comp - 1])]
-    consumed: set[int] = set()
-    passages = []  # per crossing: (under (comp, j), over (comp, j), sign)
-    for cid, (a, b, c_out, dd) in enumerate(pd):
-        if a not in trans_at or succ_of(*trans_at[a]) != c_out:
-            raise DiagramError(
-                f"crossing {cid}: under-strand {a}->{c_out} does not follow "
-                "the orientation data"
-            )
-        if a in consumed:
-            raise DiagramError(f"edge {a} terminates at two crossings")
-        consumed.add(a)
-        passages.append([trans_at[a], None, None, (b, dd)])
-    for cid, (a, b, c_out, dd) in enumerate(pd):
-        over_in = None
-        if b in trans_at and b not in consumed and succ_of(*trans_at[b]) == dd:
-            over_in, sign = b, 1
-        elif dd in trans_at and dd not in consumed and succ_of(*trans_at[dd]) == b:
-            over_in, sign = dd, -1
+        starts = [start_of[c] for c in range(1, n + 1)]
+    walks, enters = [], {}  # enters: edge -> the passage it flows into
+    for e in starts:
+        walk = []
+        while e is not None and e not in enters:
+            walk.append(e)
+            enters[e] = None
+            e = succ.get(e)
+        walks.append(walk)
+    consumed = {row[0] for row in pd}
+    signs = []
+    for cid, (a, b, _, dd) in enumerate(pd):
+        if b not in consumed and succ.get(b) == dd:
+            over, sign = b, 1
         else:
-            raise DiagramError(f"crossing {cid}: over-strand orientation unresolved")
-        consumed.add(over_in)
-        passages[cid][1] = trans_at[over_in]
-        passages[cid][2] = sign
-    for e in set(trans_at) - consumed:
-        comp, _ = trans_at[e]
-        if not (closed and len(chains[comp - 1]) == 1):
-            raise DiagramError(f"edge {e} flows onward but meets no crossing")
-    # assemble events ordered by transition index
-    events: list[list] = [[] for _ in range(n)]
-    per_comp: list[list] = [[] for _ in range(n)]
-    for cid, (under, over, sign, _) in enumerate(passages):
-        per_comp[under[0] - 1].append((under[1], cid, UNDER))
-        per_comp[over[0] - 1].append((over[1], cid, OVER))
-    for comp in range(1, n + 1):
-        for _, cid, role in sorted(per_comp[comp - 1]):
-            events[comp - 1].append((cid, role))
-    signs = [p[2] for p in passages]
+            over, sign = dd, -1
+        consumed.add(over)
+        enters[a], enters[over] = (cid, UNDER), (cid, OVER)
+        signs.append(sign)
+    events = [[enters[e] for e in walk if enters[e]] for walk in walks]
     d = Diagram(n, events, signs, closed=closed, name=data.get("name") or None)
-    _check_planar(d)
+    # the file must be the layout of its walks, up to the names of its edges
+    num = {e: i for i, e in enumerate(itertools.chain(*walks), start=1)}
+    got = {
+        "pd": [[num.get(e) for e in row] for row in pd],
+        "component_of_arc": {str(num.get(e)): c for e, c in comp_of.items()},
+        "orientation": {str(num.get(e)): num.get(f) for e, f in succ.items()},
+    }
+    if not closed:
+        got["endpoints"] = {k: [num.get(e) for e in es] for k, es in endpoints.items()}
+    out = to_pd_json(d)
+    for field, value in got.items():
+        if value != out[field]:
+            raise DiagramError(f"{field} is not the layout of the traced walks")
+    _check_planar(out)
     return d
 
 
-def _check_planar(d: Diagram) -> None:
-    """Reject walk data that no diagram on the sphere realizes.
+def _check_planar(data: dict) -> None:
+    """Reject a layout that no diagram on the sphere realizes.
 
-    Each component's last passage is joined to its first, which closes a
-    planar string link planarly.  The crossings, with their edge ends in the
-    counterclockwise order ``to_pd_json`` writes, then span a 4-valent graph
-    with a rotation system; it embeds in the sphere iff V - E + F = 2 on each
-    connected piece, that is F = V + 2 * pieces, since E = 2V.  Faces are the
-    orbits of "follow the edge, then step to the next end counterclockwise".
+    Each string-link component's bottom edge is joined to its top edge, which
+    closes a planar string link planarly.  The rows of ``data``, edge ends in
+    counterclockwise order, then span a 4-valent graph with a rotation
+    system; it embeds in the sphere iff V - E + F = 2 on each connected piece,
+    that is F = V + 2 * pieces, since E = 2V.  Faces are the orbits of
+    "follow the edge, then step to the next end counterclockwise".
     """
-    order = {1: ("uin", "oin", "uout", "oout"), -1: ("uin", "oout", "uout", "oin")}
-
-    def end(cid, name):
-        return 4 * cid + order[d.signs[cid]].index(name)
-
-    mate = [0] * (4 * d.crossing_count)
-    piece = list(range(d.crossing_count))
+    rows = data["pd"]
+    if "endpoints" in data:
+        join = dict(zip(data["endpoints"]["bottom"], data["endpoints"]["top"]))
+        rows = [[join.get(e, e) for e in row] for row in rows]
+    slots: dict[int, list[int]] = {}
+    for x, e in enumerate(itertools.chain(*rows)):
+        slots.setdefault(e, []).append(x)
+    v = len(rows)
+    mate = [0] * (4 * v)
+    piece = list(range(v))
 
     def root(c):
         while piece[c] != c:
             piece[c] = c = piece[piece[c]]
         return c
 
-    for ev in d.events:
-        for (c1, r1), (c2, r2) in zip(ev, ev[1:] + ev[:1]):
-            a, b = end(c1, r1 + "out"), end(c2, r2 + "in")
-            mate[a], mate[b] = b, a
-            piece[root(c1)] = root(c2)
+    for a, b in slots.values():
+        mate[a], mate[b] = b, a
+        piece[root(a // 4)] = root(b // 4)
     faces = 0
     seen = [False] * len(mate)
     for start in range(len(mate)):
@@ -822,12 +795,11 @@ def _check_planar(d: Diagram) -> None:
             seen[x] = True
             y = mate[x]
             x = y - y % 4 + (y + 1) % 4
-    pieces = len({root(c) for c in range(d.crossing_count)})
-    if faces != d.crossing_count + 2 * pieces:
+    pieces = len({root(c) for c in range(v)})
+    if faces != v + 2 * pieces:
         raise DiagramError(
             f"diagram is not planar: {faces} faces where a planar diagram "
-            f"with {d.crossing_count} crossings in {pieces} connected pieces "
-            f"has {d.crossing_count + 2 * pieces}"
+            f"with {v} crossings in {pieces} connected pieces has {v + 2 * pieces}"
         )
 
 

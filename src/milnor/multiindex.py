@@ -148,15 +148,7 @@ def palindromic_surjections(m: int, k: int, n: int) -> list[Surjection]:
 def ascending_surjections(m: int, k: int, n: int) -> list[Surjection]:
     """One representative per reversal-asymmetric pair: the value sequence is
     smaller than its reversal at the first position where they differ."""
-    out = []
-    for t in surjections(m, k, n):
-        rev = t.values[::-1]
-        for a, b in zip(t.values, rev):
-            if a != b:
-                if a < b:
-                    out.append(t)
-                break
-    return out
+    return [t for t in surjections(m, k, n) if t.values < t.values[::-1]]
 
 
 def selfdelta_generator_indices(n: int, m: int) -> list[Surjection]:

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -175,6 +176,29 @@ class TestInvariantsCmd:
             args = args + [str(empty)]
         assert main(args) == 2
         assert "at least one component" in capsys.readouterr().err
+
+    def test_huge_component_count_exit_code(self, tmp_path):
+        # the labels are checked before anything is sized by the count; the
+        # child's address space is capped, so an allocation exits 1
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "kind": "link",
+            "components": 10**9,
+            "pd": [],
+            "component_of_arc": {"1": 1},
+            "orientation": {"1": 1},
+        }))
+        cap = 1 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "milnor.cli", "invariants", str(bad)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert proc.returncode == 2, proc.stderr[-2000:]
+        assert "component labels must be 1..n" in proc.stderr
 
     def test_missing_file(self, workdir):
         assert main(["invariants", str(workdir["dir"] / "nope.json")]) == 2

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import random
@@ -280,6 +281,12 @@ class TestSlices:
         with pytest.raises(DiagramError):
             run_slices(2, [("x", 1, "L")])
 
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_crossing_free_loop_rejected(self, closed):
+        # a loop born and killed inside the program meets no strand
+        with pytest.raises(DiagramError, match="closed loop meets no strand"):
+            run_slices(1, [("max", 1, "L"), ("min", 1)], closed=closed)
+
 
 class TestPDFiles:
     def test_roundtrip_stringlink(self):
@@ -361,6 +368,44 @@ class TestPDFiles:
         ]:
             assert canonical_form(parse_pd(to_pd_json(d))) == canonical_form(d)
 
+    def test_renamed_edges_and_permuted_rows(self):
+        # edges renamed (increasingly on a link, which keeps each base point
+        # at its component's least edge) and pd rows shuffled: same diagram
+        rng = random.Random(16)
+        for d in pd_samples():
+            data = to_pd_json(d)
+            for _ in range(3):
+                again = parse_pd(renamed(data, rng))
+                assert canonical_form(again) == canonical_form(d)
+
+    def test_layout_changes_rejected(self):
+        # each change keeps every edge and crossing in place: only the
+        # walks or the endpoint lists stop agreeing with the rows
+        rng = random.Random(16)
+        for d in pd_samples():
+            data = to_pd_json(d)
+            edges = [int(e) for e in data["component_of_arc"]]
+            mutants = []
+            key = rng.choice(sorted(data["orientation"]))
+            flow = copy.deepcopy(data)
+            flow["orientation"][key] = rng.choice(
+                [e for e in edges if e != data["orientation"][key]]
+            )
+            mutants.append((None, flow))  # caught wherever the walk strays
+            if not d.closed:
+                bottom = copy.deepcopy(data)
+                i = rng.randrange(d.n)
+                bottom["endpoints"]["bottom"][i] = rng.choice(
+                    [e for e in edges if e != data["endpoints"]["bottom"][i]]
+                )
+                mutants.append(("endpoints", bottom))
+                top = copy.deepcopy(data)
+                top["endpoints"]["top"].reverse()
+                mutants.append(("endpoints", top))
+            for message, mutant in mutants:
+                with pytest.raises(DiagramError, match=message):
+                    parse_pd(mutant)
+
     def test_braid_file(self):
         d = load_diagram({"strands": 2, "word": [1, 1], "kind": "closure"})
         assert d.closed and d.n == 2
@@ -368,6 +413,47 @@ class TestPDFiles:
         assert not s.closed
         with pytest.raises(DiagramError):
             load_diagram({"strands": 2, "word": [1], "kind": "stringlink"})
+
+
+def pd_samples():
+    """Corpus links, string links and kinked closures for the file tests."""
+    items = corpus()
+    return [
+        items["hopf"],
+        items["whitehead"],
+        items["milnor3"],
+        items["trivial2"],
+        from_braid(3, [1, 2, 2, 1, -2, -2]),
+        tree_tangle(3, (1, 2, 3)),
+        stack(tree_tangle(2, (1, 2, 2)), from_braid(2, [-1, -1])),
+        with_kink(with_kink(from_braid(2, [1, 1]), 2, -1, 1), 1, 1),
+        with_kink(from_braid(3, [1, 2, -1, 2], closed=True), 1, -1, 2),
+        with_kink(closure(tree_tangle(2, (1, 2))), 2, 1),
+    ]
+
+
+def renamed(data, rng):
+    """The PD file with its edges renamed and its pd rows shuffled; a link's
+    edges are renamed increasingly."""
+    old = sorted(int(e) for e in data["component_of_arc"])
+    new = rng.sample(range(1, 10 * len(old) + 1), len(old))
+    if data["kind"] == "link":
+        new.sort()
+    name = dict(zip(old, new))
+    out = dict(data)
+    out["pd"] = [[name[e] for e in row] for row in data["pd"]]
+    rng.shuffle(out["pd"])
+    out["component_of_arc"] = {
+        str(name[int(e)]): c for e, c in data["component_of_arc"].items()
+    }
+    out["orientation"] = {
+        str(name[int(e)]): name[f] for e, f in data["orientation"].items()
+    }
+    if "endpoints" in data:
+        out["endpoints"] = {
+            k: [name[e] for e in es] for k, es in data["endpoints"].items()
+        }
+    return out
 
 
 def corpus():
