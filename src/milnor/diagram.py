@@ -84,31 +84,12 @@ class Diagram:
                 raise DiagramError(f"crossing {cid} has sign {sign}")
             crossings.append(Crossing(sign, slot[OVER], slot[UNDER]))
         self.crossings = tuple(crossings)
-        # arc ordinal before each event position: number of earlier unders
-        self._arc_before = []
-        for ev in self.events:
-            acc, run = [], 0
-            for cid, role in ev:
-                acc.append(run)
-                if role == UNDER:
-                    run += 1
-            acc.append(run)
-            self._arc_before.append(tuple(acc))
 
     # -- basic derived data ------------------------------------------------
 
     @property
     def crossing_count(self):
         return len(self.signs)
-
-    def arc_count(self, comp):
-        """Number of Wirtinger arcs of a component (at least 1)."""
-        unders = self._arc_before[comp - 1][-1]
-        return max(unders, 1) if self.closed else unders + 1
-
-    def arc_at(self, comp, pos):
-        """Arc ordinal of component ``comp`` at event position ``pos``."""
-        return self._arc_before[comp - 1][pos]
 
     def writhe(self, comp):
         return sum(
@@ -151,12 +132,6 @@ class _Leg:
         self.down_link = None  # leg continuing past this leg's bottom end
 
 
-def _tangent(direction, side):
-    # side "L": the point moves right through the crossing; "R": moves left
-    dx = 1 if side == "L" else -1
-    return (dx, -1) if direction == 1 else (-dx, 1)
-
-
 def run_slices(n, ops, closed=False, name=None):
     """Execute a slice program and return the resulting Diagram.
 
@@ -175,14 +150,10 @@ def run_slices(n, ops, closed=False, name=None):
                 raise DiagramError(f"crossing position {pos} out of range")
             left, right = row[pos], row[pos + 1]
             over_leg, under_leg = (left, right) if over == "L" else (right, left)
-            ot = _tangent(over_leg.direction, "L" if over == "L" else "R")
-            ut = _tangent(under_leg.direction, "R" if over == "L" else "L")
-            ccw = (-ut[1], ut[0])
-            dot = ccw[0] * ot[0] + ccw[1] * ot[1]
-            if dot == 0:
-                raise DiagramError("degenerate crossing")
+            # left over right is positive when both flow the same way;
+            # reversing either strand mirrors the sign
             cid = len(signs)
-            signs.append(1 if dot > 0 else -1)
+            signs.append((1 if over == "L" else -1) * left.direction * right.direction)
             over_leg.events.append((cid, OVER))
             under_leg.events.append((cid, UNDER))
             row[pos], row[pos + 1] = right, left
@@ -665,6 +636,14 @@ def _int(value):
     return value
 
 
+def _edge(key):
+    """An edge named by a JSON object key, which must be an integer's
+    decimal form, so that no two keys name one edge."""
+    if str(int(key)) != key:
+        raise ValueError(f"{key!r} is not an edge number")
+    return int(key)
+
+
 def parse_pd(data) -> Diagram:
     """Parse the JSON form back into a diagram.
 
@@ -682,8 +661,8 @@ def parse_pd(data) -> Diagram:
     try:
         n = _int(data["components"])
         pd = [list(map(_int, row)) for row in data["pd"]]
-        comp_of = {int(k): _int(v) for k, v in data["component_of_arc"].items()}
-        succ = {int(k): _int(v) for k, v in data["orientation"].items()}
+        comp_of = {_edge(k): _int(v) for k, v in data["component_of_arc"].items()}
+        succ = {_edge(k): _int(v) for k, v in data["orientation"].items()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DiagramError(f"malformed diagram file: {exc}") from None
     kind = data.get("kind", "link")

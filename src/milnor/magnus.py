@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from functools import lru_cache
-from operator import add, itemgetter, mul, neg, sub
+from operator import add, itemgetter, mul, sub
 
 from .freegroup import Word
 
@@ -129,10 +129,10 @@ class Basis:
                 self._inner.append((np.array(left, np.intp), np.array(right, np.intp)))
         self._hash = hash((n, self.words))
 
-    def inner(self, d: int, x, y, acc=None, sign: int = 1, extra=None):
+    def inner(self, d: int, x, y, acc, sign: int = 1, extra=None):
         """acc + sign * (s + extra) over the monomials of degree d, where s
         sums x[u] y[v] over each monomial's d - 1 inner splits w = uv (u and
-        v nonempty); acc and extra are degree-d slices, zero when None.
+        v nonempty); acc and extra are degree-d slices, extra zero when None.
 
         Only degrees 1..d-1 of x and y are read, so a recursion that solves
         degree d from lower degrees can call it on the vectors it is
@@ -149,8 +149,6 @@ class Basis:
                 sums = itertools.repeat(0, self.bounds[2] - self.bounds[1])
             if extra is not None:
                 sums = map(add, sums, extra)
-            if acc is None:
-                return list(sums if sign > 0 else map(neg, sums))
             return list(map(add if sign > 0 else sub, acc, sums))
         if d > 1:
             left, right = self._inner[d - 2]
@@ -159,8 +157,6 @@ class Basis:
             sums = np.zeros(self.bounds[2] - self.bounds[1], dtype=np.int64)
         if extra is not None:
             sums = sums + extra
-        if acc is None:
-            return sums if sign > 0 else -sums
         return acc + sums if sign > 0 else acc - sums
 
     def __len__(self) -> int:

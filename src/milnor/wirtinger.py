@@ -11,15 +11,17 @@ moves x_i^(+-1) to the left of the partial longitude lambda_{<k}.  For a
 string link, whose longitude need not commute with x_i, only the left
 correction cancels it.
 
-One refinement serves words and the test oracle.  ``_unders`` yields each
-under-passage with its over-arc; ``_refine`` refines every arc's meridian
-depth by depth, each pass conjugating by the previous pass's meridians, and
-``_longitude`` multiplies a longitude from them.  Both work on any element
-with ``*`` and ``inverse()``: on free-group words they give
-``meridian_words`` and ``longitude_word``, exact at every depth, and the
-tests run them on Magnus series as the oracle of the graded walk.  The
-invariant engine uses the graded walk ``_Graded`` on Magnus series over a
-monomial basis, which it sizes by its query: degree d of every meridian
+``_walk`` alone reads a diagram's walks as Wirtinger arcs: it numbers the
+arcs, lists each under-passage with its over-arc, and writes each
+longitude as factors, the framing correction first as |w| factors of the
+base arc.  Everything below reads that table.  ``_refine`` refines every
+arc's meridian depth by depth, each pass conjugating by the previous pass's
+meridians, and ``_longitude`` multiplies a longitude along its factors.
+Both work on any element with ``*`` and ``inverse()``: on free-group words
+they give ``meridian_words`` and ``longitude_word``, exact at every depth,
+and the tests run them on Magnus series as the oracle of the graded walk.
+The invariant engine uses the graded walk ``_Graded`` on Magnus series over
+a monomial basis, which it sizes by its query: degree d of every meridian
 depends only on lower degrees of the over-arcs, so one walk per degree fills
 it for every arc.
 """
@@ -75,52 +77,86 @@ def presentation(d: Diagram) -> Presentation:
     return Presentation(d, arcs, component_of, tuple(relations))
 
 
-def _unders(d: Diagram, comp: int):
-    """Yield comp's under-passages in walk order, each as ((over comp, over
-    arc), sign).  In a closed diagram the arc after a component's final
-    under-passage is its base arc."""
-    for cid, role in d.events[comp - 1]:
-        if role == UNDER:
-            c = d.crossings[cid]
-            oc, op = c.over
-            arc = d.arc_at(oc, op)
-            yield (oc, 0 if d.closed and arc >= d.arc_count(oc) else arc), c.sign
+@dataclass(frozen=True)
+class _Walk:
+    """A diagram's Wirtinger arcs, numbered flat component by component.
+
+    ``arcs`` labels them (comp, ordinal), ordinal 0 being comp's base arc;
+    ``bases`` pairs each component with its base arc; ``passages`` lists
+    the under-passages that lead to a further arc, as (arc in, arc out,
+    over-arc, sign), each component's in walk order; and ``factors[comp]``
+    lists the longitude factors of comp as (arc, sign): |w| copies of
+    (base arc, -sign w), the framing correction x_comp^(-w) for comp's
+    self-writhe w, then the over-arc of each under-passage along its walk.
+    """
+
+    arcs: tuple
+    bases: tuple
+    passages: tuple
+    factors: dict
+
+
+def _walk(d: Diagram) -> _Walk:
+    """The walk data of d, cached on it, read from its events alone.  A
+    component with k under-passages has k + 1 arcs on a string link and
+    max(k, 1) on a closed link, where the stretch after the last
+    under-passage is the base arc; so an over-passage after j
+    under-passages of its walk lies on arc j modulo the component's arc
+    count."""
+    if "walk" in d._cache:
+        return d._cache["walk"]
+    arcs, bases, over_arc = [], [], {}
+    for comp, ev in enumerate(d.events, start=1):
+        unders = sum(role == UNDER for _, role in ev)
+        count = max(unders, 1) if d.closed else unders + 1
+        bases.append((comp, len(arcs)))
+        j = 0
+        for cid, role in ev:
+            if role == UNDER:
+                j += 1
+            else:
+                over_arc[cid] = len(arcs) + j % count
+        arcs += [(comp, a) for a in range(count)]
+    passages, factors = [], {}
+    for comp, base in bases:
+        w = d.writhe(comp)
+        ev = d.events[comp - 1]
+        unders = [(over_arc[c], d.signs[c]) for c, role in ev if role == UNDER]
+        factors[comp] = [(base, -1 if w > 0 else 1)] * abs(w) + unders
+        # on a closed link the last under-passage leads back to the base arc
+        leading = unders[: len(unders) - 1] if d.closed else unders
+        passages += [(base + j, base + j + 1, o, s) for j, (o, s) in enumerate(leading)]
+    d._cache["walk"] = _Walk(tuple(arcs), tuple(bases), tuple(passages), factors)
+    return d._cache["walk"]
 
 
 def _refine(d: Diagram, depth: int, base) -> dict:
-    """Each arc's meridian, keyed (comp, arc), after depth passes from the
-    base meridians base(comp).  Every arc starts at its component's base
-    meridian; each pass walks every component from its base arc, conjugating
-    the running meridian by the previous pass's over-arc meridian at each
-    under-passage.  The elements need only ``*`` and ``inverse()``."""
+    """Each arc's meridian, keyed by its ``_walk`` label (comp, arc), after
+    depth passes from the base meridians base(comp).  Every arc starts at its
+    component's base meridian; each pass walks the passages, conjugating the
+    running meridian by the previous pass's over-arc meridian.  The elements
+    need only ``*`` and ``inverse()``."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    gens = {comp: base(comp) for comp in range(1, d.n + 1)}
-    out = {(comp, a): x for comp, x in gens.items() for a in range(d.arc_count(comp))}
+    walk = _walk(d)
+    gens = {comp: base(comp) for comp, _ in walk.bases}
+    rows = [gens[comp] for comp, _ in walk.arcs]
     for _ in range(depth - 1):
-        prev, out = out, {}
-        for comp, cur in gens.items():
-            out[(comp, 0)] = cur
-            for arc, (over, sign) in enumerate(_unders(d, comp), start=1):
-                o = prev[over]
-                cur = o.inverse() * cur * o if sign == 1 else o * cur * o.inverse()
-                if arc < d.arc_count(comp):
-                    out[(comp, arc)] = cur
-    return out
+        prev, rows = rows, list(rows)
+        for a, out, o, sign in walk.passages:
+            x, m = prev[o], rows[a]
+            rows[out] = x.inverse() * m * x if sign == 1 else x * m * x.inverse()
+    return dict(zip(walk.arcs, rows))
 
 
 def _longitude(d: Diagram, comp: int, meridians: dict, one):
     """The zero-framed longitude of comp multiplied from the meridians of
-    ``_refine``: x_comp^(-w) on the left, then the over-arc meridians along
-    comp's under-passages, inverted at a negative crossing; one is the
-    identity element."""
-    x, w = meridians[(comp, 0)], d.writhe(comp)
-    correction = x.inverse() if w > 0 else x
-    out = one
-    for _ in range(abs(w)):
-        out = out * correction
-    for over, sign in _unders(d, comp):
-        out = out * (meridians[over] if sign == 1 else meridians[over].inverse())
+    ``_refine`` along ``_walk(d).factors[comp]``, inverted at sign -1; one is
+    the identity element."""
+    walk, out = _walk(d), one
+    for o, sign in walk.factors[comp]:
+        x = meridians[walk.arcs[o]]
+        out = out * (x if sign == 1 else x.inverse())
     return out
 
 
@@ -135,42 +171,6 @@ def longitude_word(d: Diagram, comp: int, depth: int) -> Word:
     if not 1 <= comp <= d.n:
         raise ValueError(f"component {comp} out of range")
     return _longitude(d, comp, meridian_words(d, depth), Word(d.n))
-
-
-@dataclass(frozen=True)
-class _Walk:
-    """A diagram's ``arcs`` arcs, numbered flat component by component.
-
-    ``bases`` pairs each component with its base arc; ``passages`` lists
-    the under-passages that lead to a further arc, as (arc in, arc out,
-    over-arc, sign), each component's in walk order; ``factors[comp]`` lists
-    the longitude factors of comp as (over-arc, sign) along its walk; and
-    ``writhe[comp]`` is comp's self-writhe, which its longitude cancels.
-    """
-
-    arcs: int
-    bases: tuple
-    passages: tuple
-    factors: dict
-    writhe: dict
-
-
-def _walk(d: Diagram) -> _Walk:
-    """The walk data of d, cached on it."""
-    if "walk" in d._cache:
-        return d._cache["walk"]
-    arcs = [(comp, a) for comp in range(1, d.n + 1) for a in range(d.arc_count(comp))]
-    index = {arc: i for i, arc in enumerate(arcs)}
-    passages, factors = [], {}
-    for comp in range(1, d.n + 1):
-        factors[comp] = [(index[over], sign) for over, sign in _unders(d, comp)]
-        leading = factors[comp][: d.arc_count(comp) - 1]
-        for arc, (over, sign) in enumerate(leading, start=1):
-            passages.append((index[(comp, arc - 1)], index[(comp, arc)], over, sign))
-    bases = tuple((comp, index[(comp, 0)]) for comp in range(1, d.n + 1))
-    writhe = {comp: d.writhe(comp) for comp in range(1, d.n + 1)}
-    d._cache["walk"] = _Walk(len(arcs), bases, tuple(passages), factors, writhe)
-    return d._cache["walk"]
 
 
 class _Graded:
@@ -192,26 +192,30 @@ class _Graded:
     result is the fixed point of the depth-by-depth refinement, which it
     equals at depth ``q + 1`` (depth stability: Milnor, Isotopy of links,
     1957).  A state serves only its own basis and solves it from degree 1;
-    a longitude multiplies its rows, and divides by them at a negative
-    crossing, with the same step.
+    a longitude multiplies its rows along the walk's factors, and divides by
+    them at sign -1, with the same step.  A base arc's row is 1 + X_comp, so
+    the framing factors divide or multiply by x_comp.
     """
 
     def __init__(self, d: Diagram, basis: magnus.Basis):
         self.walk = walk = _walk(d)
         self.basis = basis
+        arcs = len(walk.arcs)
         if basis.small:
-            self.m = [[1] + [0] * (len(basis) - 1) for _ in range(walk.arcs)]
+            self.m = [[1] + [0] * (len(basis) - 1) for _ in range(arcs)]
         else:
             np = magnus.np
-            self.m = np.zeros((walk.arcs, len(basis)), dtype=np.int64)
+            self.m = np.zeros((arcs, len(basis)), dtype=np.int64)
             self.m[:, 0] = 1
             # the guard's running L1 norm and peak of each row over the
             # finished degrees, and the passages as index arrays
-            self.l1, self.peak = np.zeros(walk.arcs), np.zeros(walk.arcs)
+            self.l1, self.peak = np.zeros(arcs), np.zeros(arcs)
             if walk.passages:
                 self.passage_arrays = tuple(np.array(c) for c in zip(*walk.passages))
         for deg in range(1, basis.q + 1):
             self._degree(deg)
+        # each row wrapped once, so its guard norms are computed once
+        self.rows = [magnus.Series(basis, row) for row in self.m]
 
     def _degree(self, deg: int) -> None:
         b = self.basis
@@ -256,19 +260,11 @@ class _Graded:
         return 1.0 + float(first.sum() + second.sum())
 
     def longitude(self, comp: int) -> magnus.Series:
-        """The zero-framed longitude of comp: the product of the over-arc
-        meridians along the walk, divided by at a negative crossing, with
-        the framing correction x_comp^(-w) multiplied on the left."""
-        b = self.basis
-        out = magnus.unit(b)
+        """The zero-framed longitude of comp: the product of its factors'
+        rows, divided by at sign -1."""
+        out = magnus.unit(self.basis)
         for o, sign in self.walk.factors[comp]:
-            row = magnus.Series(b, self.m[o])
-            out = out * row if sign == 1 else out / row
-        w = self.walk.writhe[comp]
-        if w:
-            corr = magnus.generator_series(comp, -1 if w > 0 else 1, b)
-            for _ in range(abs(w)):
-                out = corr * out
+            out = out * self.rows[o] if sign == 1 else out / self.rows[o]
         return out
 
 

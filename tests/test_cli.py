@@ -121,6 +121,27 @@ class TestInvariantsCmd:
         assert "is not an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "field, old, new",
+        [
+            ("component_of_arc", None, "01"),
+            ("orientation", None, "01"),
+            ("component_of_arc", "1", "+1"),
+            ("orientation", "3", "3 "),
+            ("component_of_arc", "2", "02"),
+        ],
+    )
+    def test_loose_pd_key_exit_code(self, capsys, tmp_path, field, old, new):
+        # each file would load as the Hopf link if the key were cast to int:
+        # a second key for edge 1, or a key renamed to another form of itself
+        data = to_pd_json(closure(from_braid(2, [1, 1])))
+        keys = data[field]
+        keys[new] = keys["1"] if old is None else keys.pop(old)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["invariants", str(bad)]) == 2
+        assert "is not an edge number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "data",
         [
             {"strands": 2.8, "word": [True, "1"], "kind": "closure"},

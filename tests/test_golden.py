@@ -13,6 +13,8 @@ The set:
 * ``invariants``, ``classify --self-delta`` and ``cable`` at multiplicities
   2 and 3,2 on two braid files, closures of non-pure braids whose components
   have nonzero self-writhe, so the cable adds framing twists;
+* ``invariants --max-length 6 --max-r 2`` on a third such closure, whose
+  4,917-split basis puts the framing correction on the int64 kernel;
 * ``generate`` of each generator kind, printed to standard output.
 
 A change that means to alter the output re-records the table by running
@@ -49,6 +51,12 @@ BRAIDS = {
         "strands": 4, "word": [-1, -1, -1, 2, 2, -3, -3, -3], "kind": "closure"
     },
 }
+# self-writhe +3 on component 4; its length-6 table runs on the int64 kernel
+NUMPY_BRAID = {
+    "braid_int64": {
+        "strands": 5, "word": [1, 1, 2, 2, -3, -3, 4, 4, 4], "kind": "closure"
+    }
+}
 GENERATE = [
     ["whitehead"], ["milnor-link", "4"], ["v-pi", "2,1,3,4"],
     ["v-tau", "1,2,1", "--k", "3"], ["trivial", "3"],
@@ -75,16 +83,15 @@ def write_inputs(outdir: Path) -> dict:
     for name, values in STRING_LINKS.items():
         code, _ = _run("generate", "v-pi", values, "-o", str(outdir / f"{name}.json"))
         assert code == 0
-    for name, data in BRAIDS.items():
+    for name, data in {**BRAIDS, **NUMPY_BRAID}.items():
         (outdir / f"{name}.json").write_text(json.dumps(data))
     return {p.stem: str(p) for p in sorted(outdir.glob("*.json"))}
 
 
 def commands(files: dict) -> dict:
     """Each command's argument list, keyed by a name free of paths."""
-    corpus = sorted(
-        name for name in files if name not in STRING_LINKS and name not in BRAIDS
-    )
+    inputs = {*STRING_LINKS, *BRAIDS, *NUMPY_BRAID}
+    corpus = sorted(name for name in files if name not in inputs)
     out = {}
     for name in corpus:
         out[f"invariants --max-length 4 {name}"] = [
@@ -101,6 +108,10 @@ def commands(files: dict) -> dict:
         out[f"classify --self-delta {name}"] = ["classify", "--self-delta", files[name]]
         for mults in ["2", "3,2"]:
             out[f"cable {name} {mults}"] = ["cable", files[name], mults]
+    for name in NUMPY_BRAID:
+        out[f"invariants --max-length 6 --max-r 2 {name}"] = [
+            "invariants", files[name], "--max-length", "6", "--max-r", "2"
+        ]
     for argv in GENERATE:
         out["generate " + " ".join(argv)] = ["generate", *argv]
     return out
@@ -113,7 +124,7 @@ def digest(argv) -> str:
 
 def test_output_is_byte_identical(tmp_path):
     files = write_inputs(tmp_path)
-    assert len(files) == 22 + len(STRING_LINKS) + len(BRAIDS)
+    assert len(files) == 22 + len(STRING_LINKS) + len(BRAIDS) + len(NUMPY_BRAID)
     want = json.loads(TABLE.read_text())
     got = {key: digest(argv) for key, argv in commands(files).items()}
     assert sorted(got) == sorted(want)

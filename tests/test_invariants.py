@@ -493,16 +493,25 @@ SMALL_CLOSED = {name: l for name, l in SMALL_CLOSED.items() if l.crossing_count 
 
 
 @st.composite
-def kinked_closed_braids(draw):
-    """The closure of a braid word on 2-3 strands with one to three kinks."""
-    strands = draw(st.integers(2, 3))
+def kinked_closed_braids(draw, strands=(2, 3), kinks=(1, 3)):
+    """The closure of a braid word on the given range of strands with the
+    given range of kinks."""
+    strands = draw(st.integers(*strands))
     letter = st.integers(1, strands - 1).flatmap(lambda g: st.sampled_from([g, -g]))
     l = from_braid(strands, draw(st.lists(letter, max_size=6)), closed=True)
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(*kinks))):
         comp = draw(st.integers(1, l.n))
         at = draw(st.integers(0, len(l.events[comp - 1])))
         l = with_kink(l, comp, draw(st.sampled_from([1, -1])), at)
     return l
+
+
+def shuffles(i, j):
+    """Every interleaving of i and j, with multiplicity."""
+    m = len(i) + len(j)
+    for places in itertools.combinations(range(m), len(i)):
+        rest_i, rest_j = iter(i), iter(j)
+        yield tuple(next(rest_i) if p in places else next(rest_j) for p in range(m))
 
 
 class TestTheorems:
@@ -559,6 +568,31 @@ class TestTheorems:
             for index in indices_up_to(l.n, 4, 3):
                 rot = index[1:] + index[:1]
                 assert mu_bar(l, index) == mu_bar(l, rot)
+
+    @settings(max_examples=40, deadline=None)
+    @given(kinked_closed_braids(strands=(2, 4), kinks=(0, 2)))
+    def test_cyclic_symmetry_kinked_braids(self, l):
+        # Milnor, Isotopy of links (1957), Thm. 6: mu-bar is invariant under
+        # cyclic permutation of its index
+        indices = list(indices_up_to(l.n, 4, 2))
+        got = residues(l, indices)
+        for index in indices:
+            assert got[index] == got[index[1:] + index[:1]], index
+
+    @settings(max_examples=40, deadline=None)
+    @given(kinked_closed_braids(strands=(2, 4), kinks=(0, 2)), st.data())
+    def test_shuffle_relation_kinked_braids(self, l, data):
+        # Milnor, Isotopy of links (1957), Thm. 6: the sum over the shuffles
+        # H of I and J of mu-bar(Hk) vanishes modulo the gcd of Delta(Hk)
+        entry = st.integers(1, l.n)
+        i = tuple(data.draw(st.lists(entry, min_size=1, max_size=2)))
+        j = tuple(data.draw(st.lists(entry, min_size=1, max_size=2)))
+        k = data.draw(entry)
+        terms = [h + (k,) for h in shuffles(i, j)]
+        got = residues(l, terms)
+        g = math.gcd(*(got[h].modulus for h in terms))
+        total = sum(got[h].value for h in terms)
+        assert (total % g if g else total) == 0
 
     def test_closure_compatibility(self):
         # string-link values with vanishing lower lengths survive closure
