@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import invariants
-from .diagram import Diagram, cable, closure, power, stack, stack_all, tree_tangle
+from .diagram import Diagram, cable, closure, power, stack_all, tree_tangle
 from .diagram import trivial_string_link
 from .multiindex import (
     Injection,
@@ -134,9 +134,8 @@ def homotopy_normal_form(l: Diagram) -> HomotopyNormalForm:
         built = invariants.evaluate(partial, [pi.values for pi in level])
         for pi in level:
             exponents[pi] = target[pi.values] - built[pi.values]
-        for pi in level:
-            if exponents[pi]:
-                partial = stack(partial, injection_generator(pi, exponents[pi]))
+        gens = [injection_generator(pi, exponents[pi]) for pi in level if exponents[pi]]
+        partial = stack_all([partial, *gens], n)
     l._cache["normal_form"] = HomotopyNormalForm(n, exponents)
     return l._cache["normal_form"]
 

@@ -119,8 +119,7 @@ def cmd_generate(kind: str, spec: list[str], n: int | None, k: int | None, out) 
         values = tuple(int(v) for v in spec[0].split(","))
         size = n or max(values)
         pi = Injection(size, values)
-        g = classify.injection_generator(pi)
-        d = Diagram(g.n, g.events, g.signs, g.closed)
+        d = classify.injection_generator(pi)
         d.name = "v-pi-" + "-".join(map(str, values))
     elif kind == "v-tau":
         values = tuple(int(v) for v in spec[0].split(","))
@@ -128,8 +127,7 @@ def cmd_generate(kind: str, spec: list[str], n: int | None, k: int | None, out) 
             raise DiagramError("v-tau needs --k (the doubled component)")
         size = n or max(max(values), k)
         tau = Surjection(size, k, values)
-        g = classify.surjection_generator(tau)
-        d = Diagram(g.n, g.events, g.signs, g.closed)
+        d = classify.surjection_generator(tau)
         d.name = f"v-tau-{'-'.join(map(str, values))}-k{k}"
     elif kind == "whitehead":
         d = classify.whitehead_link()

@@ -3,10 +3,10 @@
 The combinatorial core of a diagram here is the *walk*: for every component,
 the ordered sequence of crossing passages (each tagged over or under), plus a
 sign per crossing.  This is exactly the data consumed by the Wirtinger
-presentation and longitude computations.  Every constructed crossing comes
-from one Morse slice executor, ``run_slices``: braids and their closures,
-the framing twists of a cable, commutator tangles and the generator links
-all execute a slice program, so every constructed diagram is planar by
+presentation and longitude computations.  Braids and their closures,
+commutator tangles, the generator links and a cable's framing twists run
+one Morse slice executor, ``run_slices``; stacks, inverses and cables copy
+walks and kinks insert a curl, so every constructed diagram is planar by
 construction.  ``to_pd_json`` alone defines the PD file layout: a file
 is read back only if it is that layout of the walks it traces.
 
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from typing import Sequence
 
 from .freegroup import Word
@@ -34,20 +33,14 @@ class DiagramError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Crossing:
-    """One crossing: sign and the two passages through it."""
-
-    sign: int
-    over: tuple[int, int]  # (component, event position in that component's walk)
-    under: tuple[int, int]
-
-
 class Diagram:
     """An oriented link or string-link diagram in walk form.
 
     ``events[i]`` lists component i's passages in order: from the top
     endpoint for string links, from the base point for closed links.
+    ``over_at[cid]`` and ``under_at[cid]`` locate crossing cid's two
+    passages as (component, position in its walk) pairs, components
+    numbered from 1; validation fills them in one pass over the walks.
     """
 
     def __init__(self, n, events, signs, closed, name=None):
@@ -64,26 +57,27 @@ class Diagram:
             raise DiagramError("a diagram needs at least one component")
         if len(self.events) != self.n:
             raise DiagramError("component count does not match event lists")
-        seen: dict[int, dict[str, tuple[int, int]]] = {}
-        for comp, ev in enumerate(self.events):
+        count = len(self.signs)
+        over, under = [None] * count, [None] * count
+        for comp, ev in enumerate(self.events, start=1):
             for pos, (cid, role) in enumerate(ev):
-                if role not in (OVER, UNDER):
+                if role == OVER:
+                    at = over
+                elif role == UNDER:
+                    at = under
+                else:
                     raise DiagramError(f"bad role {role!r}")
-                if not 0 <= cid < len(self.signs):
+                if not 0 <= cid < count:
                     raise DiagramError(f"crossing id {cid} out of range")
-                slot = seen.setdefault(cid, {})
-                if role in slot:
+                if at[cid] is not None:
                     raise DiagramError(f"crossing {cid} passed twice as {role}")
-                slot[role] = (comp + 1, pos)
-        crossings = []
+                at[cid] = (comp, pos)
         for cid, sign in enumerate(self.signs):
-            slot = seen.get(cid, {})
-            if set(slot) != {OVER, UNDER}:
+            if over[cid] is None or under[cid] is None:
                 raise DiagramError(f"crossing {cid} lacks an over or under passage")
             if sign not in (1, -1):
                 raise DiagramError(f"crossing {cid} has sign {sign}")
-            crossings.append(Crossing(sign, slot[OVER], slot[UNDER]))
-        self.crossings = tuple(crossings)
+        self.over_at, self.under_at = tuple(over), tuple(under)
 
     # -- basic derived data ------------------------------------------------
 
@@ -93,9 +87,9 @@ class Diagram:
 
     def writhe(self, comp):
         return sum(
-            c.sign
-            for c in self.crossings
-            if c.over[0] == comp and c.under[0] == comp
+            sign
+            for sign, over, under in zip(self.signs, self.over_at, self.under_at)
+            if over[0] == comp == under[0]
         )
 
     def __repr__(self):
@@ -254,27 +248,28 @@ def from_braid(strands, word, closed=False, name=None):
 
 def stack(a: Diagram, b: Diagram) -> Diagram:
     """a on top of b; both must be string links on the same component count."""
-    if a.closed or b.closed:
-        raise DiagramError("stacking is defined for string links")
-    if a.n != b.n:
-        raise DiagramError("component counts differ")
-    off = a.crossing_count
-    events = [
-        list(ea) + [(cid + off, role) for cid, role in eb]
-        for ea, eb in zip(a.events, b.events)
-    ]
-    return Diagram(a.n, events, a.signs + b.signs, closed=False)
+    return stack_all([a, b])
 
 
 def stack_all(parts: Sequence[Diagram], n: int | None = None) -> Diagram:
-    if not parts:
-        if n is None:
+    """The parts stacked top to bottom in one new diagram; each must be a
+    string link on n components, the first part's count by default."""
+    if n is None:
+        if not parts:
             raise DiagramError("empty stack needs an explicit component count")
-        return trivial_string_link(n)
-    out = parts[0]
-    for p in parts[1:]:
-        out = stack(out, p)
-    return out
+        n = parts[0].n
+    events: list[list] = [[] for _ in range(n)]
+    signs: list[int] = []
+    for part in parts:
+        if part.closed:
+            raise DiagramError("stacking is defined for string links")
+        if part.n != n:
+            raise DiagramError("component counts differ")
+        off = len(signs)
+        for walk, ev in zip(events, part.events):
+            walk.extend((cid + off, role) for cid, role in ev)
+        signs.extend(part.signs)
+    return Diagram(n, events, signs, closed=False)
 
 
 def closure(l: Diagram) -> Diagram:
@@ -316,6 +311,10 @@ def with_kink(d: Diagram, comp: int, sign: int, at: int = 0) -> Diagram:
     component.  Used to exercise framing corrections."""
     if sign not in (1, -1):
         raise DiagramError("kink sign must be +-1")
+    if not 1 <= comp <= d.n:
+        raise DiagramError(f"component {comp} out of range")
+    if not 0 <= at <= len(d.events[comp - 1]):
+        raise DiagramError(f"kink position {at} out of range")
     events = [list(ev) for ev in d.events]
     cid = d.crossing_count
     events[comp - 1][at:at] = [(cid, OVER), (cid, UNDER)]
@@ -412,52 +411,40 @@ def cable(l: Diagram, multiplicities: Sequence[int]) -> Diagram:
         raise DiagramError("need one multiplicity per component")
     if any(c < 1 for c in mult):
         raise DiagramError("multiplicities must be positive")
-    new_of = []  # new_of[i-1][s-1] = new component id
-    next_id = 1
-    for i in range(l.n):
-        ids = list(range(next_id, next_id + mult[i]))
-        new_of.append(ids)
-        next_id += mult[i]
-    n_new = next_id - 1
-    events: list[list] = [[] for _ in range(n_new)]
+    # the copies of crossing cid are base[cid] + s * c + t for the s-th
+    # under-copy and t-th over-copy, c the over-component's multiplicity
+    base: list[int] = []
     signs: list[int] = []
-    grid: dict[int, list[list[int]]] = {}
-    for cid, c in enumerate(l.crossings):
-        ci = mult[c.under[0] - 1]
-        cj = mult[c.over[0] - 1]
-        grid[cid] = [[0] * cj for _ in range(ci)]
-        for s in range(ci):
-            for t in range(cj):
-                grid[cid][s][t] = len(signs)
-                signs.append(c.sign)
-    for i in range(1, l.n + 1):
-        ci = mult[i - 1]
-        for s in range(1, ci + 1):
-            ev_new = events[new_of[i - 1][s - 1] - 1]
-            for cid, role in l.events[i - 1]:
-                c = l.crossings[cid]
+    for sign, over, under in zip(l.signs, l.over_at, l.under_at):
+        base.append(len(signs))
+        signs.extend([sign] * (mult[under[0] - 1] * mult[over[0] - 1]))
+    copies = [[[] for _ in range(c)] for c in mult]
+    for walk, group in zip(l.events, copies):
+        for s, ev_new in enumerate(group):
+            for cid, role in walk:
+                b, c = base[cid], mult[l.over_at[cid][0] - 1]
                 if role == UNDER:
-                    cj = mult[c.over[0] - 1]
-                    ts = range(1, cj + 1) if c.sign == 1 else range(cj, 0, -1)
-                    ev_new.extend((grid[cid][s - 1][t - 1], UNDER) for t in ts)
+                    ids = range(b + s * c, b + s * c + c)
                 else:
-                    cu = mult[c.under[0] - 1]
-                    ss = range(cu, 0, -1) if c.sign == 1 else range(1, cu + 1)
-                    ev_new.extend((grid[cid][u - 1][s - 1], OVER) for u in ss)
+                    ids = range(b + s, b + mult[l.under_at[cid][0] - 1] * c, c)
+                if (role == OVER) == (l.signs[cid] == 1):
+                    ids = reversed(ids)
+                ev_new.extend((x, role) for x in ids)
     # framing correction: full twists so parallel copies have linking zero;
     # the copies are numbered right to left across the twist, the choice
     # that a planar diagram realizes
-    for i in range(1, l.n + 1):
-        ci, w = mult[i - 1], l.writhe(i)
+    for i, group in enumerate(copies, start=1):
+        ci, w = len(group), l.writhe(i)
         if ci < 2 or w == 0:
             continue
         letters = [ci - g if w < 0 else -g for g in range(1, ci)] * (ci * abs(w))
         twist = from_braid(ci, letters)
         off = len(signs)
         signs.extend(twist.signs)
-        for comp, ev in zip(reversed(new_of[i - 1]), twist.events):
-            events[comp - 1].extend((cid + off, role) for cid, role in ev)
-    return Diagram(n_new, events, signs, closed=True)
+        for ev_new, ev in zip(reversed(group), twist.events):
+            ev_new.extend((cid + off, role) for cid, role in ev)
+    events = [ev_new for group in copies for ev_new in group]
+    return Diagram(len(events), events, signs, closed=True)
 
 
 def cable_map(l: Diagram, multiplicities: Sequence[int]):
@@ -596,10 +583,10 @@ def to_pd_json(d: Diagram) -> dict:
         return ids[(pos + 1) % len(ids)] if d.closed else ids[pos + 1]
 
     pd = []
-    for c in d.crossings:
-        ui, uo = edge_before(*c.under), edge_after(*c.under)
-        oi, oo = edge_before(*c.over), edge_after(*c.over)
-        if c.sign == 1:
+    for sign, over, under in zip(d.signs, d.over_at, d.under_at):
+        ui, uo = edge_before(*under), edge_after(*under)
+        oi, oo = edge_before(*over), edge_after(*over)
+        if sign == 1:
             pd.append([ui, oi, uo, oo])
         else:
             pd.append([ui, oo, uo, oi])

@@ -64,7 +64,7 @@ def presentation(d: Diagram) -> Presentation:
     component_of = {int(e): c for e, c in data["component_of_arc"].items()}
     relations = []
     for cid, (a, b, c_out, dd) in enumerate(data["pd"]):
-        sign = d.crossings[cid].sign
+        sign = d.signs[cid]
         relations.append(
             Relation(
                 crossing=cid,

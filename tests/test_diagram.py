@@ -23,6 +23,7 @@ from milnor.diagram import (
     reduced,
     run_slices,
     stack,
+    stack_all,
     to_pd_json,
     tree_tangle,
     trivial_link,
@@ -31,23 +32,69 @@ from milnor.diagram import (
 )
 from milnor.classify import (
     HomotopyNormalForm,
+    injection_generator,
     milnor_link,
     surjection_generator,
     whitehead_link,
 )
 from milnor.freegroup import Word
-from milnor.multiindex import all_injections, selfdelta_generator_indices
+from milnor.multiindex import (
+    Injection,
+    Surjection,
+    all_injections,
+    selfdelta_generator_indices,
+)
 from milnor import invariants, wirtinger
 
 
 def oracle_linking(d, i, j):
     """Half the signed count of crossings between two components."""
     total = 0
-    for c in d.crossings:
-        if {c.over[0], c.under[0]} == {i, j}:
-            total += c.sign
+    for sign, over, under in zip(d.signs, d.over_at, d.under_at):
+        if {over[0], under[0]} == {i, j}:
+            total += sign
     assert total % 2 == 0
     return total // 2
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "n, events, signs, message",
+        [
+            (0, [], [], "at least one component"),
+            (2, [[]], [], "component count does not match event lists"),
+            (1, [[(0, "x"), (0, "u")]], [1], "bad role 'x'"),
+            (1, [[(-1, "o"), (0, "u")]], [1], "crossing id -1 out of range"),
+            (1, [[(0, "o"), (1, "u")]], [1], "crossing id 1 out of range"),
+            (1, [[(0, "o"), (0, "o")]], [1], "crossing 0 passed twice as o"),
+            (1, [[(0, "u"), (0, "o"), (0, "u")]], [1], "crossing 0 passed twice as u"),
+            (1, [[(0, "o"), (1, "o"), (1, "u")]], [1, 1], "crossing 0 lacks an over"),
+            (1, [[(0, "o"), (0, "u")]], [2], "crossing 0 has sign 2"),
+        ],
+    )
+    def test_diagram_rejects(self, n, events, signs, message):
+        for closed in (False, True):
+            with pytest.raises(DiagramError, match=message):
+                Diagram(n, events, signs, closed)
+
+    def test_passages_located(self):
+        d = Diagram(2, [[(1, "u"), (0, "o")], [(0, "u"), (1, "o")]], [1, -1], True)
+        assert d.over_at == ((1, 1), (2, 1))
+        assert d.under_at == ((2, 0), (1, 0))
+
+    @pytest.mark.parametrize(
+        "parts, n, message",
+        [
+            ([trivial_link(2)], None, "stacking is defined for string links"),
+            ([trivial_string_link(2), trivial_link(2)], 2, "defined for string links"),
+            ([trivial_string_link(2), trivial_string_link(3)], None, "counts differ"),
+            ([trivial_string_link(2)], 3, "component counts differ"),
+            ([], None, "empty stack needs an explicit component count"),
+        ],
+    )
+    def test_stack_all_rejects(self, parts, n, message):
+        with pytest.raises(DiagramError, match=message):
+            stack_all(parts, n)
 
 
 class TestBraids:
@@ -106,6 +153,26 @@ class TestStack:
         with pytest.raises(DiagramError):
             stack(trivial_string_link(2), trivial_string_link(3))
 
+    def test_results_are_new_diagrams(self):
+        # renaming, or caching a reduction on, a result never reaches the
+        # next call's result
+        s = from_braid(2, [1, 1])
+        assert stack_all([s]) is not s and power(s, 1) is not s
+        assert canonical_form(power(s, 1)) == canonical_form(s)
+        pi = Injection(3, (1, 2, 3))
+        exponents = {p: int(p == pi) for p in all_injections(3)}
+        for make in [
+            lambda: injection_generator(pi),
+            lambda: surjection_generator(Surjection(3, 3, (1, 2, 1))),
+            lambda: HomotopyNormalForm(3, exponents).realize(),
+        ]:
+            g = make()
+            g.name = "renamed"
+            reduced(g)
+            again = make()
+            assert again is not g and again.name is None
+            assert "reduced" not in again._cache
+
     def test_power_inverse(self):
         s = from_braid(2, [1, 1])
         assert canonical_form(power(s, -1)) == canonical_form(invert(s))
@@ -132,6 +199,25 @@ class TestKinks:
     def test_writhe(self):
         s = with_kink(trivial_string_link(2), 1, 1)
         assert s.writhe(1) == 1 and s.writhe(2) == 0
+
+    @pytest.mark.parametrize(
+        "comp, at, message",
+        [
+            (0, 0, "component 0 out of range"),
+            (3, 0, "component 3 out of range"),
+            (1, -1, "kink position -1 out of range"),
+            (1, 3, "kink position 3 out of range"),
+        ],
+    )
+    def test_rejects_bad_place(self, comp, at, message):
+        hopf = closure(from_braid(2, [1, 1]))
+        with pytest.raises(DiagramError, match=message):
+            with_kink(hopf, comp, 1, at)
+
+    def test_kink_at_either_end(self):
+        hopf = closure(from_braid(2, [1, 1]))
+        assert with_kink(hopf, 2, 1, 2).events[1][2:] == ((2, "o"), (2, "u"))
+        assert with_kink(hopf, 2, 1, 0).events[1][:2] == ((2, "o"), (2, "u"))
 
     def test_invariants_unchanged(self):
         base = tree_tangle(3, (1, 2, 3))

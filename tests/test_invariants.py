@@ -563,6 +563,27 @@ class TestTheorems:
     def test_parallel_copies_kinked_braids(self, l):
         assert_parallel_copies(l)
 
+    @settings(max_examples=60, deadline=None)
+    @given(kinked_closed_braids(kinks=(0, 2)), st.data())
+    def test_mixed_cables_kinked_braids(self, l, data):
+        # Milnor, Isotopy of links (1957), Thm. 7: on the zero-framed cable
+        # each r = 1 index has the residue of its image under the cable map;
+        # two copies of one source have linking number 0
+        mult = data.draw(st.lists(st.integers(1, 3), min_size=l.n, max_size=l.n))
+        c, h = cable(l, mult), cable_map(l, mult)
+        pairs = list(itertools.combinations(range(1, c.n + 1), 2))
+        triples = list(itertools.permutations(range(1, c.n + 1), 3))
+        image = {index: tuple(h[i - 1] for i in index) for index in pairs + triples}
+        got = residues(c, pairs + triples)
+        want = residues(l, sorted({image[index] for index in triples} | {
+            image[index] for index in pairs if len(set(image[index])) == 2
+        }))
+        for index in pairs:
+            source = image[index]
+            assert got[index] == (Residue(0, 0) if source[0] == source[1] else want[source])
+        for index in triples:
+            assert got[index] == want[image[index]], index
+
     def test_cyclic_symmetry(self):
         for l in [hopf(), borromean(), whitehead()]:
             for index in indices_up_to(l.n, 4, 3):
