@@ -39,7 +39,8 @@ def main():
     for name, d in items.items():
         d.name = name
         path = outdir / f"{name}.json"
-        path.write_text(json.dumps(to_pd_json(d), sort_keys=True, indent=2) + "\n")
+        text = json.dumps(to_pd_json(d), sort_keys=True)
+        path.write_text(text + "\n", encoding="utf-8")
         print(path)
 
 

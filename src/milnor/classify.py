@@ -15,7 +15,6 @@ the diagram, and read by every verdict on that input.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import invariants
@@ -91,10 +90,15 @@ def mu_of(l: Diagram, pi: Injection) -> int:
     return invariants.mu(l, pi.values)
 
 
-@dataclass
 class HomotopyNormalForm:
-    n: int
-    exponents: dict  # Injection -> int, over all injections for this n
+    def __init__(self, n: int, exponents: dict):
+        self.n = n
+        self.exponents = exponents  # Injection -> int, over all injections for this n
+
+    def __eq__(self, other):
+        if not isinstance(other, HomotopyNormalForm):
+            return NotImplemented
+        return (self.n, self.exponents) == (other.n, other.exponents)
 
     def ordered(self):
         return [(pi, self.exponents[pi]) for pi in all_injections(self.n)]
@@ -134,6 +138,8 @@ def homotopy_normal_form(l: Diagram) -> HomotopyNormalForm:
         built = invariants.evaluate(partial, [pi.values for pi in level])
         for pi in level:
             exponents[pi] = target[pi.values] - built[pi.values]
+        if k == n:
+            break  # nothing reads the product of every level
         gens = [injection_generator(pi, exponents[pi]) for pi in level if exponents[pi]]
         partial = stack_all([partial, *gens], n)
     l._cache["normal_form"] = HomotopyNormalForm(n, exponents)
@@ -171,7 +177,6 @@ class Verdict(enum.Enum):
     UNDECIDED = "undecided"
 
 
-@dataclass
 class SelfDeltaVector:
     """Every invariant of a closed link with repetition at most 2 and length
     at most 2n, as residues: the one table each self-delta verdict reads.
@@ -182,11 +187,10 @@ class SelfDeltaVector:
     link is self-delta trivial iff the whole table vanishes.
     """
 
-    table: invariants.InvariantTable
-
-    def __post_init__(self):
-        n = self.n = self.table.n
-        values = self.table.entries
+    def __init__(self, table: invariants.InvariantTable):
+        self.table = table
+        n = self.n = table.n
+        values = table.entries
         # the nonzero values shorter than 2n, and the classifying length-2n
         # values, reported only when the hypothesis holds
         self.failures = {
@@ -273,12 +277,12 @@ def link_homotopy_trivial(l: Diagram) -> bool:
     return True
 
 
-@dataclass
 class BrunnianForm:
-    n: int
-    parity: dict  # Surjection (palindromic, odd length family) -> 0 or 1
-    doubled: dict  # Surjection (palindromic, length 2n) -> int
-    single: dict  # Surjection (ascending, length 2n) -> int
+    def __init__(self, n: int, parity: dict, doubled: dict, single: dict):
+        self.n = n
+        self.parity = parity  # Surjection (palindromic, odd length family) -> 0 or 1
+        self.doubled = doubled  # Surjection (palindromic, length 2n) -> int
+        self.single = single  # Surjection (ascending, length 2n) -> int
 
     def _families(self):
         """(JSON key, [(surjection, exponent)] by value sequence) per family,

@@ -20,8 +20,8 @@ from .multiindex import Injection, Surjection
 
 def _read(path: str) -> Diagram:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise DiagramError(f"{path}: {exc}") from None
     try:
         d = load_diagram(text)
@@ -141,7 +141,7 @@ def cmd_generate(kind: str, spec: list[str], n: int | None, k: int | None, out) 
         raise DiagramError(f"unknown generator kind {kind!r}")
     payload = json.dumps(to_pd_json(d), sort_keys=True, indent=2)
     if out:
-        Path(out).write_text(payload + "\n")
+        Path(out).write_text(payload + "\n", encoding="utf-8")
     else:
         print(payload)
     return 0
@@ -161,7 +161,7 @@ def cmd_cable(path: str, mults: str, out) -> int:
     payload["source_component"] = list(cable_map(d, m))
     text = json.dumps(payload, sort_keys=True, indent=2)
     if out:
-        Path(out).write_text(text + "\n")
+        Path(out).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
     return 0

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from typing import Sequence
+from collections.abc import Sequence
 
 from .freegroup import Word
 

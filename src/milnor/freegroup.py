@@ -6,11 +6,11 @@ A letter is a nonzero signed integer: ``j`` stands for the j-th generator,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Tuple
+from collections import namedtuple
+from collections.abc import Iterable
 
 
-def _reduce(letters: Iterable[int]) -> Tuple[int, ...]:
+def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
     out: list[int] = []
     for x in letters:
         if out and out[-1] == -x:
@@ -20,25 +20,21 @@ def _reduce(letters: Iterable[int]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Word:
-    rank: int
-    letters: Tuple[int, ...] = ()
+class Word(namedtuple("Word", "rank letters")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        for x in self.letters:
-            if x == 0 or abs(x) > self.rank:
-                raise ValueError(f"letter {x} out of range for rank {self.rank}")
-        reduced = _reduce(self.letters)
-        if reduced != self.letters:
-            object.__setattr__(self, "letters", reduced)
+    def __new__(cls, rank: int, letters: tuple[int, ...] = ()):
+        for x in letters:
+            if x == 0 or abs(x) > rank:
+                raise ValueError(f"letter {x} out of range for rank {rank}")
+        return super().__new__(cls, rank, _reduce(letters))
 
-    def __mul__(self, other: "Word") -> "Word":
+    def __mul__(self, other: Word) -> Word:
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
         return Word(self.rank, self.letters + other.letters)
 
-    def inverse(self) -> "Word":
+    def inverse(self) -> Word:
         return Word(self.rank, tuple(-x for x in reversed(self.letters)))
 
     def __len__(self) -> int:
@@ -52,4 +48,3 @@ class Word:
 
     def __str__(self) -> str:
         return " ".join(str(x) for x in self.letters)
-

@@ -32,24 +32,22 @@ queries assemble nothing twice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+
 from . import magnus, wirtinger
 from .diagram import Diagram, reduced
 from .multiindex import format_index
 
 
-@dataclass(frozen=True, order=True)
-class Residue:
+class Residue(namedtuple("Residue", "value modulus")):
     """An integer modulo a nonnegative modulus; modulus 0 means exact."""
 
-    value: int
-    modulus: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.modulus < 0:
+    def __new__(cls, value: int, modulus: int = 0):
+        if modulus < 0:
             raise ValueError("modulus must be nonnegative")
-        if self.modulus:
-            object.__setattr__(self, "value", self.value % self.modulus)
+        return super().__new__(cls, value % modulus if modulus else value, modulus)
 
     def is_zero(self) -> bool:
         return self.value == 0
@@ -153,14 +151,14 @@ def indices_up_to(n: int, max_len: int, max_r: int):
             yield from words
 
 
-@dataclass
 class InvariantTable:
-    subject: str
-    n: int
-    max_length: int
-    max_r: int
-    closed: bool
-    entries: dict = field(default_factory=dict)  # index -> Residue
+    def __init__(self, subject, n, max_length, max_r, closed, entries):
+        self.subject = subject
+        self.n = n
+        self.max_length = max_length
+        self.max_r = max_r
+        self.closed = closed
+        self.entries = entries  # index -> Residue
 
     def rows(self):
         for index in sorted(self.entries, key=lambda i: (len(i), i)):
@@ -207,16 +205,9 @@ def table(d: Diagram, max_len: int, max_r: int) -> InvariantTable:
         raise ValueError("max_len must be at least 2")
     if max_r < 1:
         raise ValueError("max_r must be at least 1")
-    out = InvariantTable(
-        subject=d.name or repr(d),
-        n=d.n,
-        max_length=max_len,
-        max_r=max_r,
-        closed=d.closed,
-    )
     indices = indices_up_to(d.n, max_len, max_r)
     if d.closed:
-        out.entries = residues(d, indices)
+        entries = residues(d, indices)
     else:
-        out.entries = {i: Residue(v, 0) for i, v in evaluate(d, indices).items()}
-    return out
+        entries = {i: Residue(v, 0) for i, v in evaluate(d, indices).items()}
+    return InvariantTable(d.name or repr(d), d.n, max_len, max_r, d.closed, entries)

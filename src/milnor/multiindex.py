@@ -18,10 +18,10 @@ representative of each pair.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from collections import namedtuple
+from collections.abc import Sequence
 
-Index = Tuple[int, ...]
+Index = tuple[int, ...]
 
 
 def format_index(index: Sequence[int], n: int) -> str:
@@ -30,29 +30,26 @@ def format_index(index: Sequence[int], n: int) -> str:
     return ",".join(str(e) for e in index)
 
 
-@dataclass(frozen=True, order=True)
-class Injection:
+class Injection(namedtuple("Injection", "n values")):
     """An injection pi with pi(i) < pi(k-1) < pi(k) for all i <= k-2."""
 
-    n: int
-    values: Index
+    __slots__ = ()
 
-    def __post_init__(self):
-        k = len(self.values)
-        if k < 2 or k > self.n:
-            raise ValueError(f"arity {k} out of range 2..{self.n}")
-        if len(set(self.values)) != k:
-            raise ValueError(f"values {self.values} are not pairwise distinct")
-        for v in self.values:
-            if not 1 <= v <= self.n:
-                raise ValueError(f"value {v} out of range 1..{self.n}")
-        if self.values[k - 2] >= self.values[k - 1]:
-            raise ValueError(f"{self.values}: last two values must increase")
-        for v in self.values[: k - 2]:
-            if v >= self.values[k - 2]:
-                raise ValueError(
-                    f"{self.values}: early values must lie below the top pair"
-                )
+    def __new__(cls, n: int, values: Index):
+        k = len(values)
+        if k < 2 or k > n:
+            raise ValueError(f"arity {k} out of range 2..{n}")
+        if len(set(values)) != k:
+            raise ValueError(f"values {values} are not pairwise distinct")
+        for v in values:
+            if not 1 <= v <= n:
+                raise ValueError(f"value {v} out of range 1..{n}")
+        if values[k - 2] >= values[k - 1]:
+            raise ValueError(f"{values}: last two values must increase")
+        for v in values[: k - 2]:
+            if v >= values[k - 2]:
+                raise ValueError(f"{values}: early values must lie below the top pair")
+        return super().__new__(cls, n, values)
 
     @property
     def k(self) -> int:
@@ -80,32 +77,30 @@ def all_injections(n: int) -> list[Injection]:
     return out
 
 
-@dataclass(frozen=True, order=True)
-class Surjection:
+class Surjection(namedtuple("Surjection", "n k values")):
     """A surjection tau onto {1..n}\\{k}, values hit at most twice.
 
     ``m`` is len(values) + 2: the associated invariant reads the index
     tau(1)...tau(m-2) k k of length m.
     """
 
-    n: int
-    k: int
-    values: Index
+    __slots__ = ()
 
-    def __post_init__(self):
-        m = self.m
-        if not 1 <= self.k <= self.n:
-            raise ValueError(f"excluded component {self.k} out of range")
-        if not self.n < m <= 2 * self.n:
-            raise ValueError(f"m={m} out of range ({self.n}, {2 * self.n}]")
-        if set(self.values) != set(range(1, self.n + 1)) - {self.k}:
-            raise ValueError(f"{self.values} is not onto the complement of {self.k}")
-        for v in set(self.values):
-            c = self.values.count(v)
+    def __new__(cls, n: int, k: int, values: Index):
+        m = len(values) + 2
+        if not 1 <= k <= n:
+            raise ValueError(f"excluded component {k} out of range")
+        if not n < m <= 2 * n:
+            raise ValueError(f"m={m} out of range ({n}, {2 * n}]")
+        if set(values) != set(range(1, n + 1)) - {k}:
+            raise ValueError(f"{values} is not onto the complement of {k}")
+        for v in set(values):
+            c = values.count(v)
             if c > 2:
                 raise ValueError(f"value {v} hit {c} > 2 times")
-            if v > self.k and c != 1:
-                raise ValueError(f"value {v} > k={self.k} must be hit exactly once")
+            if v > k and c != 1:
+                raise ValueError(f"value {v} > k={k} must be hit exactly once")
+        return super().__new__(cls, n, k, values)
 
     @property
     def m(self) -> int:

@@ -28,30 +28,23 @@ it for every arc.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import magnus
 from .diagram import UNDER, Diagram
 from .freegroup import Word
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(namedtuple("Relation", "crossing sign out_arc in_arc over_arc")):
     """out = over^-sign * in * over^sign, one per crossing."""
 
-    crossing: int
-    sign: int
-    out_arc: int
-    in_arc: int
-    over_arc: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Presentation:
-    diagram: Diagram
-    arcs: tuple[int, ...]  # edge labels, one generator each
-    component_of: dict
-    relations: tuple[Relation, ...]
+class Presentation(namedtuple("Presentation", "diagram arcs component_of relations")):
+    """``arcs`` are the PD edge labels, one generator each."""
+
+    __slots__ = ()
 
 
 def presentation(d: Diagram) -> Presentation:
@@ -77,8 +70,7 @@ def presentation(d: Diagram) -> Presentation:
     return Presentation(d, arcs, component_of, tuple(relations))
 
 
-@dataclass(frozen=True)
-class _Walk:
+class _Walk(namedtuple("_Walk", "arcs bases passages factors")):
     """A diagram's Wirtinger arcs, numbered flat component by component.
 
     ``arcs`` labels them (comp, ordinal), ordinal 0 being comp's base arc;
@@ -90,10 +82,7 @@ class _Walk:
     self-writhe w, then the over-arc of each under-passage along its walk.
     """
 
-    arcs: tuple
-    bases: tuple
-    passages: tuple
-    factors: dict
+    __slots__ = ()
 
 
 def _walk(d: Diagram) -> _Walk:

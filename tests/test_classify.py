@@ -225,6 +225,24 @@ class TestNormalForm:
         rebuilt = nf.realize()
         assert link_homotopic(l, rebuilt)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_stacks_only_the_levels_it_reads(self, monkeypatch, n):
+        # levels 2..n-1 each rebuild a partial product that the next level
+        # reads; the product of all n-1 levels is never read
+        from milnor import classify
+
+        exps = {pi: (-1) ** i for i, pi in enumerate(all_injections(n))}
+        l = stack_all([injection_generator(pi, e) for pi, e in exps.items()], n)
+        calls = []
+
+        def spy_stack_all(parts, size):
+            calls.append(len(parts))
+            return stack_all(parts, size)
+
+        monkeypatch.setattr(classify, "stack_all", spy_stack_all)
+        assert homotopy_normal_form(l).exponents == exps
+        assert len(calls) == n - 2
+
     def test_rejects_closed(self):
         with pytest.raises(ValueError):
             homotopy_normal_form(hopf())

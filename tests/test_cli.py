@@ -495,11 +495,40 @@ def cli_imports(*argv):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    return {
+    modules = {
         line.rsplit("|", 1)[-1].strip()
         for line in proc.stderr.splitlines()
         if line.startswith("import time:")
     }
+    # the package loads neither; numpy, past NUMPY_SPLITS, loads inspect
+    assert "dataclasses" not in modules
+    assert "inspect" not in modules or "numpy" in modules
+    return modules
+
+
+def test_files_are_read_and_written_as_utf8(tmp_path, capsys):
+    # JSON is UTF-8 (RFC 8259): no command falls back to the locale's encoding
+    w, cabled = tmp_path / "w.json", tmp_path / "w2.json"
+    strict = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for argv in (
+        ["generate", "whitehead", "-o", str(w)],
+        ["classify", "--self-delta", str(w)],
+        ["cable", str(w), "2", "-o", str(cabled)],
+    ):
+        proc = subprocess.run(
+            [sys.executable, *strict, "-m", "milnor.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+    cable_data = json.loads(cabled.read_text(encoding="utf-8"))
+    assert cable_data["source_component"] == [1, 1, 2, 2]
+    w.write_bytes(b"\xff" + w.read_bytes())
+    assert main(["classify", "--self-delta", str(w)]) == 2
+    assert f"{w}: 'utf-8' codec can't decode" in capsys.readouterr().err
 
 
 class TestStartup:
