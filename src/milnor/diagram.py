@@ -44,9 +44,11 @@ class Diagram:
     """
 
     def __init__(self, n, events, signs, closed, name=None):
-        self.n = int(n)
+        if type(n) is not int:
+            raise DiagramError(f"component count {n!r} is not an integer")
+        self.n = n
         self.events = tuple(tuple(ev) for ev in events)
-        self.signs = tuple(int(s) for s in signs)
+        self.signs = tuple(signs)
         self.closed = bool(closed)
         self.name = name
         self._cache: dict = {}
@@ -67,6 +69,8 @@ class Diagram:
                     at = under
                 else:
                     raise DiagramError(f"bad role {role!r}")
+                if type(cid) is not int:
+                    raise DiagramError(f"crossing id {cid!r} is not an integer")
                 if not 0 <= cid < count:
                     raise DiagramError(f"crossing id {cid} out of range")
                 if at[cid] is not None:
@@ -75,8 +79,8 @@ class Diagram:
         for cid, sign in enumerate(self.signs):
             if over[cid] is None or under[cid] is None:
                 raise DiagramError(f"crossing {cid} lacks an over or under passage")
-            if sign not in (1, -1):
-                raise DiagramError(f"crossing {cid} has sign {sign}")
+            if type(sign) is not int or sign not in (1, -1):
+                raise DiagramError(f"crossing {cid} has sign {sign!r}")
         self.over_at, self.under_at = tuple(over), tuple(under)
 
     # -- basic derived data ------------------------------------------------
@@ -616,6 +620,15 @@ def to_pd_json(d: Diagram) -> dict:
     return data
 
 
+def _decoded(data):
+    """data, decoded first when it is JSON text; nesting too deep for the
+    decoder is a DiagramError."""
+    try:
+        return json.loads(data) if isinstance(data, str) else data
+    except RecursionError:
+        raise DiagramError("JSON nested too deeply") from None
+
+
 def _int(value):
     """A JSON integer: floats, booleans and strings are rejected."""
     if type(value) is not int:
@@ -643,8 +656,7 @@ def parse_pd(data) -> Diagram:
     with its edges renumbered in walk order, so that function alone defines
     the layout.
     """
-    if isinstance(data, str):
-        data = json.loads(data)
+    data = _decoded(data)
     try:
         n = _int(data["components"])
         pd = [list(map(_int, row)) for row in data["pd"]]
@@ -771,8 +783,7 @@ def _check_planar(data: dict) -> None:
 
 def load_diagram(data) -> Diagram:
     """Load either a PD file or a braid file."""
-    if isinstance(data, str):
-        data = json.loads(data)
+    data = _decoded(data)
     if not isinstance(data, dict):
         raise DiagramError("a diagram file holds a JSON object")
     if not isinstance(data.get("name", ""), (str, type(None))):

@@ -6,7 +6,8 @@ bigons, which are Tietze moves on the Wirtinger presentation) and reads
 the invariant of I as the coefficient of X_{i_1}...X_{i_{m-1}} in the
 Magnus expansion of the last index's longitude, exact in every degree
 (``wirtinger.longitude_series``), so one expansion per component serves
-the whole batch.  The expansion lives on the factor closure of the
+the whole batch; one call builds them all, and nothing sized by the batch
+outlives it.  The expansion lives on the factor closure of the
 batch's monomials X_{i_1}...X_{i_{m-1}} (``magnus.closure``): every
 monomial outside it lies in an ideal that no coefficient inside it
 depends on, so a repetition-free or repetition-2 batch never pays for the
@@ -57,10 +58,12 @@ class Residue(namedtuple("Residue", "value modulus")):
 
 
 def _check_index(d: Diagram, index) -> tuple[int, ...]:
-    index = tuple(int(i) for i in index)
+    index = tuple(index)
     if len(index) < 2:
         raise ValueError("invariants need indices of length at least 2")
     for i in index:
+        if type(i) is not int:
+            raise ValueError(f"index entry {i!r} is not an integer")
         if not 1 <= i <= d.n:
             raise ValueError(f"index entry {i} out of range 1..{d.n}")
     return index
@@ -74,10 +77,7 @@ def evaluate(d: Diagram, indices) -> dict[tuple[int, ...], int]:
         return {}
     basis = magnus.closure(d.n, [index[:-1] for index in indices])
     d = reduced(d)
-    series = {
-        comp: wirtinger.longitude_series(d, comp, basis)
-        for comp in {index[-1] for index in indices}
-    }
+    series = wirtinger.longitude_series(d, {index[-1] for index in indices}, basis)
     return {index: series[index[-1]].coefficient(index[:-1]) for index in indices}
 
 
@@ -147,6 +147,8 @@ def indices_up_to(n: int, max_len: int, max_r: int):
     words = [()]
     for ln in range(1, max_len + 1):
         words = [w + (a,) for w in words for a in range(1, n + 1) if w.count(a) < max_r]
+        if not words:
+            break  # no word is longer than n * max_r
         if ln >= 2:
             yield from words
 

@@ -95,7 +95,7 @@ class Basis:
     operation.
     """
 
-    __slots__ = ("n", "q", "words", "pos", "bounds", "splits", "small", "_inner", "_hash")
+    __slots__ = ("n", "q", "words", "pos", "bounds", "splits", "small", "_inner")
 
     def __init__(self, n: int, words):
         words = sorted(words, key=lambda w: (len(w), w))
@@ -127,7 +127,6 @@ class Basis:
             else:
                 np = _numpy()
                 self._inner.append((np.array(left, np.intp), np.array(right, np.intp)))
-        self._hash = hash((n, self.words))
 
     def inner(self, d: int, x, y, acc, sign: int = 1, extra=None):
         """acc + sign * (s + extra) over the monomials of degree d, where s
@@ -167,16 +166,8 @@ class Basis:
             return NotImplemented
         return self is other or (self.n == other.n and self.words == other.words)
 
-    def __hash__(self) -> int:
-        return self._hash
-
     def __repr__(self) -> str:
         return f"Basis(n={self.n}, q={self.q}, size={len(self.words)})"
-
-
-@lru_cache(maxsize=32)
-def _basis(n: int, words: frozenset) -> Basis:
-    return Basis(n, words)
 
 
 def closure(n: int, monomials) -> Basis:
@@ -188,7 +179,7 @@ def closure(n: int, monomials) -> Basis:
         if w not in seen:
             seen.add(w)
             frontier += (w[:-1], w[1:])
-    return _basis(n, frozenset(seen))
+    return Basis(n, seen)
 
 
 @lru_cache(maxsize=32)
@@ -198,7 +189,7 @@ def dense(n: int, q: int) -> Basis:
         raise ValueError("need n >= 1 and q >= 0")
     letters = range(1, n + 1)
     words = (w for d in range(q + 1) for w in itertools.product(letters, repeat=d))
-    return _basis(n, frozenset(words))
+    return Basis(n, words)
 
 
 class Series:

@@ -23,7 +23,9 @@ and the tests run them on Magnus series as the oracle of the graded walk.
 The invariant engine uses the graded walk ``_Graded`` on Magnus series over
 a monomial basis, which it sizes by its query: degree d of every meridian
 depends only on lower degrees of the over-arcs, so one walk per degree fills
-it for every arc.
+it for every arc.  ``longitude_series(d, comps, basis)`` builds one such
+state for a batch of components and returns their longitudes; nothing sized
+by the basis is kept on the diagram, so the state dies with the query.
 """
 
 from __future__ import annotations
@@ -180,10 +182,10 @@ class _Graded:
     per degree, in walk order, therefore fills degree d of every arc.  The
     result is the fixed point of the depth-by-depth refinement, which it
     equals at depth ``q + 1`` (depth stability: Milnor, Isotopy of links,
-    1957).  A state serves only its own basis and solves it from degree 1;
-    a longitude multiplies its rows along the walk's factors, and divides by
-    them at sign -1, with the same step.  A base arc's row is 1 + X_comp, so
-    the framing factors divide or multiply by x_comp.
+    1957).  A state serves one query on one basis and solves it from degree
+    1; a longitude multiplies its rows along the walk's factors, dividing
+    by them at sign -1 with the same step.  A base arc's row is 1 + X_comp,
+    so the framing factors divide or multiply by x_comp.
     """
 
     def __init__(self, d: Diagram, basis: magnus.Basis):
@@ -257,21 +259,13 @@ class _Graded:
         return out
 
 
-def _meridian_series(d: Diagram, basis: magnus.Basis) -> _Graded:
-    """The graded recursion of d on basis, cached on d: the cached one when
-    it is on basis, otherwise a new one, which replaces it."""
-    state = d._cache.pop("meridians", None)
-    if state is None or state.basis != basis:
-        del state  # freed before the new state fills
-        state = _Graded(d, basis)
-    d._cache["meridians"] = state
-    return state
-
-
-def longitude_series(d: Diagram, comp: int, basis: magnus.Basis) -> magnus.Series:
-    """Magnus expansion of the zero-framed longitude on a monomial basis,
-    exact in every degree the basis holds (the depth-by-depth refinement at
-    depth ``basis.q + 1``)."""
-    if not 1 <= comp <= d.n:
-        raise ValueError(f"component {comp} out of range")
-    return _meridian_series(d, basis).longitude(comp)
+def longitude_series(d: Diagram, comps, basis: magnus.Basis) -> dict[int, magnus.Series]:
+    """Magnus expansions of the zero-framed longitudes of the set of
+    components comps on a monomial basis, exact in every degree the basis
+    holds (the depth-by-depth refinement at depth ``basis.q + 1``).  One
+    graded state serves them all and is freed on return."""
+    for comp in comps:
+        if not 1 <= comp <= d.n:
+            raise ValueError(f"component {comp} out of range")
+    state = _Graded(d, basis)
+    return {comp: state.longitude(comp) for comp in comps}

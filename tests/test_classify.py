@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import oracles
 import pytest
@@ -438,21 +440,18 @@ class TestBrunnian:
         phis = palindromic_surjections(5, 3, 3)
         l = closure(stack_all([surjection_generator(phi) for phi in phis], 3))
         stacked, builds = [], []
-        meridian_series = wirtinger._meridian_series
+        graded = wirtinger._Graded.__init__
 
         def spy_stack_all(parts, n):
             stacked.append(stack_all(parts, n))
             return stacked[-1]
 
-        def spy_meridians(d, basis):
-            before = d._cache.get("meridians")
-            state = meridian_series(d, basis)
-            if state is not before:
-                builds.append(d)
-            return state
+        def spy_graded(state, d, basis):
+            builds.append(d)
+            graded(state, d, basis)
 
         monkeypatch.setattr(classify, "stack_all", spy_stack_all)
-        monkeypatch.setattr(wirtinger, "_meridian_series", spy_meridians)
+        monkeypatch.setattr(wirtinger._Graded, "__init__", spy_graded)
         form = brunnian_representative(l)
         assert form.parity == {phi: 1 for phi in phis}
         base = reduced(stacked[-1])
@@ -464,6 +463,29 @@ class TestCablingCrossCheck:
     def test_corpus(self):
         for l in [trivial_link(2), trivial_link(3), hopf(), whitehead_link()]:
             assert cabling_cross_check(l)
+
+    def test_no_basis_sized_state_outlives_its_query(self, monkeypatch):
+        # every graded state dies with its query; a diagram keeps only what
+        # is sized by the diagram or by results
+        from milnor import wirtinger
+        from milnor.diagram import reduced
+
+        states = []
+        graded = wirtinger._Graded.__init__
+
+        def spy_graded(state, d, basis):
+            states.append(weakref.ref(state))
+            graded(state, d, basis)
+
+        monkeypatch.setattr(wirtinger._Graded, "__init__", spy_graded)
+        l = closure(surjection_generator(Surjection(3, 1, (2, 3))))
+        assert not selfdelta_vector(l).trivial
+        assert cabling_cross_check(l)
+        gc.collect()
+        assert states and all(ref() is None for ref in states)
+        keys = {"reduced", "walk", "residues", "selfdelta_vector", "normal_form"}
+        assert set(l._cache) <= keys
+        assert set(reduced(l)._cache) <= keys
 
     def test_stops_at_the_first_nonzero_length(self, monkeypatch):
         # vtau_n3_23_k1: the doubled link's first nonzero repetition-free
@@ -480,14 +502,14 @@ class TestCablingCrossCheck:
         ]
         assert nonzero == [False, False, True]
         degrees = []
-        meridian_series = wirtinger._meridian_series
+        graded = wirtinger._Graded.__init__
 
-        def spy_meridians(d, basis):
+        def spy_graded(state, d, basis):
             if d.n == 6:
                 degrees.append(basis.q)
-            return meridian_series(d, basis)
+            graded(state, d, basis)
 
-        monkeypatch.setattr(wirtinger, "_meridian_series", spy_meridians)
+        monkeypatch.setattr(wirtinger._Graded, "__init__", spy_graded)
         assert cabling_cross_check(link())
         assert max(degrees) == 3
 

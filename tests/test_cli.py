@@ -81,6 +81,26 @@ class TestInvariantsCmd:
         bad.write_text("{not json")
         assert main(["invariants", str(bad)]) == 2
 
+    def test_deeply_nested_json_exit_code(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        assert main(["classify", "--homotopy", str(deep)]) == 2
+        assert f"{deep}: JSON nested too deeply" in capsys.readouterr().err
+
+    def test_length_bound_beyond_every_index(self, workdir):
+        # no index is longer than n * max_r, so the bound stops costing there
+        proc = subprocess.run(
+            [sys.executable, "-m", "milnor.cli", "invariants", workdir["hopf"],
+             "--max-length", "1000000000"],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        rows = json.loads(proc.stdout)[0]["invariants"]
+        assert max(len(row["index"]) for row in rows) == 4
+
     @pytest.mark.parametrize("text", ["5", "null", "[]", '"pd"'])
     def test_non_object_exit_code(self, capsys, tmp_path, text):
         bad = tmp_path / "bad.json"
@@ -300,18 +320,15 @@ class TestClassifyCmd:
         white = workdir["dir"] / "whitehead.json"
         white.write_text(json.dumps(to_pd_json(whitehead_link())))
         builds, assembled, inside, tables = [], [], [], []
-        meridian_series = wirtinger._meridian_series
+        graded = wirtinger._Graded.__init__
         residues = invariants.residues
         evaluate = invariants.evaluate
         table = invariants.table
 
-        def spy_meridians(d, basis):
-            # a build is a call that walks new degrees; depth is q + 1
-            before = d._cache.get("meridians")
-            state = meridian_series(d, basis)
-            if state is not before:
-                builds.append((d.name, d.n, basis.q + 1, basis.q))
-            return state
+        def spy_graded(state, d, basis):
+            # every state walks its basis from degree 1; depth is q + 1
+            builds.append((d.name, d.n, basis.q + 1, basis.q))
+            graded(state, d, basis)
 
         def spy_residues(l, indices):
             inside.append(l)
@@ -329,7 +346,7 @@ class TestClassifyCmd:
             tables.append(d.name)
             return table(d, max_len, max_r)
 
-        monkeypatch.setattr(wirtinger, "_meridian_series", spy_meridians)
+        monkeypatch.setattr(wirtinger._Graded, "__init__", spy_graded)
         monkeypatch.setattr(invariants, "residues", spy_residues)
         monkeypatch.setattr(invariants, "evaluate", spy_evaluate)
         monkeypatch.setattr(invariants, "table", spy_table)
@@ -365,21 +382,18 @@ class TestClassifyCmd:
         path = write("product4", exponents)
         other = write("other4", {(1, 2): 1, (2, 4): -1, (1, 2, 4): 1})
         builds, evaluated = [], []
-        meridian_series = wirtinger._meridian_series
+        graded = wirtinger._Graded.__init__
         evaluate = invariants.evaluate
 
-        def spy_meridians(d, basis):
-            before = d._cache.get("meridians")
-            state = meridian_series(d, basis)
-            if state is not before:
-                builds.append((d.name, basis.q + 1, basis.q))
-            return state
+        def spy_graded(state, d, basis):
+            builds.append((d.name, basis.q + 1, basis.q))
+            graded(state, d, basis)
 
         def spy_evaluate(d, indices):
             evaluated.append(d.name)
             return evaluate(d, indices)
 
-        monkeypatch.setattr(wirtinger, "_meridian_series", spy_meridians)
+        monkeypatch.setattr(wirtinger._Graded, "__init__", spy_graded)
         monkeypatch.setattr(invariants, "evaluate", spy_evaluate)
         code, out = run(capsys, "classify", "--homotopy", path)
         assert code == 0

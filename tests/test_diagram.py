@@ -70,6 +70,14 @@ class TestValidation:
             (1, [[(0, "u"), (0, "o"), (0, "u")]], [1], "crossing 0 passed twice as u"),
             (1, [[(0, "o"), (1, "o"), (1, "u")]], [1, 1], "crossing 0 lacks an over"),
             (1, [[(0, "o"), (0, "u")]], [2], "crossing 0 has sign 2"),
+            # integers only, as in a file
+            (2.9, [[], []], [], "component count 2.9 is not an integer"),
+            (True, [[]], [], "component count True is not an integer"),
+            (1, [[(0, "o"), (0, "u")]], [1.7], "crossing 0 has sign 1.7"),
+            (1, [[(0, "o"), (0, "u")]], [True], "crossing 0 has sign True"),
+            (1, [[(0, "o"), (0, "u")]], ["1"], "crossing 0 has sign '1'"),
+            (1, [[(0.0, "o"), (0.0, "u")]], [1], "crossing id 0.0 is not an integer"),
+            (1, [[(False, "o"), (False, "u")]], [1], "crossing id False is not an"),
         ],
     )
     def test_diagram_rejects(self, n, events, signs, message):
@@ -315,7 +323,7 @@ class TestCommutatorTangle:
 
         w = Word(4, (1, 2, -1, 3, -2, -3))
         t = commutator_tangle(w, 4, 4)
-        series = wirtinger.longitude_series(t, 4, dense(4, 2))
+        series = wirtinger.longitude_series(t, {4}, dense(4, 2))[4]
         ref = expand(w, 2)
         for mono in itertools.product((1, 2, 3), repeat=2):
             assert series.coefficient(mono) == ref.coefficient(mono)

@@ -112,6 +112,25 @@ class TestMuString:
             mu(hopf(), (1, 2))
 
 
+@pytest.mark.parametrize(
+    "query, link",
+    [
+        (evaluate, from_braid(2, [1, 1])),
+        (mu, from_braid(2, [1, 1])),
+        (invariant, from_braid(2, [1, 1])),
+        (residues, hopf()),
+        (mu_bar, hopf()),
+        (indeterminacy, hopf()),
+    ],
+)
+@pytest.mark.parametrize("entry", [1.9, True, "1", 1.0], ids=repr)
+def test_index_entries_are_integers(query, link, entry):
+    index = (entry, 2)
+    args = (link, [index]) if query in (evaluate, residues) else (link, index)
+    with pytest.raises(ValueError, match="is not an integer"):
+        query(*args)
+
+
 class TestIndeterminacy:
     def test_borromean(self):
         assert indeterminacy(borromean(), (1, 2, 3)) == 0
@@ -191,7 +210,8 @@ class TestTable:
 
 def reference_value(d, index):
     """The coefficient read at the index's own depth."""
-    series = longitude_series(d, index[-1], dense(d.n, len(index) - 1))
+    comp = index[-1]
+    series = longitude_series(d, {comp}, dense(d.n, len(index) - 1))[comp]
     return series.coefficient(index[:-1])
 
 
@@ -359,11 +379,9 @@ def assert_matches_dense(d, indices):
     """``evaluate`` on the query's factor closure equals the coefficients of
     the dense expansion at (depth, depth - 1) on the same reduced walk."""
     depth = max(len(i) for i in indices)
-    r = reduced(d)
-    want = {
-        i: longitude_series(r, i[-1], dense(d.n, depth - 1)).coefficient(i[:-1])
-        for i in indices
-    }
+    comps = {i[-1] for i in indices}
+    series = longitude_series(reduced(d), comps, dense(d.n, depth - 1))
+    want = {i: series[i[-1]].coefficient(i[:-1]) for i in indices}
     assert evaluate(d, indices) == want
 
 
