@@ -2,7 +2,17 @@
 procedures built on them: link-homotopy normal forms for string links and
 self-delta classification for links with vanishing low-order invariants."""
 
-from . import classify, diagram, freegroup, invariants, magnus, multiindex, wirtinger
+from . import (
+    classify,
+    diagram,
+    freegroup,
+    invariants,
+    magnus,
+    multiindex,
+    pdfile,
+    tangles,
+    wirtinger,
+)
 
 __all__ = [
     "classify",
@@ -11,5 +21,7 @@ __all__ = [
     "invariants",
     "magnus",
     "multiindex",
+    "pdfile",
+    "tangles",
     "wirtinger",
 ]

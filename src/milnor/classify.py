@@ -18,8 +18,7 @@ import enum
 from functools import lru_cache
 
 from . import invariants
-from .diagram import Diagram, cable, closure, power, stack_all, tree_tangle
-from .diagram import trivial_string_link
+from .diagram import Diagram, cable, closure, power, stack_all, trivial_string_link
 from .multiindex import (
     Injection,
     Surjection,
@@ -30,6 +29,7 @@ from .multiindex import (
     palindromic_partner,
     palindromic_surjections,
 )
+from .tangles import tree_tangle
 
 
 @lru_cache(maxsize=None)

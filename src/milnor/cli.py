@@ -3,19 +3,23 @@
 Commands: ``invariants`` (tables per input diagram), ``classify``
 (link-homotopy or self-delta reports), ``generate`` (generator diagrams),
 ``cable`` (zero-framed parallels).  Exit codes: 0 success, 1 usage,
-2 parse or validation failure, 3 hypothesis not met in strict mode.
+2 parse or validation failure, 3 hypothesis not met in strict mode, 141
+when the reader closes standard output early (as for a process ended by
+SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 from . import classify, invariants
-from .diagram import Diagram, DiagramError, cable, cable_map, load_diagram, to_pd_json
+from .diagram import Diagram, DiagramError, cable, cable_map
 from .multiindex import Injection, Surjection
+from .pdfile import load_diagram, to_pd_json
 
 
 def _read(path: str) -> Diagram:
@@ -205,6 +209,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        # a piped stdout is block-buffered: write it out here, where a closed
+        # pipe can still be caught, not at interpreter exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; what is left unwritten goes nowhere, so that
+        # exiting does not raise again, and nothing is reported
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    return code
+
+
+def _run(argv) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)

@@ -52,7 +52,7 @@ class Presentation(namedtuple("Presentation", "diagram arcs component_of relatio
 def presentation(d: Diagram) -> Presentation:
     """One generator per diagram arc (PD edge) and one conjugation relation
     per crossing; arcs joined by an over-passage carry equal meridians."""
-    from .diagram import to_pd_json
+    from .pdfile import to_pd_json
 
     data = to_pd_json(d)
     arcs = tuple(sorted(int(e) for e in data["component_of_arc"]))

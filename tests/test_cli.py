@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -495,6 +496,7 @@ class TestCableCmd:
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+MODULES = sorted(p.stem for p in (SRC / "milnor").glob("*.py") if p.stem != "__init__")
 
 
 def cli_imports(*argv):
@@ -545,8 +547,59 @@ def test_files_are_read_and_written_as_utf8(tmp_path, capsys):
     assert f"{w}: 'utf-8' codec can't decode" in capsys.readouterr().err
 
 
+def test_a_closed_pipe_ends_the_cli_quietly():
+    # the output, about 490 kB, overfills the pipe, so a write meets the
+    # closed end whenever the reader stops
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "milnor.cli", "generate", "milnor-link", "10"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(10) == b'{\n  "compo'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 141
+    assert err == b""
+
+
 class TestStartup:
-    """Queries on split tables below magnus.NUMPY_SPLITS never load numpy."""
+    """What a fresh CLI process pays before it computes: queries on split
+    tables below magnus.NUMPY_SPLITS never load numpy, and no module's
+    compile dominates the import."""
+
+    def test_no_module_compile_sets_the_import_peak(self):
+        """A process running from source, without cached bytecode (as the
+        benchmark's children run), compiles each module it imports, and the
+        largest single compile sets the import's memory peak, not the total.
+        Before ``diagram.py`` (805 lines) was split in three, it compiled at
+        a 2.40 MB peak under tracemalloc, against 1.09 MB for the next
+        largest, ``magnus.py``, on CPython 3.11."""
+        for path in sorted((SRC / "milnor").glob("*.py")):
+            source = path.read_text(encoding="utf-8")
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                compile(source, str(path), "exec")
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.25e6, f"{path.name} compiles at {peak / 1e6:.2f} MB"
+
+    @pytest.mark.parametrize("module", MODULES)
+    def test_each_module_imports_on_its_own(self, module):
+        # diagram re-exports names of tangles and pdfile, which both import
+        # diagram: the cycle must resolve whichever module comes first
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import milnor.{module}"],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
 
     def test_homotopy_of_a_four_component_string_link(self, tmp_path):
         path = tmp_path / "vpi.json"

@@ -44,7 +44,7 @@ from milnor.multiindex import (
     all_injections,
     selfdelta_generator_indices,
 )
-from milnor import invariants, wirtinger
+from milnor import diagram, invariants, pdfile, tangles, wirtinger
 
 
 def oracle_linking(d, i, j):
@@ -55,6 +55,16 @@ def oracle_linking(d, i, j):
             total += sign
     assert total % 2 == 0
     return total // 2
+
+
+def test_moved_names_stay_on_diagram():
+    # perfbench/ and older importers read these names on milnor.diagram
+    for module, names in [
+        (tangles, "braid_permutation commutator_tangle from_braid run_slices tree_tangle"),
+        (pdfile, "load_diagram parse_pd to_pd_json"),
+    ]:
+        for name in names.split():
+            assert getattr(diagram, name) is getattr(module, name)
 
 
 class TestValidation:
@@ -84,6 +94,14 @@ class TestValidation:
         for closed in (False, True):
             with pytest.raises(DiagramError, match=message):
                 Diagram(n, events, signs, closed)
+
+    @pytest.mark.parametrize(
+        "closed, message",
+        [("no", "closed flag 'no' is not a boolean"), (0, "closed flag 0 is not a")],
+    )
+    def test_closed_flag_is_a_boolean(self, closed, message):
+        with pytest.raises(DiagramError, match=message):
+            Diagram(2, [[], []], [], closed=closed)
 
     def test_passages_located(self):
         d = Diagram(2, [[(1, "u"), (0, "o")], [(0, "u"), (1, "o")]], [1, -1], True)
