@@ -15,7 +15,6 @@ the diagram, and read by every verdict on that input.
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
 
 from . import invariants
 from .diagram import Diagram, cable, closure, power, stack_all, trivial_string_link
@@ -32,21 +31,18 @@ from .multiindex import (
 from .tangles import tree_tangle
 
 
-@lru_cache(maxsize=None)
-def _injection_base(pi: Injection) -> Diagram:
-    return tree_tangle(pi.n, pi.values)
-
-
 def injection_generator(pi: Injection, exponent: int = 1) -> Diagram:
     """The commutator generator string link for an ordered injection: the
     tree tangle grasping pi(1), ..., pi(k).  Its own invariant equals the
     exponent, all other same-family invariants and everything shorter
     vanish."""
-    return power(_injection_base(pi), exponent)
+    return power(tree_tangle(pi.n, pi.values), exponent)
 
 
-@lru_cache(maxsize=None)
-def _surjection_base(tau: Surjection) -> Diagram:
+def surjection_generator(tau: Surjection, exponent: int = 1) -> Diagram:
+    """The doubled generator string link for a surjection: the tree tangle
+    grasping tau(1), ..., tau(m-2), k, k, with the odd-length palindromic
+    family normalized against the paired even-length one."""
     base = tree_tangle(tau.n, tau.values + (tau.k, tau.k))
     n = tau.n
     if tau.m == 2 * n - 1 and tau.k == n and tau.values == tau.values[::-1]:
@@ -61,14 +57,7 @@ def _surjection_base(tau: Surjection) -> Diagram:
             if stray:
                 parts.append(power(tree_tangle(n, eta.values + (n, n)), -stray))
         base = stack_all(parts, n)
-    return base
-
-
-def surjection_generator(tau: Surjection, exponent: int = 1) -> Diagram:
-    """The doubled generator string link for a surjection: the tree tangle
-    grasping tau(1), ..., tau(m-2), k, k, with the odd-length palindromic
-    family normalized against the paired even-length one."""
-    return power(_surjection_base(tau), exponent)
+    return power(base, exponent)
 
 
 def milnor_link(n: int) -> Diagram:

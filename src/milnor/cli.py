@@ -143,12 +143,7 @@ def cmd_generate(kind: str, spec: list[str], n: int | None, k: int | None, out) 
         d.name = f"trivial-{spec[0]}"
     else:
         raise DiagramError(f"unknown generator kind {kind!r}")
-    payload = json.dumps(to_pd_json(d), sort_keys=True, indent=2)
-    if out:
-        Path(out).write_text(payload + "\n", encoding="utf-8")
-    else:
-        print(payload)
-    return 0
+    return _write(to_pd_json(d), out)
 
 
 def cmd_cable(path: str, mults: str, out) -> int:
@@ -163,6 +158,11 @@ def cmd_cable(path: str, mults: str, out) -> int:
     c.name = f"{d.name}-cable-{'-'.join(map(str, m))}"
     payload = to_pd_json(c)
     payload["source_component"] = list(cable_map(d, m))
+    return _write(payload, out)
+
+
+def _write(payload, out) -> int:
+    """Write a diagram payload as JSON to the file ``out``, or to stdout."""
     text = json.dumps(payload, sort_keys=True, indent=2)
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")

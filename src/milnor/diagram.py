@@ -259,6 +259,18 @@ def reduced(d: Diagram) -> Diagram:
 # -- cabling ------------------------------------------------------------------
 
 
+def _multiplicities(l: Diagram, multiplicities) -> list[int]:
+    """One positive integer per component of l."""
+    mult = list(multiplicities)
+    if len(mult) != l.n:
+        raise DiagramError("need one multiplicity per component")
+    if any(type(c) is not int for c in mult):
+        raise DiagramError(f"multiplicities {mult} are not all integers")
+    if any(c < 1 for c in mult):
+        raise DiagramError("multiplicities must be positive")
+    return mult
+
+
 def cable(l: Diagram, multiplicities: Sequence[int]) -> Diagram:
     """Replace each component by zero-framed parallel copies.
 
@@ -268,11 +280,7 @@ def cable(l: Diagram, multiplicities: Sequence[int]) -> Diagram:
     """
     if not l.closed:
         raise DiagramError("cabling is defined for closed links")
-    mult = [int(c) for c in multiplicities]
-    if len(mult) != l.n:
-        raise DiagramError("need one multiplicity per component")
-    if any(c < 1 for c in mult):
-        raise DiagramError("multiplicities must be positive")
+    mult = _multiplicities(l, multiplicities)
     # the copies of crossing cid are base[cid] + s * c + t for the s-th
     # under-copy and t-th over-copy, c the over-component's multiplicity
     base: list[int] = []
@@ -311,10 +319,8 @@ def cable(l: Diagram, multiplicities: Sequence[int]) -> Diagram:
 
 def cable_map(l: Diagram, multiplicities: Sequence[int]):
     """The map h sending each cabled component to its source component."""
-    out = []
-    for i, c in enumerate(multiplicities, start=1):
-        out.extend([i] * c)
-    return tuple(out)
+    mult = _multiplicities(l, multiplicities)
+    return tuple(i for i, c in enumerate(mult, start=1) for _ in range(c))
 
 
 # ``cable`` twists with ``from_braid``; the other names are re-exported for

@@ -26,8 +26,8 @@ shortest index first by
     Delta(I) = gcd over one-entry deletions J of I of mu(J) and Delta(J).
 
 Every proper deletion is a one-entry deletion or a deletion of one, so the
-recursion is exact.  The residues of a link are cached on it, so repeated
-queries assemble nothing twice.
+recursion is exact.  Each call assembles its own closure and keeps nothing
+on the link.
 """
 
 from __future__ import annotations
@@ -94,22 +94,21 @@ def residues(l: Diagram, indices) -> dict[tuple[int, ...], Residue]:
     if not l.closed:
         raise ValueError("residue invariants are defined for closed links")
     indices = [_check_index(l, index) for index in indices]
-    known = l._cache.setdefault("residues", {})
-    todo = {index for index in indices if index not in known}
+    todo = set(indices)
     frontier = list(todo)
     while frontier:
         for sub in _deletions(frontier.pop()):
-            if sub not in known and sub not in todo:
+            if sub not in todo:
                 todo.add(sub)
                 frontier.append(sub)
-    if todo:
-        values = evaluate(l, todo)
-        for index in sorted(todo, key=len):
-            # gcd(mu(J), Delta(J)) survives the reduction of mu(J) mod Delta(J)
-            g = 0
-            for sub in _deletions(index):
-                g = math.gcd(g, known[sub].value, known[sub].modulus)
-            known[index] = Residue(values[index], g)
+    values = evaluate(l, todo)
+    known = {}
+    for index in sorted(todo, key=len):
+        # gcd(mu(J), Delta(J)) survives the reduction of mu(J) mod Delta(J)
+        g = 0
+        for sub in _deletions(index):
+            g = math.gcd(g, known[sub].value, known[sub].modulus)
+        known[index] = Residue(values[index], g)
     return {index: known[index] for index in indices}
 
 

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from functools import lru_cache
 from operator import add, itemgetter, mul, sub
 
 from .freegroup import Word
@@ -182,7 +181,6 @@ def closure(n: int, monomials) -> Basis:
     return Basis(n, seen)
 
 
-@lru_cache(maxsize=32)
 def dense(n: int, q: int) -> Basis:
     """Every monomial of degree at most q: plain degree truncation."""
     if n < 1 or q < 0:

@@ -36,6 +36,8 @@ class Injection(namedtuple("Injection", "n values")):
     __slots__ = ()
 
     def __new__(cls, n: int, values: Index):
+        if any(type(v) is not int for v in (n, *values)):
+            raise ValueError(f"n={n!r} and values {values} must be integers")
         k = len(values)
         if k < 2 or k > n:
             raise ValueError(f"arity {k} out of range 2..{n}")
@@ -87,6 +89,8 @@ class Surjection(namedtuple("Surjection", "n k values")):
     __slots__ = ()
 
     def __new__(cls, n: int, k: int, values: Index):
+        if any(type(v) is not int for v in (n, k, *values)):
+            raise ValueError(f"n={n!r}, k={k!r} and values {values} must be integers")
         m = len(values) + 2
         if not 1 <= k <= n:
             raise ValueError(f"excluded component {k} out of range")
@@ -147,13 +151,14 @@ def ascending_surjections(m: int, k: int, n: int) -> list[Surjection]:
 
 
 def selfdelta_generator_indices(n: int, m: int) -> list[Surjection]:
-    """Ascending plus palindromic surjections over all k, for one length m."""
-    out: list[Surjection] = []
-    for k in range(1, n + 1):
-        out.extend(ascending_surjections(m, k, n))
-        out.extend(palindromic_surjections(m, k, n))
-    out.sort(key=lambda t: (t.k, t.values))
-    return out
+    """Ascending plus palindromic surjections over all k, for one length m:
+    each value sequence no larger than its reversal, by k then values."""
+    return [
+        t
+        for k in range(1, n + 1)
+        for t in surjections(m, k, n)
+        if t.values <= t.values[::-1]
+    ]
 
 
 def palindromic_partner(phi: Surjection) -> Surjection:

@@ -42,6 +42,8 @@ def run_slices(n, ops, closed=False, name=None):
     The program starts from n downward strands and must end with the points
     of strands 1..n, in order, all flowing down.
     """
+    if type(n) is not int:
+        raise DiagramError(f"strand count {n!r} is not an integer")
     row = [_Leg(i, 1) for i in range(1, n + 1)]
     starts = list(row)
     legs = len(row)
@@ -67,12 +69,8 @@ def run_slices(n, ops, closed=False, name=None):
                 raise DiagramError(f"birth position {pos} out of range")
             a, b = _Leg(None, 1), _Leg(None, -1)
             legs += 2
-            if down == "L":
-                b.up_link = a
-                row[pos:pos] = [a, b]
-            else:
-                b.up_link = a
-                row[pos:pos] = [b, a]
+            b.up_link = a
+            row[pos:pos] = [a, b] if down == "L" else [b, a]
         elif kind == "min":
             _, pos = op
             if not 0 <= pos < len(row) - 1:
@@ -226,11 +224,13 @@ def tree_tangle(n: int, leaves: Sequence[int]) -> Diagram:
     through a band.  The band's two sides run anti-parallel, so every
     crossing they make with intervening material cancels.
     """
-    leaves = [int(c) for c in leaves]
+    leaves = list(leaves)
     m = len(leaves)
     if m < 2:
         raise DiagramError("a tree needs at least two leaves")
     for c in leaves:
+        if type(c) is not int:
+            raise DiagramError(f"leaf component {c!r} is not an integer")
         if not 1 <= c <= n:
             raise DiagramError(f"leaf component {c} out of range")
     if any(leaves.count(c) > 2 for c in set(leaves)):

@@ -1,7 +1,9 @@
+import ast
 import gc
 import itertools
 import random
 import weakref
+from pathlib import Path
 
 import oracles
 import pytest
@@ -459,6 +461,58 @@ class TestBrunnian:
         assert sum(d is base for d in builds) == 1
 
 
+class TestMemos:
+    """A diagram memoizes only its own structure (``reduced``, ``walk``) and
+    its one classification object; nothing else outlives the call that
+    built it."""
+
+    def test_generators_and_dense_bases_die_with_their_callers(self, monkeypatch):
+        from milnor import classify, magnus
+        from milnor.freegroup import Word
+
+        refs = []
+
+        def spy_tree(n, leaves):
+            d = tree_tangle(n, leaves)
+            refs.append(weakref.ref(d))
+            return d
+
+        class Spied(magnus.Basis):
+            __slots__ = ("__weakref__",)
+
+            def __init__(self, n, words):
+                super().__init__(n, words)
+                refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(classify, "tree_tangle", spy_tree)
+        monkeypatch.setattr(magnus, "Basis", Spied)
+        injection_generator(Injection(3, (1, 2, 3)), 2)
+        surjection_generator(Surjection(3, 3, (1, 2, 1)), -1)
+        magnus.expand(Word(2, (1, 2, -1, -2)), 3)
+        gc.collect()
+        # two tree tangles, the normalizing query's basis, the dense basis
+        assert len(refs) >= 4
+        assert all(ref() is None for ref in refs)
+
+    def test_no_process_lifetime_memo(self):
+        # functools.cache and lru_cache keep their arguments and results for
+        # the life of the process
+        src = Path(__file__).resolve().parent.parent / "src" / "milnor"
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            aliases = {"functools"}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = {a.name: a.asname or a.name for a in node.names}
+                    aliases.add(names.get("functools", "functools"))
+                elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+                    names = {a.name for a in node.names}
+                    assert not names & {"cache", "lru_cache"}, path.name
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    memo = node.value.id in aliases and node.attr in ("cache", "lru_cache")
+                    assert not memo, f"{path.name}:{node.lineno}"
+
+
 class TestCablingCrossCheck:
     def test_corpus(self):
         for l in [trivial_link(2), trivial_link(3), hopf(), whitehead_link()]:
@@ -483,7 +537,7 @@ class TestCablingCrossCheck:
         assert cabling_cross_check(l)
         gc.collect()
         assert states and all(ref() is None for ref in states)
-        keys = {"reduced", "walk", "residues", "selfdelta_vector", "normal_form"}
+        keys = {"reduced", "walk", "selfdelta_vector", "normal_form"}
         assert set(l._cache) <= keys
         assert set(reduced(l)._cache) <= keys
 

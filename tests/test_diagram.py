@@ -103,6 +103,21 @@ class TestValidation:
         with pytest.raises(DiagramError, match=message):
             Diagram(2, [[], []], [], closed=closed)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda h: cable(h, [2.9, 1]), r"\[2.9, 1\] are not all integers"),
+            (lambda h: cable(h, [True, 2]), r"\[True, 2\] are not all integers"),
+            (lambda h: cable_map(h, [0, -1, 5]), "one multiplicity per component"),
+            (lambda h: cable_map(h, [0, 2]), "multiplicities must be positive"),
+            (lambda h: tree_tangle(3, (1.7, 2)), "leaf component 1.7 is not an"),
+            (lambda h: tree_tangle(True, (1, 1)), "strand count True is not an"),
+        ],
+    )
+    def test_constructors_take_integers(self, build, message):
+        with pytest.raises(DiagramError, match=message):
+            build(closure(from_braid(2, [1, 1])))
+
     def test_passages_located(self):
         d = Diagram(2, [[(1, "u"), (0, "o")], [(0, "u"), (1, "o")]], [1, -1], True)
         assert d.over_at == ((1, 1), (2, 1))

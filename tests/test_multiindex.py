@@ -94,6 +94,11 @@ class TestInjections:
         with pytest.raises(ValueError):
             Injection(3, (1, 1, 2))
 
+    @pytest.mark.parametrize("n, values", [(3, (1.0, 2.0)), (3, (True, 2)), (3.0, (1, 2))])
+    def test_fields_are_integers(self, n, values):
+        with pytest.raises(ValueError, match="must be integers"):
+            Injection(n, values)
+
     def test_all_injections_order(self):
         seq = all_injections(3)
         assert [p.values for p in seq] == [(1, 2), (1, 3), (2, 3), (1, 2, 3)]
@@ -132,6 +137,14 @@ class TestSurjections:
             surjections(5, 1, 2)
         with pytest.raises(ValueError):
             surjections(4, 3, 2)
+
+    @pytest.mark.parametrize(
+        "n, k, values",
+        [(3, 3, (1.0, 2, 1, 2)), (3, 3, (1, 2, True, 2)), (3, 3.0, (1, 2, 1, 2))],
+    )
+    def test_fields_are_integers(self, n, k, values):
+        with pytest.raises(ValueError, match="must be integers"):
+            Surjection(n, k, values)
 
     def test_index_of(self):
         t = Surjection(3, 3, (1, 2, 2))
@@ -211,3 +224,15 @@ class TestFamilies:
             (3, (1, 2, 2, 1)),
             (3, (2, 1, 1, 2)),
         ]
+
+    def test_generator_listing_is_the_union_of_both_families(self):
+        # one pass per (m, k) keeps each sequence no larger than its
+        # reversal: the ascending and the palindromic family, in one order
+        for n in range(1, 5):
+            for m in range(n + 1, 2 * n + 1):
+                union = []
+                for k in range(1, n + 1):
+                    union += ascending_surjections(m, k, n)
+                    union += palindromic_surjections(m, k, n)
+                union.sort(key=lambda t: (t.k, t.values))
+                assert selfdelta_generator_indices(n, m) == union, (n, m)
