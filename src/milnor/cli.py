@@ -121,7 +121,7 @@ def cmd_generate(kind: str, spec: list[str], n: int | None, k: int | None, out) 
         d.name = f"milnor-link-{size}"
     elif kind == "v-pi":
         values = tuple(int(v) for v in spec[0].split(","))
-        size = n or max(values)
+        size = max(values) if n is None else n
         pi = Injection(size, values)
         d = classify.injection_generator(pi)
         d.name = "v-pi-" + "-".join(map(str, values))
@@ -129,7 +129,7 @@ def cmd_generate(kind: str, spec: list[str], n: int | None, k: int | None, out) 
         values = tuple(int(v) for v in spec[0].split(","))
         if k is None:
             raise DiagramError("v-tau needs --k (the doubled component)")
-        size = n or max(max(values), k)
+        size = max(max(values), k) if n is None else n
         tau = Surjection(size, k, values)
         d = classify.surjection_generator(tau)
         d.name = f"v-tau-{'-'.join(map(str, values))}-k{k}"

@@ -27,10 +27,11 @@ len(w) + 1 per monomial):
   consecutive products are summed.  Python integers are exact, so no guard
   is needed, and numpy is never imported;
 * from ``NUMPY_SPLITS`` on the vector is an int64 array and a degree's sums
-  are one gather, multiply and reshaped row sum.  Exactness is preserved by
-  an overflow guard: every value an operation computes is bounded in
-  floating point, and above 2**60 it is taken with Python-integer (object)
-  dtype instead.
+  are one gather, multiply and reshaped row sum.  Exactness rests on one
+  rule, ``fits``: before each int64 step (a product, a quotient's degree, a
+  degree of the meridian walk) every value it computes is bounded in
+  floating point from norms taken by ``norms``, and past 2**60 the step and
+  everything after it run with Python-integer (object) dtype instead.
 """
 
 from __future__ import annotations
@@ -70,6 +71,38 @@ def _numpy():
 
         np = numpy
     return np
+
+
+def fits(start: float, l1: float, peak: float) -> bool:
+    """The int64 kernel's one exactness rule.  A value that starts at most
+    ``start`` in magnitude and then adds products x[u] y[v] stays exact,
+    partial sums included, when start + l1 peak <= 2**60; l1 bounds the sum
+    of the |x[u]| and peak bounds each |y[v]|."""
+    return start + l1 * peak <= _GUARD
+
+
+def norms(a, lo: int = 0, hi: int | None = None) -> tuple[float, float]:
+    """The largest row L1 norm and largest magnitude over columns lo:hi of
+    an int64 vector or block of rows, in float64 so that neither wraps."""
+    a = np.abs(a[..., lo:hi], dtype=np.float64)
+    return float(np.max(a.sum(axis=-1), initial=0.0)), float(np.max(a, initial=0.0))
+
+
+def is_int64(x) -> bool:
+    """Whether a coefficient vector or block of rows is held in int64."""
+    return not isinstance(x, list) and x.dtype != object
+
+
+def widen(x):
+    """An int64 vector or block of rows as Python integers (object dtype)."""
+    return x.astype(object)
+
+
+def unit_rows(basis: "Basis", count: int):
+    """count coefficient vectors of the unit series on basis's kernel: a
+    list of lists, or the rows of one int64 matrix."""
+    x = unit(basis).x
+    return [x[:] for _ in range(count)] if basis.small else np.tile(x, (count, 1))
 
 
 def _gather(positions):
@@ -127,34 +160,27 @@ class Basis:
                 np = _numpy()
                 self._inner.append((np.array(left, np.intp), np.array(right, np.intp)))
 
-    def inner(self, d: int, x, y, acc, sign: int = 1, extra=None):
-        """acc + sign * (s + extra) over the monomials of degree d, where s
-        sums x[u] y[v] over each monomial's d - 1 inner splits w = uv (u and
-        v nonempty); acc and extra are degree-d slices, extra zero when None.
+    def inner(self, d: int, x, y, acc, sign: int = 1):
+        """acc + sign * s over the monomials of degree d, where s sums
+        x[u] y[v] over each monomial's d - 1 inner splits w = uv (u and v
+        nonempty); acc is a degree-d slice, or on the Python kernel any
+        iterable of one.
 
         Only degrees 1..d-1 of x and y are read, so a recursion that solves
         degree d from lower degrees can call it on the vectors it is
         filling.  Every argument is a coefficient vector or slice of this
         basis's kernel; the result is a new list or array.
         """
+        if d == 1:  # no inner splits
+            return list(acc) if self.small else acc.copy()
         if self.small:
-            if d > 1:
-                gather_left, gather_right = self._inner[d - 2]
-                terms = map(mul, gather_left(x), gather_right(y))
-                # each monomial's d - 1 consecutive terms, summed
-                sums = terms if d == 2 else map(sum, zip(*[terms] * (d - 1)))
-            else:
-                sums = itertools.repeat(0, self.bounds[2] - self.bounds[1])
-            if extra is not None:
-                sums = map(add, sums, extra)
+            gather_left, gather_right = self._inner[d - 2]
+            terms = map(mul, gather_left(x), gather_right(y))
+            # each monomial's d - 1 consecutive terms, summed
+            sums = terms if d == 2 else map(sum, zip(*[terms] * (d - 1)))
             return list(map(add if sign > 0 else sub, acc, sums))
-        if d > 1:
-            left, right = self._inner[d - 2]
-            sums = (x[left] * y[right]).reshape(-1, d - 1).sum(axis=1)
-        else:
-            sums = np.zeros(self.bounds[2] - self.bounds[1], dtype=np.int64)
-        if extra is not None:
-            sums = sums + extra
+        left, right = self._inner[d - 2]
+        sums = (x[left] * y[right]).reshape(-1, d - 1).sum(axis=1)
         return acc + sums if sign > 0 else acc - sums
 
     def __len__(self) -> int:
@@ -242,12 +268,10 @@ class Series:
             raise ValueError(f"monomial {monomial} is outside the basis") from None
 
     def _l1_peak(self) -> tuple[float, float]:
-        """L1 norm and largest magnitude of an int64 vector, in float64 so
-        that neither can wrap; cached, since a series never changes after
-        construction."""
+        """``norms`` of an int64 vector, cached, since a series never
+        changes after construction."""
         if self._norms is None:
-            a = np.abs(self.x.astype(np.float64))
-            self._norms = (float(a.sum()), float(a.max()))
+            self._norms = norms(self.x)
         return self._norms
 
     def __eq__(self, other) -> bool:
@@ -267,15 +291,11 @@ class Series:
         if b != other.basis:
             raise ValueError("series bases differ")
         x, y = self.x, other.x
-        # |out[w]| <= sum over every split w = uv of |x[u]| |y[v]|
-        # <= L1(x) peak(y), partial sums included, since the u of distinct
-        # splits differ
-        if not b.small and (
-            x.dtype == object
-            or y.dtype == object
-            or self._l1_peak()[0] * other._l1_peak()[1] > _GUARD
+        # out[w] sums x[u] y[v] over every split w = uv, whose u differ
+        if not b.small and not (
+            is_int64(x) and is_int64(y) and fits(0.0, self._l1_peak()[0], other._l1_peak()[1])
         ):
-            x, y = x.astype(object), y.astype(object)
+            x, y = widen(x), widen(y)
         x0, y0 = self.constant, other.constant
         # the splits with u or v empty, then every degree's inner splits;
         # degree 1 has none
@@ -304,24 +324,25 @@ class Series:
         if c0 not in (1, -1):
             raise ValueError("series with constant term != +-1 has no inverse")
         p, o = self.x, other.x
-        q0 = c0 * self.constant
+        p0 = self.constant
+        q0 = c0 * p0
         q = [0] * len(b) if b.small else np.zeros_like(p)
+        if not b.small and not (is_int64(p) and is_int64(o)):
+            p, o, q = widen(p), widen(o), widen(q)
         q[0] = q0
-        if not b.small:
-            if p.dtype == object or o.dtype == object:
-                p, o, q = p.astype(object), o.astype(object), q.astype(object)
-            else:
-                # |q[w]| <= peak(p) + peak(q over shorter monomials) (L1(o) - 1),
-                # partial sums included, since the v of distinct splits differ
-                peak_p, l1_o = self._l1_peak()[1], other._l1_peak()[0] - 1.0
-                peak = float(abs(q0))
+        peak = float(abs(q0))
         for d in range(1, b.q + 1):
             lo, hi = b.bounds[d], b.bounds[d + 1]
-            if not b.small and q.dtype != object and peak_p + peak * l1_o > _GUARD:
-                p, o, q = p.astype(object), o.astype(object), q.astype(object)
-            q[lo:hi] = b.inner(d, q, o, _scaled(c0, p[lo:hi]), -c0, _scaled(q0, o[lo:hi]))
-            if not b.small and q.dtype != object:
-                peak = max(peak, float(np.abs(q[lo:hi].astype(np.float64)).max()))
+            # o0 q[w] is p[w] less q[u] o[v] over the splits w = uv with v
+            # nonempty, whose v differ and whose u are shorter than w
+            if is_int64(q) and not fits(self._l1_peak()[1], other._l1_peak()[0] - 1, peak):
+                p, o, q = widen(p), widen(o), widen(q)
+            # o0 (p[w] - q0 o[w]), the split with u empty, since o0 q0 = p0
+            left, right = _scaled(c0, p[lo:hi]), _scaled(p0, o[lo:hi])
+            acc = map(sub, left, right) if b.small else left - right
+            q[lo:hi] = b.inner(d, q, o, acc, -c0)
+            if is_int64(q):
+                peak = max(peak, norms(q, lo, hi)[1])
         return Series(b, q)
 
     def inverse(self) -> "Series":

@@ -124,10 +124,12 @@ def run_slices(n, ops, closed=False, name=None):
 
 
 def braid_permutation(strands, word):
+    if type(strands) is not int:
+        raise DiagramError(f"strand count {strands!r} is not an integer")
     perm = list(range(1, strands + 1))
     for g in word:
-        if g == 0:
-            raise DiagramError("braid letters are nonzero integers")
+        if type(g) is not int or g == 0:
+            raise DiagramError(f"braid letter {g!r} is not a nonzero integer")
         i = abs(g) - 1
         if i + 1 >= strands:
             raise DiagramError(f"braid letter {g} needs more than {strands} strands")

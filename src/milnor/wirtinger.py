@@ -191,18 +191,10 @@ class _Graded:
     def __init__(self, d: Diagram, basis: magnus.Basis):
         self.walk = walk = _walk(d)
         self.basis = basis
-        arcs = len(walk.arcs)
-        if basis.small:
-            self.m = [[1] + [0] * (len(basis) - 1) for _ in range(arcs)]
-        else:
-            np = magnus.np
-            self.m = np.zeros((arcs, len(basis)), dtype=np.int64)
-            self.m[:, 0] = 1
-            # the guard's running L1 norm and peak of each row over the
-            # finished degrees, and the passages as index arrays
-            self.l1, self.peak = np.zeros(arcs), np.zeros(arcs)
-            if walk.passages:
-                self.passage_arrays = tuple(np.array(c) for c in zip(*walk.passages))
+        self.m = magnus.unit_rows(basis, len(walk.arcs))
+        # the largest row L1 norm and the largest entry over the finished
+        # degrees, while the rows are int64
+        self.l1 = self.peak = 0.0
         for deg in range(1, basis.q + 1):
             self._degree(deg)
         # each row wrapped once, so its guard norms are computed once
@@ -211,8 +203,14 @@ class _Graded:
     def _degree(self, deg: int) -> None:
         b = self.basis
         lo, hi = b.bounds[deg], b.bounds[deg + 1]
-        if not b.small and self.m.dtype != object and self._bound(deg) > magnus._GUARD:
-            self.m = self.m.astype(object)
+        if magnus.is_int64(self.m):
+            if deg > 1:
+                l1, peak = magnus.norms(self.m, b.bounds[deg - 1], lo)
+                self.l1, self.peak = self.l1 + l1, max(self.peak, peak)
+            # each passage adds two inner-split sums, each at most
+            # l1 * peak, to a running value that starts at most 1
+            if not magnus.fits(1.0, 2 * len(self.walk.passages) * self.l1, self.peak):
+                self.m = magnus.widen(self.m)
         m, inner = self.m, b.inner
         if deg == 1:
             for comp, arc in self.walk.bases:
@@ -226,29 +224,6 @@ class _Graded:
             else:
                 step = inner(deg, m[o], m[a], m[a][lo:hi])
                 m[out][lo:hi] = inner(deg, m[out], m[o], step, -1)
-
-    def _bound(self, deg: int) -> float:
-        """On the int64 kernel, a bound on every value degree deg computes,
-        partial sums included.  |s(x, y)[w]| <= L1(x) peak(y) over degrees
-        1..deg-1; each passage adds two such sums to a running value that
-        starts at most 1, and the bound adds all of them.  Degree deg - 1 is
-        folded into the running norms first, one slice at a time."""
-        np = magnus.np
-        if deg > 1:
-            b = self.basis
-            a = self.m[:, b.bounds[deg - 1] : b.bounds[deg]].astype(np.float64)
-            np.abs(a, out=a)
-            self.l1 += a.sum(axis=1)
-            np.maximum(self.peak, a.max(axis=1), out=self.peak)
-        if not self.walk.passages:
-            return 1.0
-        l1, peak = self.l1, self.peak
-        a, out, o, sign = self.passage_arrays
-        plus = sign == 1
-        # sign +1: s(m, o) and s(o, m'); sign -1: s(o, m) and s(m', o)
-        first = np.where(plus, l1[a] * peak[o], l1[o] * peak[a])
-        second = np.where(plus, l1[o] * peak[out], l1[out] * peak[o])
-        return 1.0 + float(first.sum() + second.sum())
 
     def longitude(self, comp: int) -> magnus.Series:
         """The zero-framed longitude of comp: the product of its factors'

@@ -513,6 +513,31 @@ class TestMemos:
                     assert not memo, f"{path.name}:{node.lineno}"
 
 
+class TestOneKernel:
+    def test_only_magnus_touches_numpy(self):
+        # the int64 kernel and its one exactness rule live in magnus: no
+        # other module imports numpy or reads magnus.np or magnus._GUARD
+        src = Path(__file__).resolve().parent.parent / "src" / "milnor"
+        kernel = {"np", "_GUARD"}
+        for path in sorted(src.glob("*.py")):
+            if path.name == "magnus.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            aliases = {"magnus"}
+            for node in ast.walk(tree):
+                where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+                if isinstance(node, ast.Import):
+                    assert not any(a.name.split(".")[0] == "numpy" for a in node.names), where
+                elif isinstance(node, ast.ImportFrom):
+                    module = (node.module or "").split(".")
+                    assert module[0] != "numpy", where
+                    names = {a.name for a in node.names}
+                    assert module[-1] != "magnus" or not names & kernel, where
+                    aliases |= {a.asname or a.name for a in node.names if a.name == "magnus"}
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    assert not (node.value.id in aliases and node.attr in kernel), where
+
+
 class TestCablingCrossCheck:
     def test_corpus(self):
         for l in [trivial_link(2), trivial_link(3), hopf(), whitehead_link()]:

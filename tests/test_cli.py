@@ -462,6 +462,13 @@ class TestGenerateCmd:
     def test_bad_injection(self, capsys):
         assert main(["generate", "v-pi", "2,1"]) == 2
 
+    def test_zero_components_is_not_unset(self, capsys, tmp_path):
+        out_path = tmp_path / "g.json"
+        assert main(["generate", "v-pi", "1,2", "--components", "0", "-o", str(out_path)]) == 2
+        args = ["generate", "v-tau", "1,2,2", "--k", "3", "--components", "0"]
+        assert main([*args, "-o", str(out_path)]) == 2
+        assert not out_path.exists()
+
     def test_roundtrip_canonical(self, capsys, tmp_path):
         out_path = tmp_path / "w.json"
         assert main(["generate", "whitehead", "-o", str(out_path)]) == 0

@@ -168,6 +168,20 @@ class TestBraids:
             with pytest.raises(DiagramError, match="nonzero"):
                 from_braid(2, [1, 0, 1], closed=closed)
 
+    @pytest.mark.parametrize(
+        "strands, word, message",
+        [
+            (2.0, [1, 1], "strand count 2.0 is not an integer"),
+            (True, [], "strand count True is not an integer"),
+            (2, [1.0, 1], "braid letter 1.0 is not a nonzero integer"),
+            (2, [True, True], "braid letter True is not a nonzero integer"),
+        ],
+    )
+    def test_strands_and_letters_are_integers(self, strands, word, message):
+        for build in (from_braid, braid_permutation):
+            with pytest.raises(DiagramError, match=message):
+                build(strands, word)
+
     def test_closure_keeps_name(self):
         assert from_braid(2, [1, 1], closed=True, name="hopf").name == "hopf"
 

@@ -238,6 +238,17 @@ class TestOverflowGuard:
         assert as_dict(q) == {(): -1, (1,): -2 * c, (1, 1): -2 * c**2, (1, 1, 1): -2 * c**3}
         assert q * o == p
 
+    def test_object_dividend_widens_the_divisor(self):
+        # p is a product that left int64, o is int64: q[X1] subtracts
+        # p0 o[X1] = 2**80, which must not be taken in int64
+        basis = large_basis(1, 3)
+        s = on_basis(basis, {(): 2**20, (1,): 2**35})
+        p, o = s * s, on_basis(basis, {(): 1, (1,): 2**40})
+        assert p.x.dtype == object and o.x.dtype == np.int64
+        q = p / o
+        assert q.coefficient((1,)) == 2**56 - 2**80
+        assert q * o == p
+
 
 class TestPythonKernelExactness:
     """The same values on bases below NUMPY_SPLITS, held as Python integers."""

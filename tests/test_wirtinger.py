@@ -315,3 +315,33 @@ class TestGradedOverflowGuard:
         # passages of one sign add them up past int64
         fast, peak = self.walk([1] * 512, 2**28, monkeypatch)
         assert fast.m.dtype == object and peak >= 2**63
+
+
+class TestOneExactnessRule:
+    """The product, the quotient and the graded walk all ask ``magnus.fits``
+    before an int64 step.  When it always refuses, each runs on Python
+    integers (object dtype) and gives the Python kernel's values."""
+
+    def test_every_int64_step_asks_the_rule(self, monkeypatch):
+        import numpy as np
+
+        d = from_braid(3, [1, 1, 2, 2, -1, -1])
+        words = numpy_basis(3).words
+        fast = wirtinger._Graded(d, Basis(3, words))
+        monkeypatch.setattr(magnus, "NUMPY_SPLITS", fast.basis.splits + 1)
+        exact = wirtinger._Graded(d, Basis(3, words))
+        monkeypatch.undo()
+        assert not fast.basis.small and exact.basis.small
+        # int64 rows of a meridian and the inverse of another as operands
+        x, y = exact.rows[1], exact.rows[4].inverse()
+        a, b = (magnus.Series(fast.basis, np.array(s.x, dtype=np.int64)) for s in (x, y))
+        assert (a * b).x.dtype == (a / b).x.dtype == np.int64
+        assert fast.m.dtype == np.int64
+        monkeypatch.setattr(magnus, "fits", lambda start, l1, peak: False)
+        for got, want in [(a * b, x * y), (a / b, x / y), (b / a, y / x)]:
+            assert got.x.dtype == object and got.x.tolist() == want.x
+        fast = wirtinger._Graded(d, Basis(3, words))
+        assert fast.m.dtype == object and fast.m.tolist() == exact.m
+        for comp in (1, 2, 3):
+            got, want = fast.longitude(comp), exact.longitude(comp)
+            assert got.x.dtype == object and got.x.tolist() == want.x
