@@ -43,20 +43,16 @@ def surjection_generator(tau: Surjection, exponent: int = 1) -> Diagram:
     """The doubled generator string link for a surjection: the tree tangle
     grasping tau(1), ..., tau(m-2), k, k, with the odd-length palindromic
     family normalized against the paired even-length one."""
-    base = tree_tangle(tau.n, tau.values + (tau.k, tau.k))
+    base = tree_tangle(tau.n, tau.index())
     n = tau.n
     if tau.m == 2 * n - 1 and tau.k == n and tau.values == tau.values[::-1]:
         # normalize: the tree data pins invariants only through length m, so
         # stray values on the paired even-length family are cancelled by
         # measured correcting factors; the matched partner value stays odd
-        parts = [base]
-        etas = ascending_surjections(2 * n, n, n)
-        strays = invariants.evaluate(base, [eta.index() for eta in etas])
-        for eta in etas:
-            stray = strays[eta.index()]
-            if stray:
-                parts.append(power(tree_tangle(n, eta.values + (n, n)), -stray))
-        base = stack_all(parts, n)
+        etas = {eta.index(): eta for eta in ascending_surjections(2 * n, n, n)}
+        strays = invariants.evaluate(base, etas)
+        fixes = [surjection_generator(etas[i], -s) for i, s in strays.items() if s]
+        base = stack_all([base, *fixes], n)
     return power(base, exponent)
 
 
@@ -313,15 +309,13 @@ def brunnian_representative(l: Diagram) -> BrunnianForm:
             "construction does not apply"
         )
     parity = {}
-    parts = []
     for phi in palindromic_surjections(2 * n - 1, n, n):
         val = vec.entries[palindromic_partner(phi).index()]
         if val.modulus != 0:
             raise ValueError("unexpected indeterminacy under the hypothesis")
         parity[phi] = val.value % 2
-        if parity[phi]:
-            parts.append(surjection_generator(phi, 1))
-    base = stack_all(parts, n)
+    # palindromic surjections come out lexicographically, realize's order
+    base = BrunnianForm(n, parity, {}, {}).realize()
     doubled = {}
     taus = palindromic_surjections(2 * n, n, n)
     built = invariants.evaluate(base, [tau.index() for tau in taus])

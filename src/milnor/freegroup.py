@@ -24,6 +24,8 @@ class Word(namedtuple("Word", "rank letters")):
     __slots__ = ()
 
     def __new__(cls, rank: int, letters: tuple[int, ...] = ()):
+        if any(type(v) is not int for v in (rank, *letters)):
+            raise ValueError(f"rank {rank!r} and letters {letters} must be integers")
         for x in letters:
             if x == 0 or abs(x) > rank:
                 raise ValueError(f"letter {x} out of range for rank {rank}")

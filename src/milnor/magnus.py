@@ -130,7 +130,11 @@ class Basis:
     __slots__ = ("n", "q", "words", "pos", "bounds", "splits", "small", "_inner")
 
     def __init__(self, n: int, words):
-        words = sorted(words, key=lambda w: (len(w), w))
+        words = list(words)
+        letters = itertools.chain.from_iterable(words)
+        if type(n) is not int or not set(map(type, letters)) <= {int}:
+            raise ValueError(f"n={n!r} and every letter must be integers")
+        words.sort(key=lambda w: (len(w), w))
         if n < 1 or not words or words[0] != ():
             raise ValueError("a basis needs n >= 1 and the empty monomial")
         for w in words:
@@ -140,6 +144,8 @@ class Basis:
         self.q = q = len(words[-1])
         self.words = tuple(words)
         self.pos = pos = {w: i for i, w in enumerate(words)}
+        if len(pos) < len(words):
+            raise ValueError("a monomial is repeated")
         degrees = [len(w) for w in words]
         self.bounds = bounds = [bisect_left(degrees, d) for d in range(q + 2)]
         self.splits = sum(degrees) + len(words)
@@ -209,8 +215,8 @@ def closure(n: int, monomials) -> Basis:
 
 def dense(n: int, q: int) -> Basis:
     """Every monomial of degree at most q: plain degree truncation."""
-    if n < 1 or q < 0:
-        raise ValueError("need n >= 1 and q >= 0")
+    if type(n) is not int or type(q) is not int or n < 1 or q < 0:
+        raise ValueError(f"need integers n >= 1 and q >= 0, got n={n!r}, q={q!r}")
     letters = range(1, n + 1)
     words = (w for d in range(q + 1) for w in itertools.product(letters, repeat=d))
     return Basis(n, words)
@@ -403,8 +409,8 @@ def unit(basis: Basis) -> Series:
 
 def generator_series(j: int, sign: int, basis: Basis) -> Series:
     """1 + X_j for sign +1; 1 - X_j + X_j^2 - ... for -1, on the basis."""
-    if not 1 <= j <= basis.n:
-        raise ValueError(f"variable index {j} out of range 1..{basis.n}")
+    if type(j) is not int or not 1 <= j <= basis.n:
+        raise ValueError(f"variable index {j!r} out of range 1..{basis.n}")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     s = unit(basis)

@@ -136,11 +136,8 @@ def surjections(m: int, k: int, n: int) -> list[Surjection]:
 
 
 def palindromic_surjections(m: int, k: int, n: int) -> list[Surjection]:
-    """The reversal-symmetric surjections; nonempty only for m in {2n-1, 2n}."""
-    if m not in (2 * n - 1, 2 * n):
-        if not n < m <= 2 * n:
-            raise ValueError(f"m={m} out of range ({n}, {2 * n}]")
-        return []
+    """The reversal-symmetric surjections; nonempty only for m in {2n-1, 2n},
+    since a palindrome hits at most one value once."""
     return [t for t in surjections(m, k, n) if t.values == t.values[::-1]]
 
 

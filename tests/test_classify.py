@@ -429,6 +429,16 @@ class TestBrunnian:
             rep = closure(form.realize())
             assert selfdelta_equivalent(l, rep) is Verdict.YES
 
+    def test_roundtrip_four_components(self):
+        # the classification theorem at n = 4: three length-8 doubled
+        # generators and one odd palindromic one, each with a random sign
+        rng = random.Random(4)
+        even = ascending_surjections(8, 4, 4) + palindromic_surjections(8, 4, 4)
+        picks = rng.sample(even, 3) + [rng.choice(palindromic_surjections(7, 4, 4))]
+        l = closure(stack_all([surjection_generator(t, rng.choice((1, -1))) for t in picks], 4))
+        rep = closure(brunnian_representative(l).realize())
+        assert selfdelta_equivalent(l, rep) is Verdict.YES
+
     def test_hypothesis_required(self):
         with pytest.raises(ValueError):
             brunnian_representative(hopf())
@@ -462,9 +472,9 @@ class TestBrunnian:
 
 
 class TestMemos:
-    """A diagram memoizes only its own structure (``reduced``, ``walk``) and
-    its one classification object; nothing else outlives the call that
-    built it."""
+    """A diagram memoizes only its own reduction (``reduced``) and its one
+    classification object; nothing else, its walk table included, outlives
+    the call that built it."""
 
     def test_generators_and_dense_bases_die_with_their_callers(self, monkeypatch):
         from milnor import classify, magnus
@@ -537,6 +547,18 @@ class TestOneKernel:
                 elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
                     assert not (node.value.id in aliases and node.attr in kernel), where
 
+    def test_only_diagram_and_classify_touch_the_memo(self):
+        # a diagram's memo holds its reduction and its classification
+        # object: no other module reads or writes a ``_cache``
+        src = Path(__file__).resolve().parent.parent / "src" / "milnor"
+        for path in sorted(src.glob("*.py")):
+            if path.name in ("diagram.py", "classify.py"):
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute):
+                    assert node.attr != "_cache", f"{path.name}:{node.lineno}"
+
 
 class TestCablingCrossCheck:
     def test_corpus(self):
@@ -562,7 +584,7 @@ class TestCablingCrossCheck:
         assert cabling_cross_check(l)
         gc.collect()
         assert states and all(ref() is None for ref in states)
-        keys = {"reduced", "walk", "selfdelta_vector", "normal_form"}
+        keys = {"reduced", "selfdelta_vector", "normal_form"}
         assert set(l._cache) <= keys
         assert set(reduced(l)._cache) <= keys
 

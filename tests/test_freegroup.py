@@ -37,6 +37,12 @@ def test_letter_range():
         Word(2, (0,))
 
 
+def test_rank_and_letters_are_integers():
+    for rank, letters in [(2, (1.0,)), (2, (True,)), (2.0, (1,)), (True, ())]:
+        with pytest.raises(ValueError, match="must be integers"):
+            Word(rank, letters)
+
+
 def test_inverse():
     assert Word(2, (1, 2)).inverse().letters == (-2, -1)
 

@@ -322,6 +322,24 @@ class TestBasis:
         with pytest.raises(ValueError):
             closure(2, [(1, 3)])
 
+    def test_rejects_non_integers_and_repeats(self):
+        cases = [(2, [(), (1.0,)]), (2, [(), (True,)]), (2, [(), (1,), ("a",)]), (2.5, [(), (1,)])]
+        for n, words in cases:
+            with pytest.raises(ValueError, match="must be integers"):
+                Basis(n, words)
+        with pytest.raises(ValueError, match="repeated"):
+            Basis(2, [(), (1,), (1,)])
+
+    def test_dense_takes_integers(self):
+        for n, q in [(2, True), (2, 2.0), (2.0, 2), (True, 1)]:
+            with pytest.raises(ValueError, match="integers"):
+                dense(n, q)
+
+    def test_generator_series_takes_an_integer_index(self):
+        for j in (True, 1.0):
+            with pytest.raises(ValueError, match="variable index"):
+                generator_series(j, 1, dense(2, 2))
+
     def test_outside_the_basis(self):
         s = Series(closure(2, [(1, 2)]))
         assert s.coefficient((1, 2)) == 0
