@@ -57,7 +57,10 @@ class Diagram:
         count = len(self.signs)
         over, under = [None] * count, [None] * count
         for comp, ev in enumerate(self.events, start=1):
-            for pos, (cid, role) in enumerate(ev):
+            for pos, passage in enumerate(ev):
+                if type(passage) is not tuple or len(passage) != 2:
+                    raise DiagramError(f"passage {passage!r} is not a 2-tuple")
+                cid, role = passage
                 if role == OVER:
                     at = over
                 elif role == UNDER:

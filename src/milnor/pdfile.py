@@ -1,9 +1,9 @@
 """Diagram files: the PD layout of a diagram, and the files read back.
 
-``to_pd_json`` alone defines the PD file layout: a file is read back only if
-it is that layout of the walks it traces, and only if some diagram on the
-sphere realizes it.  A braid file names a braid word and is built by the
-slice executor.
+``_layout`` alone defines the PD file layout, in integers; ``to_pd_json``
+writes it with JSON keys.  A file is read back only if it is that layout of
+the walks it traces, up to edge names, and some diagram on the sphere
+realizes it.  A braid file names a braid word, built by the slice executor.
 """
 
 from __future__ import annotations
@@ -15,56 +15,47 @@ from .diagram import OVER, UNDER, Diagram, DiagramError
 from .tangles import from_braid
 
 
+def _layout(d: Diagram):
+    """The PD layout of d as ``(rows, comp, succ, top, bottom)``.
+
+    Edges are numbered from 1, component c's k passages in one range from
+    ``top[c - 1]`` to ``bottom[c - 1]``: k edges on a link (one if k = 0),
+    k + 1 on a string link.  A passage at pos flows in along start + pos and
+    out along start + pos + 1, wrapping to start on a link.  ``rows`` lists
+    each crossing's four edges counterclockwise from the incoming under-edge;
+    ``comp[e - 1]`` and ``succ[e - 1]`` are edge e's component and successor,
+    None after a string link's last edge.
+    """
+    comp, succ, top, bottom = [], [], [], []
+    for c, ev in enumerate(d.events, start=1):
+        start = len(comp) + 1
+        count = max(len(ev), 1) if d.closed else len(ev) + 1
+        comp += [c] * count
+        succ += [*range(start + 1, start + count), start if d.closed else None]
+        top.append(start)
+        bottom.append(start + count - 1)
+    rows = []
+    for sign, (oc, op), (uc, up) in zip(d.signs, d.over_at, d.under_at):
+        ui, oi = top[uc - 1] + up, top[oc - 1] + op
+        uo, oo = succ[ui - 1], succ[oi - 1]
+        rows.append([ui, oi, uo, oo] if sign == 1 else [ui, oo, uo, oi])
+    return rows, comp, succ, top, bottom
+
+
 def to_pd_json(d: Diagram) -> dict:
-    """Serialize a diagram: 4-tuples in counterclockwise order starting from
-    the incoming under-edge, plus component and successor data that resolve
-    the orientation ambiguities of bare PD codes."""
-    edge_ids: list[list[int]] = []
-    counter = 1
-    for comp in range(1, d.n + 1):
-        k = len(d.events[comp - 1])
-        count = max(k, 1) if d.closed else k + 1
-        edge_ids.append(list(range(counter, counter + count)))
-        counter += count
-
-    def edge_before(comp, pos):
-        return edge_ids[comp - 1][pos % len(edge_ids[comp - 1])]
-
-    def edge_after(comp, pos):
-        ids = edge_ids[comp - 1]
-        return ids[(pos + 1) % len(ids)] if d.closed else ids[pos + 1]
-
-    pd = []
-    for sign, over, under in zip(d.signs, d.over_at, d.under_at):
-        ui, uo = edge_before(*under), edge_after(*under)
-        oi, oo = edge_before(*over), edge_after(*over)
-        if sign == 1:
-            pd.append([ui, oi, uo, oo])
-        else:
-            pd.append([ui, oo, uo, oi])
-    component_of = {}
-    orientation = {}
-    for comp in range(1, d.n + 1):
-        ids = edge_ids[comp - 1]
-        for j, e in enumerate(ids):
-            component_of[str(e)] = comp
-            if d.closed:
-                orientation[str(e)] = ids[(j + 1) % len(ids)]
-            elif j + 1 < len(ids):
-                orientation[str(e)] = ids[j + 1]
+    """Serialize a diagram: its layout's 4-tuples, plus the component and
+    successor data that resolve the orientation ambiguities of bare PD codes."""
+    rows, comp, succ, top, bottom = _layout(d)
     data = {
         "name": d.name or "",
         "kind": "link" if d.closed else "stringlink",
         "components": d.n,
-        "pd": pd,
-        "component_of_arc": component_of,
-        "orientation": orientation,
+        "pd": rows,
+        "component_of_arc": {str(e): c for e, c in enumerate(comp, 1)},
+        "orientation": {str(e): f for e, f in enumerate(succ, 1) if f is not None},
     }
     if not d.closed:
-        data["endpoints"] = {
-            "top": [edge_ids[c][0] for c in range(d.n)],
-            "bottom": [edge_ids[c][-1] for c in range(d.n)],
-        }
+        data["endpoints"] = {"top": top, "bottom": bottom}
     return data
 
 
@@ -84,6 +75,13 @@ def _int(value):
     return value
 
 
+def _ints(values):
+    """values, each checked in place to be a JSON integer."""
+    for value in values:
+        _int(value)
+    return values
+
+
 def _edge(key):
     """An edge named by a JSON object key, which must be an integer's
     decimal form, so that no two keys name one edge."""
@@ -100,14 +98,15 @@ def parse_pd(data) -> Diagram:
     under-passage sits at its incoming edge ``row[0]``.  Its over-passage
     sits at ``row[1]`` (sign +1) if that edge flows on to ``row[3]`` and is
     no under-passage's or earlier over-passage's incoming edge, else at
-    ``row[3]`` (sign -1).  The file must then be ``to_pd_json`` of the result
-    with its edges renumbered in walk order, so that function alone defines
-    the layout.
+    ``row[3]`` (sign -1).  The file must then be ``_layout`` of the result,
+    its edges renumbered in walk order, compared field by field.
     """
     data = _decoded(data)
     try:
         n = _int(data["components"])
-        pd = [list(map(_int, row)) for row in data["pd"]]
+        pd = data["pd"]
+        for row in pd:
+            _ints(row)
         comp_of = {_edge(k): _int(v) for k, v in data["component_of_arc"].items()}
         succ = {_edge(k): _int(v) for k, v in data["orientation"].items()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -120,39 +119,37 @@ def parse_pd(data) -> Diagram:
         raise DiagramError("closed links do not carry endpoints")
     for row in pd:
         if len(row) != 4:
-            raise DiagramError(f"crossing {row} is not a 4-tuple")
-    edges_of: dict[int, list[int]] = {}
+            raise DiagramError(f"crossing {list(row)} is not a 4-tuple")
+    least: dict[int, int] = {}  # component -> its least edge
     for e, c in comp_of.items():
-        edges_of.setdefault(c, []).append(e)
-    if len(edges_of) != n or set(edges_of) != set(range(1, n + 1)):
+        least[c] = min(e, least.get(c, e))
+    if len(least) != n or set(least) != set(range(1, n + 1)):
         raise DiagramError("component labels must be 1..n")
     if closed:
-        starts = [min(edges_of[c]) for c in range(1, n + 1)]
+        starts = [least[c] for c in range(1, n + 1)]
     else:
         try:
-            endpoints = {
-                k: list(map(_int, data["endpoints"][k])) for k in ("top", "bottom")
-            }
+            top, bottom = (_ints(data["endpoints"][k]) for k in ("top", "bottom"))
         except (KeyError, TypeError, ValueError) as exc:
             raise DiagramError(f"string links need endpoint data: {exc}") from None
-        if len(endpoints["top"]) != n:
+        if len(top) != n:
             raise DiagramError("need one top endpoint per component")
-        for e in endpoints["top"]:
+        for e in top:
             if e not in comp_of:
                 raise DiagramError(f"top endpoint {e} lacks a component")
-        start_of = {comp_of[e]: e for e in endpoints["top"]}
+        start_of = {comp_of[e]: e for e in top}
         if len(start_of) != n:
             raise DiagramError("top endpoints must cover all components")
         starts = [start_of[c] for c in range(1, n + 1)]
-    walks, enters = [], {}  # enters: edge -> the passage it flows into
+    walks, num = [], {}  # num: edge -> its place in walk order, from 1
     for e in starts:
-        walk = []
-        while e is not None and e not in enters:
-            walk.append(e)
-            enters[e] = None
+        start = len(num) + 1
+        while e is not None and e not in num:
+            num[e] = len(num) + 1
             e = succ.get(e)
-        walks.append(walk)
+        walks.append(range(start, len(num) + 1))
     consumed = {row[0] for row in pd}
+    enters = [None] * (len(num) + 1)  # by place; slot 0 takes untraced edges
     signs = []
     for cid, (a, b, _, dd) in enumerate(pd):
         if b not in consumed and succ.get(b) == dd:
@@ -160,44 +157,43 @@ def parse_pd(data) -> Diagram:
         else:
             over, sign = dd, -1
         consumed.add(over)
-        enters[a], enters[over] = (cid, UNDER), (cid, OVER)
+        enters[num.get(a, 0)], enters[num.get(over, 0)] = (cid, UNDER), (cid, OVER)
         signs.append(sign)
-    events = [[enters[e] for e in walk if enters[e]] for walk in walks]
+    events = [[enters[j] for j in walk if enters[j]] for walk in walks]
+    del consumed, enters  # the load's memory peak: freed before the layout
     d = Diagram(n, events, signs, closed=closed, name=data.get("name") or None)
     # the file must be the layout of its walks, up to the names of its edges
-    num = {e: i for i, e in enumerate(itertools.chain(*walks), start=1)}
-    got = {
-        "pd": [[num.get(e) for e in row] for row in pd],
-        "component_of_arc": {str(num.get(e)): c for e, c in comp_of.items()},
-        "orientation": {str(num.get(e)): num.get(f) for e, f in succ.items()},
-    }
-    if not closed:
-        got["endpoints"] = {k: [num.get(e) for e in es] for k, es in endpoints.items()}
-    out = to_pd_json(d)
-    for field, value in got.items():
-        if value != out[field]:
-            raise DiagramError(f"{field} is not the layout of the traced walks")
-    _check_planar(out)
+    rows, comp, after, first, last = _layout(d)
+    unlike = "{} is not the layout of the traced walks".format
+    if any(num.get(e) != j for row, out in zip(pd, rows) for e, j in zip(row, out)):
+        raise DiagramError(unlike("pd"))
+    if not len(num) >= len(comp) == len(comp_of) or any(
+        comp_of.get(e) != c for e, c in zip(num, comp)
+    ):
+        raise DiagramError(unlike("component_of_arc"))
+    if len(succ) != len(after) - after.count(None) or any(
+        f is not None and num.get(succ.get(e)) != f for e, f in zip(num, after)
+    ):
+        raise DiagramError(unlike("orientation"))
+    if not closed and any(
+        list(map(num.get, es)) != out for es, out in ((top, first), (bottom, last))
+    ):
+        raise DiagramError(unlike("endpoints"))
+    del comp_of, succ, num  # likewise before the planarity check
+    _check_planar(rows, {} if closed else dict(zip(last, first)))
     return d
 
 
-def _check_planar(data: dict) -> None:
+def _check_planar(rows, join) -> None:
     """Reject a layout that no diagram on the sphere realizes.
 
-    Each string-link component's bottom edge is joined to its top edge, which
-    closes a planar string link planarly.  The rows of ``data``, edge ends in
+    ``join`` maps each string-link component's bottom edge to its top edge,
+    which closes a planar string link planarly.  The ``rows``, edge ends in
     counterclockwise order, then span a 4-valent graph with a rotation
     system; it embeds in the sphere iff V - E + F = 2 on each connected piece,
     that is F = V + 2 * pieces, since E = 2V.  Faces are the orbits of
     "follow the edge, then step to the next end counterclockwise".
     """
-    rows = data["pd"]
-    if "endpoints" in data:
-        join = dict(zip(data["endpoints"]["bottom"], data["endpoints"]["top"]))
-        rows = [[join.get(e, e) for e in row] for row in rows]
-    slots: dict[int, list[int]] = {}
-    for x, e in enumerate(itertools.chain(*rows)):
-        slots.setdefault(e, []).append(x)
     v = len(rows)
     mate = [0] * (4 * v)
     piece = list(range(v))
@@ -207,15 +203,19 @@ def _check_planar(data: dict) -> None:
             piece[c] = c = piece[piece[c]]
         return c
 
-    for a, b in slots.values():
-        mate[a], mate[b] = b, a
-        piece[root(a // 4)] = root(b // 4)
+    pending: dict[int, int] = {}  # edge -> the slot of its first end
+    for b, e in enumerate(itertools.chain.from_iterable(rows)):
+        e = join.get(e, e)
+        a = pending.pop(e, None)
+        if a is None:
+            pending[e] = b
+        else:
+            mate[a], mate[b] = b, a
+            piece[root(a // 4)] = root(b // 4)
     faces = 0
     seen = [False] * len(mate)
     for start in range(len(mate)):
-        if seen[start]:
-            continue
-        faces += 1
+        faces += not seen[start]
         x = start
         while not seen[x]:
             seen[x] = True

@@ -6,13 +6,18 @@ meridians, and the longitude multiplied from them, are exact in every degree
 below ``depth`` (Milnor, Isotopy of links, 1957).  It costs ``depth - 1``
 full products per pass, and the graded walk is checked against it.
 ``link_homotopy_trivial`` reads every repetition-free value of a closed link,
-where the engine reads only the ordered injections.
+where the engine reads only the ordered injections.  ``roundtrip_parse_pd``
+is the PD reader as it was before it compared files in integers: it builds
+the file's renumbered fields and compares them with ``to_pd_json`` of what it
+traced, and the integer reader must accept and reject exactly as it does.
 """
 
 import itertools
 
 from milnor import magnus
+from milnor.diagram import OVER, UNDER, Diagram, DiagramError
 from milnor.invariants import evaluate
+from milnor.pdfile import _decoded, _edge, _int, to_pd_json
 from milnor.wirtinger import _longitude, _refine
 
 
@@ -67,3 +72,141 @@ def nested_commutator(factors):
 def repeat_max(index):
     """Maximum multiplicity of any value in the index (0 for the empty index)."""
     return max(map(index.count, index), default=0)
+
+
+def roundtrip_parse_pd(data) -> Diagram:
+    """Parse the JSON form back into a diagram: the reader that compared
+    renumbered copies of the file with a second ``to_pd_json``.
+
+    Each component's walk is read off ``orientation``: from its least edge on
+    a link, from its top endpoint on a string link.  A crossing's
+    under-passage sits at its incoming edge ``row[0]``.  Its over-passage
+    sits at ``row[1]`` (sign +1) if that edge flows on to ``row[3]`` and is
+    no under-passage's or earlier over-passage's incoming edge, else at
+    ``row[3]`` (sign -1).  The file must then be ``to_pd_json`` of the result
+    with its edges renumbered in walk order, so that function alone defines
+    the layout.
+    """
+    data = _decoded(data)
+    try:
+        n = _int(data["components"])
+        pd = [list(map(_int, row)) for row in data["pd"]]
+        comp_of = {_edge(k): _int(v) for k, v in data["component_of_arc"].items()}
+        succ = {_edge(k): _int(v) for k, v in data["orientation"].items()}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DiagramError(f"malformed diagram file: {exc}") from None
+    kind = data.get("kind", "link")
+    if kind not in ("link", "stringlink"):
+        raise DiagramError(f"unknown diagram kind {kind!r}")
+    closed = kind == "link"
+    if closed and "endpoints" in data:
+        raise DiagramError("closed links do not carry endpoints")
+    for row in pd:
+        if len(row) != 4:
+            raise DiagramError(f"crossing {row} is not a 4-tuple")
+    edges_of: dict[int, list[int]] = {}
+    for e, c in comp_of.items():
+        edges_of.setdefault(c, []).append(e)
+    if len(edges_of) != n or set(edges_of) != set(range(1, n + 1)):
+        raise DiagramError("component labels must be 1..n")
+    if closed:
+        starts = [min(edges_of[c]) for c in range(1, n + 1)]
+    else:
+        try:
+            endpoints = {
+                k: list(map(_int, data["endpoints"][k])) for k in ("top", "bottom")
+            }
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DiagramError(f"string links need endpoint data: {exc}") from None
+        if len(endpoints["top"]) != n:
+            raise DiagramError("need one top endpoint per component")
+        for e in endpoints["top"]:
+            if e not in comp_of:
+                raise DiagramError(f"top endpoint {e} lacks a component")
+        start_of = {comp_of[e]: e for e in endpoints["top"]}
+        if len(start_of) != n:
+            raise DiagramError("top endpoints must cover all components")
+        starts = [start_of[c] for c in range(1, n + 1)]
+    walks, enters = [], {}  # enters: edge -> the passage it flows into
+    for e in starts:
+        walk = []
+        while e is not None and e not in enters:
+            walk.append(e)
+            enters[e] = None
+            e = succ.get(e)
+        walks.append(walk)
+    consumed = {row[0] for row in pd}
+    signs = []
+    for cid, (a, b, _, dd) in enumerate(pd):
+        if b not in consumed and succ.get(b) == dd:
+            over, sign = b, 1
+        else:
+            over, sign = dd, -1
+        consumed.add(over)
+        enters[a], enters[over] = (cid, UNDER), (cid, OVER)
+        signs.append(sign)
+    events = [[enters[e] for e in walk if enters[e]] for walk in walks]
+    d = Diagram(n, events, signs, closed=closed, name=data.get("name") or None)
+    # the file must be the layout of its walks, up to the names of its edges
+    num = {e: i for i, e in enumerate(itertools.chain(*walks), start=1)}
+    got = {
+        "pd": [[num.get(e) for e in row] for row in pd],
+        "component_of_arc": {str(num.get(e)): c for e, c in comp_of.items()},
+        "orientation": {str(num.get(e)): num.get(f) for e, f in succ.items()},
+    }
+    if not closed:
+        got["endpoints"] = {k: [num.get(e) for e in es] for k, es in endpoints.items()}
+    out = to_pd_json(d)
+    for field, value in got.items():
+        if value != out[field]:
+            raise DiagramError(f"{field} is not the layout of the traced walks")
+    roundtrip_check_planar(out)
+    return d
+
+
+def roundtrip_check_planar(data: dict) -> None:
+    """Reject a layout that no diagram on the sphere realizes.
+
+    Each string-link component's bottom edge is joined to its top edge, which
+    closes a planar string link planarly.  The rows of ``data``, edge ends in
+    counterclockwise order, then span a 4-valent graph with a rotation
+    system; it embeds in the sphere iff V - E + F = 2 on each connected piece,
+    that is F = V + 2 * pieces, since E = 2V.  Faces are the orbits of
+    "follow the edge, then step to the next end counterclockwise".
+    """
+    rows = data["pd"]
+    if "endpoints" in data:
+        join = dict(zip(data["endpoints"]["bottom"], data["endpoints"]["top"]))
+        rows = [[join.get(e, e) for e in row] for row in rows]
+    slots: dict[int, list[int]] = {}
+    for x, e in enumerate(itertools.chain(*rows)):
+        slots.setdefault(e, []).append(x)
+    v = len(rows)
+    mate = [0] * (4 * v)
+    piece = list(range(v))
+
+    def root(c):
+        while piece[c] != c:
+            piece[c] = c = piece[piece[c]]
+        return c
+
+    for a, b in slots.values():
+        mate[a], mate[b] = b, a
+        piece[root(a // 4)] = root(b // 4)
+    faces = 0
+    seen = [False] * len(mate)
+    for start in range(len(mate)):
+        if seen[start]:
+            continue
+        faces += 1
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            y = mate[x]
+            x = y - y % 4 + (y + 1) % 4
+    pieces = len({root(c) for c in range(v)})
+    if faces != v + 2 * pieces:
+        raise DiagramError(
+            f"diagram is not planar: {faces} faces where a planar diagram "
+            f"with {v} crossings in {pieces} connected pieces has {v + 2 * pieces}"
+        )

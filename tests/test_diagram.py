@@ -2,9 +2,11 @@ import copy
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
-from oracles import canonical_form, commutator
+from hypothesis import given, settings, strategies as st
+from oracles import canonical_form, commutator, roundtrip_parse_pd
 
 from milnor.diagram import (
     Diagram,
@@ -88,6 +90,14 @@ class TestValidation:
             (1, [[(0, "o"), (0, "u")]], ["1"], "crossing 0 has sign '1'"),
             (1, [[(0.0, "o"), (0.0, "u")]], [1], "crossing id 0.0 is not an integer"),
             (1, [[(False, "o"), (False, "u")]], [1], "crossing id False is not an"),
+            # a passage is a (cid, role) pair, as walks hash and unpack it
+            (
+                2,
+                [[[0, "o"], [1, "u"]], [[0, "u"], [1, "o"]]],
+                [1, 1],
+                r"passage \[0, 'o'\] is not a 2-tuple",
+            ),
+            (1, [[(0, "o", 1), (0, "u")]], [1], r"passage \(0, 'o', 1\) is not a"),
         ],
     )
     def test_diagram_rejects(self, n, events, signs, message):
@@ -547,6 +557,46 @@ class TestPDFiles:
                 with pytest.raises(DiagramError, match=message):
                     parse_pd(mutant)
 
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_reader_matches_roundtrip_oracle(self, data):
+        # the integer reader accepts and rejects exactly as the reader that
+        # compared renumbered copies with a second to_pd_json, with the same
+        # message, on small diagrams' files and on single mutations of them
+        file = mutated(to_pd_json(data.draw(small_diagrams())), data.draw)
+
+        def outcome(read):
+            try:
+                d = read(file)
+            except DiagramError as exc:
+                return str(exc)
+            return d.events, d.signs, d.closed, d.name
+
+        assert outcome(parse_pd) == outcome(roundtrip_parse_pd)
+
+    def test_load_peak_is_bounded_by_the_text(self):
+        # compact JSON as the corpus script writes it; on this file the
+        # round-trip reader peaked at 39 times the text, the integer one at 17
+        d = products(5, (2, 2, 2, 1), 1)
+        assert d.crossing_count >= 500 and not d.closed
+        text = json.dumps(to_pd_json(d), sort_keys=True)
+        again, peak = traced_load(text)
+        assert canonical_form(again) == canonical_form(d)
+        assert peak <= 30 * len(text), f"{peak / len(text):.1f} times the text"
+
+    def test_labels_are_names_not_sizes(self):
+        # edges renamed to values from 10**12 upward with gaps: the same
+        # diagram, read with about the memory of the file numbered from 1
+        rng = random.Random(25)
+        for d in [corpus()["milnor4"], products(4, (3, 2, 2), 0)]:
+            data = to_pd_json(d)
+            edges = sorted(int(e) for e in data["component_of_arc"])
+            huge = itertools.accumulate(rng.randrange(1, 10**9) for _ in edges)
+            big = relabeled(data, dict(zip(edges, (10**12 + g for g in huge))))
+            again, peak = traced_load(json.dumps(big))
+            assert again.events == d.events and again.signs == d.signs
+            assert peak <= 2 * traced_load(json.dumps(data))[1]
+
     def test_braid_file(self):
         d = load_diagram({"strands": 2, "word": [1, 1], "kind": "closure"})
         assert d.closed and d.n == 2
@@ -580,10 +630,15 @@ def renamed(data, rng):
     new = rng.sample(range(1, 10 * len(old) + 1), len(old))
     if data["kind"] == "link":
         new.sort()
-    name = dict(zip(old, new))
+    out = relabeled(data, dict(zip(old, new)))
+    rng.shuffle(out["pd"])
+    return out
+
+
+def relabeled(data, name):
+    """The PD file with each edge e renamed name[e]."""
     out = dict(data)
     out["pd"] = [[name[e] for e in row] for row in data["pd"]]
-    rng.shuffle(out["pd"])
     out["component_of_arc"] = {
         str(name[int(e)]): c for e, c in data["component_of_arc"].items()
     }
@@ -595,6 +650,106 @@ def renamed(data, rng):
             k: [name[e] for e in es] for k, es in data["endpoints"].items()
         }
     return out
+
+
+def traced_load(text):
+    """load_diagram(text) and its tracemalloc peak, in bytes."""
+    tracemalloc.start()
+    try:
+        return load_diagram(text), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@st.composite
+def small_diagrams(draw):
+    """A closed braid, a string link or a 2-cable of either, on n <= 3
+    components, kinked now and then; or random walks, which may be virtual."""
+    n = draw(st.integers(1, 3))
+    closed = draw(st.booleans())
+    if draw(st.integers(0, 3)) == 0:
+        m = draw(st.integers(1, 4))
+        ends = draw(st.permutations([(c, role) for c in range(m) for role in "ou"]))
+        cut = st.lists(st.integers(0, 2 * m), min_size=n - 1, max_size=n - 1)
+        cuts = sorted(draw(cut))
+        events = [ends[a:b] for a, b in zip([0, *cuts], [*cuts, 2 * m])]
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=m, max_size=m))
+        return Diagram(n, events, signs, closed)
+    letters = [g for i in range(1, n) for g in (i, -i)] or [0]
+    words = st.lists(st.sampled_from(letters), max_size=4)
+    word, core = draw(words.map(lambda w: [g for g in w if g])), draw(words)
+    if not closed:  # a pure braid: squares, conjugated by the word
+        word += [g for g in core if g for _ in (0, 1)] + [-g for g in reversed(word)]
+    d = from_braid(n, word, closed=closed)
+    if draw(st.booleans()):
+        comp = draw(st.integers(1, d.n))
+        at = draw(st.integers(0, len(d.events[comp - 1])))
+        d = with_kink(d, comp, draw(st.sampled_from([1, -1])), at)
+    if draw(st.booleans()):
+        d = cable(d if d.closed else closure(d), [2] * d.n)
+        d = d if closed else cut_open(d)
+    d.name = draw(st.sampled_from([None, "x"]))
+    return d
+
+
+def mutated(data, draw):
+    """The PD file unchanged, or with one change drawn: edges renamed, rows
+    shuffled, a pd entry, a successor or an endpoint changed, a key dropped,
+    added or written with a leading zero, a number made true or 1.0, or a
+    list made an empty string or object."""
+    data = copy.deepcopy(data)
+    edges = [int(e) for e in data["component_of_arc"]]
+    other = st.sampled_from(edges + [0, -1, max(edges, default=0) + 1])
+    maps = [data["component_of_arc"], data["orientation"]]
+    objects = [*maps, *([data["endpoints"]] if "endpoints" in data else [])]
+    numbers = [(data, "components")]  # (container, key or index) of each number
+    numbers += [(row, i) for row in data["pd"] for i in range(4)]
+    numbers += [(m, k) for m in maps for k in m]
+    for es in data.get("endpoints", {}).values():
+        numbers += [(es, i) for i in range(len(es))]
+    change = draw(st.sampled_from(
+        ["none", "rename", "shuffle", "pd", "successor", "endpoint", "drop", "add",
+         "field", "zero", "true", "float", "empty"]
+    ))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    if change == "rename":
+        data = renamed(data, rng)
+    elif change == "shuffle":
+        rng.shuffle(data["pd"])
+    elif change == "pd" and data["pd"]:
+        draw(st.sampled_from(data["pd"]))[draw(st.integers(0, 3))] = draw(other)
+    elif change == "successor" and data["orientation"]:
+        key = draw(st.sampled_from(sorted(data["orientation"])))
+        data["orientation"][key] = draw(other)
+    elif change == "endpoint" and "endpoints" in data:
+        ends = data["endpoints"][draw(st.sampled_from(["top", "bottom"]))]
+        ends[draw(st.integers(0, len(ends) - 1))] = draw(other)
+    elif change == "drop":
+        target = draw(st.sampled_from([data, *objects]))
+        if target:
+            del target[draw(st.sampled_from(sorted(target)))]
+    elif change == "add":
+        fresh = str(max(edges, default=0) + 1)
+        key = draw(st.sampled_from(["0", "-3", fresh, "top"]))
+        draw(st.sampled_from(objects))[key] = draw(other)
+    elif change == "field":
+        key = draw(st.sampled_from(["endpoints", "extra"]))
+        data[key] = {"top": edges[:1], "bottom": edges[-1:]}
+    elif change == "zero":
+        target = draw(st.sampled_from(maps))
+        if target:
+            key = draw(st.sampled_from(sorted(target)))
+            target["0" + key] = target.pop(key)
+    elif change == "empty":
+        lists = [(data["pd"], i) for i in range(len(data["pd"]))]
+        lists += [(data["endpoints"], k) for k in data.get("endpoints", ())]
+        if lists:
+            where, key = draw(st.sampled_from(lists))
+            where[key] = draw(st.sampled_from(["", {}]))
+    elif change in ("true", "float"):
+        where, key = draw(st.sampled_from(numbers))
+        where[key] = True if change == "true" else float(where[key])
+    return data
 
 
 def corpus():

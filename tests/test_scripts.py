@@ -1,7 +1,7 @@
 """Smoke test of the shipped scripts: each runs to completion, and every
-diagram file the corpus script writes loads and evaluates.  The benchmark's
-trace harness runs a classify pair of each mode, and every name it wraps
-exists."""
+diagram file the corpus script writes loads, evaluates and is written back
+byte for byte.  The benchmark's trace harness runs a classify pair of each
+mode, and every name it wraps exists."""
 
 import ast
 import importlib
@@ -14,20 +14,26 @@ import pytest
 
 from milnor.classify import injection_generator, whitehead_link
 from milnor.cli import main
-from milnor.diagram import from_braid, to_pd_json, trivial_link
+from milnor.diagram import from_braid, load_diagram, to_pd_json, trivial_link
 from milnor.multiindex import Injection
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 
 
-def test_corpus_and_demo_run(tmp_path, capsys):
-    corpus = tmp_path / "corpus"
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """The directory the corpus script writes."""
+    corpus = tmp_path_factory.mktemp("corpus")
     subprocess.run(
         [sys.executable, str(SCRIPTS / "generate_corpus.py"), str(corpus)],
         check=True,
         capture_output=True,
     )
+    return corpus
+
+
+def test_corpus_and_demo_run(corpus, capsys):
     files = sorted(str(p) for p in corpus.glob("*.json"))
     assert len(files) == 22
     assert main(["invariants", *files, "--max-length", "3"]) == 0
@@ -36,6 +42,17 @@ def test_corpus_and_demo_run(tmp_path, capsys):
         check=True,
         capture_output=True,
     )
+
+
+def test_corpus_files_are_their_own_layout(corpus):
+    # the benchmark reads these files: each is what the writer makes of what
+    # the reader traced, so reader and writer share one layout
+    paths = sorted(corpus.glob("*.json"))
+    assert len(paths) == 22
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        again = json.dumps(to_pd_json(load_diagram(text)), sort_keys=True) + "\n"
+        assert again == text, path.name
 
 
 @pytest.mark.parametrize(
