@@ -14,7 +14,8 @@ from milnor.classify import (  # noqa: E402
     selfdelta_trivial,
     whitehead_link,
 )
-from milnor.diagram import closure, from_braid, tree_tangle, trivial_link  # noqa: E402
+from milnor.diagram import closure, trivial_link  # noqa: E402
+from milnor.tangles import from_braid, tree_tangle  # noqa: E402
 from milnor.invariants import table  # noqa: E402
 
 

@@ -16,7 +16,9 @@ from milnor.classify import (  # noqa: E402
     surjection_generator,
     whitehead_link,
 )
-from milnor.diagram import closure, from_braid, to_pd_json, trivial_link  # noqa: E402
+from milnor.diagram import closure, trivial_link  # noqa: E402
+from milnor.pdfile import to_pd_json  # noqa: E402
+from milnor.tangles import from_braid  # noqa: E402
 from milnor.multiindex import selfdelta_generator_indices  # noqa: E402
 
 

@@ -310,6 +310,8 @@ def cable(l: Diagram, multiplicities: Sequence[int]) -> Diagram:
         ci, w = len(group), l.writhe(i)
         if ci < 2 or w == 0:
             continue
+        from .tangles import from_braid
+
         letters = [ci - g if w < 0 else -g for g in range(1, ci)] * (ci * abs(w))
         twist = from_braid(ci, letters)
         off = len(signs)
@@ -326,15 +328,23 @@ def cable_map(l: Diagram, multiplicities: Sequence[int]):
     return tuple(i for i, c in enumerate(mult, start=1) for _ in range(c))
 
 
-# ``cable`` twists with ``from_braid``; the other names are re-exported for
-# perfbench/ and existing importers (ROADMAP item 6), and the package imports
-# them from the modules that define them.  They come last, since both modules
-# import the walk model above.
-from .pdfile import load_diagram, parse_pd, to_pd_json  # noqa: E402, F401
-from .tangles import (  # noqa: E402, F401
-    braid_permutation,
-    commutator_tangle,
-    from_braid,
-    run_slices,
-    tree_tangle,
-)
+# Names of ``pdfile`` and ``tangles`` that perfbench/ reads on this module.
+# Both modules import the walk model above, so this module imports neither
+# when it loads: each name resolves on first use and is then stored here.
+_MOVED = {
+    **dict.fromkeys(("load_diagram", "parse_pd", "to_pd_json"), "pdfile"),
+    **dict.fromkeys(
+        ("braid_permutation", "commutator_tangle", "from_braid", "run_slices", "tree_tangle"),
+        "tangles",
+    ),
+}
+
+
+def __getattr__(name):
+    if name not in _MOVED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_MOVED[name]}", __package__), name)
+    globals()[name] = value
+    return value

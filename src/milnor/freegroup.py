@@ -36,6 +36,9 @@ class Word(namedtuple("Word", "rank letters")):
             raise ValueError("rank mismatch")
         return Word(self.rank, self.letters + other.letters)
 
+    def __truediv__(self, other: Word) -> Word:
+        return self * other.inverse()
+
     def inverse(self) -> Word:
         return Word(self.rank, tuple(-x for x in reversed(self.letters)))
 

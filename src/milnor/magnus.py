@@ -40,8 +40,6 @@ import itertools
 from bisect import bisect_left
 from operator import add, itemgetter, mul, sub
 
-from .freegroup import Word
-
 _GUARD = float(2**60)
 # Split count from which a basis uses the numpy kernel: every split is
 # counted (len(w) + 1 per monomial w), though only the inner ones are
@@ -423,7 +421,7 @@ def generator_series(j: int, sign: int, basis: Basis) -> Series:
 
 
 def expand(word: Word, q: int, n: int | None = None) -> Series:
-    """Magnus expansion of a word, truncated beyond degree q."""
+    """Magnus expansion of a ``freegroup.Word``, truncated beyond degree q."""
     if n is None:
         n = word.rank
     elif n != word.rank:

@@ -82,12 +82,15 @@ def _ints(values):
     return values
 
 
-def _edge(key):
-    """An edge named by a JSON object key, which must be an integer's
-    decimal form, so that no two keys name one edge."""
-    if str(int(key)) != key:
-        raise ValueError(f"{key!r} is not an edge number")
-    return int(key)
+def _edges(table):
+    """table, an object keyed by edges, checked in place: each key must be
+    an integer's decimal form, so that edge e is looked up as ``str(e)`` and
+    no two keys name one edge, and each value a JSON integer."""
+    for key, value in table.items():
+        if str(int(key)) != key:
+            raise ValueError(f"{key!r} is not an edge number")
+        _int(value)
+    return table
 
 
 def parse_pd(data) -> Diagram:
@@ -99,7 +102,9 @@ def parse_pd(data) -> Diagram:
     sits at ``row[1]`` (sign +1) if that edge flows on to ``row[3]`` and is
     no under-passage's or earlier over-passage's incoming edge, else at
     ``row[3]`` (sign -1).  The file must then be ``_layout`` of the result,
-    its edges renumbered in walk order, compared field by field.
+    its edges renumbered in walk order, compared field by field.  The
+    objects keyed by edges are checked in place and read at ``str(e)``, so
+    the load makes no int-keyed copy of them.
     """
     data = _decoded(data)
     try:
@@ -107,8 +112,8 @@ def parse_pd(data) -> Diagram:
         pd = data["pd"]
         for row in pd:
             _ints(row)
-        comp_of = {_edge(k): _int(v) for k, v in data["component_of_arc"].items()}
-        succ = {_edge(k): _int(v) for k, v in data["orientation"].items()}
+        comp_of = _edges(data["component_of_arc"])
+        succ = _edges(data["orientation"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DiagramError(f"malformed diagram file: {exc}") from None
     kind = data.get("kind", "link")
@@ -121,7 +126,8 @@ def parse_pd(data) -> Diagram:
         if len(row) != 4:
             raise DiagramError(f"crossing {list(row)} is not a 4-tuple")
     least: dict[int, int] = {}  # component -> its least edge
-    for e, c in comp_of.items():
+    for key, c in comp_of.items():
+        e = int(key)
         least[c] = min(e, least.get(c, e))
     if len(least) != n or set(least) != set(range(1, n + 1)):
         raise DiagramError("component labels must be 1..n")
@@ -135,9 +141,9 @@ def parse_pd(data) -> Diagram:
         if len(top) != n:
             raise DiagramError("need one top endpoint per component")
         for e in top:
-            if e not in comp_of:
+            if str(e) not in comp_of:
                 raise DiagramError(f"top endpoint {e} lacks a component")
-        start_of = {comp_of[e]: e for e in top}
+        start_of = {comp_of[str(e)]: e for e in top}
         if len(start_of) != n:
             raise DiagramError("top endpoints must cover all components")
         starts = [start_of[c] for c in range(1, n + 1)]
@@ -146,13 +152,13 @@ def parse_pd(data) -> Diagram:
         start = len(num) + 1
         while e is not None and e not in num:
             num[e] = len(num) + 1
-            e = succ.get(e)
+            e = succ.get(str(e))
         walks.append(range(start, len(num) + 1))
     consumed = {row[0] for row in pd}
     enters = [None] * (len(num) + 1)  # by place; slot 0 takes untraced edges
     signs = []
     for cid, (a, b, _, dd) in enumerate(pd):
-        if b not in consumed and succ.get(b) == dd:
+        if b not in consumed and succ.get(str(b)) == dd:
             over, sign = b, 1
         else:
             over, sign = dd, -1
@@ -168,11 +174,11 @@ def parse_pd(data) -> Diagram:
     if any(num.get(e) != j for row, out in zip(pd, rows) for e, j in zip(row, out)):
         raise DiagramError(unlike("pd"))
     if not len(num) >= len(comp) == len(comp_of) or any(
-        comp_of.get(e) != c for e, c in zip(num, comp)
+        comp_of.get(str(e)) != c for e, c in zip(num, comp)
     ):
         raise DiagramError(unlike("component_of_arc"))
     if len(succ) != len(after) - after.count(None) or any(
-        f is not None and num.get(succ.get(e)) != f for e, f in zip(num, after)
+        f is not None and num.get(succ.get(str(e))) != f for e, f in zip(num, after)
     ):
         raise DiagramError(unlike("orientation"))
     if not closed and any(

@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .diagram import OVER, UNDER, Diagram, DiagramError
-from .freegroup import Word
 
 
 # -- Morse slice executor ----------------------------------------------------

@@ -12,14 +12,15 @@ string link, whose longitude need not commute with x_i, only the left
 correction cancels it.
 
 ``_walk`` alone reads a diagram's walks as Wirtinger arcs: it numbers the
-arcs, lists each under-passage with its over-arc, and writes each
-longitude as factors, the framing correction first as |w| factors of the
-base arc.  Everything below reads that table.  ``_refine`` refines every
-arc's meridian depth by depth, each pass conjugating by the previous pass's
-meridians, and ``_longitude`` multiplies a longitude along its factors.
-Both work on any element with ``*`` and ``inverse()``: on free-group words
-they give ``meridian_words`` and ``longitude_word``, exact at every depth,
-and the tests run them on Magnus series as the oracle of the graded walk.
+arcs, lists each under-passage with its in-, out- and over-arc, and writes
+each longitude as factors, the framing correction first as |w| factors of
+the base arc.  Everything below reads that table: ``presentation`` lists
+it as generators and relations.  ``_refine`` refines every arc's meridian
+depth by depth, each pass conjugating by the previous pass's meridians, and
+``_longitude`` multiplies a longitude along its factors.  Both work on any
+element with ``*``, ``/`` and ``inverse()``: on free-group words they give
+``meridian_words`` and ``longitude_word``, exact at every depth, and the
+tests run them on Magnus series as the oracle of the graded walk.
 The invariant engine uses the graded walk ``_Graded`` on Magnus series over
 a monomial basis, which it sizes by its query: degree d of every meridian
 depends only on lower degrees of the over-arcs, so one walk per degree fills
@@ -34,54 +35,20 @@ from collections import namedtuple
 
 from . import magnus
 from .diagram import UNDER, Diagram
-from .freegroup import Word
 
 
-class Relation(namedtuple("Relation", "crossing sign out_arc in_arc over_arc")):
-    """out = over^-sign * in * over^sign, one per crossing."""
-
-    __slots__ = ()
-
-
-class Presentation(namedtuple("Presentation", "diagram arcs component_of relations")):
-    """``arcs`` are the PD edge labels, one generator each."""
-
-    __slots__ = ()
-
-
-def presentation(d: Diagram) -> Presentation:
-    """One generator per diagram arc (PD edge) and one conjugation relation
-    per crossing; arcs joined by an over-passage carry equal meridians."""
-    from .pdfile import to_pd_json
-
-    data = to_pd_json(d)
-    arcs = tuple(sorted(int(e) for e in data["component_of_arc"]))
-    component_of = {int(e): c for e, c in data["component_of_arc"].items()}
-    relations = []
-    for cid, (a, b, c_out, dd) in enumerate(data["pd"]):
-        sign = d.signs[cid]
-        relations.append(
-            Relation(
-                crossing=cid,
-                sign=sign,
-                out_arc=c_out,
-                in_arc=a,
-                over_arc=b if sign == 1 else dd,
-            )
-        )
-    return Presentation(d, arcs, component_of, tuple(relations))
-
-
-class _Walk(namedtuple("_Walk", "arcs bases passages factors")):
+class _Walk(namedtuple("_Walk", "arcs bases passages closers factors")):
     """A diagram's Wirtinger arcs, numbered flat component by component.
 
     ``arcs`` labels them (comp, ordinal), ordinal 0 being comp's base arc;
     ``bases`` pairs each component with its base arc; ``passages`` lists
     the under-passages that lead to a further arc, as (arc in, arc out,
-    over-arc, sign), each component's in walk order; and ``factors[comp]``
-    lists the longitude factors of comp as (arc, sign): |w| copies of
-    (base arc, -sign w), the framing correction x_comp^(-w) for comp's
-    self-writhe w, then the over-arc of each under-passage along its walk.
+    over-arc, sign), each component's in walk order, and ``closers`` the
+    last under-passage of each closed component, which leads back to its
+    base arc; and ``factors[comp]`` lists the longitude factors of comp as
+    (arc, sign): |w| copies of (base arc, -sign w), the framing correction
+    x_comp^(-w) for comp's self-writhe w, then the over-arc of each
+    under-passage along its walk.
     """
 
     __slots__ = ()
@@ -107,27 +74,48 @@ def _walk(d: Diagram) -> _Walk:
             else:
                 over_arc[cid] = len(arcs) + j % count
         arcs += [(comp, a) for a in range(count)]
-    passages, factors = [], {}
+    passages, closers, factors = [], [], {}
     for comp, base in bases:
         w = d.writhe(comp)
         ev = d.events[comp - 1]
         unders = [(over_arc[c], d.signs[c]) for c, role in ev if role == UNDER]
         factors[comp] = [(base, -1 if w > 0 else 1)] * abs(w) + unders
-        # on a closed link the last under-passage leads back to the base arc
-        leading = unders[: len(unders) - 1] if d.closed else unders
-        passages += [(base + j, base + j + 1, o, s) for j, (o, s) in enumerate(leading)]
-    return _Walk(tuple(arcs), tuple(bases), tuple(passages), factors)
+        passages += [(base + j, base + j + 1, o, s) for j, (o, s) in enumerate(unders)]
+        if d.closed and unders:
+            a, _, o, s = passages.pop()
+            closers.append((a, base, o, s))
+    return _Walk(tuple(arcs), tuple(bases), tuple(passages), tuple(closers), factors)
 
 
-def _refine(d: Diagram, depth: int, base) -> dict:
-    """Each arc's meridian, keyed by its ``_walk`` label (comp, arc), after
-    depth passes from the base meridians base(comp).  Every arc starts at its
-    component's base meridian; each pass walks the passages, conjugating the
-    running meridian by the previous pass's over-arc meridian.  The elements
-    need only ``*`` and ``inverse()``."""
+class Relation(namedtuple("Relation", "in_arc out_arc over_arc sign")):
+    """m_out = o^-sign m_in o^sign, where o is the over-arc's meridian."""
+
+    __slots__ = ()
+
+
+class Presentation(namedtuple("Presentation", "diagram arcs relations")):
+    """``arcs`` labels the generators as ``_walk`` does, one per Wirtinger
+    arc; a relation names arcs by their positions in it."""
+
+    __slots__ = ()
+
+
+def presentation(d: Diagram) -> Presentation:
+    """The Wirtinger presentation read off ``_walk``: one generator per arc
+    and one relation per crossing, at its under-passage."""
+    walk = _walk(d)
+    relations = map(Relation._make, walk.passages + walk.closers)
+    return Presentation(d, walk.arcs, tuple(relations))
+
+
+def _refine(walk: _Walk, depth: int, base) -> list:
+    """Each arc's meridian, in ``walk.arcs`` order, after depth passes from
+    the base meridians base(comp).  Every arc starts at its component's base
+    meridian; each pass walks the passages, conjugating the running meridian
+    by the previous pass's over-arc meridian.  The elements need only ``*``
+    and ``inverse()``."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    walk = _walk(d)
     gens = {comp: base(comp) for comp, _ in walk.bases}
     rows = [gens[comp] for comp, _ in walk.arcs]
     for _ in range(depth - 1):
@@ -135,31 +123,37 @@ def _refine(d: Diagram, depth: int, base) -> dict:
         for a, out, o, sign in walk.passages:
             x, m = prev[o], rows[a]
             rows[out] = x.inverse() * m * x if sign == 1 else x * m * x.inverse()
-    return dict(zip(walk.arcs, rows))
+    return rows
 
 
-def _longitude(d: Diagram, comp: int, meridians: dict, one):
-    """The zero-framed longitude of comp multiplied from the meridians of
-    ``_refine`` along ``_walk(d).factors[comp]``, inverted at sign -1; one is
-    the identity element."""
-    walk, out = _walk(d), one
+def _longitude(walk: _Walk, comp: int, rows, one):
+    """The zero-framed longitude of comp: the identity element one times the
+    meridian rows of ``walk.factors[comp]``, divided on the right by the row
+    at sign -1.  The rows, in ``walk.arcs`` order, come from ``_refine`` or
+    ``_Graded``; the elements need only ``*`` and ``/``."""
+    out = one
     for o, sign in walk.factors[comp]:
-        x = meridians[walk.arcs[o]]
-        out = out * (x if sign == 1 else x.inverse())
+        out = out * rows[o] if sign == 1 else out / rows[o]
     return out
 
 
 def meridian_words(d: Diagram, depth: int) -> dict[tuple[int, int], Word]:
     """Exact meridian words per arc at a given depth.  Word lengths grow
     quickly with depth; intended for inspection and cross-checks."""
-    return _refine(d, depth, lambda comp: Word(d.n, (comp,)))
+    from .freegroup import Word
+
+    walk = _walk(d)
+    return dict(zip(walk.arcs, _refine(walk, depth, lambda comp: Word(d.n, (comp,)))))
 
 
 def longitude_word(d: Diagram, comp: int, depth: int) -> Word:
     """Zero-framed longitude as an exact word at a given depth."""
+    from .freegroup import Word
+
     if not 1 <= comp <= d.n:
         raise ValueError(f"component {comp} out of range")
-    return _longitude(d, comp, meridian_words(d, depth), Word(d.n))
+    rows = list(meridian_words(d, depth).values())
+    return _longitude(_walk(d), comp, rows, Word(d.n))
 
 
 class _Graded:
@@ -181,9 +175,10 @@ class _Graded:
     result is the fixed point of the depth-by-depth refinement, which it
     equals at depth ``q + 1`` (depth stability: Milnor, Isotopy of links,
     1957).  A state serves one query on one basis and solves it from degree
-    1; a longitude multiplies its rows along the walk's factors, dividing
-    by them at sign -1 with the same step.  A base arc's row is 1 + X_comp,
-    so the framing factors divide or multiply by x_comp.
+    1; ``_longitude`` multiplies its rows along the walk's factors, dividing
+    by them at sign -1 with the same step (``Series.__truediv__``).  A base
+    arc's row is 1 + X_comp, so the framing factors divide or multiply by
+    x_comp.
     """
 
     def __init__(self, d: Diagram, basis: magnus.Basis):
@@ -223,14 +218,6 @@ class _Graded:
                 step = inner(deg, m[o], m[a], m[a][lo:hi])
                 m[out][lo:hi] = inner(deg, m[out], m[o], step, -1)
 
-    def longitude(self, comp: int) -> magnus.Series:
-        """The zero-framed longitude of comp: the product of its factors'
-        rows, divided by at sign -1."""
-        out = magnus.unit(self.basis)
-        for o, sign in self.walk.factors[comp]:
-            out = out * self.rows[o] if sign == 1 else out / self.rows[o]
-        return out
-
 
 def longitude_series(d: Diagram, comps, basis: magnus.Basis) -> dict[int, magnus.Series]:
     """Magnus expansions of the zero-framed longitudes of the set of
@@ -241,4 +228,6 @@ def longitude_series(d: Diagram, comps, basis: magnus.Basis) -> dict[int, magnus
         if not 1 <= comp <= d.n:
             raise ValueError(f"component {comp} out of range")
     state = _Graded(d, basis)
-    return {comp: state.longitude(comp) for comp in comps}
+    return {
+        comp: _longitude(state.walk, comp, state.rows, magnus.unit(basis)) for comp in comps
+    }

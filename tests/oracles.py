@@ -17,19 +17,16 @@ import itertools
 from milnor import magnus
 from milnor.diagram import OVER, UNDER, Diagram, DiagramError
 from milnor.invariants import evaluate
-from milnor.pdfile import _decoded, _edge, _int, to_pd_json
-from milnor.wirtinger import _longitude, _refine
-
-
-def meridian_series(d, depth, basis):
-    """Each arc's meridian series after ``depth`` passes, keyed (comp, arc)."""
-    return _refine(d, depth, lambda comp: magnus.generator_series(comp, 1, basis))
+from milnor.pdfile import _decoded, _int, to_pd_json
+from milnor.wirtinger import _longitude, _refine, _walk
 
 
 def longitude_series(d, comp, depth, basis):
     """The zero-framed longitude multiplied from the meridians at ``depth``,
     with the framing correction x_comp^(-w) on the left."""
-    return _longitude(d, comp, meridian_series(d, depth, basis), magnus.unit(basis))
+    walk = _walk(d)
+    rows = _refine(walk, depth, lambda c: magnus.generator_series(c, 1, basis))
+    return _longitude(walk, comp, rows, magnus.unit(basis))
 
 
 def link_homotopy_trivial(l):
@@ -72,6 +69,14 @@ def nested_commutator(factors):
 def repeat_max(index):
     """Maximum multiplicity of any value in the index (0 for the empty index)."""
     return max(map(index.count, index), default=0)
+
+
+def _edge(key):
+    """An edge named by a JSON object key, which must be an integer's
+    decimal form, so that no two keys name one edge."""
+    if str(int(key)) != key:
+        raise ValueError(f"{key!r} is not an edge number")
+    return int(key)
 
 
 def roundtrip_parse_pd(data) -> Diagram:

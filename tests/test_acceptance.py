@@ -28,7 +28,6 @@ from milnor.diagram import (
     cable,
     cable_map,
     closure,
-    from_braid,
     stack,
     stack_all,
     trivial_link,
@@ -44,6 +43,7 @@ from milnor.multiindex import (
     palindromic_surjections,
     selfdelta_generator_indices,
 )
+from milnor.tangles import from_braid
 
 
 def report(num, label):

@@ -29,10 +29,8 @@ from milnor.classify import (
 from milnor.diagram import (
     cable,
     closure,
-    from_braid,
     power,
     stack_all,
-    tree_tangle,
     trivial_link,
     trivial_string_link,
 )
@@ -45,6 +43,7 @@ from milnor.multiindex import (
     injections,
     palindromic_surjections,
 )
+from milnor.tangles import from_braid, tree_tangle
 
 
 def hopf():
@@ -261,7 +260,7 @@ class TestLinkHomotopic:
         assert not link_homotopic(from_braid(2, [1, 1]), trivial_string_link(2))
 
     def test_whitehead_string_is_homotopically_trivial(self):
-        from milnor.diagram import tree_tangle
+        from milnor.tangles import tree_tangle
 
         w = tree_tangle(2, (1, 2, 2))
         assert link_homotopic(w, trivial_string_link(2))

@@ -11,15 +11,10 @@ from oracles import canonical_form
 
 from milnor.classify import surjection_generator
 from milnor.cli import main
-from milnor.diagram import (
-    closure,
-    from_braid,
-    parse_pd,
-    to_pd_json,
-    trivial_link,
-    with_kink,
-)
+from milnor.diagram import closure, trivial_link, with_kink
 from milnor.multiindex import Surjection
+from milnor.pdfile import parse_pd, to_pd_json
+from milnor.tangles import from_braid
 
 
 @pytest.fixture
@@ -597,16 +592,26 @@ class TestStartup:
 
     @pytest.mark.parametrize("module", MODULES)
     def test_each_module_imports_on_its_own(self, module):
-        # diagram re-exports names of tangles and pdfile, which both import
-        # diagram: the cycle must resolve whichever module comes first
-        proc = subprocess.run(
-            [sys.executable, "-c", f"import milnor.{module}"],
-            env=dict(os.environ, PYTHONPATH=str(SRC)),
-            capture_output=True,
-            text=True,
-            timeout=300,
+        # first through milnor/__init__.py, then with a bare package in its
+        # place, so that the module is the first of the package to load:
+        # tangles and pdfile import diagram, which must then load without
+        # importing either of them
+        bare = (
+            "import importlib, sys, types\n"
+            "package = types.ModuleType('milnor')\n"
+            f"package.__path__ = [{str(SRC / 'milnor')!r}]\n"
+            "sys.modules['milnor'] = package\n"
+            f"importlib.import_module('milnor.{module}')\n"
         )
-        assert proc.returncode == 0, proc.stderr[-2000:]
+        for code in (f"import milnor.{module}", bare):
+            proc = subprocess.run(
+                [sys.executable, "-c", code],
+                env=dict(os.environ, PYTHONPATH=str(SRC)),
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr[-2000:]
 
     def test_homotopy_of_a_four_component_string_link(self, tmp_path):
         path = tmp_path / "vpi.json"
@@ -615,6 +620,7 @@ class TestStartup:
         modules = cli_imports("classify", "--homotopy", str(path))
         assert "milnor.magnus" in modules
         assert "numpy" not in modules
+        assert "milnor.freegroup" not in modules
 
     def test_self_delta_of_whitehead(self, tmp_path):
         path = tmp_path / "w.json"
@@ -622,6 +628,7 @@ class TestStartup:
         modules = cli_imports("classify", "--self-delta", str(path))
         assert "milnor.magnus" in modules
         assert "numpy" not in modules
+        assert "milnor.freegroup" not in modules
 
     def test_self_delta_of_milnor3(self, tmp_path):
         # the r <= 2 table (940 splits) and the doubled link's scan, which

@@ -11,23 +11,15 @@ from oracles import canonical_form, commutator, roundtrip_parse_pd
 from milnor.diagram import (
     Diagram,
     DiagramError,
-    braid_permutation,
     cable,
     cable_map,
     closure,
-    commutator_tangle,
     cut_open,
-    from_braid,
     invert,
-    load_diagram,
-    parse_pd,
     power,
     reduced,
-    run_slices,
     stack,
     stack_all,
-    to_pd_json,
-    tree_tangle,
     trivial_link,
     trivial_string_link,
     with_kink,
@@ -45,6 +37,14 @@ from milnor.multiindex import (
     Surjection,
     all_injections,
     selfdelta_generator_indices,
+)
+from milnor.pdfile import load_diagram, parse_pd, to_pd_json
+from milnor.tangles import (
+    braid_permutation,
+    commutator_tangle,
+    from_braid,
+    run_slices,
+    tree_tangle,
 )
 from milnor import diagram, invariants, pdfile, tangles, wirtinger
 

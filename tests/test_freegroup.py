@@ -45,6 +45,10 @@ def test_rank_and_letters_are_integers():
 
 def test_inverse():
     assert Word(2, (1, 2)).inverse().letters == (-2, -1)
+    # division multiplies by the inverse on the right
+    assert (Word(2, (1, 2)) / Word(2, (1, 2))).letters == ()
+    assert (Word(2, (1, 2)) / Word(2, (2,))).letters == (1,)
+    assert (Word(2, (1,)) / Word(2, (2,))).letters == (1, -2)
 
 
 def test_commutator():

@@ -15,15 +15,12 @@ from milnor.classify import (
     whitehead_link,
 )
 from milnor.diagram import (
-    braid_permutation,
     cable,
     cable_map,
     closure,
-    from_braid,
     reduced,
     stack,
     stack_all,
-    tree_tangle,
     trivial_link,
     trivial_string_link,
     with_kink,
@@ -42,6 +39,7 @@ from milnor.invariants import (
 )
 from milnor.magnus import dense
 from milnor.multiindex import Injection, selfdelta_generator_indices
+from milnor.tangles import braid_permutation, from_braid, tree_tangle
 from milnor.wirtinger import longitude_series
 
 

@@ -14,8 +14,10 @@ import pytest
 
 from milnor.classify import injection_generator, whitehead_link
 from milnor.cli import main
-from milnor.diagram import from_braid, load_diagram, to_pd_json, trivial_link
+from milnor.diagram import trivial_link
 from milnor.multiindex import Injection
+from milnor.pdfile import load_diagram, to_pd_json
+from milnor.tangles import from_braid
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
