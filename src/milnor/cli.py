@@ -3,9 +3,9 @@
 Commands: ``invariants`` (tables per input diagram), ``classify``
 (link-homotopy or self-delta reports), ``generate`` (generator diagrams),
 ``cable`` (zero-framed parallels).  Exit codes: 0 success, 1 usage,
-2 parse or validation failure, 3 hypothesis not met in strict mode, 141
-when the reader closes standard output early (as for a process ended by
-SIGPIPE).
+2 parse or validation failure, 3 hypothesis not met in strict mode, 4 out
+of memory (a ``MemoryError``, or numpy failing to load), 141 when the
+reader closes standard output early (as for a process ended by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -86,9 +86,7 @@ def cmd_classify(files: list[str], mode: str, fmt: str, strict: bool) -> int:
             if len(diagrams) == 2:
                 verdict = classify.link_homotopic(diagrams[0], diagrams[1])
                 report["link_homotopic"] = verdict
-    elif mode == "self-delta":
-        if not closed:
-            raise DiagramError("self-delta decisions apply to closed links")
+    else:
         vectors = [classify.selfdelta_vector(d) for d in diagrams]
         report["vectors"] = {d.name: v.to_json() for d, v in zip(diagrams, vectors)}
         report["selfdelta_trivial"] = {
@@ -101,8 +99,6 @@ def cmd_classify(files: list[str], mode: str, fmt: str, strict: bool) -> int:
             verdict = classify.selfdelta_equivalent(diagrams[0], diagrams[1])
             report["selfdelta_equivalent"] = verdict.value
             undecided = verdict is classify.Verdict.UNDECIDED
-    else:
-        raise DiagramError(f"unknown classify mode {mode}")
 
     def render(rep):
         lines = [f"{k}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(rep.items())]
@@ -136,13 +132,11 @@ def cmd_generate(kind: str, spec: list[str], n: int | None, k: int | None, out) 
     elif kind == "whitehead":
         d = classify.whitehead_link()
         d.name = "whitehead"
-    elif kind == "trivial":
+    else:
         from .diagram import trivial_link
 
         d = trivial_link(int(spec[0]))
         d.name = f"trivial-{spec[0]}"
-    else:
-        raise DiagramError(f"unknown generator kind {kind!r}")
     return _write(to_pd_json(d), out)
 
 
@@ -243,12 +237,22 @@ def _run(argv) -> int:
             return cmd_generate(
                 args.kind, args.spec, args.components, args.k, args.output
             )
-        if args.command == "cable":
-            return cmd_cable(args.file, args.multiplicities, args.output)
-        return 1
+        return cmd_cable(args.file, args.multiplicities, args.output)
     except (DiagramError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        reason = str(exc) or "out of memory"
+    except ImportError as exc:
+        if isinstance(exc, ModuleNotFoundError):
+            raise
+        # past start-up only numpy is imported (``magnus._numpy``): an
+        # installed numpy that cannot map its shared libraries is out of memory
+        reason = "numpy failed to load its shared libraries"
+    # every other path has returned; the traceback, which holds the frames
+    # that filled the memory, is gone once the handler is left
+    print(f"error: MemoryError: {reason}", file=sys.stderr)
+    return 4
 
 
 if __name__ == "__main__":

@@ -21,12 +21,12 @@ depth by depth, each pass conjugating by the previous pass's meridians, and
 element with ``*``, ``/`` and ``inverse()``: on free-group words they give
 ``meridian_words`` and ``longitude_word``, exact at every depth, and the
 tests run them on Magnus series as the oracle of the graded walk.
-The invariant engine uses the graded walk ``_Graded`` on Magnus series over
+The invariant engine uses the graded walk ``_graded`` on Magnus series over
 a monomial basis, which it sizes by its query: degree d of every meridian
 depends only on lower degrees of the over-arcs, so one walk per degree fills
-it for every arc.  ``longitude_series(d, comps, basis)`` builds one such
-state for a batch of components and returns their longitudes; nothing sized
-by the basis is kept on the diagram, so the state dies with the query.
+it for every arc.  ``longitude_series(d, comps, basis)`` walks once for a
+batch of components and returns their longitudes; nothing sized by the
+basis is kept on the diagram, so the rows die with the query.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def _longitude(walk: _Walk, comp: int, rows, one):
     """The zero-framed longitude of comp: the identity element one times the
     meridian rows of ``walk.factors[comp]``, divided on the right by the row
     at sign -1.  The rows, in ``walk.arcs`` order, come from ``_refine`` or
-    ``_Graded``; the elements need only ``*`` and ``/``."""
+    ``_graded``; the elements need only ``*`` and ``/``."""
     out = one
     for o, sign in walk.factors[comp]:
         out = out * rows[o] if sign == 1 else out / rows[o]
@@ -156,10 +156,10 @@ def longitude_word(d: Diagram, comp: int, depth: int) -> Word:
     return _longitude(_walk(d), comp, rows, Word(d.n))
 
 
-class _Graded:
-    """The graded meridian recursion of one diagram on one basis: the Magnus
-    series of every arc's meridian, solved degree by degree through the
-    basis's top degree.
+def _graded(walk: _Walk, basis: magnus.Basis) -> list:
+    """The graded meridian recursion of one walk on one basis: the Magnus
+    series of every arc's meridian, in ``walk.arcs`` order, solved degree
+    by degree through the basis's top degree.
 
     At an under-passage with sign +1 the next arc's meridian is
     m' = o^-1 m o, where o is the over-arc's meridian, so o m' = m o; with
@@ -174,60 +174,47 @@ class _Graded:
     per degree, in walk order, therefore fills degree d of every arc.  The
     result is the fixed point of the depth-by-depth refinement, which it
     equals at depth ``q + 1`` (depth stability: Milnor, Isotopy of links,
-    1957).  A state serves one query on one basis and solves it from degree
-    1; ``_longitude`` multiplies its rows along the walk's factors, dividing
-    by them at sign -1 with the same step (``Series.__truediv__``).  A base
-    arc's row is 1 + X_comp, so the framing factors divide or multiply by
-    x_comp.
+    1957).  A base arc's row is 1 + X_comp, so the framing factors of
+    ``_longitude`` divide or multiply by x_comp.
     """
-
-    def __init__(self, d: Diagram, basis: magnus.Basis):
-        self.walk = walk = _walk(d)
-        self.basis = basis
-        self.m = magnus.unit_rows(basis, len(walk.arcs))
-        # the largest row L1 norm and the largest entry over the finished
-        # degrees, while the rows are int64
-        self.l1 = self.peak = 0.0
-        for deg in range(1, basis.q + 1):
-            self._degree(deg)
-        # each row wrapped once, so its guard norms are computed once
-        self.rows = [magnus.Series(basis, row) for row in self.m]
-
-    def _degree(self, deg: int) -> None:
-        b = self.basis
-        lo, hi = b.bounds[deg], b.bounds[deg + 1]
-        if magnus.is_int64(self.m):
+    m = magnus.unit_rows(basis, len(walk.arcs))
+    for comp, arc in walk.bases:
+        i = basis.pos.get((comp,))
+        if i is not None:
+            m[arc][i] = 1
+    # the largest row L1 norm and the largest entry over the finished
+    # degrees, while the rows are int64
+    l1 = peak = 0.0
+    bounds, inner = basis.bounds, basis.inner
+    for deg in range(1, basis.q + 1):
+        lo, hi = bounds[deg], bounds[deg + 1]
+        if magnus.is_int64(m):
             if deg > 1:
-                l1, peak = magnus.norms(self.m, b.bounds[deg - 1], lo)
-                self.l1, self.peak = self.l1 + l1, max(self.peak, peak)
+                deg_l1, deg_peak = magnus.norms(m, bounds[deg - 1], lo)
+                l1, peak = l1 + deg_l1, max(peak, deg_peak)
             # each passage adds two inner-split sums, each at most
             # l1 * peak, to a running value that starts at most 1
-            if not magnus.fits(1.0, 2 * len(self.walk.passages) * self.l1, self.peak):
-                self.m = magnus.widen(self.m)
-        m, inner = self.m, b.inner
-        if deg == 1:
-            for comp, arc in self.walk.bases:
-                i = b.pos.get((comp,))
-                if i is not None:
-                    m[arc][i] = 1
-        for a, out, o, sign in self.walk.passages:
+            if not magnus.fits(1.0, 2 * len(walk.passages) * l1, peak):
+                m = magnus.widen(m)
+        for a, out, o, sign in walk.passages:
             if sign == 1:
                 step = inner(deg, m[a], m[o], m[a][lo:hi])
                 m[out][lo:hi] = inner(deg, m[o], m[out], step, -1)
             else:
                 step = inner(deg, m[o], m[a], m[a][lo:hi])
                 m[out][lo:hi] = inner(deg, m[out], m[o], step, -1)
+    # each row wrapped once, so its guard norms are computed once
+    return [magnus.Series(basis, row) for row in m]
 
 
 def longitude_series(d: Diagram, comps, basis: magnus.Basis) -> dict[int, magnus.Series]:
     """Magnus expansions of the zero-framed longitudes of the set of
     components comps on a monomial basis, exact in every degree the basis
     holds (the depth-by-depth refinement at depth ``basis.q + 1``).  One
-    graded state serves them all and is freed on return."""
+    graded walk serves them all, and its rows are freed on return."""
     for comp in comps:
         if not 1 <= comp <= d.n:
             raise ValueError(f"component {comp} out of range")
-    state = _Graded(d, basis)
-    return {
-        comp: _longitude(state.walk, comp, state.rows, magnus.unit(basis)) for comp in comps
-    }
+    walk = _walk(d)
+    rows = _graded(walk, basis)
+    return {comp: _longitude(walk, comp, rows, magnus.unit(basis)) for comp in comps}

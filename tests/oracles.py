@@ -10,6 +10,7 @@ where the engine reads only the ordered injections.  ``roundtrip_parse_pd``
 is the PD reader as it was before it compared files in integers: it builds
 the file's renumbered fields and compares them with ``to_pd_json`` of what it
 traced, and the integer reader must accept and reject exactly as it does.
+``spy_graded`` tells the tests which diagram each graded walk reads.
 """
 
 import itertools
@@ -48,6 +49,28 @@ def canonical_form(d):
         for ev in d.events
     )
     return (d.n, d.closed, walks)
+
+
+def spy_graded(monkeypatch, record):
+    """Patch the graded walk so that record(d, basis) runs before each walk,
+    d being the diagram whose walk table it reads: ``longitude_series``
+    reads the table with ``_walk`` just before it walks on it."""
+    from milnor import wirtinger
+
+    walk, graded, last = wirtinger._walk, wirtinger._graded, []
+
+    def spy_walk(d):
+        last[:] = [d, walk(d)]
+        return last[1]
+
+    def spy(table, basis):
+        d, read = last
+        assert read is table
+        record(d, basis)
+        return graded(table, basis)
+
+    monkeypatch.setattr(wirtinger, "_walk", spy_walk)
+    monkeypatch.setattr(wirtinger, "_graded", spy)
 
 
 def commutator(a, b):

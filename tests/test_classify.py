@@ -445,24 +445,19 @@ class TestBrunnian:
     def test_reads_the_rebuilt_parity_part_once(self, monkeypatch):
         # the length-2n palindromic values of the rebuilt parity part come
         # from one batch, so its meridians are built once
-        from milnor import classify, wirtinger
+        from milnor import classify
         from milnor.diagram import reduced
 
         phis = palindromic_surjections(5, 3, 3)
         l = closure(stack_all([surjection_generator(phi) for phi in phis], 3))
         stacked, builds = [], []
-        graded = wirtinger._Graded.__init__
 
         def spy_stack_all(parts, n):
             stacked.append(stack_all(parts, n))
             return stacked[-1]
 
-        def spy_graded(state, d, basis):
-            builds.append(d)
-            graded(state, d, basis)
-
         monkeypatch.setattr(classify, "stack_all", spy_stack_all)
-        monkeypatch.setattr(wirtinger._Graded, "__init__", spy_graded)
+        oracles.spy_graded(monkeypatch, lambda d, basis: builds.append(d))
         form = brunnian_representative(l)
         assert form.parity == {phi: 1 for phi in phis}
         base = reduced(stacked[-1])
@@ -565,24 +560,26 @@ class TestCablingCrossCheck:
             assert cabling_cross_check(l)
 
     def test_no_basis_sized_state_outlives_its_query(self, monkeypatch):
-        # every graded state dies with its query; a diagram keeps only what
-        # is sized by the diagram or by results
-        from milnor import wirtinger
+        # every basis a graded walk reads, and so its rows, dies with its
+        # query; a diagram keeps only what is sized by the diagram or by
+        # results
+        from milnor import magnus
         from milnor.diagram import reduced
 
-        states = []
-        graded = wirtinger._Graded.__init__
+        walked = []
 
-        def spy_graded(state, d, basis):
-            states.append(weakref.ref(state))
-            graded(state, d, basis)
+        class Spied(magnus.Basis):
+            __slots__ = ("__weakref__",)
 
-        monkeypatch.setattr(wirtinger._Graded, "__init__", spy_graded)
+        monkeypatch.setattr(magnus, "Basis", Spied)
+        oracles.spy_graded(
+            monkeypatch, lambda d, basis: walked.append(weakref.ref(basis))
+        )
         l = closure(surjection_generator(Surjection(3, 1, (2, 3))))
         assert not selfdelta_vector(l).trivial
         assert cabling_cross_check(l)
         gc.collect()
-        assert states and all(ref() is None for ref in states)
+        assert walked and all(ref() is None for ref in walked)
         keys = {"reduced", "selfdelta_vector", "normal_form"}
         assert set(l._cache) <= keys
         assert set(reduced(l)._cache) <= keys
@@ -590,8 +587,6 @@ class TestCablingCrossCheck:
     def test_stops_at_the_first_nonzero_length(self, monkeypatch):
         # vtau_n3_23_k1: the doubled link's first nonzero repetition-free
         # value has length 4, so the check builds no cable basis beyond it
-        from milnor import wirtinger
-
         def link():
             return closure(surjection_generator(Surjection(3, 1, (2, 3))))
 
@@ -602,14 +597,12 @@ class TestCablingCrossCheck:
         ]
         assert nonzero == [False, False, True]
         degrees = []
-        graded = wirtinger._Graded.__init__
 
-        def spy_graded(state, d, basis):
+        def record(d, basis):
             if d.n == 6:
                 degrees.append(basis.q)
-            graded(state, d, basis)
 
-        monkeypatch.setattr(wirtinger._Graded, "__init__", spy_graded)
+        oracles.spy_graded(monkeypatch, record)
         assert cabling_cross_check(link())
         assert max(degrees) == 3
 
@@ -624,27 +617,27 @@ class TestCablingCrossCheck:
 
         l = closure(surjection_generator(Surjection(3, 3, (1, 1, 2, 2))))
         doubled = cable(l, [2, 2, 2])
-        built, degrees, open_counts = [], [], []
-        graded, degree = wirtinger._Graded.__init__, wirtinger._Graded._degree
-        inner = magnus.Basis.inner
+        built, degrees, open_walks = [], [], []
+        graded, inner = wirtinger._graded, magnus.Basis.inner
 
-        def spy_graded(state, d, basis):
-            if d.n == 6:
+        def spy_graded(walk, basis):
+            # the degree of each inner-split sum while the walk is open
+            open_walks.append([])
+            rows = graded(walk, basis)
+            sums = open_walks.pop()
+            if basis.n == 6:
                 built.append(basis)
-            graded(state, d, basis)
-
-        def spy_degree(state, deg):
-            open_counts.append(0)
-            degree(state, deg)
-            degrees.append((state.basis, deg, open_counts.pop()))
+                # degree by degree, each in one stretch of sums
+                assert sums == sorted(sums)
+                degrees.extend((basis, d, sums.count(d)) for d in sorted(set(sums)))
+            return rows
 
         def spy_inner(basis, d, *args):
-            if open_counts:
-                open_counts[-1] += 1
+            if open_walks:
+                open_walks[-1].append(d)
             return inner(basis, d, *args)
 
-        monkeypatch.setattr(wirtinger._Graded, "__init__", spy_graded)
-        monkeypatch.setattr(wirtinger._Graded, "_degree", spy_degree)
+        monkeypatch.setattr(wirtinger, "_graded", spy_graded)
         monkeypatch.setattr(magnus.Basis, "inner", spy_inner)
         assert not link_homotopy_trivial(doubled)
         want = [

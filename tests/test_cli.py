@@ -7,7 +7,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from oracles import canonical_form
+from oracles import canonical_form, spy_graded
 
 from milnor.classify import surjection_generator
 from milnor.cli import main
@@ -216,7 +216,7 @@ class TestInvariantsCmd:
 
     def test_huge_component_count_exit_code(self, tmp_path):
         # the labels are checked before anything is sized by the count; the
-        # child's address space is capped, so an allocation exits 1
+        # child's address space is capped, so an allocation exits 4
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({
             "kind": "link",
@@ -310,21 +310,19 @@ class TestClassifyCmd:
         assert code == 3
 
     def test_self_delta_evaluates_each_link_once(self, capsys, workdir, monkeypatch):
-        from milnor import invariants, wirtinger
+        from milnor import invariants
         from milnor.classify import whitehead_link
 
         white = workdir["dir"] / "whitehead.json"
         white.write_text(json.dumps(to_pd_json(whitehead_link())))
         builds, assembled, inside, tables = [], [], [], []
-        graded = wirtinger._Graded.__init__
         residues = invariants.residues
         evaluate = invariants.evaluate
         table = invariants.table
 
-        def spy_graded(state, d, basis):
-            # every state walks its basis from degree 1; depth is q + 1
+        def record(d, basis):
+            # every walk solves its basis from degree 1; depth is q + 1
             builds.append((d.name, d.n, basis.q + 1, basis.q))
-            graded(state, d, basis)
 
         def spy_residues(l, indices):
             inside.append(l)
@@ -342,7 +340,7 @@ class TestClassifyCmd:
             tables.append(d.name)
             return table(d, max_len, max_r)
 
-        monkeypatch.setattr(wirtinger._Graded, "__init__", spy_graded)
+        spy_graded(monkeypatch, record)
         monkeypatch.setattr(invariants, "residues", spy_residues)
         monkeypatch.setattr(invariants, "evaluate", spy_evaluate)
         monkeypatch.setattr(invariants, "table", spy_table)
@@ -363,7 +361,7 @@ class TestClassifyCmd:
         assert sorted(tables) == ["trivial2", "whitehead"]
 
     def test_homotopy_evaluates_the_input_once(self, capsys, workdir, monkeypatch):
-        from milnor import invariants, wirtinger
+        from milnor import invariants
         from milnor.classify import injection_generator
         from milnor.diagram import stack_all
         from milnor.multiindex import Injection
@@ -378,18 +376,16 @@ class TestClassifyCmd:
         path = write("product4", exponents)
         other = write("other4", {(1, 2): 1, (2, 4): -1, (1, 2, 4): 1})
         builds, evaluated = [], []
-        graded = wirtinger._Graded.__init__
         evaluate = invariants.evaluate
 
-        def spy_graded(state, d, basis):
+        def record(d, basis):
             builds.append((d.name, basis.q + 1, basis.q))
-            graded(state, d, basis)
 
         def spy_evaluate(d, indices):
             evaluated.append(d.name)
             return evaluate(d, indices)
 
-        monkeypatch.setattr(wirtinger._Graded, "__init__", spy_graded)
+        spy_graded(monkeypatch, record)
         monkeypatch.setattr(invariants, "evaluate", spy_evaluate)
         code, out = run(capsys, "classify", "--homotopy", path)
         assert code == 0
@@ -427,6 +423,10 @@ class TestClassifyCmd:
         assert report["doubling_consistency"] == {"milnor4": True}
         assert report["selfdelta_trivial"] == {"milnor4": False}
         assert not report["vectors"]["milnor4"]["hypothesis_ok"]
+
+    def test_self_delta_of_a_string_link_exit_code(self, capsys, workdir):
+        assert main(["classify", "--self-delta", workdir["braid"]]) == 2
+        assert "applies to closed links" in capsys.readouterr().err
 
     def test_mixed_kind_error(self, capsys, workdir):
         assert (
@@ -564,6 +564,44 @@ def test_a_closed_pipe_ends_the_cli_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=300) == 141
     assert err == b""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="RLIMIT_AS caps the address space on Linux"
+)
+class TestOutOfMemory:
+    """A run that exhausts its address space exits 4, with one line on
+    standard error that names ``MemoryError`` and nothing on standard
+    output.  The cap is set on the child only."""
+
+    def run_capped(self, *argv):
+        cap = 64 << 20
+        proc = subprocess.run(
+            [sys.executable, "-m", "milnor.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1"),
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert proc.returncode == 4, proc.stderr[-2000:]
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "MemoryError" in lines[0], proc.stderr[-2000:]
+        return lines[0]
+
+    def test_allocation(self):
+        # the 30-component Milnor link's tangle outgrows 64 MB as it is built
+        self.run_capped("generate", "milnor-link", "30")
+
+    def test_numpy_that_cannot_load(self, tmp_path):
+        # the doubling check's cable needs the numpy kernel, whose shared
+        # libraries do not fit in 64 MB
+        from milnor.classify import milnor_link
+
+        path = tmp_path / "milnor4.json"
+        path.write_text(json.dumps(to_pd_json(milnor_link(4))))
+        assert "numpy" in self.run_capped("classify", "--self-delta", str(path))
 
 
 class TestStartup:

@@ -262,9 +262,9 @@ def test_presentation_relations_hold_on_the_graded_rows(d):
     # the graded walk solves each relation through degree 3, except a closed
     # component's closing one, which holds only in the nilpotent quotient
     p = presentation(d)
-    state = wirtinger._Graded(d, dense(d.n, 3))
-    assert p.arcs == state.walk.arcs and len(p.relations) == d.crossing_count
-    m = state.rows
+    walk = wirtinger._walk(d)
+    m = wirtinger._graded(walk, dense(d.n, 3))
+    assert p.arcs == walk.arcs and len(p.relations) == d.crossing_count
     for r in p.relations:
         if d.closed and p.arcs[r.out_arc][1] == 0:
             continue
@@ -300,9 +300,14 @@ def test_cable_matches_the_depth_oracle():
     assert_matches_oracle(d, numpy_basis(4))
 
 
-def graded_longitude(state, comp):
-    """comp's longitude multiplied from the rows of a graded state."""
-    return wirtinger._longitude(state.walk, comp, state.rows, magnus.unit(state.basis))
+def graded_longitude(walk, rows, comp):
+    """comp's longitude multiplied from the graded rows of a walk."""
+    return wirtinger._longitude(walk, comp, rows, magnus.unit(rows[0].basis))
+
+
+def values(rows):
+    """The coefficients of graded rows, as lists of Python integers."""
+    return [row.x if isinstance(row.x, list) else row.x.tolist() for row in rows]
 
 
 class TestGradedOverflowGuard:
@@ -315,44 +320,51 @@ class TestGradedOverflowGuard:
     def walk(self, word, c, monkeypatch):
         # twenty variables make degree 2 alone a numpy-kernel split table;
         # X_3..X_20 stay zero
-        d = from_braid(2, word)
-        degree = wirtinger._Graded._degree
+        walk = wirtinger._walk(from_braid(2, word))
+        unit_rows, is_int64 = magnus.unit_rows, magnus.is_int64
+        fresh = []
 
-        def scaled(state, deg):
-            degree(state, deg)
-            if deg == 1:
-                # meridians of component i start as 1 + c X_i
-                for row in state.m:
+        def spy_unit_rows(basis, count):
+            fresh[:] = [unit_rows(basis, count)]
+            return fresh[0]
+
+        def scaled(m):
+            # the walk asks at the top of each degree, first once the base
+            # arcs are set: meridians of component i start as 1 + c X_i
+            if fresh and m is fresh.pop():
+                for row in m:
                     row[1:3] = [c * v for v in row[1:3]]
+            return is_int64(m)
 
-        monkeypatch.setattr(wirtinger._Graded, "_degree", scaled)
+        monkeypatch.setattr(magnus, "unit_rows", spy_unit_rows)
+        monkeypatch.setattr(magnus, "is_int64", scaled)
         words = dense(20, 2).words
-        fast = wirtinger._Graded(d, Basis(20, words))
-        monkeypatch.setattr(magnus, "NUMPY_SPLITS", fast.basis.splits + 1)
-        exact = wirtinger._Graded(d, Basis(20, words))
-        assert not fast.basis.small and exact.basis.small
-        assert fast.m.tolist() == exact.m
+        fast = wirtinger._graded(walk, Basis(20, words))
+        monkeypatch.setattr(magnus, "NUMPY_SPLITS", fast[0].basis.splits + 1)
+        exact = wirtinger._graded(walk, Basis(20, words))
+        assert not fast[0].basis.small and exact[0].basis.small
+        assert values(fast) == values(exact)
         for comp in (1, 2):
-            mine = dict(graded_longitude(fast, comp).monomials())
-            assert mine == dict(graded_longitude(exact, comp).monomials())
-        return fast, max(abs(v) for row in exact.m for v in row)
+            mine = dict(graded_longitude(walk, fast, comp).monomials())
+            assert mine == dict(graded_longitude(walk, exact, comp).monomials())
+        return fast[0].x.dtype, max(abs(v) for row in values(exact) for v in row)
 
     def test_near_bound_stays_int64(self, monkeypatch):
         # two passages add c**2 = 2**56 twice each: the bound is 2**58 + 1
-        fast, peak = self.walk([1, 1], 2**28, monkeypatch)
-        assert fast.m.dtype == magnus.np.int64 and peak == 2**56
+        dtype, peak = self.walk([1, 1], 2**28, monkeypatch)
+        assert dtype == magnus.np.int64 and peak == 2**56
 
     def test_segment_sums_cross(self, monkeypatch):
         # one inner-split product is 2**62, and two passages take a
         # coefficient past int64
-        fast, peak = self.walk([1, 1, 1, 1, -1, -1], 2**31, monkeypatch)
-        assert fast.m.dtype == object and peak >= 2**63
+        dtype, peak = self.walk([1, 1, 1, 1, -1, -1], 2**31, monkeypatch)
+        assert dtype == object and peak >= 2**63
 
     def test_running_sum_crosses(self, monkeypatch):
         # each inner-split product is c**2 = 2**56, below the guard, but 256
         # passages of one sign add them up past int64
-        fast, peak = self.walk([1] * 512, 2**28, monkeypatch)
-        assert fast.m.dtype == object and peak >= 2**63
+        dtype, peak = self.walk([1] * 512, 2**28, monkeypatch)
+        assert dtype == object and peak >= 2**63
 
 
 class TestOneExactnessRule:
@@ -363,23 +375,24 @@ class TestOneExactnessRule:
     def test_every_int64_step_asks_the_rule(self, monkeypatch):
         import numpy as np
 
-        d = from_braid(3, [1, 1, 2, 2, -1, -1])
+        walk = wirtinger._walk(from_braid(3, [1, 1, 2, 2, -1, -1]))
         words = numpy_basis(3).words
-        fast = wirtinger._Graded(d, Basis(3, words))
-        monkeypatch.setattr(magnus, "NUMPY_SPLITS", fast.basis.splits + 1)
-        exact = wirtinger._Graded(d, Basis(3, words))
+        fast = wirtinger._graded(walk, Basis(3, words))
+        monkeypatch.setattr(magnus, "NUMPY_SPLITS", fast[0].basis.splits + 1)
+        exact = wirtinger._graded(walk, Basis(3, words))
         monkeypatch.undo()
-        assert not fast.basis.small and exact.basis.small
+        assert not fast[0].basis.small and exact[0].basis.small
         # int64 rows of a meridian and the inverse of another as operands
-        x, y = exact.rows[1], exact.rows[4].inverse()
-        a, b = (magnus.Series(fast.basis, np.array(s.x, dtype=np.int64)) for s in (x, y))
+        x, y = exact[1], exact[4].inverse()
+        a, b = (magnus.Series(fast[0].basis, np.array(s.x, dtype=np.int64)) for s in (x, y))
         assert (a * b).x.dtype == (a / b).x.dtype == np.int64
-        assert fast.m.dtype == np.int64
+        assert fast[0].x.dtype == np.int64
         monkeypatch.setattr(magnus, "fits", lambda start, l1, peak: False)
         for got, want in [(a * b, x * y), (a / b, x / y), (b / a, y / x)]:
             assert got.x.dtype == object and got.x.tolist() == want.x
-        fast = wirtinger._Graded(d, Basis(3, words))
-        assert fast.m.dtype == object and fast.m.tolist() == exact.m
+        fast = wirtinger._graded(walk, Basis(3, words))
+        assert fast[0].x.dtype == object and values(fast) == values(exact)
         for comp in (1, 2, 3):
-            got, want = graded_longitude(fast, comp), graded_longitude(exact, comp)
+            got = graded_longitude(walk, fast, comp)
+            want = graded_longitude(walk, exact, comp)
             assert got.x.dtype == object and got.x.tolist() == want.x
