@@ -2,22 +2,25 @@
 
 Commands: ``invariants`` (tables per input diagram), ``classify``
 (link-homotopy or self-delta reports), ``generate`` (generator diagrams),
-``cable`` (zero-framed parallels).  Exit codes: 0 success, 1 usage,
-2 parse or validation failure, 3 hypothesis not met in strict mode, 4 out
-of memory (a ``MemoryError``, or numpy failing to load), 141 when the
-reader closes standard output early (as for a process ended by SIGPIPE).
+``cable`` (zero-framed parallels).  ``parse`` reads a command line from one
+table, ``GRAMMAR``, and ``USAGE`` is its synopsis: a usage error prints it
+on standard error, ``-h`` on standard output.  Exit codes: 0 success,
+1 usage, 2 parse or validation failure, 3 hypothesis not met in strict
+mode, 4 out of memory (a ``MemoryError``, or numpy failing to load), 141
+when the reader closes standard output early (as for a process ended by
+SIGPIPE).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
 from . import classify, invariants
-from .diagram import Diagram, DiagramError, cable, cable_map
+from .diagram import Diagram, DiagramError, cable, cable_map, trivial_link
 from .multiindex import Injection, Surjection
 from .pdfile import load_diagram, to_pd_json
 
@@ -110,14 +113,14 @@ def cmd_classify(files: list[str], mode: str, fmt: str, strict: bool) -> int:
     return 0
 
 
-def cmd_generate(kind: str, spec: list[str], n: int | None, k: int | None, out) -> int:
+def cmd_generate(kind: str, spec: list[str], components: int | None, k: int | None, out) -> int:
     if kind == "milnor-link":
         size = int(spec[0])
         d = classify.milnor_link(size)
         d.name = f"milnor-link-{size}"
     elif kind == "v-pi":
         values = tuple(int(v) for v in spec[0].split(","))
-        size = max(values) if n is None else n
+        size = max(values) if components is None else components
         pi = Injection(size, values)
         d = classify.injection_generator(pi)
         d.name = "v-pi-" + "-".join(map(str, values))
@@ -125,7 +128,7 @@ def cmd_generate(kind: str, spec: list[str], n: int | None, k: int | None, out) 
         values = tuple(int(v) for v in spec[0].split(","))
         if k is None:
             raise DiagramError("v-tau needs --k (the doubled component)")
-        size = max(max(values), k) if n is None else n
+        size = max(max(values), k) if components is None else components
         tau = Surjection(size, k, values)
         d = classify.surjection_generator(tau)
         d.name = f"v-tau-{'-'.join(map(str, values))}-k{k}"
@@ -133,19 +136,17 @@ def cmd_generate(kind: str, spec: list[str], n: int | None, k: int | None, out) 
         d = classify.whitehead_link()
         d.name = "whitehead"
     else:
-        from .diagram import trivial_link
-
         d = trivial_link(int(spec[0]))
         d.name = f"trivial-{spec[0]}"
     return _write(to_pd_json(d), out)
 
 
-def cmd_cable(path: str, mults: str, out) -> int:
-    d = _read(path)
+def cmd_cable(file: str, multiplicities: str, out) -> int:
+    d = _read(file)
     try:
-        m = [int(x) for x in mults.split(",")]
+        m = [int(x) for x in multiplicities.split(",")]
     except ValueError:
-        raise DiagramError(f"bad multiplicities {mults!r}") from None
+        raise DiagramError(f"bad multiplicities {multiplicities!r}") from None
     if len(m) == 1:
         m = m * d.n
     c = cable(d, m)
@@ -165,41 +166,111 @@ def _write(payload, out) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="milnor",
-        description="Milnor invariants and classification of links and string links",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
+USAGE = """\
+usage: milnor invariants FILE... [--max-length N] [--max-r R] [--format json|table]
+       milnor classify (--homotopy | --self-delta) FILE [FILE2] [--format json|table] [--strict]
+       milnor generate (milnor-link N | v-pi 1,2,3 [--components N] |
+                        v-tau 1,2,2 --k K [--components N] | whitehead | trivial N) [-o OUT]
+       milnor cable FILE 2,2 [-o OUT]
+       milnor (-h | --help)"""
 
-    inv = sub.add_parser("invariants", help="invariant tables for diagrams")
-    inv.add_argument("files", nargs="+")
-    inv.add_argument("--max-length", type=int, default=4)
-    inv.add_argument("--max-r", type=int, default=2)
-    inv.add_argument("--format", choices=["json", "table"], default="json")
+# generate's kinds: how many specification words each takes, which options it reads
+KINDS = {"milnor-link": (1, ()), "v-pi": (1, ("components",)), "whitehead": (0, ()),
+         "v-tau": (1, ("components", "k")), "trivial": (1, ())}
+_FORMAT, _OUT = ("fmt", ("json", "table"), "json"), ("out", str, None)
+# Each command's positionals, as (dest, count) with a count of 1, "+" (one or
+# more) or "*", and its options by name, as (dest, what, default): what is a
+# type or a tuple of choices for an option with a value, and for a switch the
+# value it stores.  A switch whose default is None must be given.
+GRAMMAR = {
+    "invariants": ([("files", "+")], {
+        "--max-length": ("max_length", int, 4), "--max-r": ("max_r", int, 2),
+        "--format": _FORMAT}),
+    "classify": ([("files", "+")], {
+        "--homotopy": ("mode", "homotopy", None), "--self-delta": ("mode", "self-delta", None),
+        "--format": _FORMAT, "--strict": ("strict", True, False)}),
+    "generate": ([("kind", 1), ("spec", "*")], {
+        "--components": ("components", int, None), "--k": ("k", int, None),
+        "-o": _OUT, "--output": _OUT}),
+    "cable": ([("file", 1), ("multiplicities", 1)], {"-o": _OUT, "--output": _OUT}),
+}
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    cl = sub.add_parser("classify", help="classification reports")
-    group = cl.add_mutually_exclusive_group(required=True)
-    group.add_argument("--homotopy", action="store_true")
-    group.add_argument("--self-delta", action="store_true")
-    cl.add_argument("files", nargs="+")
-    cl.add_argument("--format", choices=["json", "table"], default="json")
-    cl.add_argument("--strict", action="store_true")
 
-    gen = sub.add_parser("generate", help="emit generator diagrams")
-    gen.add_argument(
-        "kind", choices=["milnor-link", "v-pi", "v-tau", "whitehead", "trivial"]
-    )
-    gen.add_argument("spec", nargs="*")
-    gen.add_argument("--components", type=int, default=None)
-    gen.add_argument("--k", type=int, default=None)
-    gen.add_argument("-o", "--output", default=None)
+class UsageError(Exception):
+    """A command line outside ``GRAMMAR``."""
 
-    cab = sub.add_parser("cable", help="zero-framed parallel copies")
-    cab.add_argument("file")
-    cab.add_argument("multiplicities")
-    cab.add_argument("-o", "--output", default=None)
-    return ap
+
+def _is_option(word: str) -> bool:
+    return word[:1] == "-" and word != "-" and not _NEGATIVE.match(word)
+
+
+def parse(argv: list[str]) -> tuple[str, dict] | None:
+    """The command of a command line and its values by dest, or None when it
+    asks for help.  Options are read in order, the last repeat winning.  They
+    split the positional words into runs, and a list takes one run whole;
+    "--" ends the options."""
+    if argv[:1] in (["-h"], ["--help"]):
+        return None
+    if not argv or argv[0] not in GRAMMAR:
+        raise UsageError(f"the command is one of {', '.join(GRAMMAR)}")
+    cut = argv.index("--") if "--" in argv else len(argv)
+    (slots, options), words = GRAMMAR[argv[0]], iter(argv[1:cut])
+    values = {dest: default for dest, _, default in options.values()}
+    runs = [[]]
+    for word in words:
+        if not _is_option(word):
+            runs[-1].append(word)
+            continue
+        if word in ("-h", "--help"):
+            return None
+        name, eq, value = word.partition("=")
+        if name not in options:
+            raise UsageError(f"unrecognized option {word}")
+        dest, what, default = options[name]
+        if isinstance(what, (type, tuple)):
+            if not eq:
+                value = next(words, "--")  # "--" when the options end here
+                if _is_option(value):
+                    raise UsageError(f"{name} expects a value")
+            if isinstance(what, tuple) and value not in what:
+                raise UsageError(f"{name}: {value!r} is not one of {', '.join(what)}")
+            try:
+                values[dest] = value if isinstance(what, tuple) else what(value)
+            except ValueError:
+                raise UsageError(f"{name}: {value!r} is not an {what.__name__}") from None
+        elif eq or values[dest] not in (default, what):
+            raise UsageError(f"{name} takes no value" if eq else f"{name} excludes --{values[dest]}")
+        else:
+            values[dest] = what
+        runs.append([])
+    runs[-1] += argv[cut + 1 :]  # "--" joins the run it stands in
+    if cut < len(argv) and not runs[-1]:
+        raise UsageError("unrecognized arguments: --")
+    runs = [run for run in runs if run]
+    if len(runs) > 1 and slots[-1][1] != 1:
+        raise UsageError(f"unrecognized arguments: {' '.join(runs[1])}")
+    words = [word for run in runs for word in run]
+    for dest, count in slots:
+        values[dest], words = (words[0], words[1:]) if count == 1 and words else (words, [])
+        if count != "*" and values[dest] == []:
+            raise UsageError(f"missing {dest}")
+    if words:
+        raise UsageError(f"unrecognized arguments: {' '.join(words)}")
+    for dest, what, _ in options.values():
+        if values[dest] is None and not isinstance(what, (type, tuple)):
+            names = [name for name, option in options.items() if option[0] == dest]
+            raise UsageError(f"one of {' '.join(names)} is required")
+    if argv[0] == "generate":
+        kind = values["kind"]
+        if kind not in KINDS:
+            raise UsageError(f"the kind is one of {', '.join(KINDS)}")
+        if len(values["spec"]) != KINDS[kind][0]:
+            raise UsageError(f"generate {kind} takes {KINDS[kind][0]} specification word(s)")
+        for dest in ("components", "k"):
+            if values[dest] is not None and dest not in KINDS[kind][1]:
+                raise UsageError(f"generate {kind} does not read --{dest}")
+    return argv[0], values
 
 
 def main(argv=None) -> int:
@@ -219,25 +290,23 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
+        parsed = parse(sys.argv[1:] if argv is None else list(argv))
+    except UsageError as exc:
+        print(f"{USAGE}\nmilnor: error: {exc}", file=sys.stderr)
+        return 1
+    if parsed is None:
+        print(USAGE)
+        return 0
+    command, values = parsed
     try:
-        if args.command == "invariants":
-            return cmd_invariants(args.files, args.max_length, args.max_r, args.format)
-        if args.command == "classify":
-            mode = "homotopy" if args.homotopy else "self-delta"
-            return cmd_classify(args.files, mode, args.format, args.strict)
-        if args.command == "generate":
-            if args.kind != "whitehead" and not args.spec:
-                print("generate: missing specification", file=sys.stderr)
-                return 1
-            return cmd_generate(
-                args.kind, args.spec, args.components, args.k, args.output
-            )
-        return cmd_cable(args.file, args.multiplicities, args.output)
+        if command == "invariants":
+            return cmd_invariants(**values)
+        if command == "classify":
+            return cmd_classify(**values)
+        if command == "generate":
+            return cmd_generate(**values)
+        return cmd_cable(**values)
     except (DiagramError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

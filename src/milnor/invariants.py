@@ -27,7 +27,8 @@ shortest index first by
 
 Every proper deletion is a one-entry deletion or a deletion of one, so the
 recursion is exact.  Each call assembles its own closure and keeps nothing
-on the link.
+on the link; ``table``'s indices are closed under deletion already, and go
+straight to the assembly.
 """
 
 from __future__ import annotations
@@ -101,15 +102,21 @@ def residues(l: Diagram, indices) -> dict[tuple[int, ...], Residue]:
             if sub not in todo:
                 todo.add(sub)
                 frontier.append(sub)
-    values = evaluate(l, todo)
+    known = _assemble(l, todo)
+    return {index: known[index] for index in indices}
+
+
+def _assemble(l: Diagram, closed) -> dict[tuple[int, ...], Residue]:
+    """The residue of every index of a set closed under one-entry deletion."""
+    values = evaluate(l, closed)
     known = {}
-    for index in sorted(todo, key=len):
+    for index in sorted(values, key=len):
         # gcd(mu(J), Delta(J)) survives the reduction of mu(J) mod Delta(J)
         g = 0
         for sub in _deletions(index):
             g = math.gcd(g, known[sub].value, known[sub].modulus)
         known[index] = Residue(values[index], g)
-    return {index: known[index] for index in indices}
+    return known
 
 
 def mu(l: Diagram, index) -> int:
@@ -208,7 +215,7 @@ def table(d: Diagram, max_len: int, max_r: int) -> InvariantTable:
         raise ValueError("max_r must be at least 1")
     indices = indices_up_to(d.n, max_len, max_r)
     if d.closed:
-        entries = residues(d, indices)
+        entries = _assemble(d, indices)  # closed under deletion already
     else:
         entries = {i: Residue(v, 0) for i, v in evaluate(d, indices).items()}
     return InvariantTable(d.name or repr(d), d.n, max_len, max_r, d.closed, entries)

@@ -11,8 +11,11 @@ is the PD reader as it was before it compared files in integers: it builds
 the file's renumbered fields and compares them with ``to_pd_json`` of what it
 traced, and the integer reader must accept and reject exactly as it does.
 ``spy_graded`` tells the tests which diagram each graded walk reads.
+``build_parser`` is the command line as argparse read it, before
+``milnor.cli.parse`` read it from one grammar table.
 """
 
+import argparse
 import itertools
 
 from milnor import magnus
@@ -238,3 +241,43 @@ def roundtrip_check_planar(data: dict) -> None:
             f"diagram is not planar: {faces} faces where a planar diagram "
             f"with {v} crossings in {pieces} connected pieces has {v + 2 * pieces}"
         )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse reading of the command line that ``milnor.cli.parse``
+    replaced, as CPython 3.11's argparse reads it: later versions changed
+    how ``--`` and a ``*`` positional after an option are read."""
+    ap = argparse.ArgumentParser(
+        prog="milnor",
+        description="Milnor invariants and classification of links and string links",
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    inv = sub.add_parser("invariants", help="invariant tables for diagrams")
+    inv.add_argument("files", nargs="+")
+    inv.add_argument("--max-length", type=int, default=4)
+    inv.add_argument("--max-r", type=int, default=2)
+    inv.add_argument("--format", choices=["json", "table"], default="json")
+
+    cl = sub.add_parser("classify", help="classification reports")
+    group = cl.add_mutually_exclusive_group(required=True)
+    group.add_argument("--homotopy", action="store_true")
+    group.add_argument("--self-delta", action="store_true")
+    cl.add_argument("files", nargs="+")
+    cl.add_argument("--format", choices=["json", "table"], default="json")
+    cl.add_argument("--strict", action="store_true")
+
+    gen = sub.add_parser("generate", help="emit generator diagrams")
+    gen.add_argument(
+        "kind", choices=["milnor-link", "v-pi", "v-tau", "whitehead", "trivial"]
+    )
+    gen.add_argument("spec", nargs="*")
+    gen.add_argument("--components", type=int, default=None)
+    gen.add_argument("--k", type=int, default=None)
+    gen.add_argument("-o", "--output", default=None)
+
+    cab = sub.add_parser("cable", help="zero-framed parallel copies")
+    cab.add_argument("file")
+    cab.add_argument("multiplicities")
+    cab.add_argument("-o", "--output", default=None)
+    return ap

@@ -1,3 +1,6 @@
+import ast
+import contextlib
+import io
 import json
 import os
 import resource
@@ -7,10 +10,11 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from oracles import canonical_form, spy_graded
+from hypothesis import given, settings, strategies as st
+from oracles import build_parser, canonical_form, spy_graded
 
 from milnor.classify import surjection_generator
-from milnor.cli import main
+from milnor.cli import GRAMMAR, KINDS, USAGE, UsageError, main, parse
 from milnor.diagram import closure, trivial_link, with_kink
 from milnor.multiindex import Surjection
 from milnor.pdfile import parse_pd, to_pd_json
@@ -316,7 +320,7 @@ class TestClassifyCmd:
         white = workdir["dir"] / "whitehead.json"
         white.write_text(json.dumps(to_pd_json(whitehead_link())))
         builds, assembled, inside, tables = [], [], [], []
-        residues = invariants.residues
+        assemble = invariants._assemble
         evaluate = invariants.evaluate
         table = invariants.table
 
@@ -324,10 +328,11 @@ class TestClassifyCmd:
             # every walk solves its basis from degree 1; depth is q + 1
             builds.append((d.name, d.n, basis.q + 1, basis.q))
 
-        def spy_residues(l, indices):
+        def spy_assemble(l, closed):
+            # the residue assembly, which tables and residues share
             inside.append(l)
             try:
-                return residues(l, indices)
+                return assemble(l, closed)
             finally:
                 inside.pop()
 
@@ -341,7 +346,7 @@ class TestClassifyCmd:
             return table(d, max_len, max_r)
 
         spy_graded(monkeypatch, record)
-        monkeypatch.setattr(invariants, "residues", spy_residues)
+        monkeypatch.setattr(invariants, "_assemble", spy_assemble)
         monkeypatch.setattr(invariants, "evaluate", spy_evaluate)
         monkeypatch.setattr(invariants, "table", spy_table)
         code, out = run(
@@ -496,6 +501,156 @@ class TestCableCmd:
         assert json.loads(out)["components"] == 4
 
 
+# the oracle's dests as the grammar names them; classify's two switches are
+# one dest, mode, in the grammar
+RENAMED = {"format": "fmt", "output": "out"}
+ORACLE = build_parser()
+OPTIONS = sorted({name for _, options in GRAMMAR.values() for name in options})
+WORDS = ["a.json", "b.json", "", "-", "0", "3", "-1", "-2", "-1.5", "x", "1,2,2",
+         "json", "table", *KINDS]
+# lines that argparse read and `generate` then ignored part of
+DROPPED = [
+    ["generate", "milnor-link", "3", "4"],
+    ["generate", "whitehead", "extra"],
+    ["generate", "milnor-link", "3", "--components", "3"],
+    ["generate", "whitehead", "--components", "2"],
+    ["generate", "trivial", "2", "--components", "2"],
+    ["generate", "milnor-link", "3", "--k", "1"],
+    ["generate", "v-pi", "1,2", "--k", "1"],
+    ["generate", "whitehead", "--k=1"],
+    ["generate", "trivial", "2", "--k", "1"],
+]
+
+
+def oracle_parse(argv):
+    """What argparse read from a line, in the grammar's dests, or None."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            values = vars(ORACLE.parse_args(argv))
+    except SystemExit:
+        return None
+    command = values.pop("command")
+    if command == "classify":
+        values["mode"] = "self-delta" if values.pop("self_delta") else "homotopy"
+        values.pop("homotopy")
+    return command, {RENAMED.get(dest, dest): value for dest, value in values.items()}
+
+
+def grammar_parse(argv):
+    try:
+        return parse(argv)
+    except UsageError:
+        return None
+
+
+def dropped(read) -> bool:
+    """Whether argparse's reading gives generate more specification words,
+    or options, than its kind reads."""
+    command, values = read
+    if command != "generate":
+        return False
+    arity, reads = KINDS[values["kind"]]
+    given = {dest for dest in ("components", "k") if values[dest] is not None}
+    return len(values["spec"]) != arity or not given <= set(reads)
+
+
+def option_words(options, name):
+    """An option alone, with a value, or with an `=` value; the values are
+    mostly of its type."""
+    what = options[name][1] if name in options else str
+    if not isinstance(what, (type, tuple)):
+        return st.sampled_from([[name], [f"{name}=x"]])
+    value = st.sampled_from(
+        [*what, "x"] if isinstance(what, tuple) else ["0", "3", "-1", "x"] if what is int else WORDS
+    )
+    return st.one_of(
+        st.just([name]), value.map(lambda v: [name, v]), value.map(lambda v: [f"{name}={v}"])
+    )
+
+
+@st.composite
+def command_lines(draw):
+    """A command, up to three positional words (a kind first for generate)
+    and up to four options among them, mostly its own, and at most one
+    `--`.  A command with a required switch gets one of those as a fifth
+    option half the time."""
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    options = GRAMMAR[command][1]
+    own = st.sampled_from(sorted(options))
+    name = st.one_of(own, own, own, st.sampled_from(OPTIONS))
+    first = st.sampled_from(sorted(KINDS) if command == "generate" else WORDS)
+    words = draw(st.lists(first, max_size=1)) + draw(st.lists(st.sampled_from(WORDS), max_size=2))
+    pieces = [[word] for word in words]
+    more = draw(st.lists(name.flatmap(lambda n: option_words(options, n)), max_size=4))
+    required = [
+        name for name, (_, what, default) in options.items()
+        if default is None and not isinstance(what, (type, tuple))
+    ]
+    if required and draw(st.booleans()):
+        more.append([draw(st.sampled_from(required))])
+    for words in more + [["--"]] * draw(st.booleans()):
+        pieces.insert(draw(st.integers(0, len(pieces))), words)
+    return [command, *(w for words in pieces for w in words)]
+
+
+class TestParser:
+    @settings(max_examples=500, deadline=None)
+    @given(command_lines())
+    def test_reads_as_argparse_did(self, argv):
+        want = oracle_parse(argv)
+        if want is not None and dropped(want):
+            assert grammar_parse(argv) is None
+        else:
+            assert grammar_parse(argv) == want
+
+    @pytest.mark.parametrize("argv", DROPPED, ids=" ".join)
+    def test_generate_refuses_what_it_would_drop(self, capsys, argv):
+        assert dropped(oracle_parse(argv))
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(USAGE + "\nmilnor: error: ")
+        assert err.count("\n") == USAGE.count("\n") + 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["bogus"], ["--", "invariants", "a"], ["invariants", "a", "--max-l", "3"],
+         ["generate", "v-pi"], ["invariants", "a", "--max-length", "3", "b"]],
+        ids=repr,
+    )
+    def test_usage_errors(self, capsys, argv):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert "\n".join(lines[:-1]) == USAGE
+        assert lines[-1].startswith("milnor: error: ")
+
+    @pytest.mark.parametrize(
+        "argv", [["-h"], ["--help"], ["invariants", "-h"], ["classify", "a", "--help"]]
+    )
+    def test_help(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr() == (USAGE + "\n", "")
+
+    def test_usage_is_the_readme_synopsis(self):
+        readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+        assert f"```\n{USAGE}\n```" in readme
+
+    def test_values_anywhere(self, workdir):
+        hopf = workdir["hopf"]
+        assert parse(["invariants", "--max-r=1", hopf, "--max-length", "3", "--max-r", "2"]) == (
+            "invariants", {"files": [hopf], "max_length": 3, "max_r": 2, "fmt": "json"}
+        )
+        assert parse(["cable", hopf, "-o", "c.json", "-1"]) == (
+            "cable", {"file": hopf, "multiplicities": "-1", "out": "c.json"}
+        )
+        assert parse(["classify", "--homotopy", "--", "--strict"])[1]["files"] == ["--strict"]
+
+    def test_negative_multiplicity_reaches_cable(self, capsys, workdir):
+        assert main(["cable", workdir["hopf"], "-1"]) == 2
+        assert "milnor: error" not in capsys.readouterr().err
+
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MODULES = sorted(p.stem for p in (SRC / "milnor").glob("*.py") if p.stem != "__init__")
@@ -521,6 +676,9 @@ def cli_imports(*argv):
     # the package loads neither; numpy, past NUMPY_SPLITS, loads inspect
     assert "dataclasses" not in modules
     assert "inspect" not in modules or "numpy" in modules
+    # the command line is read from milnor.cli.GRAMMAR, not by argparse,
+    # which loads gettext, which loads locale
+    assert not {"argparse", "gettext", "locale"} & modules
     return modules
 
 
@@ -627,6 +785,18 @@ class TestStartup:
             finally:
                 tracemalloc.stop()
             assert peak <= 1.25e6, f"{path.name} compiles at {peak / 1e6:.2f} MB"
+
+    def test_no_module_imports_argparse(self):
+        for path in sorted((SRC / "milnor").glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                assert "argparse" not in names, path.name
 
     @pytest.mark.parametrize("module", MODULES)
     def test_each_module_imports_on_its_own(self, module):

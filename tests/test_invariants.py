@@ -199,6 +199,31 @@ class TestTable:
         text = table(hopf(), 2, 1).to_text()
         assert "12: 1 (mod 0)" in text
 
+    @pytest.mark.parametrize("make", [lambda: milnor_link(4), stacked_clasps])
+    def test_assembles_as_residues(self, make):
+        # table hands its index set to the gcd assembly without closing it
+        link = make()
+        t = table(link, 2 * link.n, 2)
+        assert list(t.entries) == list(indices_up_to(link.n, 2 * link.n, 2))
+        assert t.entries == residues(link, t.entries)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from([
+            (n, max_len, max_r)
+            for n in range(1, 6) for max_len in range(2, 2 * n + 1) for max_r in range(1, 4)
+            # a bound on the words enumerated: every n <= 4, and n = 5 to length 7
+            if n ** min(max_len, n * max_r) <= 10**5
+        ])
+    )
+    def test_indices_are_closed_under_deletion(self, query):
+        indices = list(indices_up_to(*query))
+        have = set(indices)
+        assert len(have) == len(indices)
+        for index in indices:
+            if len(index) > 2:
+                assert all(index[:k] + index[k + 1 :] in have for k in range(len(index)))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             table(hopf(), 1, 1)
