@@ -310,10 +310,7 @@ def brunnian_representative(l: Diagram) -> BrunnianForm:
         )
     parity = {}
     for phi in palindromic_surjections(2 * n - 1, n, n):
-        val = vec.entries[palindromic_partner(phi).index()]
-        if val.modulus != 0:
-            raise ValueError("unexpected indeterminacy under the hypothesis")
-        parity[phi] = val.value % 2
+        parity[phi] = vec.entries[palindromic_partner(phi).index()].value % 2
     # palindromic surjections come out lexicographically, realize's order
     base = BrunnianForm(n, parity, {}, {}).realize()
     doubled = {}

@@ -4,11 +4,11 @@ Commands: ``invariants`` (tables per input diagram), ``classify``
 (link-homotopy or self-delta reports), ``generate`` (generator diagrams),
 ``cable`` (zero-framed parallels).  ``parse`` reads a command line from one
 table, ``GRAMMAR``, and ``USAGE`` is its synopsis: a usage error prints it
-on standard error, ``-h`` on standard output.  Exit codes: 0 success,
-1 usage, 2 parse or validation failure, 3 hypothesis not met in strict
-mode, 4 out of memory (a ``MemoryError``, or numpy failing to load), 141
-when the reader closes standard output early (as for a process ended by
-SIGPIPE).
+on standard error, ``-h`` on standard output.  ``_emit`` is the one writer
+of every report and diagram.  Exit codes: 0 success, 1 usage, 2 parse or
+validation failure, 3 hypothesis not met in strict mode, 4 out of memory
+(a ``MemoryError``, or numpy failing to load), 141 when the reader closes
+standard output early (as for a process ended by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -27,41 +27,36 @@ from .pdfile import load_diagram, to_pd_json
 
 def _read(path: str) -> Diagram:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DiagramError(f"{path}: {exc}") from None
-    try:
-        d = load_diagram(text)
-    except (DiagramError, json.JSONDecodeError) as exc:
+        d = load_diagram(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
         raise DiagramError(f"{path}: {exc}") from None
     if not d.name:
         d.name = Path(path).stem
     return d
 
 
-def _emit(data, fmt, text_renderer=None):
-    if fmt == "json":
-        print(json.dumps(data, sort_keys=True, indent=2))
+def _emit(data, fmt="json", render=None, out=None) -> None:
+    """Write ``data`` as JSON, or as ``render(data)`` in table format, to
+    standard output or to the file ``out``."""
+    text = json.dumps(data, sort_keys=True, indent=2) if fmt == "json" else render(data)
+    if out:
+        Path(out).write_text(text + "\n", encoding="utf-8")
     else:
-        print(text_renderer(data) if text_renderer else data)
+        print(text)
 
 
 def cmd_invariants(files: list[str], max_length: int, max_r: int, fmt: str) -> int:
     diagrams = [_read(p) for p in files]
     tables = [invariants.table(d, max_length, max_r) for d in diagrams]
-    if fmt == "json":
-        _emit([t.to_json() for t in tables], "json")
-    else:
-        for t in tables:
-            print(f"# {t.subject}")
-            print(t.to_text())
+    _emit([t.to_json() for t in tables] if fmt == "json" else tables, fmt,
+          lambda ts: "\n".join(f"# {t.subject}\n{t.to_text()}" for t in ts))
     return 0
 
 
 def cmd_classify(files: list[str], mode: str, fmt: str, strict: bool) -> int:
+    if len(files) > 2:
+        raise UsageError("classify expects one or two input diagrams")
     diagrams = [_read(p) for p in files]
-    if not 1 <= len(diagrams) <= 2:
-        raise DiagramError("classify expects one or two input diagrams")
     kinds = {d.closed for d in diagrams}
     if len(kinds) > 1:
         raise DiagramError("cannot mix links and string links in one decision")
@@ -102,18 +97,14 @@ def cmd_classify(files: list[str], mode: str, fmt: str, strict: bool) -> int:
             verdict = classify.selfdelta_equivalent(diagrams[0], diagrams[1])
             report["selfdelta_equivalent"] = verdict.value
             undecided = verdict is classify.Verdict.UNDECIDED
-
-    def render(rep):
-        lines = [f"{k}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(rep.items())]
-        return "\n".join(lines)
-
-    _emit(report, fmt, render)
-    if undecided and strict:
-        return 3
-    return 0
+    _emit(report, fmt, lambda rep: "\n".join(
+        f"{k}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(rep.items())))
+    return 3 if undecided and strict else 0
 
 
 def cmd_generate(kind: str, spec: list[str], components: int | None, k: int | None, out) -> int:
+    if kind == "v-tau" and k is None:
+        raise UsageError("generate v-tau needs --k (the doubled component)")
     if kind == "milnor-link":
         size = int(spec[0])
         d = classify.milnor_link(size)
@@ -126,8 +117,6 @@ def cmd_generate(kind: str, spec: list[str], components: int | None, k: int | No
         d.name = "v-pi-" + "-".join(map(str, values))
     elif kind == "v-tau":
         values = tuple(int(v) for v in spec[0].split(","))
-        if k is None:
-            raise DiagramError("v-tau needs --k (the doubled component)")
         size = max(max(values), k) if components is None else components
         tau = Surjection(size, k, values)
         d = classify.surjection_generator(tau)
@@ -138,7 +127,8 @@ def cmd_generate(kind: str, spec: list[str], components: int | None, k: int | No
     else:
         d = trivial_link(int(spec[0]))
         d.name = f"trivial-{spec[0]}"
-    return _write(to_pd_json(d), out)
+    _emit(to_pd_json(d), out=out)
+    return 0
 
 
 def cmd_cable(file: str, multiplicities: str, out) -> int:
@@ -153,16 +143,7 @@ def cmd_cable(file: str, multiplicities: str, out) -> int:
     c.name = f"{d.name}-cable-{'-'.join(map(str, m))}"
     payload = to_pd_json(c)
     payload["source_component"] = list(cable_map(d, m))
-    return _write(payload, out)
-
-
-def _write(payload, out) -> int:
-    """Write a diagram payload as JSON to the file ``out``, or to stdout."""
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+    _emit(payload, out=out)
     return 0
 
 
@@ -273,6 +254,10 @@ def parse(argv: list[str]) -> tuple[str, dict] | None:
     return argv[0], values
 
 
+COMMANDS = {"invariants": cmd_invariants, "classify": cmd_classify,
+            "generate": cmd_generate, "cable": cmd_cable}
+
+
 def main(argv=None) -> int:
     try:
         code = _run(argv)
@@ -292,22 +277,15 @@ def main(argv=None) -> int:
 def _run(argv) -> int:
     try:
         parsed = parse(sys.argv[1:] if argv is None else list(argv))
+        if parsed is None:
+            print(USAGE)
+            return 0
+        command, values = parsed
+        return COMMANDS[command](**values)
     except UsageError as exc:
         print(f"{USAGE}\nmilnor: error: {exc}", file=sys.stderr)
         return 1
-    if parsed is None:
-        print(USAGE)
-        return 0
-    command, values = parsed
-    try:
-        if command == "invariants":
-            return cmd_invariants(**values)
-        if command == "classify":
-            return cmd_classify(**values)
-        if command == "generate":
-            return cmd_generate(**values)
-        return cmd_cable(**values)
-    except (DiagramError, ValueError) as exc:
+    except ValueError as exc:  # DiagramError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

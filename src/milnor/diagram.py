@@ -333,10 +333,7 @@ def cable_map(l: Diagram, multiplicities: Sequence[int]):
 # when it loads: each name resolves on first use and is then stored here.
 _MOVED = {
     **dict.fromkeys(("load_diagram", "parse_pd", "to_pd_json"), "pdfile"),
-    **dict.fromkeys(
-        ("braid_permutation", "commutator_tangle", "from_braid", "run_slices", "tree_tangle"),
-        "tangles",
-    ),
+    **dict.fromkeys(("commutator_tangle", "from_braid", "run_slices", "tree_tangle"), "tangles"),
 }
 
 

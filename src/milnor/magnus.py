@@ -420,13 +420,9 @@ def generator_series(j: int, sign: int, basis: Basis) -> Series:
     return s
 
 
-def expand(word: Word, q: int, n: int | None = None) -> Series:
+def expand(word: Word, q: int) -> Series:
     """Magnus expansion of a ``freegroup.Word``, truncated beyond degree q."""
-    if n is None:
-        n = word.rank
-    elif n != word.rank:
-        raise ValueError("rank mismatch")
-    basis = dense(n, q)
+    basis = dense(word.rank, q)
     out = unit(basis)
     for x in word.letters:
         out = out * generator_series(abs(x), 1 if x > 0 else -1, basis)

@@ -62,6 +62,15 @@ class TestInvariantsCmd:
         assert code == 0
         assert "12: 1 (mod 0)" in out
 
+    def test_table_format_of_two_files(self, capsys, workdir):
+        # each file's "# name" line, then its table, in the order given
+        args = ("--max-length", "3", "--format", "table")
+        outs = [run(capsys, "invariants", workdir[name], *args) for name in ("hopf", "trivial3")]
+        assert [out.split("\n", 1)[0] for _, out in outs] == ["# hopf", "# trivial3"]
+        code, out = run(capsys, "invariants", workdir["hopf"], workdir["trivial3"], *args)
+        assert code == 0
+        assert out == outs[0][1] + outs[1][1]
+
     def test_json_deterministic(self, capsys, workdir):
         args = ("invariants", workdir["hopf"], "--max-length", "3")
         code1, out1 = run(capsys, *args)
@@ -456,7 +465,10 @@ class TestGenerateCmd:
         assert mu(d, (1, 2, 3)) == 1
 
     def test_vtau_needs_k(self, capsys):
-        assert main(["generate", "v-tau", "1,2,2"]) == 2
+        assert main(["generate", "v-tau", "1,2,2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(USAGE + "\nmilnor: error: ")
         assert main(["generate", "v-tau", "1,2,2", "--k", "3"]) == 0
 
     def test_bad_injection(self, capsys):
@@ -499,6 +511,23 @@ class TestCableCmd:
         code, out = run(capsys, "cable", workdir["hopf"], "2")
         assert code == 0
         assert json.loads(out)["components"] == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["generate", "milnor-link", "3"], ["generate", "v-pi", "1,2,3"],
+     ["generate", "v-tau", "1,2,2", "--k", "3"], ["generate", "whitehead"],
+     ["generate", "trivial", "2"], ["cable", "hopf", "2,2"]],
+    ids=" ".join,
+)
+def test_output_file_holds_the_stdout_bytes(capsys, workdir, tmp_path, argv):
+    argv = [workdir.get(word, word) for word in argv]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    path = tmp_path / "out.json"
+    assert main([*argv, "-o", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == out.encode("utf-8")
 
 
 # the oracle's dests as the grammar names them; classify's two switches are
@@ -615,7 +644,9 @@ class TestParser:
     @pytest.mark.parametrize(
         "argv",
         [[], ["bogus"], ["--", "invariants", "a"], ["invariants", "a", "--max-l", "3"],
-         ["generate", "v-pi"], ["invariants", "a", "--max-length", "3", "b"]],
+         ["generate", "v-pi"], ["invariants", "a", "--max-length", "3", "b"],
+         # no file "a" exists: classify counts its files before it reads any
+         ["classify", "--homotopy", "a", "b", "c"]],
         ids=repr,
     )
     def test_usage_errors(self, capsys, argv):

@@ -1,8 +1,10 @@
+import ast
 import copy
 import itertools
 import json
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,14 +61,41 @@ def oracle_linking(d, i, j):
     return total // 2
 
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def names_read_on_diagram():
+    """The names the files of perfbench/ read on milnor.diagram, from their
+    source alone: what they import from it, and the names ``TRACED`` lists
+    under ``diagram``."""
+    names = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "milnor.diagram":
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict) and any(
+                isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+            ):
+                for key, value in zip(node.value.keys, node.value.values):
+                    if isinstance(key, ast.Name) and key.id == "diagram":
+                        names.update(ast.literal_eval(value))
+    return names
+
+
 def test_moved_names_stay_on_diagram():
-    # perfbench/ and older importers read these names on milnor.diagram
-    for module, names in [
-        (tangles, "braid_permutation commutator_tangle from_braid run_slices tree_tangle"),
-        (pdfile, "load_diagram parse_pd to_pd_json"),
-    ]:
-        for name in names.split():
-            assert getattr(diagram, name) is getattr(module, name)
+    # _MOVED holds exactly the names of tangles and pdfile that perfbench/
+    # reads on milnor.diagram, and each resolves to its defining module's object
+    defined = {
+        name: module
+        for module in (tangles, pdfile)
+        for name, value in vars(module).items()
+        if getattr(value, "__module__", None) == module.__name__
+    }
+    read = names_read_on_diagram() & defined.keys()
+    assert read == set(diagram._MOVED)
+    for name in read:
+        assert defined[name].__name__ == f"milnor.{diagram._MOVED[name]}"
+        assert getattr(diagram, name) is getattr(defined[name], name)
 
 
 class TestValidation:
