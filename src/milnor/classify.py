@@ -135,8 +135,6 @@ def link_homotopic(a: Diagram, b: Diagram) -> bool:
     """String links are link-homotopic iff their normal forms agree: the
     exponents are a complete link-homotopy invariant (Habegger-Lin, The
     classification of links up to link-homotopy, 1990)."""
-    if a.closed or b.closed:
-        raise ValueError("this decision applies to string links")
     if a.n != b.n:
         raise ValueError("component counts differ")
     return homotopy_normal_form(a) == homotopy_normal_form(b)
@@ -175,17 +173,15 @@ class SelfDeltaVector:
     def __init__(self, table: invariants.InvariantTable):
         self.table = table
         n = self.n = table.n
-        values = table.entries
+        nonzero = table.nonzero()
         # the nonzero values shorter than 2n, and the classifying length-2n
         # values, reported only when the hypothesis holds
-        self.failures = {
-            i: r for i, r in values.items() if len(i) < 2 * n and not r.is_zero()
-        }
+        self.failures = {i: r for i, r in nonzero.items() if len(i) < 2 * n}
         self.hypothesis_ok = not self.failures
         self.entries = {}
         if self.hypothesis_ok:
-            self.entries = {i: r for i, r in values.items() if len(i) == 2 * n}
-        self.trivial = all(r.is_zero() for r in values.values())
+            self.entries = {i: r for i, r in table.entries.items() if len(i) == 2 * n}
+        self.trivial = not nonzero
 
     def equivalent(self, other: SelfDeltaVector) -> Verdict:
         """Both hypotheses holding, the links are self-delta equivalent iff
@@ -269,25 +265,14 @@ class BrunnianForm:
         self.doubled = doubled  # Surjection (palindromic, length 2n) -> int
         self.single = single  # Surjection (ascending, length 2n) -> int
 
-    def _families(self):
-        """(JSON key, [(surjection, exponent)] by value sequence) per family,
-        in stacking order."""
-        for label, family in (
-            ("parity", self.parity), ("palindromic", self.doubled), ("paired", self.single)
-        ):
-            yield label, sorted(family.items(), key=lambda kv: kv[0].values)
-
     def realize(self) -> Diagram:
         parts = [
-            surjection_generator(t, e) for _, terms in self._families() for t, e in terms if e
+            surjection_generator(t, e)
+            for family in (self.parity, self.doubled, self.single)
+            for t, e in sorted(family.items(), key=lambda kv: kv[0].values)
+            if e
         ]
         return stack_all(parts, self.n)
-
-    def to_json(self):
-        return {
-            label: [{"surjection": list(t.values), "exponent": e} for t, e in terms]
-            for label, terms in self._families()
-        }
 
 
 def brunnian_representative(l: Diagram) -> BrunnianForm:
@@ -299,10 +284,8 @@ def brunnian_representative(l: Diagram) -> BrunnianForm:
     through the odd-length palindromic family; the remaining exponents
     measure the difference against the concretely rebuilt parity part.
     """
-    if not l.closed:
-        raise ValueError("expects a closed link")
-    n = l.n
     vec = selfdelta_vector(l)
+    n = l.n
     if not vec.hypothesis_ok:
         raise ValueError(
             "low-order invariants do not vanish; the representative "

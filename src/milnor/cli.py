@@ -6,9 +6,10 @@ Commands: ``invariants`` (tables per input diagram), ``classify``
 table, ``GRAMMAR``, and ``USAGE`` is its synopsis: a usage error prints it
 on standard error, ``-h`` on standard output.  ``_emit`` is the one writer
 of every report and diagram.  Exit codes: 0 success, 1 usage, 2 parse or
-validation failure, 3 hypothesis not met in strict mode, 4 out of memory
-(a ``MemoryError``, or numpy failing to load), 141 when the reader closes
-standard output early (as for a process ended by SIGPIPE).
+validation failure (a non-integer specification word or an unwritable
+output file among them), 3 hypothesis not met in strict mode, 4 out of
+memory (a ``MemoryError``, or numpy failing to load), 141 when the reader
+closes standard output early (as for a process ended by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -40,9 +41,20 @@ def _emit(data, fmt="json", render=None, out=None) -> None:
     standard output or to the file ``out``."""
     text = json.dumps(data, sort_keys=True, indent=2) if fmt == "json" else render(data)
     if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        try:
+            Path(out).write_text(text + "\n", encoding="utf-8")
+        except OSError as exc:  # not print's BrokenPipeError, which main owns
+            raise DiagramError(f"{out}: {exc.strerror or exc}") from None
     else:
         print(text)
+
+
+def _int(word: str, what: str) -> int:
+    """An integer word of a ``generate`` or ``cable`` specification."""
+    try:
+        return int(word)
+    except ValueError:
+        raise DiagramError(f"{what} {word!r} is not an integer") from None
 
 
 def cmd_invariants(files: list[str], max_length: int, max_r: int, fmt: str) -> int:
@@ -70,9 +82,7 @@ def cmd_classify(files: list[str], mode: str, fmt: str, strict: bool) -> int:
     if mode == "homotopy":
         if closed:
             if len(diagrams) == 2:
-                raise DiagramError(
-                    "pairwise link-homotopy decisions apply to string links"
-                )
+                raise DiagramError("pairwise link-homotopy decisions apply to string links")
             report["link_homotopy_trivial"] = classify.link_homotopy_trivial(
                 diagrams[0]
             )
@@ -106,17 +116,17 @@ def cmd_generate(kind: str, spec: list[str], components: int | None, k: int | No
     if kind == "v-tau" and k is None:
         raise UsageError("generate v-tau needs --k (the doubled component)")
     if kind == "milnor-link":
-        size = int(spec[0])
+        size = _int(spec[0], "component count")
         d = classify.milnor_link(size)
         d.name = f"milnor-link-{size}"
     elif kind == "v-pi":
-        values = tuple(int(v) for v in spec[0].split(","))
+        values = tuple(_int(v, "injection value") for v in spec[0].split(","))
         size = max(values) if components is None else components
         pi = Injection(size, values)
         d = classify.injection_generator(pi)
         d.name = "v-pi-" + "-".join(map(str, values))
     elif kind == "v-tau":
-        values = tuple(int(v) for v in spec[0].split(","))
+        values = tuple(_int(v, "surjection value") for v in spec[0].split(","))
         size = max(max(values), k) if components is None else components
         tau = Surjection(size, k, values)
         d = classify.surjection_generator(tau)
@@ -125,7 +135,7 @@ def cmd_generate(kind: str, spec: list[str], components: int | None, k: int | No
         d = classify.whitehead_link()
         d.name = "whitehead"
     else:
-        d = trivial_link(int(spec[0]))
+        d = trivial_link(_int(spec[0], "component count"))
         d.name = f"trivial-{spec[0]}"
     _emit(to_pd_json(d), out=out)
     return 0
@@ -133,10 +143,7 @@ def cmd_generate(kind: str, spec: list[str], components: int | None, k: int | No
 
 def cmd_cable(file: str, multiplicities: str, out) -> int:
     d = _read(file)
-    try:
-        m = [int(x) for x in multiplicities.split(",")]
-    except ValueError:
-        raise DiagramError(f"bad multiplicities {multiplicities!r}") from None
+    m = [_int(x, "multiplicity") for x in multiplicities.split(",")]
     if len(m) == 1:
         m = m * d.n
     c = cable(d, m)

@@ -153,10 +153,7 @@ def cut_open(l: Diagram) -> Diagram:
 
 def power(v: Diagram, e: int) -> Diagram:
     """e-fold stacked power; negative exponents use the mirror inverse."""
-    if e == 0:
-        return trivial_string_link(v.n)
-    base = v if e > 0 else invert(v)
-    return stack_all([base] * abs(e))
+    return stack_all([v if e >= 0 else invert(v)] * abs(e), v.n)
 
 
 def invert(v: Diagram) -> Diagram:

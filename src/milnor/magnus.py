@@ -258,14 +258,9 @@ class Series:
         return int(self.x[0])
 
     def coefficient(self, monomial) -> int:
+        """The coefficient of a monomial of the basis; a letter out of range
+        or a degree above q is outside every basis on X_1..X_n."""
         monomial = tuple(monomial)
-        for v in monomial:
-            if not 1 <= v <= self.n:
-                raise ValueError(f"variable index {v} out of range 1..{self.n}")
-        if len(monomial) > self.q:
-            raise ValueError(
-                f"monomial degree {len(monomial)} exceeds truncation {self.q}"
-            )
         try:
             return int(self.x[self.basis.pos[monomial]])
         except KeyError:
@@ -281,9 +276,7 @@ class Series:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
-        if self.basis.small:
-            return self.basis == other.basis and self.x == other.x
-        return self.basis == other.basis and np.array_equal(self.x, other.x)
+        return self.basis == other.basis and list(self.x) == list(other.x)
 
     def __mul__(self, other: "Series") -> "Series":
         """The product, solved degree by degree: for w nonempty,
@@ -357,13 +350,9 @@ class Series:
     def monomials(self):
         """Yield (monomial, coefficient) with nonzero coefficient, ordered by
         (degree, lexicographic monomial)."""
-        if self.basis.small:
-            for w, c in zip(self.basis.words, self.x):
-                if c:
-                    yield w, c
-            return
-        for i in np.flatnonzero(self.x):
-            yield self.basis.words[i], int(self.x[i])
+        for w, c in zip(self.basis.words, self.x):
+            if c:
+                yield w, int(c)
 
     def __str__(self) -> str:
         parts = []

@@ -676,3 +676,25 @@ class TestCablingCrossCheck:
         assert degrees == [
             (b, d, 2 * passages) for b in want for d in range(1, b.q + 1)
         ]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: milnor_link(1), "need at least 2 components"),
+        (lambda: homotopy_classes_agree(*[from_braid(2, [1, 1])] * 2, 0), "k=0 out of range"),
+        (lambda: homotopy_classes_agree(hopf(), hopf(), 2), "defined for string links"),
+        (lambda: selfdelta_equivalent(trivial_link(2), trivial_link(3)), "counts differ"),
+        (lambda: link_homotopy_trivial(from_braid(2, [1, 1])), "applies to closed links"),
+        # a check that its callee owns, with the callee's message
+        (lambda: link_homotopic(hopf(), hopf()), "normal forms are defined for string"),
+        (lambda: brunnian_representative(from_braid(2, [1, 1])), "applies to closed links"),
+    ],
+    ids=[
+        "milnor_link-1", "classes_agree-k0", "classes_agree-closed", "selfdelta-counts",
+        "homotopy_trivial-stringlink", "link_homotopic-closed", "brunnian-stringlink",
+    ],
+)
+def test_rejects(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -488,6 +488,20 @@ class TestGenerateCmd:
         d2 = parse_pd(to_pd_json(d1))
         assert canonical_form(d1) == canonical_form(d2)
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["milnor-link", "x"], "component count 'x' is not an integer"),
+            (["v-pi", "1,x"], "injection value 'x' is not an integer"),
+            (["v-tau", "1,2,x", "--k", "3"], "surjection value 'x' is not an integer"),
+            (["trivial", "2.5"], "component count '2.5' is not an integer"),
+        ],
+        ids=["milnor-link", "v-pi", "v-tau", "trivial"],
+    )
+    def test_names_a_word_that_is_not_an_integer(self, capsys, argv, message):
+        assert main(["generate", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 class TestCableCmd:
     def test_cable_output(self, capsys, workdir, tmp_path):
@@ -512,6 +526,10 @@ class TestCableCmd:
         assert code == 0
         assert json.loads(out)["components"] == 4
 
+    def test_names_a_word_that_is_not_an_integer(self, capsys, workdir):
+        assert main(["cable", workdir["hopf"], "2,x"]) == 2
+        assert capsys.readouterr() == ("", "error: multiplicity 'x' is not an integer\n")
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -528,6 +546,17 @@ def test_output_file_holds_the_stdout_bytes(capsys, workdir, tmp_path, argv):
     assert main([*argv, "-o", str(path)]) == 0
     assert capsys.readouterr().out == ""
     assert path.read_bytes() == out.encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "target, reason",
+    [("missing/out.json", "No such file or directory"), (".", "Is a directory")],
+    ids=["missing-directory", "directory"],
+)
+def test_an_unwritable_output_file_exits_2(capsys, tmp_path, target, reason):
+    path = tmp_path / target
+    assert main(["generate", "whitehead", "-o", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: {reason}\n")
 
 
 # the oracle's dests as the grammar names them; classify's two switches are

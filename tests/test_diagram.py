@@ -176,6 +176,20 @@ class TestValidation:
         with pytest.raises(DiagramError, match=message):
             stack_all(parts, n)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda s: closure(closure(s)), "diagram is already closed"),
+            (lambda s: cut_open(s), "diagram is already a string link"),
+            (lambda s: invert(closure(s)), "inversion is defined for string links"),
+            (lambda s: with_kink(s, 1, 0), "kink sign must be"),
+        ],
+        ids=["closure-of-link", "cut_open-of-stringlink", "invert-of-link", "kink-sign-0"],
+    )
+    def test_operations_reject(self, build, message):
+        with pytest.raises(DiagramError, match=message):
+            build(from_braid(2, [1, 1]))
+
 
 class TestBraids:
     def test_empty_is_trivial(self):
@@ -413,6 +427,13 @@ class TestCommutatorTangle:
         ref = expand(w, 2)
         for mono in itertools.product((1, 2, 3), repeat=2):
             assert series.coefficient(mono) == ref.coefficient(mono)
+        # target 1 travels right to the far strands and home leftward
+        w = Word(4, (3, 4, -3, -4))
+        series = wirtinger.longitude_series(commutator_tangle(w, 1, 4), {1}, dense(4, 2))[1]
+        ref = expand(w, 2)
+        for mono in itertools.product((2, 3, 4), repeat=2):
+            assert series.coefficient(mono) == ref.coefficient(mono)
+        assert series.coefficient((3, 4)) == 1
 
     def test_rejects_target_mention(self):
         with pytest.raises(DiagramError):
@@ -421,6 +442,10 @@ class TestCommutatorTangle:
     def test_rejects_bad_target(self):
         with pytest.raises(DiagramError):
             commutator_tangle(Word(2), 3, 2)
+
+    def test_rejects_a_word_of_another_rank(self):
+        with pytest.raises(DiagramError, match="word rank must equal the component count"):
+            commutator_tangle(Word(2, (1,)), 3, 3)
 
 
 class TestTreeTangle:
@@ -460,6 +485,21 @@ class TestSlices:
     def test_crossing_bounds(self):
         with pytest.raises(DiagramError):
             run_slices(2, [("x", 1, "L")])
+
+    @pytest.mark.parametrize(
+        "n, ops, message",
+        [
+            (1, [("max", 2, "L")], "birth position 2 out of range"),
+            (1, [("max", -1, "L")], "birth position -1 out of range"),
+            (2, [("min", 1)], "join position 1 out of range"),
+            (1, [("y", 0)], r"unknown op \('y', 0\)"),
+            (1, [("max", 1, "L")], "program ends with wrong point count"),
+        ],
+        ids=["birth-right", "birth-left", "join", "unknown-op", "point-count"],
+    )
+    def test_rejects_bad_programs(self, n, ops, message):
+        with pytest.raises(DiagramError, match=message):
+            run_slices(n, ops)
 
     @pytest.mark.parametrize("closed", [False, True])
     def test_crossing_free_loop_rejected(self, closed):
@@ -507,6 +547,29 @@ class TestPDFiles:
     def test_missing_fields(self):
         with pytest.raises(DiagramError):
             parse_pd({"components": 2})
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda h, s: {**h, "endpoints": s["endpoints"]}, "links do not carry endpoints"),
+            (
+                lambda h, s: {**h, "component_of_arc": {e: 3 for e in h["component_of_arc"]}},
+                r"component labels must be 1\.\.n",
+            ),
+            (
+                lambda h, s: {**s, "endpoints": {"top": [1, 2], "bottom": [3, 6]}},
+                "top endpoints must cover all components",
+            ),
+            (lambda h, s: {"strands": 2, "word": [1, 1], "kind": "knot"}, "unknown braid kind"),
+            (lambda h, s: {"name": "x"}, "neither a PD diagram nor a braid"),
+        ],
+        ids=["link-endpoints", "labels", "top-misses", "braid-kind", "name-only"],
+    )
+    def test_rejects(self, edit, message):
+        hopf = to_pd_json(closure(from_braid(2, [1, 1])))
+        clasp = to_pd_json(from_braid(2, [1, 1]))
+        with pytest.raises(DiagramError, match=message):
+            load_diagram(edit(hopf, clasp))
 
     def test_unknown_kind(self):
         # a missing kind is a link; any other kind than the two is refused,

@@ -160,6 +160,10 @@ class TestMuBar:
         assert invariant(hopf(), (1, 2)) == Residue(1, 0)
         assert invariant(from_braid(2, [1, 1]), (1, 2)) == Residue(1, 0)
 
+    def test_residues_need_a_closed_link(self):
+        with pytest.raises(ValueError, match="residue invariants are defined for closed links"):
+            residues(from_braid(2, [1, 1]), [(1, 2)])
+
 
 class TestTable:
     def test_trivial_all_zero(self):

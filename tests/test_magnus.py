@@ -330,6 +330,10 @@ class TestBasis:
         with pytest.raises(ValueError, match="repeated"):
             Basis(2, [(), (1,), (1,)])
 
+    def test_rejects_a_set_without_the_empty_monomial(self):
+        with pytest.raises(ValueError, match="the empty monomial"):
+            Basis(2, [(1,)])
+
     def test_dense_takes_integers(self):
         for n, q in [(2, True), (2, 2.0), (2.0, 2), (True, 1)]:
             with pytest.raises(ValueError, match="integers"):

@@ -236,3 +236,17 @@ class TestFamilies:
                     union += palindromic_surjections(m, k, n)
                 union.sort(key=lambda t: (t.k, t.values))
                 assert selfdelta_generator_indices(n, m) == union, (n, m)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Injection(3, (0, 2)), r"value 0 out of range 1\.\.3"),
+        (lambda: Surjection(3, 3, (1,)), r"m=3 out of range \(3, 6\]"),
+        (lambda: palindromic_partner(Surjection(2, 2, (1, 1))), "m = 2n-1, k = n"),
+    ],
+    ids=["injection-value-0", "surjection-too-short", "partner-of-length-2n"],
+)
+def test_rejects(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
