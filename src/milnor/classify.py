@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 
 from . import invariants
-from .diagram import Diagram, cable, closure, power, stack_all, trivial_string_link
+from .diagram import Diagram, cable, closure, power, reduced, stack_all, trivial_string_link
 from .multiindex import (
     Injection,
     Surjection,
@@ -107,8 +107,8 @@ def homotopy_normal_form(l: Diagram) -> HomotopyNormalForm:
     Level by level: the exponent of each arity-(i+1) injection is the
     string link's invariant minus the same invariant of the concretely
     rebuilt product of all lower levels.  The string link is read once, at
-    depth n; each partial product once, at its level's depth.  The form is
-    cached on the string link.
+    depth n; each partial product, held only reduced, once at its level's
+    depth.  The form is cached on the string link.
     """
     if l.closed:
         raise ValueError("normal forms are defined for string links")
@@ -126,7 +126,7 @@ def homotopy_normal_form(l: Diagram) -> HomotopyNormalForm:
         if k == n:
             break  # nothing reads the product of every level
         gens = [injection_generator(pi, exponents[pi]) for pi in level if exponents[pi]]
-        partial = stack_all([partial, *gens], n)
+        partial = reduced(stack_all([partial, *gens], n))
     l._cache["normal_form"] = HomotopyNormalForm(n, exponents)
     return l._cache["normal_form"]
 
@@ -314,5 +314,5 @@ def brunnian_representative(l: Diagram) -> BrunnianForm:
 
 def cabling_cross_check(l: Diagram) -> bool:
     """Two routes to triviality must agree: every repetition-2 invariant of
-    the link vanishes iff the doubled link is link-homotopically trivial."""
-    return selfdelta_vector(l).trivial == link_homotopy_trivial(cable(l, [2] * l.n))
+    the link vanishes iff its reduced 2-cable is link-homotopically trivial."""
+    return selfdelta_vector(l).trivial == link_homotopy_trivial(reduced(cable(l, [2] * l.n)))

@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import classify, invariants
-from .diagram import Diagram, DiagramError, cable, cable_map, trivial_link
+from .diagram import Diagram, DiagramError, cable, cable_map, reduced, trivial_link
 from .multiindex import Injection, Surjection
 from .pdfile import load_diagram, to_pd_json
 
@@ -29,7 +29,9 @@ from .pdfile import load_diagram, to_pd_json
 def _read(path: str) -> Diagram:
     try:
         d = load_diagram(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
+        raise DiagramError(f"{path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
         raise DiagramError(f"{path}: {exc}") from None
     if not d.name:
         d.name = Path(path).stem
@@ -58,7 +60,7 @@ def _int(word: str, what: str) -> int:
 
 
 def cmd_invariants(files: list[str], max_length: int, max_r: int, fmt: str) -> int:
-    diagrams = [_read(p) for p in files]
+    diagrams = [reduced(_read(p)) for p in files]
     tables = [invariants.table(d, max_length, max_r) for d in diagrams]
     _emit([t.to_json() for t in tables] if fmt == "json" else tables, fmt,
           lambda ts: "\n".join(f"# {t.subject}\n{t.to_text()}" for t in ts))
@@ -68,7 +70,7 @@ def cmd_invariants(files: list[str], max_length: int, max_r: int, fmt: str) -> i
 def cmd_classify(files: list[str], mode: str, fmt: str, strict: bool) -> int:
     if len(files) > 2:
         raise UsageError("classify expects one or two input diagrams")
-    diagrams = [_read(p) for p in files]
+    diagrams = [reduced(_read(p)) for p in files]
     kinds = {d.closed for d in diagrams}
     if len(kinds) > 1:
         raise DiagramError("cannot mix links and string links in one decision")
@@ -135,8 +137,9 @@ def cmd_generate(kind: str, spec: list[str], components: int | None, k: int | No
         d = classify.whitehead_link()
         d.name = "whitehead"
     else:
-        d = trivial_link(_int(spec[0], "component count"))
-        d.name = f"trivial-{spec[0]}"
+        size = _int(spec[0], "component count")
+        d = trivial_link(size)
+        d.name = f"trivial-{size}"
     _emit(to_pd_json(d), out=out)
     return 0
 

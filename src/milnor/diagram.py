@@ -197,10 +197,11 @@ def reduced(d: Diagram) -> Diagram:
     which arc the longitude recursion identifies with the base arc, so a
     coefficient may change by a multiple of its indeterminacy; residues are
     unchanged.  Crossings keep their relative order and the name is kept;
-    the result is cached on ``d`` and is its own reduction.
+    the result is cached on ``d`` and is its own reduction, marked None in
+    its own memo rather than held there, so that no cycle keeps it alive.
     """
     if "reduced" in d._cache:
-        return d._cache["reduced"]
+        return d._cache["reduced"] or d
     nxt: dict = {}
     prv: dict = {}
     for ev in d.events:
@@ -241,17 +242,17 @@ def reduced(d: Diagram) -> Diagram:
                 todo.extend(remove(cid, p[0]))
                 break
     if len(alive) == d.crossing_count:
-        out = d
-    else:
-        kept = sorted(alive)
-        new_id = {cid: k for k, cid in enumerate(kept)}
-        events = [
-            [(new_id[cid], role) for cid, role in ev if cid in alive]
-            for ev in d.events
-        ]
-        signs = [d.signs[cid] for cid in kept]
-        out = Diagram(d.n, events, signs, d.closed, name=d.name)
-        out._cache["reduced"] = out
+        d._cache["reduced"] = None
+        return d
+    kept = sorted(alive)
+    new_id = {cid: k for k, cid in enumerate(kept)}
+    events = [
+        [(new_id[cid], role) for cid, role in ev if cid in alive]
+        for ev in d.events
+    ]
+    signs = [d.signs[cid] for cid in kept]
+    out = Diagram(d.n, events, signs, d.closed, name=d.name)
+    out._cache["reduced"] = None
     d._cache["reduced"] = out
     return out
 

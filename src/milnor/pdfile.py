@@ -185,7 +185,7 @@ def parse_pd(data) -> Diagram:
         list(map(num.get, es)) != out for es, out in ((top, first), (bottom, last))
     ):
         raise DiagramError(unlike("endpoints"))
-    del comp_of, succ, num  # likewise before the planarity check
+    del num  # the edge numbering, freed before the planarity check
     _check_planar(rows, {} if closed else dict(zip(last, first)))
     return d
 

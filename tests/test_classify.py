@@ -30,9 +30,11 @@ from milnor.diagram import (
     cable,
     closure,
     power,
+    reduced,
     stack_all,
     trivial_link,
     trivial_string_link,
+    with_kink,
 )
 from milnor.invariants import Residue, evaluate, mu
 from milnor.multiindex import (
@@ -124,6 +126,31 @@ def normal_form_pairs(draw):
         other = [injection_generator(q, exps[q]) for q in pis if exps.get(q)]
         homotopic = False
     return stack_all(parts, n), stack_all(other, n), homotopic
+
+
+@st.composite
+def reducible_braids(draw):
+    """A closed braid on 2 or 3 strands, or a pure braid on 2 to 4 (squares
+    conjugated by a word), with a cancelling pair of letters spliced in and a
+    kink added now and then, so that reduction has crossings to remove."""
+    closed = draw(st.booleans())
+    strands = draw(st.integers(2, 3 if closed else 4))
+    letters = [g for i in range(1, strands) for g in (i, -i)]
+    words = st.lists(st.sampled_from(letters), max_size=4)
+    word, core = draw(words), draw(words)
+    if closed:
+        word += core
+    else:
+        word += [g for g in core for _ in (0, 1)] + [-g for g in reversed(word)]
+    if draw(st.booleans()):
+        g, at = draw(st.sampled_from(letters)), draw(st.integers(0, len(word)))
+        word[at:at] = [g, -g]
+    d = from_braid(strands, word, closed=closed)
+    if draw(st.booleans()):
+        comp = draw(st.integers(1, d.n))
+        at = draw(st.integers(0, len(d.events[comp - 1])))
+        d = with_kink(d, comp, draw(st.sampled_from([1, -1])), at)
+    return d
 
 
 class TestGenerators:
@@ -489,6 +516,23 @@ class TestBrunnian:
         base = reduced(stacked[-1])
         assert len(palindromic_surjections(6, 3, 3)) > 1
         assert sum(d is base for d in builds) == 1
+
+
+class TestReadAsReduced:
+    # the CLI reads each input as its reduction, and classify holds partial
+    # products and 2-cables reduced: every result must be the one of the
+    # diagram as given
+    @settings(max_examples=60, deadline=None)
+    @given(reducible_braids())
+    def test_every_result_is_the_unreduced_diagrams(self, d):
+        r = reduced(d)
+        if d.closed:
+            assert link_homotopy_trivial(r) == link_homotopy_trivial(d)
+            assert selfdelta_vector(r).to_json() == selfdelta_vector(d).to_json()
+            assert cabling_cross_check(r) == cabling_cross_check(d)
+        else:
+            assert homotopy_normal_form(r) == homotopy_normal_form(d)
+            assert link_homotopy_trivial(closure(r)) == link_homotopy_trivial(closure(d))
 
 
 class TestMemos:

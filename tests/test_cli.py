@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import gc
 import io
 import json
 import os
@@ -7,6 +8,7 @@ import resource
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -253,6 +255,16 @@ class TestInvariantsCmd:
     def test_missing_file(self, workdir):
         assert main(["invariants", str(workdir["dir"] / "nope.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "target, reason",
+        [("nope.json", "No such file or directory"), (".", "Is a directory")],
+        ids=["missing", "directory"],
+    )
+    def test_an_unreadable_path_is_named_once(self, capsys, tmp_path, target, reason):
+        path = tmp_path / target
+        assert main(["invariants", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: {reason}\n")
+
     def test_filter_validation_exit_code(self, capsys, workdir):
         assert main(["invariants", workdir["hopf"], "--max-length", "1"]) == 2
         assert main(["invariants", workdir["hopf"], "--max-r", "0"]) == 2
@@ -374,6 +386,37 @@ class TestClassifyCmd:
         # table per input
         assert sorted(tables) == ["trivial2", "whitehead"]
 
+    def test_the_file_walks_die_before_the_first_query(self, capsys, tmp_path, monkeypatch):
+        # the input is read as its reduction, so with the cyclic collector
+        # off the diagram that _read returned is gone before the normal form
+        from milnor import classify, cli
+
+        path = tmp_path / "kinked.json"
+        path.write_text(json.dumps(to_pd_json(with_kink(from_braid(2, [1, 1]), 1, 1))))
+        read, seen = [], []
+        real_read, real_form = cli._read, classify.homotopy_normal_form
+
+        def spy_read(p):
+            d = real_read(p)
+            read.append(weakref.ref(d))
+            return d
+
+        def spy_form(l):
+            seen.append([ref() for ref in read])
+            return real_form(l)
+
+        monkeypatch.setattr(cli, "_read", spy_read)
+        monkeypatch.setattr(classify, "homotopy_normal_form", spy_form)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            code, out = run(capsys, "classify", "--homotopy", str(path))
+        finally:
+            if enabled:
+                gc.enable()
+        assert code == 0 and json.loads(out)["inputs"] == ["kinked"]
+        assert seen == [[None]]
+
     def test_homotopy_evaluates_the_input_once(self, capsys, workdir, monkeypatch):
         from milnor import invariants
         from milnor.classify import injection_generator
@@ -487,6 +530,21 @@ class TestGenerateCmd:
         d1 = parse_pd(out_path.read_text())
         d2 = parse_pd(to_pd_json(d1))
         assert canonical_form(d1) == canonical_form(d2)
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["milnor-link", "02"], "milnor-link-2"),
+            (["v-pi", "1,02,3"], "v-pi-1-2-3"),
+            (["v-tau", "1,2,2", "--k", "3"], "v-tau-1-2-2-k3"),
+            (["whitehead"], "whitehead"),
+            (["trivial", "02"], "trivial-2"),
+        ],
+        ids=["milnor-link", "v-pi", "v-tau", "whitehead", "trivial"],
+    )
+    def test_names_from_the_parsed_integers(self, capsys, argv, name):
+        assert main(["generate", *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["name"] == name
 
     @pytest.mark.parametrize(
         "argv, message",

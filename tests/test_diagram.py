@@ -1,9 +1,11 @@
 import ast
 import copy
+import gc
 import itertools
 import json
 import random
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -899,6 +901,27 @@ class TestReduced:
         assert reduced(w) is r and reduced(r) is r
         t = trivial_link(2)
         assert reduced(t) is t
+
+    def test_reductions_die_with_their_last_name(self):
+        # with the cyclic collector off, only reference counting frees a
+        # diagram: neither a reduction nor a diagram that is its own
+        # reduction may hold itself in its memo
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            w = whitehead_link()
+            r = reduced(w)
+            assert r is not w and reduced(r) is r
+            refs = [weakref.ref(w), weakref.ref(r)]
+            del w, r
+            t = trivial_link(2)
+            assert reduced(t) is t and reduced(t) is t  # computed, then memoized
+            refs.append(weakref.ref(t))
+            del t
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_crossing_counts(self):
         items = corpus()

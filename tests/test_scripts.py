@@ -1,10 +1,13 @@
 """Smoke test of the shipped scripts: each runs to completion, and every
 diagram file the corpus script writes loads, evaluates and is written back
 byte for byte.  The benchmark's trace harness runs a classify pair of each
-mode, and every name it wraps exists."""
+mode, and every name it wraps exists.  The at-scale benchmark script keeps
+each op's exit code and stdout digest."""
 
 import ast
+import hashlib
 import importlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -114,3 +117,18 @@ def test_trace_harness_names_exist():
         for attr in path.split("."):
             assert hasattr(obj, attr), f"{module}.{path}"
             obj = getattr(obj, attr)
+
+
+def test_bench_records_each_op_from_wait4():
+    # scripts/bench.py runs an op as fresh CLI processes under the memory
+    # cap and keeps its exit code and stdout digest, the same on every run
+    spec = importlib.util.spec_from_file_location("bench", SCRIPTS / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    (rec,) = bench.measure([("trivial-2", ["generate", "trivial", "2"], 2)], ROOT)
+    d = trivial_link(2)
+    d.name = "trivial-2"
+    text = json.dumps(to_pd_json(d), sort_keys=True, indent=2)
+    assert rec["repeats"] == 2 and rec["exit"] == 0
+    assert rec["stdout_sha256"] == hashlib.sha256((text + "\n").encode()).hexdigest()
+    assert rec["cpu_s_min"] > 0 and rec["peak_rss_mb"] > 0
