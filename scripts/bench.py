@@ -2,7 +2,7 @@
 """Time the milnor CLI at scale, one fresh process per run, and write the
 figures as JSON.
 
-Usage: python3 scripts/bench.py [--out BENCH_1.json] [--root DIR]
+Usage: python3 scripts/bench.py [--out FILE] [--root DIR]
        python3 scripts/bench.py --inputs DIR [--root DIR]
 
 The inputs are built from fixed seeds by the checkout under test (``--root``,
@@ -20,7 +20,9 @@ from ``wait4``), the exit code and the SHA-256 of standard output; a run
 whose exit code or output differs from the first run's stops the script
 with exit 1.  The tier-1 suite runs once, uncapped, and its wall and CPU
 time are recorded with its summary line.  Nothing is written under
-``src/`` or ``perfbench/``.
+``src/`` or ``perfbench/``.  Without ``--out`` the file is the first
+``BENCH_<k>.json`` at the root of this script's checkout that does not exist
+yet, so a re-run never overwrites an earlier one.
 """
 
 from __future__ import annotations
@@ -186,10 +188,19 @@ def tier1(root: Path) -> dict:
             "cpu_s": round(rec["cpu_s"], 1), "exit": rec["exit"], "summary": rec["stdout_last"]}
 
 
+def next_out(directory: Path) -> Path:
+    """The first ``BENCH_<k>.json`` in ``directory``, k = 1, 2, ..., that does
+    not exist."""
+    k = 1
+    while (directory / f"BENCH_{k}.json").exists():
+        k += 1
+    return directory / f"BENCH_{k}.json"
+
+
 def main(argv=None) -> int:
     here = Path(__file__).resolve().parent.parent
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--out", type=Path, default=here / "BENCH_1.json")
+    ap.add_argument("--out", type=Path, default=next_out(here))
     ap.add_argument("--root", type=Path, default=here, help="the checkout under test")
     ap.add_argument("--inputs", type=Path, help="only write the inputs to this directory")
     args = ap.parse_args(argv)

@@ -2,6 +2,8 @@
 """Write the reference diagram corpus as JSON files.
 
 Usage: python scripts/generate_corpus.py [outdir]   (default: ./corpus)
+
+``corpus()`` builds the links; the tests read them from it.
 """
 
 import json
@@ -11,7 +13,6 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from milnor.classify import (  # noqa: E402
-    injection_generator,
     milnor_link,
     surjection_generator,
     whitehead_link,
@@ -22,9 +23,8 @@ from milnor.tangles import from_braid  # noqa: E402
 from milnor.multiindex import selfdelta_generator_indices  # noqa: E402
 
 
-def main():
-    outdir = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else "corpus")
-    outdir.mkdir(parents=True, exist_ok=True)
+def corpus() -> dict:
+    """The reference links, by name, in the order they are written."""
     items = {
         "trivial2": trivial_link(2),
         "trivial3": trivial_link(3),
@@ -38,7 +38,13 @@ def main():
             for tau in selfdelta_generator_indices(n, m):
                 name = f"vtau_n{n}_{''.join(map(str, tau.values))}_k{tau.k}"
                 items[name] = closure(surjection_generator(tau))
-    for name, d in items.items():
+    return items
+
+
+def main():
+    outdir = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else "corpus")
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, d in corpus().items():
         d.name = name
         path = outdir / f"{name}.json"
         text = json.dumps(to_pd_json(d), sort_keys=True)

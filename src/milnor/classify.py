@@ -161,40 +161,40 @@ class Verdict(enum.Enum):
 
 
 class SelfDeltaVector:
-    """Every invariant of a closed link with repetition at most 2 and length
-    at most 2n, as residues: the one table each self-delta verdict reads.
+    """The nonzero residues of a closed link's invariants with repetition at
+    most 2 and length at most 2n, which every self-delta verdict reads.
 
     The classification's hypothesis is that the values shorter than 2n
     vanish; when it holds, the length-2n values (each component used
-    exactly twice) classify the link up to self-delta equivalence, and the
-    link is self-delta trivial iff the whole table vanishes.
+    exactly twice), zeros included, are the classifying ``entries``, and the
+    link is self-delta trivial iff no residue is nonzero.
     """
 
     def __init__(self, table: invariants.InvariantTable):
-        self.table = table
         n = self.n = table.n
-        nonzero = table.nonzero()
+        self.nonzero = table.nonzero()
         # the nonzero values shorter than 2n, and the classifying length-2n
         # values, reported only when the hypothesis holds
-        self.failures = {i: r for i, r in nonzero.items() if len(i) < 2 * n}
+        self.failures = {i: r for i, r in self.nonzero.items() if len(i) < 2 * n}
         self.hypothesis_ok = not self.failures
         self.entries = {}
         if self.hypothesis_ok:
             self.entries = {i: r for i, r in table.entries.items() if len(i) == 2 * n}
-        self.trivial = not nonzero
+        self.trivial = not self.nonzero
 
     def equivalent(self, other: SelfDeltaVector) -> Verdict:
-        """Both hypotheses holding, the links are self-delta equivalent iff
-        their length-2n values agree.  Otherwise the verdict is no when some
-        value of the tables provably differs, and undecided when nothing
-        separates them."""
+        """No when the nonzero residues differ, else yes when the hypothesis
+        holds and undecided when it does not: the verdict of comparing whole
+        tables.  Two tables through 2n are equal iff their nonzero residues
+        are, by induction on length, as each modulus is the gcd of the values
+        and moduli of shorter residues.  Equal tables share ``hypothesis_ok``
+        and ``entries``, and under the hypothesis the length-2n values
+        classify."""
         if self.n != other.n:
             raise ValueError("component counts differ")
-        if self.hypothesis_ok and other.hypothesis_ok:
-            return Verdict.YES if self.entries == other.entries else Verdict.NO
-        if self.table.entries != other.table.entries:
+        if self.nonzero != other.nonzero:
             return Verdict.NO
-        return Verdict.UNDECIDED
+        return Verdict.YES if self.hypothesis_ok else Verdict.UNDECIDED
 
     def to_json(self):
         data = {
@@ -210,7 +210,7 @@ class SelfDeltaVector:
 def _residues_json(values: dict, n: int) -> dict:
     return {
         format_index(i, n): {"value": r.value, "modulus": r.modulus}
-        for i, r in sorted(values.items())
+        for i, r in values.items()
     }
 
 

@@ -160,6 +160,9 @@ def indices_up_to(n: int, max_len: int, max_r: int):
 
 
 class InvariantTable:
+    """The residue of every index within the filters, in ``entries`` by
+    length, then lexicographically (``indices_up_to``'s order)."""
+
     def __init__(self, subject, n, max_length, max_r, closed, entries):
         self.subject = subject
         self.n = n
@@ -167,10 +170,6 @@ class InvariantTable:
         self.max_r = max_r
         self.closed = closed
         self.entries = entries  # index -> Residue
-
-    def rows(self):
-        for index in sorted(self.entries, key=lambda i: (len(i), i)):
-            yield index, self.entries[index]
 
     def nonzero(self):
         return {i: r for i, r in self.entries.items() if not r.is_zero()}
@@ -188,14 +187,14 @@ class InvariantTable:
                     "value": r.value,
                     "modulus": r.modulus,
                 }
-                for i, r in self.rows()
+                for i, r in self.entries.items()
             ],
         }
 
     def to_text(self):
         lines = []
         width = max((len(format_index(i, self.n)) for i in self.entries), default=5)
-        for i, r in self.rows():
+        for i, r in self.entries.items():
             lines.append(f"{format_index(i, self.n):>{width}}: {r}")
         return "\n".join(lines)
 

@@ -13,12 +13,15 @@ traced, and the integer reader must accept and reject exactly as it does.
 ``spy_graded`` tells the tests which diagram each graded walk reads.
 ``build_parser`` is the command line as argparse read it, before
 ``milnor.cli.parse`` read it from one grammar table.
+``selfdelta_equivalent`` compares two self-delta tables entry by entry, as
+``SelfDeltaVector.equivalent`` did before it read only nonzero residues.
 """
 
 import argparse
 import itertools
 
 from milnor import magnus
+from milnor.classify import Verdict
 from milnor.diagram import OVER, UNDER, Diagram, DiagramError
 from milnor.invariants import evaluate
 from milnor.pdfile import _decoded, _int, to_pd_json
@@ -41,6 +44,18 @@ def link_homotopy_trivial(l):
         if any(evaluate(l, itertools.permutations(range(1, l.n + 1), k)).values()):
             return False
     return True
+
+
+def selfdelta_equivalent(a, b):
+    """The self-delta verdict from two repetition-2 tables through length 2n:
+    both hypotheses holding, yes iff the length-2n values agree; otherwise
+    no when some residue differs and undecided when none does."""
+    n = a.n
+    tables = [a.entries, b.entries]
+    if all(r.is_zero() for t in tables for i, r in t.items() if len(i) < 2 * n):
+        top = [{i: r for i, r in t.items() if len(i) == 2 * n} for t in tables]
+        return Verdict.YES if top[0] == top[1] else Verdict.NO
+    return Verdict.NO if tables[0] != tables[1] else Verdict.UNDECIDED
 
 
 def canonical_form(d):

@@ -6,7 +6,9 @@ exact residue equality.  Stated runtime bounds are asserted where given.
 
 import itertools
 import random
+import runpy
 import time
+from pathlib import Path
 
 import oracles
 import pytest
@@ -63,19 +65,11 @@ def report(num, label):
 
 
 def corpus_links():
-    out = [
-        ("trivial2", trivial_link(2)),
-        ("trivial3", trivial_link(3)),
-        ("hopf", closure(from_braid(2, [1, 1]))),
-        ("whitehead", whitehead_link()),
-        ("milnor3", milnor_link(3)),
-    ]
-    for n in (2, 3):
-        for m in range(n + 1, 2 * n + 1):
-            for tau in selfdelta_generator_indices(n, m):
-                name = f"vtau-{n}-{''.join(map(str, tau.values))}k{tau.k}"
-                out.append((name, closure(surjection_generator(tau))))
-    return out
+    """The reference corpus of scripts/generate_corpus.py on at most 3
+    components, as (name, link) pairs."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "generate_corpus.py"
+    corpus = runpy.run_path(str(script))["corpus"]()
+    return [(name, l) for name, l in corpus.items() if l.n <= 3]
 
 
 @report(1, "milnor link table")

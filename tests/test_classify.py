@@ -7,10 +7,12 @@ from pathlib import Path
 
 import oracles
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from milnor import invariants
 from milnor.classify import (
     BrunnianForm,
+    SelfDeltaVector,
     Verdict,
     brunnian_representative,
     cabling_cross_check,
@@ -401,6 +403,61 @@ def generator_closures(draw):
     return closure(stack_all([surjection_generator(t, e) for t, e in factors]))
 
 
+def selfdelta_product(n, factors):
+    """The closed product of clasps ``(i, j)`` and doubled generators, each
+    to its exponent."""
+    parts = [
+        surjection_generator(f, e)
+        if isinstance(f, Surjection)
+        else power(from_braid(n, clasp_word(*f, 1)), e)
+        for f, e in factors
+    ]
+    return closure(stack_all(parts, n))
+
+
+@st.composite
+def selfdelta_pairs(draw):
+    """Factors of two closed products on n = 2 or 3 components: clasps and
+    doubled generators to exponents +-1 and +-2, and either the same factors
+    reordered, the factors with one exponent changed, or other factors."""
+    n = draw(st.sampled_from([2, 3]))
+    every = [t for m in range(n + 1, 2 * n + 1) for k in range(1, n + 1) for t in surjections(m, k, n)]
+    pair = st.integers(1, n - 1).flatmap(lambda i: st.tuples(st.just(i), st.integers(i + 1, n)))
+    factor = st.tuples(st.one_of(pair, st.sampled_from(every)), st.sampled_from([-2, -1, 1, 2]))
+    factors = draw(st.lists(factor, min_size=1, max_size=3))
+    kind = draw(st.sampled_from(["reordered", "changed", "other"]))
+    if kind == "reordered":
+        others = draw(st.permutations(factors))
+    elif kind == "changed":
+        at = draw(st.integers(0, len(factors) - 1))
+        e = draw(st.sampled_from([e for e in (-2, -1, 1, 2) if e != factors[at][1]]))
+        others = factors[:at] + [(factors[at][0], e)] + factors[at + 1 :]
+    else:
+        others = draw(st.lists(factor, min_size=1, max_size=3))
+    return n, factors, others
+
+
+# a linking number of 2: the length-3 residues of both links have modulus 2
+MODULUS_TWO = (2, [((1, 2), 2)], [((1, 2), 2), (Surjection(2, 2, (1, 1)), 1)])
+
+
+class TestSelfDeltaVerdicts:
+    @settings(max_examples=50, deadline=None)
+    @example(MODULUS_TWO)
+    @given(selfdelta_pairs())
+    def test_equivalent_matches_the_table_comparison(self, pairs):
+        n, factors, others = pairs
+        a, b = (invariants.table(selfdelta_product(n, f), 2 * n, 2) for f in (factors, others))
+        verdict = SelfDeltaVector(a).equivalent(SelfDeltaVector(b))
+        assert verdict is oracles.selfdelta_equivalent(a, b)
+
+    def test_the_example_reaches_modulus_two(self):
+        n, factors, others = MODULUS_TWO
+        for l in (selfdelta_product(n, factors), selfdelta_product(n, others)):
+            moduli = {r.modulus for r in invariants.table(l, 2 * n, 2).entries.values()}
+            assert max(moduli) == 2, moduli
+
+
 class TestBrunnian:
     # Under the hypothesis every value shorter than 2n is 0 with modulus 0.
     # Every one-entry deletion of an index with repetition at most 2 has
@@ -409,9 +466,10 @@ class TestBrunnian:
     @settings(max_examples=30, deadline=None)
     @given(generator_closures())
     def test_no_indeterminacy_under_the_hypothesis(self, l):
-        vec = selfdelta_vector(l)
+        table = invariants.table(l, 2 * l.n, 2)
+        vec = SelfDeltaVector(table)  # what selfdelta_vector(l) holds
         if vec.hypothesis_ok:
-            assert all(r.modulus == 0 for r in vec.table.entries.values())
+            assert all(r.modulus == 0 for r in table.entries.values())
             assert all(r.modulus == 0 for r in vec.entries.values())
 
     def test_trivial(self):

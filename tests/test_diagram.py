@@ -4,6 +4,7 @@ import gc
 import itertools
 import json
 import random
+import runpy
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -31,7 +32,6 @@ from milnor.diagram import (
 from milnor.classify import (
     HomotopyNormalForm,
     injection_generator,
-    milnor_link,
     surjection_generator,
     whitehead_link,
 )
@@ -40,7 +40,6 @@ from milnor.multiindex import (
     Injection,
     Surjection,
     all_injections,
-    selfdelta_generator_indices,
 )
 from milnor.pdfile import load_diagram, parse_pd, to_pd_json
 from milnor.tangles import (
@@ -63,7 +62,13 @@ def oracle_linking(d, i, j):
     return total // 2
 
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+
+def corpus():
+    """The links ``scripts/generate_corpus.py`` writes, by name."""
+    return runpy.run_path(str(ROOT / "scripts" / "generate_corpus.py"))["corpus"]()
 
 
 def names_read_on_diagram():
@@ -844,24 +849,6 @@ def mutated(data, draw):
         where, key = draw(st.sampled_from(numbers))
         where[key] = True if change == "true" else float(where[key])
     return data
-
-
-def corpus():
-    """The links ``scripts/generate_corpus.py`` writes, by name."""
-    items = {
-        "trivial2": trivial_link(2),
-        "trivial3": trivial_link(3),
-        "hopf": closure(from_braid(2, [1, 1])),
-        "whitehead": whitehead_link(),
-        "milnor3": milnor_link(3),
-        "milnor4": milnor_link(4),
-    }
-    for n in (2, 3):
-        for m in range(n + 1, 2 * n + 1):
-            for tau in selfdelta_generator_indices(n, m):
-                name = f"vtau_n{n}_{''.join(map(str, tau.values))}_k{tau.k}"
-                items[name] = closure(surjection_generator(tau))
-    return items
 
 
 def products(n, shape, seed):

@@ -178,7 +178,7 @@ class TestTable:
 
     def test_filters_and_order(self):
         t = table(hopf(), 3, 2)
-        indices = [i for i, _ in t.rows()]
+        indices = [i for i, _ in t.entries.items()]
         assert indices == sorted(indices, key=lambda i: (len(i), i))
         assert all(len(i) <= 3 for i in indices)
         t1 = table(hopf(), 3, 1)
@@ -187,7 +187,7 @@ class TestTable:
     def test_matches_single_queries(self):
         b = borromean()
         t = table(b, 3, 2)
-        for index, r in t.rows():
+        for index, r in t.entries.items():
             assert r == mu_bar(b, index)
 
     def test_json_shape(self):

@@ -2,7 +2,8 @@
 diagram file the corpus script writes loads, evaluates and is written back
 byte for byte.  The benchmark's trace harness runs a classify pair of each
 mode, and every name it wraps exists.  The at-scale benchmark script keeps
-each op's exit code and stdout digest."""
+each op's exit code and stdout digest, and writes a file no earlier run
+wrote."""
 
 import ast
 import hashlib
@@ -119,12 +120,17 @@ def test_trace_harness_names_exist():
             obj = getattr(obj, attr)
 
 
-def test_bench_records_each_op_from_wait4():
-    # scripts/bench.py runs an op as fresh CLI processes under the memory
-    # cap and keeps its exit code and stdout digest, the same on every run
+def _bench():
     spec = importlib.util.spec_from_file_location("bench", SCRIPTS / "bench.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_bench_records_each_op_from_wait4():
+    # scripts/bench.py runs an op as fresh CLI processes under the memory
+    # cap and keeps its exit code and stdout digest, the same on every run
+    bench = _bench()
     (rec,) = bench.measure([("trivial-2", ["generate", "trivial", "2"], 2)], ROOT)
     d = trivial_link(2)
     d.name = "trivial-2"
@@ -132,3 +138,12 @@ def test_bench_records_each_op_from_wait4():
     assert rec["repeats"] == 2 and rec["exit"] == 0
     assert rec["stdout_sha256"] == hashlib.sha256((text + "\n").encode()).hexdigest()
     assert rec["cpu_s_min"] > 0 and rec["peak_rss_mb"] > 0
+
+
+def test_bench_writes_the_next_file(tmp_path):
+    # a re-run without --out leaves the files of earlier runs alone
+    bench = _bench()
+    assert bench.next_out(tmp_path) == tmp_path / "BENCH_1.json"
+    (tmp_path / "BENCH_1.json").write_text("{}\n", encoding="utf-8")
+    assert bench.next_out(tmp_path) == tmp_path / "BENCH_2.json"
+    assert not bench.next_out(ROOT).exists()
