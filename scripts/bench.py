@@ -9,7 +9,8 @@ The inputs are built from fixed seeds by the checkout under test (``--root``,
 by default the one holding this script) into a temporary directory; their
 digests are recorded, so two files made from the same inputs say so.  The
 build runs in a child (``--inputs DIR`` writes them and prints their facts
-and ops as JSON): a forked child's peak RSS counts the anonymous pages of
+and ops as JSON), whose wall and CPU time the file records as
+``inputs_build``: a forked child's peak RSS counts the anonymous pages of
 the process that forked it, so the timing process holds no diagram and no
 op's output, and the file records its own peak.  Each
 op runs as ``python -m milnor.cli`` under a 2 GiB ``RLIMIT_AS`` set on the
@@ -143,6 +144,21 @@ def build_inputs(work: Path) -> tuple[dict, list]:
     return facts, [(op, argv, BIG_REPEATS if big else REPEATS) for op, argv, big in ops]
 
 
+def build_in_child(work: Path, root: Path) -> dict:
+    """Build the inputs into ``work`` in a child (``--inputs``); what it
+    prints, plus its wall and CPU (user + sys) time as ``inputs_build``."""
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--inputs", str(work), "--root", str(root)]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, env=_env(root), check=True, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+    built = json.loads(proc.stdout)
+    built["inputs_build"] = {"wall_s": round(wall, 3), "cpu_s": round(cpu, 3)}
+    return built
+
+
 def measure(ops, root: Path) -> list:
     """Run the ops in passes, each op once per pass while it has repeats
     left, so that a slow spell of the machine costs one run of several ops
@@ -213,9 +229,7 @@ def main(argv=None) -> int:
         print(json.dumps({"numpy": numpy.__version__, "inputs": facts, "ops": ops}))
         return 0
     with tempfile.TemporaryDirectory() as tmp:
-        cmd = [sys.executable, str(Path(__file__).resolve()), "--inputs", tmp, "--root", str(root)]
-        built = json.loads(subprocess.run(cmd, env=_env(root), check=True,
-                                          capture_output=True, text=True).stdout)
+        built = build_in_child(Path(tmp), root)
         records = measure(built["ops"], root)
     report = {
         "about": (
@@ -232,6 +246,7 @@ def main(argv=None) -> int:
         },
         "memory_cap_bytes": MEMORY_CAP,
         "inputs": built["inputs"],
+        "inputs_build": built["inputs_build"],
         "ops": records,
         "tier1": tier1(root),
         # a forked op's peak counts the anonymous pages this process holds at

@@ -66,7 +66,7 @@ def injections(k: int, n: int) -> list[Injection]:
     for image in itertools.combinations(range(1, n + 1), k):
         head, top = image[: k - 2], image[k - 2 :]
         for prefix in itertools.permutations(head):
-            out.append(Injection(n, prefix + top))
+            out.append(Injection._make((n, prefix + top)))
     out.sort(key=lambda p: p.values)
     return out
 
@@ -116,23 +116,21 @@ class Surjection(namedtuple("Surjection", "n k values")):
 
 
 def surjections(m: int, k: int, n: int) -> list[Surjection]:
-    """All qualifying surjections for (m, k, n), lexicographically.
+    """All qualifying surjections for (m, k, n), lexicographically: every
+    distinct ordering of each value but k once plus m-1-n values below k
+    twice.
 
-    Empty when k < m - n: the excluded component forces too many doubled
-    values otherwise.
+    Empty when k < m - n: fewer than m-1-n values lie below k.
     """
     if not n < m <= 2 * n:
         raise ValueError(f"m={m} out of range ({n}, {2 * n}]")
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range 1..{n}")
-    pool = sorted(set(range(1, n + 1)) - {k})
-    out = []
-    for values in itertools.product(pool, repeat=m - 2):
-        try:
-            out.append(Surjection(n, k, values))
-        except ValueError:
-            continue
-    return out
+    once = tuple(v for v in range(1, n + 1) if v != k)
+    orders = set()
+    for twice in itertools.combinations(range(1, k), m - 1 - n):
+        orders.update(itertools.permutations(once + twice))
+    return [Surjection._make((n, k, values)) for values in sorted(orders)]
 
 
 def palindromic_surjections(m: int, k: int, n: int) -> list[Surjection]:

@@ -11,18 +11,15 @@ import time
 from pathlib import Path
 
 import oracles
-import pytest
 
 from milnor import invariants, wirtinger
 from milnor.classify import (
-    brunnian_representative,
     cabling_cross_check,
     homotopy_normal_form,
     injection_generator,
     link_homotopy_trivial,
     milnor_link,
     selfdelta_trivial,
-    selfdelta_vector,
     surjection_generator,
     whitehead_link,
 )
@@ -33,7 +30,6 @@ from milnor.diagram import (
     stack,
     stack_all,
     trivial_link,
-    trivial_string_link,
 )
 from milnor.freegroup import Word
 from milnor.invariants import Residue, mu, mu_bar, table

@@ -11,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from milnor import invariants
 from milnor.classify import (
-    BrunnianForm,
     SelfDeltaVector,
     Verdict,
     brunnian_representative,

@@ -20,13 +20,11 @@ from milnor.diagram import (
     closure,
     reduced,
     stack,
-    stack_all,
     trivial_link,
     trivial_string_link,
     with_kink,
 )
 from milnor.invariants import (
-    InvariantTable,
     Residue,
     evaluate,
     indeterminacy,

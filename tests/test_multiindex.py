@@ -32,10 +32,11 @@ def brute_injections(k, n):
 
 
 def brute_surjections(m, k, n):
-    """Oracle: filter all tuples by the multiplicity and image conditions."""
+    """Oracle: filter all tuples over {1..n}\\{k} by the multiplicity and
+    image conditions."""
     out = []
     pool = [v for v in range(1, n + 1) if v != k]
-    for vals in itertools.product(range(1, n + 1), repeat=m - 2):
+    for vals in itertools.product(pool, repeat=m - 2):
         if set(vals) != set(pool):
             continue
         if any(vals.count(v) > 2 for v in set(vals)):
@@ -72,7 +73,10 @@ class TestInjections:
     def test_against_brute_force(self):
         for n in range(2, 7):
             for k in range(2, n + 1):
-                assert [p.values for p in injections(k, n)] == brute_injections(k, n)
+                family = injections(k, n)
+                assert [p.values for p in family] == brute_injections(k, n)
+                # built without the constructor's check, each member passes it
+                assert all(Injection(*p) == p for p in family)
 
     def test_top_arity_count(self):
         import math
@@ -116,12 +120,41 @@ class TestSurjections:
         assert (1, 2, 2) in [t.values for t in surjections(5, 3, 3)]
 
     def test_against_brute_force(self):
-        for n in range(2, 5):
-            for m in range(n + 1, 2 * n + 1):
-                for k in range(1, n + 1):
-                    assert [
-                        t.values for t in surjections(m, k, n)
-                    ] == brute_surjections(m, k, n)
+        # every family through n = 4, and the two n = 5 families at k = n
+        # that the Brunnian representative lists
+        cases = [
+            (m, k, n)
+            for n in range(2, 5)
+            for m in range(n + 1, 2 * n + 1)
+            for k in range(1, n + 1)
+        ]
+        for m, k, n in cases + [(9, 5, 5), (10, 5, 5)]:
+            family = surjections(m, k, n)
+            assert [t.values for t in family] == brute_surjections(m, k, n)
+            # built without the constructor's check, each member passes it
+            assert all(Surjection(*t) == t for t in family)
+
+    def test_builds_only_members(self, monkeypatch):
+        # listing constructs each member once and no rejected candidate:
+        # a filter over all 4^8 sequences of the pool would make 65,536
+        seen = []
+        make, new = Surjection._make, Surjection.__new__
+
+        def spy_make(cls, iterable):
+            t = make(iterable)
+            seen.append(t.values)
+            return t
+
+        def spy_new(cls, n, k, values):
+            seen.append(values)
+            return new(cls, n, k, values)
+
+        monkeypatch.setattr(Surjection, "_make", classmethod(spy_make))
+        monkeypatch.setattr(Surjection, "__new__", spy_new)
+        family = surjections(10, 5, 5)
+        monkeypatch.undo()
+        assert len(family) == 2520
+        assert sorted(seen) == [t.values for t in family]
 
     def test_empty_below_threshold(self):
         for n in range(2, 5):

@@ -140,6 +140,15 @@ def test_bench_records_each_op_from_wait4():
     assert rec["cpu_s_min"] > 0 and rec["peak_rss_mb"] > 0
 
 
+def test_bench_records_the_input_build(tmp_path):
+    # the inputs are built in a child, whose wall and CPU time the file keeps
+    bench = _bench()
+    built = bench.build_in_child(tmp_path, ROOT)
+    assert set(built["inputs_build"]) == {"wall_s", "cpu_s"}
+    assert built["inputs_build"]["wall_s"] > 0 and built["inputs_build"]["cpu_s"] > 0
+    assert {f"{name}.json" for name in built["inputs"]} == {p.name for p in tmp_path.iterdir()}
+
+
 def test_bench_writes_the_next_file(tmp_path):
     # a re-run without --out leaves the files of earlier runs alone
     bench = _bench()
