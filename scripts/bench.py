@@ -20,10 +20,13 @@ system CPU and the minimum wall time, the peak RSS over the runs (all three
 from ``wait4``), the exit code and the SHA-256 of standard output; a run
 whose exit code or output differs from the first run's stops the script
 with exit 1.  The tier-1 suite runs once, uncapped, and its wall and CPU
-time are recorded with its summary line.  Nothing is written under
-``src/`` or ``perfbench/``.  Without ``--out`` the file is the first
-``BENCH_<k>.json`` at the root of this script's checkout that does not exist
-yet, so a re-run never overwrites an earlier one.
+time are recorded with its summary line.  Every child runs with
+``PYTHONDONTWRITEBYTECODE=1``, so nothing is written under ``src/`` or
+``perfbench/``.  A peak RSS moves with the directory the package is
+imported from, so the file records the length of the package directory's
+path: files made from paths of one length compare.  Without ``--out`` the
+file is the first ``BENCH_<k>.json`` at the root of this script's checkout
+that does not exist yet, so a re-run never overwrites an earlier one.
 """
 
 from __future__ import annotations
@@ -50,9 +53,12 @@ PRODUCT_SEED = 31
 
 
 def _env(root: Path) -> dict:
+    # every child compiles the package from source and writes no bytecode,
+    # whatever the caller's shell sets
     return dict(
         os.environ,
         PYTHONPATH=str(root / "src"),
+        PYTHONDONTWRITEBYTECODE="1",
         PYTHONHASHSEED="0",
         OMP_NUM_THREADS="1",
         OPENBLAS_NUM_THREADS="1",
@@ -245,6 +251,9 @@ def main(argv=None) -> int:
             "platform": platform.platform(),
         },
         "memory_cap_bytes": MEMORY_CAP,
+        # peaks move with the package's path; its length, not the path, is
+        # kept, so the file names no directory of the machine that made it
+        "package_dir_chars": len(str(root / "src" / "milnor")),
         "inputs": built["inputs"],
         "inputs_build": built["inputs_build"],
         "ops": records,

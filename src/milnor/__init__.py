@@ -2,10 +2,9 @@
 procedures built on them: link-homotopy normal forms for string links and
 self-delta classification for links with vanishing low-order invariants."""
 
-# freegroup, the exact words of the tests and of ``wirtinger``'s word
-# functions, loads on first use, so no CLI command compiles it
-from . import classify, diagram, invariants, magnus, multiindex, pdfile, tangles, wirtinger
-
+# no submodule is imported here, so ``python -m milnor.cli`` compiles cli.py
+# before the engine is held and its own imports load the rest in dependency
+# order; ``from milnor import *`` still loads every module
 __all__ = [
     "classify",
     "diagram",

@@ -59,9 +59,13 @@ def to_pd_json(d: Diagram) -> dict:
     return data
 
 
-def _decoded(data):
-    """data, decoded first when it is JSON text; nesting too deep for the
-    decoder is a DiagramError."""
+def _owned(data):
+    """data as an object the reader may take its tables out of: JSON text
+    decoded, a dict copied shallowly (the caller's tables are only read),
+    anything else as given.  Nesting too deep for the decoder is a
+    DiagramError."""
+    if isinstance(data, dict):
+        return dict(data)
     try:
         return json.loads(data) if isinstance(data, str) else data
     except RecursionError:
@@ -104,16 +108,25 @@ def parse_pd(data) -> Diagram:
     ``row[3]`` (sign -1).  The file must then be ``_layout`` of the result,
     its edges renumbered in walk order, compared field by field.  The
     objects keyed by edges are checked in place and read at ``str(e)``, so
-    the load makes no int-keyed copy of them.
+    the load makes no int-keyed copy of them.  A caller's dict is read,
+    never changed.
     """
-    data = _decoded(data)
+    return _read_pd(_owned(data))
+
+
+def _read_pd(data) -> Diagram:
+    """``parse_pd`` of a dict that the reader owns.  It takes the file's
+    tables out of ``data`` and, once the walks are traced, keeps only their
+    walk positions, so tables that no caller holds (``load_diagram``'s own
+    decode) are freed before the diagram, its layout and the planarity check
+    are built."""
     try:
         n = _int(data["components"])
-        pd = data["pd"]
+        pd = data.pop("pd")
         for row in pd:
             _ints(row)
-        comp_of = _edges(data["component_of_arc"])
-        succ = _edges(data["orientation"])
+        comp_of = _edges(data.pop("component_of_arc"))
+        succ = _edges(data.pop("orientation"))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DiagramError(f"malformed diagram file: {exc}") from None
     kind = data.get("kind", "link")
@@ -132,18 +145,20 @@ def parse_pd(data) -> Diagram:
     if len(least) != n or set(least) != set(range(1, n + 1)):
         raise DiagramError("component labels must be 1..n")
     if closed:
+        ends = []
         starts = [least[c] for c in range(1, n + 1)]
     else:
         try:
-            top, bottom = (_ints(data["endpoints"][k]) for k in ("top", "bottom"))
+            ends = data.pop("endpoints")
+            ends = [_ints(ends[k]) for k in ("top", "bottom")]
         except (KeyError, TypeError, ValueError) as exc:
             raise DiagramError(f"string links need endpoint data: {exc}") from None
-        if len(top) != n:
+        if len(ends[0]) != n:
             raise DiagramError("need one top endpoint per component")
-        for e in top:
+        for e in ends[0]:
             if str(e) not in comp_of:
                 raise DiagramError(f"top endpoint {e} lacks a component")
-        start_of = {comp_of[str(e)]: e for e in top}
+        start_of = {comp_of[str(e)]: e for e in ends[0]}
         if len(start_of) != n:
             raise DiagramError("top endpoints must cover all components")
         starts = [start_of[c] for c in range(1, n + 1)]
@@ -154,6 +169,12 @@ def parse_pd(data) -> Diagram:
             num[e] = len(num) + 1
             e = succ.get(str(e))
         walks.append(range(start, len(num) + 1))
+    # the file in walk positions, None at an untraced edge, and the sizes of
+    # its tables: all that the checks below read of it, each table renumbered
+    # and dropped as soon as the reader is done with it
+    at_comp, edges = [comp_of.get(str(e)) for e in num], len(comp_of)
+    at_ends = [[num.get(e) for e in es] for es in ends]
+    del comp_of, ends
     consumed = {row[0] for row in pd}
     enters = [None] * (len(num) + 1)  # by place; slot 0 takes untraced edges
     signs = []
@@ -166,26 +187,26 @@ def parse_pd(data) -> Diagram:
         enters[num.get(a, 0)], enters[num.get(over, 0)] = (cid, UNDER), (cid, OVER)
         signs.append(sign)
     events = [[enters[j] for j in walk if enters[j]] for walk in walks]
-    del consumed, enters  # the load's memory peak: freed before the layout
+    del consumed, enters
+    at_rows = [num.get(e) for row in pd for e in row]
+    at_succ, arrows = [num.get(succ.get(str(e))) for e in num], len(succ)
+    del pd, succ, num  # freed before the diagram is built
     d = Diagram(n, events, signs, closed=closed, name=data.get("name") or None)
     # the file must be the layout of its walks, up to the names of its edges
     rows, comp, after, first, last = _layout(d)
     unlike = "{} is not the layout of the traced walks".format
-    if any(num.get(e) != j for row, out in zip(pd, rows) for e, j in zip(row, out)):
+    if any(e != j for e, j in zip(at_rows, itertools.chain.from_iterable(rows))):
         raise DiagramError(unlike("pd"))
-    if not len(num) >= len(comp) == len(comp_of) or any(
-        comp_of.get(str(e)) != c for e, c in zip(num, comp)
+    if not len(at_comp) >= len(comp) == edges or any(
+        a != c for a, c in zip(at_comp, comp)
     ):
         raise DiagramError(unlike("component_of_arc"))
-    if len(succ) != len(after) - after.count(None) or any(
-        f is not None and num.get(succ.get(str(e))) != f for e, f in zip(num, after)
+    if arrows != len(after) - after.count(None) or any(
+        f is not None and g != f for g, f in zip(at_succ, after)
     ):
         raise DiagramError(unlike("orientation"))
-    if not closed and any(
-        list(map(num.get, es)) != out for es, out in ((top, first), (bottom, last))
-    ):
+    if any(es != out for es, out in zip(at_ends, (first, last))):
         raise DiagramError(unlike("endpoints"))
-    del num  # the edge numbering, freed before the planarity check
     _check_planar(rows, {} if closed else dict(zip(last, first)))
     return d
 
@@ -237,13 +258,13 @@ def _check_planar(rows, join) -> None:
 
 def load_diagram(data) -> Diagram:
     """Load either a PD file or a braid file."""
-    data = _decoded(data)
+    data = _owned(data)
     if not isinstance(data, dict):
         raise DiagramError("a diagram file holds a JSON object")
     if not isinstance(data.get("name", ""), (str, type(None))):
         raise DiagramError("a diagram name is a string")
     if "pd" in data:
-        return parse_pd(data)
+        return _read_pd(data)
     if "word" in data:
         try:
             strands = _int(data["strands"])

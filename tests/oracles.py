@@ -24,7 +24,7 @@ from milnor import magnus
 from milnor.classify import Verdict
 from milnor.diagram import OVER, UNDER, Diagram, DiagramError
 from milnor.invariants import evaluate
-from milnor.pdfile import _decoded, _int, to_pd_json
+from milnor.pdfile import _int, _owned, to_pd_json
 from milnor.wirtinger import _longitude, _refine, _walk
 
 
@@ -133,7 +133,7 @@ def roundtrip_parse_pd(data) -> Diagram:
     with its edges renumbered in walk order, so that function alone defines
     the layout.
     """
-    data = _decoded(data)
+    data = _owned(data)
     try:
         n = _int(data["components"])
         pd = [list(map(_int, row)) for row in data["pd"]]

@@ -887,10 +887,11 @@ class TestStartup:
 
     def test_no_module_compile_sets_the_import_peak(self):
         """A process running from source, without cached bytecode (as the
-        benchmark's children run), compiles each module it imports, and the
-        largest single compile sets the import's memory peak, not the total.
-        Before ``diagram.py`` (805 lines) was split in three, it compiled at
-        a 2.40 MB peak under tracemalloc, against 1.09 MB for the next
+        benchmark's children run), compiles each module it imports.  Its
+        memory peak is the modules already held plus the compile in
+        progress, so no single compile may dominate it.  Before
+        ``diagram.py`` (805 lines) was split in three, it compiled at a
+        2.40 MB peak under tracemalloc, against 1.09 MB for the next
         largest, ``magnus.py``, on CPython 3.11."""
         for path in sorted((SRC / "milnor").glob("*.py")):
             source = path.read_text(encoding="utf-8")
@@ -903,6 +904,58 @@ class TestStartup:
             finally:
                 tracemalloc.stop()
             assert peak <= 1.25e6, f"{path.name} compiles at {peak / 1e6:.2f} MB"
+
+    def test_cli_compiles_before_the_engine(self, tmp_path):
+        """``import milnor.cli`` from a copy of the source, so that no cached
+        bytecode exists, peaks at about 1.46 MB under tracemalloc on CPython
+        3.11.  ``cli.py``, a 1.11 MB compile, runs first, with no module of
+        the engine held, and the peak is ``pdfile.py``'s compile on top of
+        the modules loaded before it.  When ``milnor/__init__.py`` imported
+        every module, ``cli.py`` compiled last, on 0.53 MB of held modules,
+        and the import peaked at 1.64 MB."""
+        package = tmp_path / "milnor"
+        package.mkdir()
+        for path in (SRC / "milnor").glob("*.py"):
+            (package / path.name).write_bytes(path.read_bytes())
+        code = (
+            "import tracemalloc\n"
+            "tracemalloc.start()\n"
+            "import milnor.cli\n"
+            "print(tracemalloc.get_traced_memory()[1])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(tmp_path), PYTHONDONTWRITEBYTECODE="1"),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert not list(tmp_path.rglob("__pycache__"))
+        peak = int(proc.stdout)
+        assert peak <= 1.5e6, f"import milnor.cli peaks at {peak / 1e6:.2f} MB"
+
+    def test_package_import_loads_no_module(self):
+        # each module loads when it is named; ``from milnor import *`` names
+        # all but the front end through __all__
+        code = (
+            "import sys\n"
+            "import milnor\n"
+            "print(sorted(m for m in sys.modules if m.startswith('milnor.')))\n"
+            "from milnor import *\n"
+            "print(sorted(m for m in sys.modules if m.startswith('milnor.')))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        bare, star = proc.stdout.splitlines()
+        assert bare == "[]"
+        assert star == str([f"milnor.{m}" for m in MODULES if m != "cli"])
 
     def test_no_module_imports_argparse(self):
         for path in sorted((SRC / "milnor").glob("*.py")):

@@ -675,13 +675,33 @@ class TestPDFiles:
 
     def test_load_peak_is_bounded_by_the_text(self):
         # compact JSON as the corpus script writes it; on this file the
-        # round-trip reader peaked at 39 times the text, the integer one at 17
+        # round-trip reader peaked at 39 times the text, the integer one at
+        # 14 while it held the decoded tables through the layout, and at
+        # 9.7 once it drops them for their walk positions (CPython 3.11)
         d = products(5, (2, 2, 2, 1), 1)
         assert d.crossing_count >= 500 and not d.closed
         text = json.dumps(to_pd_json(d), sort_keys=True)
         again, peak = traced_load(text)
         assert canonical_form(again) == canonical_form(d)
-        assert peak <= 30 * len(text), f"{peak / len(text):.1f} times the text"
+        assert peak <= 13 * len(text), f"{peak / len(text):.1f} times the text"
+
+    def test_callers_dict_is_left_alone(self):
+        # the reader takes the tables out of a dict of its own: a caller's
+        # file is read, never changed, whether it is accepted or refused
+        rng = random.Random(16)
+        for d in pd_samples():
+            data = to_pd_json(d)
+            flow = copy.deepcopy(data)
+            key = rng.choice(sorted(flow["orientation"]))
+            flow["orientation"][key] = flow["orientation"][key] + 1
+            for file in (data, renamed(data, rng), flow):
+                before = copy.deepcopy(file)
+                for read in (parse_pd, load_diagram):
+                    try:
+                        read(file)
+                    except DiagramError:
+                        assert file is flow
+                    assert file == before
 
     def test_labels_are_names_not_sizes(self):
         # edges renamed to values from 10**12 upward with gaps: the same

@@ -2,14 +2,15 @@
 diagram file the corpus script writes loads, evaluates and is written back
 byte for byte.  The benchmark's trace harness runs a classify pair of each
 mode, and every name it wraps exists.  The at-scale benchmark script keeps
-each op's exit code and stdout digest, and writes a file no earlier run
-wrote."""
+each op's exit code and stdout digest, writes no bytecode, records the
+length of the package's path, and writes a file no earlier run wrote."""
 
 import ast
 import hashlib
 import importlib
 import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -156,3 +157,32 @@ def test_bench_writes_the_next_file(tmp_path):
     (tmp_path / "BENCH_1.json").write_text("{}\n", encoding="utf-8")
     assert bench.next_out(tmp_path) == tmp_path / "BENCH_2.json"
     assert not bench.next_out(ROOT).exists()
+
+
+def test_bench_children_write_no_bytecode(tmp_path, monkeypatch):
+    # from a shell that lets Python cache bytecode, an op still compiles the
+    # package from source and writes nothing under src/
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    bench = _bench()
+    root = tmp_path / "checkout"
+    shutil.copytree(
+        ROOT / "src" / "milnor", root / "src" / "milnor",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    cmd = [sys.executable, "-m", "milnor.cli", "generate", "trivial", "2"]
+    assert bench.run_child(cmd, root, cap=True)["exit"] == 0
+    assert not list(root.rglob("__pycache__"))
+
+
+def test_bench_records_the_package_path_length(tmp_path, monkeypatch):
+    # a peak depends on the directory the package is imported from, so the
+    # file keeps the length of its path; the timing itself is stubbed out
+    bench = _bench()
+    built = {"numpy": "", "inputs": {}, "ops": [], "inputs_build": {}}
+    monkeypatch.setattr(bench, "build_in_child", lambda work, root: built)
+    monkeypatch.setattr(bench, "measure", lambda ops, root: [])
+    monkeypatch.setattr(bench, "tier1", lambda root: {})
+    out = tmp_path / "BENCH.json"
+    assert bench.main(["--out", str(out)]) == 0
+    recorded = json.loads(out.read_text())["package_dir_chars"]
+    assert recorded == len(str(ROOT / "src" / "milnor"))
