@@ -15,12 +15,14 @@ the process that forked it, so the timing process holds no diagram and no
 op's output, and the file records its own peak.  Each
 op runs as ``python -m milnor.cli`` under a 2 GiB ``RLIMIT_AS`` set on the
 child only, ``REPEATS`` times (``BIG_REPEATS`` for the n = 5 ops), one at a
-time, in passes over all ops.  Per op the file records the minimum user +
-system CPU and the minimum wall time, the peak RSS over the runs (all three
-from ``wait4``), the exit code and the SHA-256 of standard output; a run
-whose exit code or output differs from the first run's stops the script
-with exit 1.  The tier-1 suite runs once, uncapped, and its wall and CPU
-time are recorded with its summary line.  Every child runs with
+time, in passes over all ops.  The first op, ``cli --help``, does no work:
+it is the process floor, the start-up and exit that every op pays.  Per op
+the file records the minimum user + system CPU and the minimum wall time,
+the peak RSS over the runs (all three from ``wait4``), the exit code and
+the SHA-256 of standard output; a run whose exit code or output differs
+from the first run's stops the script with exit 1.  The tier-1 suite runs
+once, uncapped, and its wall and CPU time are recorded with its summary
+line.  Every child runs with
 ``PYTHONDONTWRITEBYTECODE=1``, so nothing is written under ``src/`` or
 ``perfbench/``.  A peak RSS moves with the directory the package is
 imported from, so the file records the length of the package directory's
@@ -136,7 +138,7 @@ def build_inputs(work: Path) -> tuple[dict, list]:
     def path(name):
         return str(work / f"{name}.json")
 
-    ops = []
+    ops = [("cli --help", ["--help"], False)]
     for name in links:
         if name.startswith(("milnor-link", "gen")):
             big = facts[name]["components"] == 5

@@ -9,11 +9,13 @@ of every report and diagram.  Exit codes: 0 success, 1 usage, 2 parse or
 validation failure (a non-integer specification word or an unwritable
 output file among them), 3 hypothesis not met in strict mode, 4 out of
 memory (a ``MemoryError``, or numpy failing to load), 141 when the reader
-closes standard output early (as for a process ended by SIGPIPE).
+closes standard output early (as for a process ended by SIGPIPE).  ``run``
+is the process entry: it ends the process with ``main``'s code.
 """
 
 from __future__ import annotations
 
+import atexit
 import json
 import os
 import re
@@ -312,5 +314,19 @@ def _run(argv) -> int:
     return 4
 
 
+def run() -> None:
+    """Exit with ``main``'s code.  Unless the process is traced, profiled or
+    about to go interactive, it runs the exit handlers, flushes and ends with
+    ``os._exit``: the interpreter's teardown would only free what the
+    operating system reclaims anyway."""
+    code = main()
+    if sys.gettrace() or sys.getprofile() or sys.flags.inspect:
+        sys.exit(code)
+    atexit._run_exitfuncs()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

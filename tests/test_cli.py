@@ -842,6 +842,85 @@ def test_a_closed_pipe_ends_the_cli_quietly():
     assert err == b""
 
 
+def cli_process(*argv, flags=()):
+    """A fresh ``python -m milnor.cli`` process run to its end."""
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "milnor.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+class TestExit:
+    """A CLI process ends through ``cli.run``.  Unless it is traced,
+    profiled or about to go interactive, it runs its exit handlers and skips
+    the interpreter's teardown, so no finalizer runs; its output and exit
+    code are those of ``main``."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["generate", "whitehead"], 0),
+            (["classify", "--homotopy"], 1),
+            (["classify", "--homotopy", "{dir}/missing.json"], 2),
+            (["classify", "--self-delta", "--strict", "{hopf}", "{hopf}"], 3),
+        ],
+    )
+    def test_a_process_ends_as_main_returns(self, capsys, workdir, argv, code):
+        argv = [word.format(**workdir) for word in argv]
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        proc = cli_process(*argv)
+        assert (proc.stdout, proc.stderr, proc.returncode) == (out, err, code)
+
+    # the canary binds what it calls: by the time teardown finalizes it, the
+    # module's globals are gone, and under a tracer open() fails unreported
+    WRAPPER = (
+        "import atexit, os, runpy, sys\n"
+        "log = os.open(sys.argv[1], os.O_WRONLY | os.O_CREAT | os.O_APPEND)\n"
+        "atexit.register(os.write, log, b'handler\\n')\n"
+        "class Canary:\n"
+        "    def __del__(self, write=os.write, log=log):\n"
+        "        write(log, b'finalizer\\n')\n"
+        "canary = Canary()\n"
+        "{setup}\n"
+        "sys.argv = ['milnor', '--help']\n"
+        "runpy.run_module('milnor.cli', run_name='__main__')\n"
+    )
+
+    @pytest.mark.parametrize(
+        "setup, flags, log",
+        [
+            ("", [], "handler\n"),
+            ("sys.settrace(lambda *event: None)", [], "handler\nfinalizer\n"),
+            ("sys.setprofile(lambda *event: None)", [], "handler\nfinalizer\n"),
+            ("", ["-i"], "handler\nfinalizer\n"),
+        ],
+        ids=["plain", "traced", "profiled", "interactive"],
+    )
+    def test_exit_handlers_run_and_teardown_only_when_watched(self, tmp_path, setup, flags, log):
+        path = tmp_path / "log"
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", self.WRAPPER.format(setup=setup), str(path)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            stdin=subprocess.DEVNULL,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.startswith(USAGE)
+        assert path.read_text() == log
+
+    def test_a_profiled_process_prints_its_statistics(self):
+        proc = cli_process("--help", flags=["-m", "cProfile"])
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.startswith(USAGE)
+        assert "function calls" in proc.stdout and "Ordered by" in proc.stdout
+
+
 @pytest.mark.skipif(
     not sys.platform.startswith("linux"), reason="RLIMIT_AS caps the address space on Linux"
 )

@@ -1,7 +1,9 @@
-"""The repository's pytest configuration: a failing hypothesis property is
-reported as one failure and the run goes on, while a deprecation warning
-that a test raises is still an error."""
+"""The repository's configuration.  Under its pytest settings a failing
+hypothesis property is reported as one failure and the run goes on, while a
+deprecation warning that a test raises is still an error; its console
+script is the CLI's process entry."""
 
+import importlib
 import subprocess
 import sys
 import warnings
@@ -41,3 +43,11 @@ def test_a_failing_property_does_not_stop_the_run(tmp_path):
 def test_a_deprecation_warning_is_an_error():
     with pytest.raises(DeprecationWarning):
         warnings.warn("gone", DeprecationWarning)
+
+
+def test_the_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    module, _, name = project["scripts"]["milnor"].partition(":")
+    assert (module, name) == ("milnor.cli", "run")
+    assert callable(getattr(importlib.import_module(module), name))

@@ -148,6 +148,8 @@ def test_bench_records_the_input_build(tmp_path):
     assert set(built["inputs_build"]) == {"wall_s", "cpu_s"}
     assert built["inputs_build"]["wall_s"] > 0 and built["inputs_build"]["cpu_s"] > 0
     assert {f"{name}.json" for name in built["inputs"]} == {p.name for p in tmp_path.iterdir()}
+    # the first op does no work, so the file shows what every op pays
+    assert built["ops"][0] == ["cli --help", ["--help"], bench.REPEATS]
 
 
 def test_bench_writes_the_next_file(tmp_path):
