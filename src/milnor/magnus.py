@@ -12,9 +12,12 @@ of all monomials of degree at most q; a batch of queries needs only the
 factor closure of its own monomials.
 
 A series is one flat coefficient vector over its basis.  The basis
-tabulates, degree by degree, the inner splits w = uv (u and v both nonempty)
-of every monomial, as pairs of positions; ``Basis.inner`` sums the products
-over those of one degree.  Every series operation is one graded recursion
+tabulates, degree by degree from 2, the inner splits w = uv (u and v both
+nonempty) of every monomial, as two position lists; ``Basis.inner`` sums
+the products over those of one degree.  Degree 1 has no inner split, so no
+operation sums there: a product or quotient writes it directly, and the
+meridian walk starts every arc at its generator 1 + X_c
+(``meridian_rows``).  Every series operation is one graded recursion
 on that step: a product x y is solved degree by degree from
 out[w] = x0 y[w] + x[w] y0 + s(x, y)[w], a right quotient p / o from the
 same identity read for q in q o = p, the inverse is the quotient 1 / o, and
@@ -22,23 +25,24 @@ the meridian walk of ``wirtinger`` solves its conjugations the same way.
 The basis picks one of two kernels from its split count (every split,
 len(w) + 1 per monomial):
 
-* below ``NUMPY_SPLITS`` splits the vector is a list of Python integers, the
-  gathers are prebuilt ``operator.itemgetter``s and each monomial's d - 1
-  consecutive products are summed.  Python integers are exact, so no guard
-  is needed, and numpy is never imported;
-* from ``NUMPY_SPLITS`` on the vector is an int64 array and a degree's sums
-  are one gather, multiply and reshaped row sum.  Exactness rests on one
-  rule, ``fits``: before each int64 step (a product, a quotient's degree, a
-  degree of the meridian walk) every value it computes is bounded in
-  floating point from norms taken by ``norms``, and past 2**60 the step and
-  everything after it run with Python-integer (object) dtype instead.
+* below ``NUMPY_SPLITS`` splits the vector is a list of Python integers,
+  a degree's products are one comprehension over its position lists and
+  each monomial's d - 1 consecutive products are summed.  Python integers
+  are exact, so no guard is needed, and numpy is never imported;
+* from ``NUMPY_SPLITS`` on the vector is an int64 array, the position lists
+  are ``np.intp`` arrays and a degree's sums are one gather, multiply and
+  reshaped row sum.  Exactness rests on one rule, ``fits``: before each
+  int64 step (a product, a quotient's degree, a degree of the meridian
+  walk) every value it computes is bounded in floating point from norms
+  taken by ``norms``, and past 2**60 the step and everything after it run
+  with Python-integer (object) dtype instead.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from operator import add, itemgetter, mul, sub
+from operator import add, sub
 
 _GUARD = float(2**60)
 # Split count from which a basis uses the numpy kernel: every split is
@@ -96,22 +100,6 @@ def widen(x):
     return x.astype(object)
 
 
-def unit_rows(basis: "Basis", count: int):
-    """count coefficient vectors of the unit series on basis's kernel: a
-    list of lists, or the rows of one int64 matrix."""
-    x = unit(basis).x
-    return [x[:] for _ in range(count)] if basis.small else np.tile(x, (count, 1))
-
-
-def _gather(positions):
-    """A function mapping a sequence to the tuple of its items at the given
-    positions; ``itemgetter`` alone returns a bare item for one position and
-    takes no empty list."""
-    if len(positions) <= 1:
-        return lambda s: tuple(s[i] for i in positions)
-    return itemgetter(*positions)
-
-
 class Basis:
     """A factor-closed monomial set in X_1..X_n, sorted by (degree, lex).
 
@@ -120,9 +108,9 @@ class Basis:
     splits w = uv of every monomial, len(w) + 1 each; below
     ``NUMPY_SPLITS`` of them ``small`` is true and coefficient vectors are
     Python lists, otherwise numpy arrays.  Only the inner splits (u and v
-    both nonempty) are tabulated, d - 1 per degree-d monomial, one table per
-    degree: ``inner`` sums over one of them, the step of every series
-    operation.
+    both nonempty) are tabulated, d - 1 per degree-d monomial, as one pair
+    of position lists per degree from 2 (degree 1 has none): ``inner`` sums
+    over one of them, the step of every series operation.
     """
 
     __slots__ = ("n", "q", "words", "pos", "bounds", "splits", "small", "_inner")
@@ -149,8 +137,8 @@ class Basis:
         self.splits = sum(degrees) + len(words)
         self.small = self.splits < NUMPY_SPLITS
         # the positions of u and v over the inner splits w = uv of each
-        # degree's monomials, in basis order
-        self._inner = []
+        # degree's monomials, in basis order, keyed by the degree
+        self._inner = {}
         for d in range(2, q + 1):
             layer = words[bounds[d] : bounds[d + 1]]
             try:
@@ -158,32 +146,29 @@ class Basis:
                 right = [pos[w[k:]] for w in layer for k in range(1, d)]
             except KeyError as exc:
                 raise ValueError(f"monomial set is not factor-closed: {exc}") from None
-            if self.small:
-                self._inner.append((_gather(left), _gather(right)))
-            else:
+            if not self.small:
                 np = _numpy()
-                self._inner.append((np.array(left, np.intp), np.array(right, np.intp)))
+                left, right = np.array(left, np.intp), np.array(right, np.intp)
+            self._inner[d] = left, right
 
     def inner(self, d: int, x, y, acc, sign: int = 1):
-        """acc + sign * s over the monomials of degree d, where s sums
+        """acc + sign * s over the monomials of degree d >= 2, where s sums
         x[u] y[v] over each monomial's d - 1 inner splits w = uv (u and v
         nonempty); acc is a degree-d slice, or on the Python kernel any
-        iterable of one.
+        iterable of one.  Degree 1 has no inner splits and no table, so a
+        call at d = 1 raises ``KeyError``.
 
         Only degrees 1..d-1 of x and y are read, so a recursion that solves
         degree d from lower degrees can call it on the vectors it is
         filling.  Every argument is a coefficient vector or slice of this
         basis's kernel; the result is a new list or array.
         """
-        if d == 1:  # no inner splits
-            return list(acc) if self.small else acc.copy()
+        left, right = self._inner[d]
         if self.small:
-            gather_left, gather_right = self._inner[d - 2]
-            terms = map(mul, gather_left(x), gather_right(y))
+            terms = iter([x[i] * y[j] for i, j in zip(left, right)])
             # each monomial's d - 1 consecutive terms, summed
             sums = terms if d == 2 else map(sum, zip(*[terms] * (d - 1)))
             return list(map(add if sign > 0 else sub, acc, sums))
-        left, right = self._inner[d - 2]
         sums = (x[left] * y[right]).reshape(-1, d - 1).sum(axis=1)
         return acc + sums if sign > 0 else acc - sums
 
@@ -334,10 +319,11 @@ class Series:
             # nonempty, whose v differ and whose u are shorter than w
             if is_int64(q) and not fits(self._l1_peak()[1], other._l1_peak()[0] - 1, peak):
                 p, o, q = widen(p), widen(o), widen(q)
-            # o0 (p[w] - q0 o[w]), the split with u empty, since o0 q0 = p0
+            # o0 (p[w] - q0 o[w]), the split with u empty, since o0 q0 = p0;
+            # degree 1 has no other split
             left, right = _scaled(c0, p[lo:hi]), _scaled(p0, o[lo:hi])
             acc = map(sub, left, right) if b.small else left - right
-            q[lo:hi] = b.inner(d, q, o, acc, -c0)
+            q[lo:hi] = b.inner(d, q, o, acc, -c0) if d > 1 else acc
             if is_int64(q):
                 peak = max(peak, norms(q, lo, hi)[1])
         return Series(b, q)
@@ -407,6 +393,14 @@ def generator_series(j: int, sign: int, basis: Basis) -> Series:
             break
         s.x[i] = sign**d
     return s
+
+
+def meridian_rows(basis: Basis, comps):
+    """The coefficient vectors of 1 + X_c for each c of comps, in order, on
+    basis's kernel: a list of lists, or the rows of one int64 matrix."""
+    gens = {c: generator_series(c, 1, basis).x for c in set(comps)}
+    rows = [gens[c][:] for c in comps]
+    return rows if basis.small else np.array(rows)
 
 
 def expand(word: Word, q: int) -> Series:

@@ -22,11 +22,12 @@ element with ``*``, ``/`` and ``inverse()``: on free-group words they give
 ``meridian_words`` and ``longitude_word``, exact at every depth, and the
 tests run them on Magnus series as the oracle of the graded walk.
 The invariant engine uses the graded walk ``_graded`` on Magnus series over
-a monomial basis, which it sizes by its query: degree d of every meridian
-depends only on lower degrees of the over-arcs, so one walk per degree fills
-it for every arc.  ``longitude_series(d, comps, basis)`` walks once for a
-batch of components and returns their longitudes; nothing sized by the
-basis is kept on the diagram, so the rows die with the query.
+a monomial basis, which it sizes by its query: every arc of component c
+starts at 1 + X_c, and degree d >= 2 of every meridian depends only on
+lower degrees of the over-arcs, so one walk per degree fills it for every
+arc.  ``longitude_series(d, comps, basis)`` walks once for a batch of
+components and returns their longitudes; nothing sized by the basis is
+kept on the diagram, so the rows die with the query.
 """
 
 from __future__ import annotations
@@ -161,7 +162,10 @@ def _graded(walk: _Walk, basis: magnus.Basis) -> list:
     series of every arc's meridian, in ``walk.arcs`` order, solved degree
     by degree through the basis's top degree.
 
-    At an under-passage with sign +1 the next arc's meridian is
+    No passage changes degree 1: a conjugate of m has m's degree-1 part.
+    So every arc of component comp starts at 1 + X_comp
+    (``magnus.meridian_rows``), and the walk solves degrees 2..q.  At an
+    under-passage with sign +1 the next arc's meridian is
     m' = o^-1 m o, where o is the over-arc's meridian, so o m' = m o; with
     sign -1, m' o = o m.  All constant terms are 1, so degree d of these
     identities reads
@@ -177,21 +181,16 @@ def _graded(walk: _Walk, basis: magnus.Basis) -> list:
     1957).  A base arc's row is 1 + X_comp, so the framing factors of
     ``_longitude`` divide or multiply by x_comp.
     """
-    m = magnus.unit_rows(basis, len(walk.arcs))
-    for comp, arc in walk.bases:
-        i = basis.pos.get((comp,))
-        if i is not None:
-            m[arc][i] = 1
+    m = magnus.meridian_rows(basis, [comp for comp, _ in walk.arcs])
     # the largest row L1 norm and the largest entry over the finished
     # degrees, while the rows are int64
     l1 = peak = 0.0
     bounds, inner = basis.bounds, basis.inner
-    for deg in range(1, basis.q + 1):
+    for deg in range(2, basis.q + 1):
         lo, hi = bounds[deg], bounds[deg + 1]
         if magnus.is_int64(m):
-            if deg > 1:
-                deg_l1, deg_peak = magnus.norms(m, bounds[deg - 1], lo)
-                l1, peak = l1 + deg_l1, max(peak, deg_peak)
+            deg_l1, deg_peak = magnus.norms(m, bounds[deg - 1], lo)
+            l1, peak = l1 + deg_l1, max(peak, deg_peak)
             # each passage adds two inner-split sums, each at most
             # l1 * peak, to a running value that starts at most 1
             if not magnus.fits(1.0, 2 * len(walk.passages) * l1, peak):

@@ -1,10 +1,12 @@
 """Reference implementations and tools that the tests check the engine with.
 
-``longitude_series`` runs the depth-by-depth refinement of
+``meridian_series`` runs the depth-by-depth refinement of
 ``wirtinger._refine`` on Magnus series: after ``depth`` passes the
-meridians, and the longitude multiplied from them, are exact in every degree
-below ``depth`` (Milnor, Isotopy of links, 1957).  It costs ``depth - 1``
-full products per pass, and the graded walk is checked against it.
+meridians, and the longitude ``longitude_series`` multiplies from them,
+are exact in every degree below ``depth`` (Milnor, Isotopy of links, 1957).
+It costs ``depth - 1`` full products per pass, and the graded walk is
+checked against it.
+``shuffles`` lists the interleavings that a shuffle relation sums over.
 ``link_homotopy_trivial`` reads every repetition-free value of a closed link,
 where the engine reads only the ordered injections.  ``roundtrip_parse_pd``
 is the PD reader as it was before it compared files in integers: it builds
@@ -28,12 +30,24 @@ from milnor.pdfile import _int, _owned, to_pd_json
 from milnor.wirtinger import _longitude, _refine, _walk
 
 
+def meridian_series(d, depth, basis):
+    """Every arc's meridian after ``depth`` passes, in ``_walk`` order."""
+    return _refine(_walk(d), depth, lambda c: magnus.generator_series(c, 1, basis))
+
+
 def longitude_series(d, comp, depth, basis):
     """The zero-framed longitude multiplied from the meridians at ``depth``,
     with the framing correction x_comp^(-w) on the left."""
-    walk = _walk(d)
-    rows = _refine(walk, depth, lambda c: magnus.generator_series(c, 1, basis))
-    return _longitude(walk, comp, rows, magnus.unit(basis))
+    rows = meridian_series(d, depth, basis)
+    return _longitude(_walk(d), comp, rows, magnus.unit(basis))
+
+
+def shuffles(i, j):
+    """Every interleaving of i and j, with multiplicity."""
+    m = len(i) + len(j)
+    for places in itertools.combinations(range(m), len(i)):
+        rest_i, rest_j = iter(i), iter(j)
+        yield tuple(next(rest_i) if p in places else next(rest_j) for p in range(m))
 
 
 def link_homotopy_trivial(l):

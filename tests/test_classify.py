@@ -45,6 +45,7 @@ from milnor.multiindex import (
     ascending_surjections,
     injections,
     palindromic_surjections,
+    selfdelta_generator_indices,
     surjections,
 )
 from milnor.tangles import from_braid, tree_tangle
@@ -402,6 +403,20 @@ def generator_closures(draw):
     return closure(stack_all([surjection_generator(t, e) for t, e in factors]))
 
 
+@st.composite
+def full_length_products(draw):
+    """The closure of a product of one to three distinct classifying
+    length-2n doubled generators on n = 2 or 3 components, each to a nonzero
+    exponent: every such product meets the self-delta hypothesis, and has
+    a nonzero length-2n value."""
+    n = draw(st.sampled_from([2, 3]))
+    factor = st.tuples(
+        st.sampled_from(selfdelta_generator_indices(n, 2 * n)), st.sampled_from([-2, -1, 1, 2])
+    )
+    factors = draw(st.lists(factor, min_size=1, max_size=3, unique_by=lambda f: f[0]))
+    return closure(stack_all([surjection_generator(t, e) for t, e in factors], n))
+
+
 def selfdelta_product(n, factors):
     """The closed product of clasps ``(i, j)`` and doubled generators, each
     to its exponent."""
@@ -470,6 +485,32 @@ class TestBrunnian:
         if vec.hypothesis_ok:
             assert all(r.modulus == 0 for r in table.entries.values())
             assert all(r.modulus == 0 for r in vec.entries.values())
+
+    @settings(max_examples=15, deadline=None)
+    @example(whitehead_link())
+    @given(full_length_products())
+    def test_top_layer_is_lie_under_the_hypothesis(self, l):
+        # a longitude's expansion is group-like: for nonempty u and v the
+        # sum of its coefficients over the shuffles of u and v is the
+        # product of those at u and at v.  When uvk is a length-2n index,
+        # uk and vk are shorter ones, whose values vanish under the
+        # hypothesis; so the length-2n values satisfy the shuffle relations
+        # exactly, with no modulus
+        n = l.n
+        table = invariants.table(l, 2 * n, 2)
+        assert SelfDeltaVector(table).hypothesis_ok
+        entries = table.entries
+        relations = {
+            (min(index[:p], index[p:-1]), max(index[:p], index[p:-1]), index[-1])
+            for index in entries
+            if len(index) == 2 * n
+            for p in range(1, 2 * n - 1)
+        }
+        for u, v, k in relations:
+            terms = [entries[w + (k,)] for w in oracles.shuffles(u, v)]
+            assert all(r.modulus == 0 for r in terms)
+            assert sum(r.value for r in terms) == 0, (u, v, k)
+        assert any(entries[index].value for index in entries if len(index) == 2 * n)
 
     def test_trivial(self):
         form = brunnian_representative(trivial_link(2))
@@ -737,8 +778,8 @@ class TestCablingCrossCheck:
         # Surjection(3, 3, (1, 1, 2, 2)): the doubled link has no nonzero
         # repetition-free value below length 6, so the check reads every
         # length k on the closure of its ordered injections' monomials; each
-        # basis is built once, and every degree of every arc's meridian once
-        # on it, two inner-split sums per passage
+        # basis is built once, and every degree from 2 of every arc's
+        # meridian once on it, two inner-split sums per passage
         from milnor import magnus, wirtinger
         from milnor.diagram import reduced
 
@@ -775,7 +816,7 @@ class TestCablingCrossCheck:
         assert [len(b) for b in built] == [6, 16, 42, 88, 130]
         passages = len(wirtinger._walk(reduced(doubled)).passages)
         assert degrees == [
-            (b, d, 2 * passages) for b in want for d in range(1, b.q + 1)
+            (b, d, 2 * passages) for b in want for d in range(2, b.q + 1)
         ]
 
 

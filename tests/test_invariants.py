@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from oracles import repeat_max
+from oracles import repeat_max, shuffles
 
 from milnor.classify import (
     injection_generator,
@@ -547,14 +547,6 @@ def kinked_closed_braids(draw, strands=(2, 3), kinks=(1, 3)):
         at = draw(st.integers(0, len(l.events[comp - 1])))
         l = with_kink(l, comp, draw(st.sampled_from([1, -1])), at)
     return l
-
-
-def shuffles(i, j):
-    """Every interleaving of i and j, with multiplicity."""
-    m = len(i) + len(j)
-    for places in itertools.combinations(range(m), len(i)):
-        rest_i, rest_j = iter(i), iter(j)
-        yield tuple(next(rest_i) if p in places else next(rest_j) for p in range(m))
 
 
 class TestTheorems:

@@ -352,6 +352,18 @@ class TestBasis:
         with pytest.raises(ValueError):
             s * unit(dense(2, 2))
 
+    def test_inner_has_no_degree_one_table(self):
+        # degree 1 has no inner split, so no operation sums there; on both
+        # kernels a call at degree 1, or outside 2..q, finds no table
+        for b in (dense(2, 3), large_basis(2, 3)):
+            x = generator_series(1, 1, b).x
+            lo, hi = b.bounds[2], b.bounds[3]
+            got = list(b.inner(2, x, x, x[lo:hi]))
+            assert got == [int(w == (1, 1)) for w in b.words[lo:hi]]
+            for d in (0, 1, b.q + 1):
+                with pytest.raises(KeyError):
+                    b.inner(d, x, x, x[b.bounds[1] : b.bounds[2]])
+
     def test_generator_series_stops_at_the_basis(self):
         b = closure(2, [(1, 1, 2)])
         assert as_dict(generator_series(1, -1, b)) == {(): 1, (1,): -1, (1, 1): 1}

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from oracles import repeat_max
@@ -45,6 +46,35 @@ def brute_surjections(m, k, n):
             continue
         out.append(vals)
     return sorted(out)
+
+
+def mobius(d):
+    """The Moebius function of a positive integer."""
+    out, p = 1, 2
+    while d > 1:
+        if d % p == 0:
+            d //= p
+            if d % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return out
+
+
+def witt(alpha):
+    """Witt's dimension of the multidegree-alpha part of the free Lie algebra
+    (Witt, 1937): the sum over d dividing every alpha_i of mu(d) times the
+    multinomial (N/d)! / prod (alpha_i/d)!, divided by N = sum alpha_i."""
+    total = sum(alpha)
+    terms = 0
+    for d in range(1, math.gcd(*alpha) + 1):
+        if all(a % d == 0 for a in alpha):
+            multinomial = math.factorial(total // d)
+            for a in alpha:
+                multinomial //= math.factorial(a // d)
+            terms += mobius(d) * multinomial
+    assert terms % total == 0
+    return terms // total
 
 
 class TestRepeatMax:
@@ -244,10 +274,25 @@ class TestFamilies:
             assert len(set(partners)) == len(odd)
 
     def test_even_palindromic_count(self):
-        import math
-
         for n in range(2, 6):
             assert len(palindromic_surjections(2 * n, n, n)) == math.factorial(n - 1)
+
+    def test_generator_count_is_the_lie_rank(self):
+        # the classifying families have one member per independent
+        # length-2n invariant: the multidegree-(2, ..., 2) count of
+        # Habegger-Lin's rank, sum_k W(alpha - e_k) - W(alpha) over Witt's
+        # dimensions W, with alpha = (2, ..., 2)
+        ranks = []
+        for n in range(2, 6):
+            alpha = (2,) * n
+            rank = sum(witt(alpha[:k] + (1,) + alpha[k + 1 :]) for k in range(n))
+            ranks.append(rank - witt(alpha))
+            assert len(selfdelta_generator_indices(n, 2 * n)) == ranks[-1], n
+        assert ranks == [1, 4, 48, 1272]
+        # the multilinear part of the free Lie algebra on n letters has
+        # (n - 1)! dimensions, and x^3 spans no Lie element
+        assert [witt((1,) * n) for n in range(1, 6)] == [1, 1, 2, 6, 24]
+        assert witt((3,)) == 0
 
     def test_generator_listing(self):
         gens = selfdelta_generator_indices(3, 6)

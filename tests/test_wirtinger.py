@@ -225,7 +225,15 @@ def query_bases(draw, n):
 
 
 def assert_matches_oracle(d, basis):
-    """Every longitude on basis equals the oracle's at depth q + 1."""
+    """Every meridian row and longitude on basis equals the oracle's at depth
+    q + 1, and every row's degree-1 part is its component's X_comp: no
+    passage changes degree 1."""
+    walk = wirtinger._walk(d)
+    rows = wirtinger._graded(walk, basis)
+    assert rows == oracles.meridian_series(d, basis.q + 1, basis), (d, basis)
+    for (comp, _), row in zip(walk.arcs, rows):
+        linear = {w: c for w, c in row.monomials() if len(w) == 1}
+        assert linear == ({(comp,): 1} if (comp,) in basis.pos else {})
     series = longitude_series(d, set(range(1, d.n + 1)), basis)
     for comp, got in series.items():
         want = oracles.longitude_series(d, comp, basis.q + 1, basis)
@@ -312,31 +320,32 @@ def values(rows):
 
 class TestGradedOverflowGuard:
     """The int64 walk's guard bounds each degree's inner-split sums and the
-    running sums along a walk.  The degree-1 rows of a positive braid's
-    graded recursion are scaled to c times each arc's generator, and
-    degree 2 is walked on a numpy-kernel basis; the values must equal the
-    same walk on the Python kernel exactly."""
+    running sums along a walk.  The degree-1 parts of a positive braid's
+    meridian rows, which every arc of a component starts with, are scaled
+    to c times the component's generator, and degree 2 is walked on a
+    numpy-kernel basis; the values must equal the same walk on the Python
+    kernel exactly."""
 
     def walk(self, word, c, monkeypatch):
         # twenty variables make degree 2 alone a numpy-kernel split table;
         # X_3..X_20 stay zero
         walk = wirtinger._walk(from_braid(2, word))
-        unit_rows, is_int64 = magnus.unit_rows, magnus.is_int64
+        meridian_rows, is_int64 = magnus.meridian_rows, magnus.is_int64
         fresh = []
 
-        def spy_unit_rows(basis, count):
-            fresh[:] = [unit_rows(basis, count)]
+        def spy_meridian_rows(basis, comps):
+            fresh[:] = [meridian_rows(basis, comps)]
             return fresh[0]
 
         def scaled(m):
-            # the walk asks at the top of each degree, first once the base
-            # arcs are set: meridians of component i start as 1 + c X_i
+            # the walk asks at the top of each degree from 2, first on its
+            # starting rows: every arc of component i starts as 1 + c X_i
             if fresh and m is fresh.pop():
                 for row in m:
                     row[1:3] = [c * v for v in row[1:3]]
             return is_int64(m)
 
-        monkeypatch.setattr(magnus, "unit_rows", spy_unit_rows)
+        monkeypatch.setattr(magnus, "meridian_rows", spy_meridian_rows)
         monkeypatch.setattr(magnus, "is_int64", scaled)
         words = dense(20, 2).words
         fast = wirtinger._graded(walk, Basis(20, words))
