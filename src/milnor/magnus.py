@@ -16,12 +16,12 @@ tabulates, degree by degree from 2, the inner splits w = uv (u and v both
 nonempty) of every monomial, as two position lists; ``Basis.inner`` sums
 the products over those of one degree.  Degree 1 has no inner split, so no
 operation sums there: a product or quotient writes it directly, and the
-meridian walk starts every arc at its generator 1 + X_c
-(``meridian_rows``).  Every series operation is one graded recursion
-on that step: a product x y is solved degree by degree from
-out[w] = x0 y[w] + x[w] y0 + s(x, y)[w], a right quotient p / o from the
-same identity read for q in q o = p, the inverse is the quotient 1 / o, and
-the meridian walk of ``wirtinger`` solves its conjugations the same way.
+meridian walk starts every arc at its generator 1 + X_c.  Every series
+operation is one graded recursion on that step: a product x y is solved
+degree by degree from out[w] = x0 y[w] + x[w] y0 + s(x, y)[w], a right
+quotient p / o from the same identity read for q in q o = p, the inverse
+is the quotient 1 / o, and ``meridian_walk`` solves the conjugations of a
+Wirtinger walk the same way.
 The basis picks one of two kernels from its split count (every split,
 len(w) + 1 per monomial):
 
@@ -47,17 +47,20 @@ from operator import add, sub
 _GUARD = float(2**60)
 # Split count from which a basis uses the numpy kernel: every split is
 # counted (len(w) + 1 per monomial w), though only the inner ones are
-# stored.  Measured on a 2-CPU x86-64 machine, Python 3.11, numpy 2.4, on
-# the graded meridians and longitudes of 3-component links and their
-# 2-cables (23 to 877 reduced crossings): the Python kernel takes 2.3-2.9x
-# numpy's time at 583 and 940 splits, 5-8x at 2,383.  Importing numpy
-# costs 0.145 s of CPU, which below 1024 splits exceeds what numpy saves on
-# every query measured (at most 0.10 s, the 877-crossing cable at 583
-# splits), and at 2,383 splits no longer does (0.54 s saved there).  So
-# every link-homotopy query (at most 141 splits), the r <= 2 table of a
+# stored.  Measured on a 2-CPU x86-64 machine, Python 3.11, numpy 2.4, with
+# both kernels on one word set: ``longitude_series`` of every component of
+# the reduced closure of Surjection(3, 3, (1, 1, 2, 2))'s generator (101
+# crossings) and of its 2-cable (410), minima of 15 calls.  The Python
+# kernel takes 1.4-1.6x numpy's time at 583 and 940 splits, 2.0-2.6x at
+# 961 to 2,005 and 3.1-3.3x at 2,383; numpy saves about 0.1 us per passage
+# and split, 96-101 ms on the cable's walk at 2,383 splits.  Importing
+# numpy costs about 0.125 s of CPU, so on one walk numpy repays its import
+# only from about 1.2 million passages x splits (near 3,000 splits on the
+# cable, 13,000 on the link).  The threshold keeps on Python integers every
+# link-homotopy query (at most 141 splits), the r <= 2 table of a
 # 3-component link (940) and every length of the doubling scan of a
-# 3-component link (at most 587, at length 6) stay on Python integers: no
-# 3-component self-delta report loads numpy.  The r <= 2 table of a
+# 3-component link (at most 587, at length 6), so no 3-component
+# self-delta report loads numpy.  The r <= 2 table of a
 # 4-component link (35,157) and the doubling scan of one from length 5
 # (1,773) use numpy.
 NUMPY_SPLITS = 1024
@@ -395,12 +398,56 @@ def generator_series(j: int, sign: int, basis: Basis) -> Series:
     return s
 
 
-def meridian_rows(basis: Basis, comps):
-    """The coefficient vectors of 1 + X_c for each c of comps, in order, on
-    basis's kernel: a list of lists, or the rows of one int64 matrix."""
+def meridian_walk(basis: Basis, comps, passages) -> list:
+    """The graded meridian recursion of a Wirtinger walk on a basis: the
+    Magnus series of every arc's meridian, solved degree by degree through
+    the basis's top degree.  ``comps`` gives each arc's component, in arc
+    order, and ``passages`` the under-passages that lead to a further arc,
+    as (arc in, arc out, over-arc, sign) in walk order.
+
+    No passage changes degree 1: a conjugate of m has m's degree-1 part.
+    So every arc of component c starts at 1 + X_c, and the walk solves
+    degrees 2..q.  At an under-passage with sign +1 the next arc's meridian
+    is m' = o^-1 m o, where o is the over-arc's meridian, so o m' = m o;
+    with sign -1, m' o = o m.  All constant terms are 1, so degree d of
+    these identities reads
+
+        m'[d] = m[d] + s(m, o)[d] - s(o, m')[d]      (sign +1)
+        m'[d] = m[d] + s(o, m)[d] - s(m', o)[d]      (sign -1)
+
+    where s(x, y)[d] sums x[u] y[v] over the inner splits of each degree-d
+    monomial (``Basis.inner``), which read degrees below d only.  One walk
+    per degree, in walk order, therefore fills degree d of every arc.  The
+    result is the fixed point of the depth-by-depth refinement, which it
+    equals at depth q + 1 (depth stability: Milnor, Isotopy of links,
+    1957).
+    """
     gens = {c: generator_series(c, 1, basis).x for c in set(comps)}
-    rows = [gens[c][:] for c in comps]
-    return rows if basis.small else np.array(rows)
+    m = [gens[c][:] for c in comps]
+    if not basis.small:
+        m = np.array(m)
+    # the largest row L1 norm and the largest entry over the finished
+    # degrees, while the rows are int64
+    l1 = peak = 0.0
+    bounds, inner = basis.bounds, basis.inner
+    for deg in range(2, basis.q + 1):
+        lo, hi = bounds[deg], bounds[deg + 1]
+        if is_int64(m):
+            deg_l1, deg_peak = norms(m, bounds[deg - 1], lo)
+            l1, peak = l1 + deg_l1, max(peak, deg_peak)
+            # each passage adds two inner-split sums, each at most
+            # l1 * peak, to a running value that starts at most 1
+            if not fits(1.0, 2 * len(passages) * l1, peak):
+                m = widen(m)
+        for a, out, o, sign in passages:
+            if sign == 1:
+                step = inner(deg, m[a], m[o], m[a][lo:hi])
+                m[out][lo:hi] = inner(deg, m[o], m[out], step, -1)
+            else:
+                step = inner(deg, m[o], m[a], m[a][lo:hi])
+                m[out][lo:hi] = inner(deg, m[out], m[o], step, -1)
+    # each row wrapped once, so its guard norms are computed once
+    return [Series(basis, row) for row in m]
 
 
 def expand(word: Word, q: int) -> Series:

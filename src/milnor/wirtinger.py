@@ -21,13 +21,13 @@ depth by depth, each pass conjugating by the previous pass's meridians, and
 element with ``*``, ``/`` and ``inverse()``: on free-group words they give
 ``meridian_words`` and ``longitude_word``, exact at every depth, and the
 tests run them on Magnus series as the oracle of the graded walk.
-The invariant engine uses the graded walk ``_graded`` on Magnus series over
-a monomial basis, which it sizes by its query: every arc of component c
-starts at 1 + X_c, and degree d >= 2 of every meridian depends only on
-lower degrees of the over-arcs, so one walk per degree fills it for every
-arc.  ``longitude_series(d, comps, basis)`` walks once for a batch of
-components and returns their longitudes; nothing sized by the basis is
-kept on the diagram, so the rows die with the query.
+The invariant engine solves the meridians on a monomial basis, which it
+sizes by its query, with ``magnus.meridian_walk``, whose docstring derives
+the graded recursion; ``longitude_series(d, comps, basis)`` walks once for
+a batch of components and returns their longitudes.  A base arc's row is
+1 + X_c, so the framing factors of ``_longitude`` divide or multiply by
+x_c.  Nothing sized by the basis is kept on the diagram, so the rows die
+with the query.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ def _longitude(walk: _Walk, comp: int, rows, one):
     """The zero-framed longitude of comp: the identity element one times the
     meridian rows of ``walk.factors[comp]``, divided on the right by the row
     at sign -1.  The rows, in ``walk.arcs`` order, come from ``_refine`` or
-    ``_graded``; the elements need only ``*`` and ``/``."""
+    ``magnus.meridian_walk``; the elements need only ``*`` and ``/``."""
     out = one
     for o, sign in walk.factors[comp]:
         out = out * rows[o] if sign == 1 else out / rows[o]
@@ -157,55 +157,6 @@ def longitude_word(d: Diagram, comp: int, depth: int) -> Word:
     return _longitude(_walk(d), comp, rows, Word(d.n))
 
 
-def _graded(walk: _Walk, basis: magnus.Basis) -> list:
-    """The graded meridian recursion of one walk on one basis: the Magnus
-    series of every arc's meridian, in ``walk.arcs`` order, solved degree
-    by degree through the basis's top degree.
-
-    No passage changes degree 1: a conjugate of m has m's degree-1 part.
-    So every arc of component comp starts at 1 + X_comp
-    (``magnus.meridian_rows``), and the walk solves degrees 2..q.  At an
-    under-passage with sign +1 the next arc's meridian is
-    m' = o^-1 m o, where o is the over-arc's meridian, so o m' = m o; with
-    sign -1, m' o = o m.  All constant terms are 1, so degree d of these
-    identities reads
-
-        m'[d] = m[d] + s(m, o)[d] - s(o, m')[d]      (sign +1)
-        m'[d] = m[d] + s(o, m)[d] - s(m', o)[d]      (sign -1)
-
-    where s(x, y)[d] sums x[u] y[v] over the inner splits of each degree-d
-    monomial (``Basis.inner``), which read degrees below d only.  One walk
-    per degree, in walk order, therefore fills degree d of every arc.  The
-    result is the fixed point of the depth-by-depth refinement, which it
-    equals at depth ``q + 1`` (depth stability: Milnor, Isotopy of links,
-    1957).  A base arc's row is 1 + X_comp, so the framing factors of
-    ``_longitude`` divide or multiply by x_comp.
-    """
-    m = magnus.meridian_rows(basis, [comp for comp, _ in walk.arcs])
-    # the largest row L1 norm and the largest entry over the finished
-    # degrees, while the rows are int64
-    l1 = peak = 0.0
-    bounds, inner = basis.bounds, basis.inner
-    for deg in range(2, basis.q + 1):
-        lo, hi = bounds[deg], bounds[deg + 1]
-        if magnus.is_int64(m):
-            deg_l1, deg_peak = magnus.norms(m, bounds[deg - 1], lo)
-            l1, peak = l1 + deg_l1, max(peak, deg_peak)
-            # each passage adds two inner-split sums, each at most
-            # l1 * peak, to a running value that starts at most 1
-            if not magnus.fits(1.0, 2 * len(walk.passages) * l1, peak):
-                m = magnus.widen(m)
-        for a, out, o, sign in walk.passages:
-            if sign == 1:
-                step = inner(deg, m[a], m[o], m[a][lo:hi])
-                m[out][lo:hi] = inner(deg, m[o], m[out], step, -1)
-            else:
-                step = inner(deg, m[o], m[a], m[a][lo:hi])
-                m[out][lo:hi] = inner(deg, m[out], m[o], step, -1)
-    # each row wrapped once, so its guard norms are computed once
-    return [magnus.Series(basis, row) for row in m]
-
-
 def longitude_series(d: Diagram, comps, basis: magnus.Basis) -> dict[int, magnus.Series]:
     """Magnus expansions of the zero-framed longitudes of the set of
     components comps on a monomial basis, exact in every degree the basis
@@ -215,5 +166,5 @@ def longitude_series(d: Diagram, comps, basis: magnus.Basis) -> dict[int, magnus
         if not 1 <= comp <= d.n:
             raise ValueError(f"component {comp} out of range")
     walk = _walk(d)
-    rows = _graded(walk, basis)
+    rows = magnus.meridian_walk(basis, [comp for comp, _ in walk.arcs], walk.passages)
     return {comp: _longitude(walk, comp, rows, magnus.unit(basis)) for comp in comps}

@@ -86,23 +86,23 @@ def canonical_form(d):
 def spy_graded(monkeypatch, record):
     """Patch the graded walk so that record(d, basis) runs before each walk,
     d being the diagram whose walk table it reads: ``longitude_series``
-    reads the table with ``_walk`` just before it walks on it."""
+    reads the table with ``_walk`` just before it walks its passages."""
     from milnor import wirtinger
 
-    walk, graded, last = wirtinger._walk, wirtinger._graded, []
+    walk, graded, last = wirtinger._walk, magnus.meridian_walk, []
 
     def spy_walk(d):
         last[:] = [d, walk(d)]
         return last[1]
 
-    def spy(table, basis):
+    def spy(basis, comps, passages):
         d, read = last
-        assert read is table
+        assert read.passages is passages
         record(d, basis)
-        return graded(table, basis)
+        return graded(basis, comps, passages)
 
     monkeypatch.setattr(wirtinger, "_walk", spy_walk)
-    monkeypatch.setattr(wirtinger, "_graded", spy)
+    monkeypatch.setattr(magnus, "meridian_walk", spy)
 
 
 def commutator(a, b):

@@ -786,12 +786,12 @@ class TestCablingCrossCheck:
         l = closure(surjection_generator(Surjection(3, 3, (1, 1, 2, 2))))
         doubled = cable(l, [2, 2, 2])
         built, degrees, open_walks = [], [], []
-        graded, inner = wirtinger._graded, magnus.Basis.inner
+        graded, inner = magnus.meridian_walk, magnus.Basis.inner
 
-        def spy_graded(walk, basis):
+        def spy_graded(basis, comps, passages):
             # the degree of each inner-split sum while the walk is open
             open_walks.append([])
-            rows = graded(walk, basis)
+            rows = graded(basis, comps, passages)
             sums = open_walks.pop()
             if basis.n == 6:
                 built.append(basis)
@@ -805,7 +805,7 @@ class TestCablingCrossCheck:
                 open_walks[-1].append(d)
             return inner(basis, d, *args)
 
-        monkeypatch.setattr(wirtinger, "_graded", spy_graded)
+        monkeypatch.setattr(magnus, "meridian_walk", spy_graded)
         monkeypatch.setattr(magnus.Basis, "inner", spy_inner)
         assert not link_homotopy_trivial(doubled)
         want = [

@@ -490,6 +490,12 @@ class TestClassifyCmd:
             main(["classify", "--homotopy", workdir["hopf"], workdir["braid"]]) == 2
         )
 
+    def test_pair_of_closed_links_error(self, capsys, workdir):
+        argv = ["classify", "--homotopy", workdir["hopf"], workdir["trivial2"]]
+        assert main(argv) == 2
+        message = "error: pairwise link-homotopy decisions apply to string links\n"
+        assert capsys.readouterr() == ("", message)
+
 
 class TestGenerateCmd:
     def test_milnor_link_reparses(self, capsys, tmp_path):
@@ -514,8 +520,18 @@ class TestGenerateCmd:
         assert err.startswith(USAGE + "\nmilnor: error: ")
         assert main(["generate", "v-tau", "1,2,2", "--k", "3"]) == 0
 
-    def test_bad_injection(self, capsys):
-        assert main(["generate", "v-pi", "2,1"]) == 2
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["v-pi", "2,1"], "(2, 1): last two values must increase"),
+            (["v-tau", "1,1", "--k", "3"], "(1, 1) is not onto the complement of 3"),
+            (["v-tau", "1,3,3", "--k", "2"], "value 3 > k=2 must be hit exactly once"),
+        ],
+        ids=["v-pi", "v-tau-not-onto", "v-tau-doubled-above-k"],
+    )
+    def test_bad_injection(self, capsys, argv, message):
+        assert main(["generate", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_zero_components_is_not_unset(self, capsys, tmp_path):
         out_path = tmp_path / "g.json"

@@ -113,6 +113,8 @@ class TestMultiply:
             unit(dense(2, 3)) * unit(dense(3, 3))
         with pytest.raises(ValueError):
             unit(dense(2, 3)) * unit(dense(2, 2))
+        with pytest.raises(ValueError, match="series bases differ"):
+            unit(dense(2, 3)) / unit(dense(2, 2))
 
 
 class TestExpand:

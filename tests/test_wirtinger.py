@@ -224,12 +224,17 @@ def query_bases(draw, n):
     return magnus.closure(n, words)
 
 
+def graded(walk, basis):
+    """The meridian rows of the graded walk of a walk table on basis."""
+    return magnus.meridian_walk(basis, [comp for comp, _ in walk.arcs], walk.passages)
+
+
 def assert_matches_oracle(d, basis):
     """Every meridian row and longitude on basis equals the oracle's at depth
     q + 1, and every row's degree-1 part is its component's X_comp: no
     passage changes degree 1."""
     walk = wirtinger._walk(d)
-    rows = wirtinger._graded(walk, basis)
+    rows = graded(walk, basis)
     assert rows == oracles.meridian_series(d, basis.q + 1, basis), (d, basis)
     for (comp, _), row in zip(walk.arcs, rows):
         linear = {w: c for w, c in row.monomials() if len(w) == 1}
@@ -271,7 +276,7 @@ def test_presentation_relations_hold_on_the_graded_rows(d):
     # component's closing one, which holds only in the nilpotent quotient
     p = presentation(d)
     walk = wirtinger._walk(d)
-    m = wirtinger._graded(walk, dense(d.n, 3))
+    m = graded(walk, dense(d.n, 3))
     assert p.arcs == walk.arcs and len(p.relations) == d.crossing_count
     for r in p.relations:
         if d.closed and p.arcs[r.out_arc][1] == 0:
@@ -330,27 +335,20 @@ class TestGradedOverflowGuard:
         # twenty variables make degree 2 alone a numpy-kernel split table;
         # X_3..X_20 stay zero
         walk = wirtinger._walk(from_braid(2, word))
-        meridian_rows, is_int64 = magnus.meridian_rows, magnus.is_int64
-        fresh = []
+        generator_series = magnus.generator_series
 
-        def spy_meridian_rows(basis, comps):
-            fresh[:] = [meridian_rows(basis, comps)]
-            return fresh[0]
+        def scaled(j, sign, basis):
+            # the walk's starting rows: every arc of component j starts as
+            # 1 + c X_j
+            s = generator_series(j, sign, basis)
+            s.x[basis.pos[(j,)]] = c
+            return s
 
-        def scaled(m):
-            # the walk asks at the top of each degree from 2, first on its
-            # starting rows: every arc of component i starts as 1 + c X_i
-            if fresh and m is fresh.pop():
-                for row in m:
-                    row[1:3] = [c * v for v in row[1:3]]
-            return is_int64(m)
-
-        monkeypatch.setattr(magnus, "meridian_rows", spy_meridian_rows)
-        monkeypatch.setattr(magnus, "is_int64", scaled)
+        monkeypatch.setattr(magnus, "generator_series", scaled)
         words = dense(20, 2).words
-        fast = wirtinger._graded(walk, Basis(20, words))
+        fast = graded(walk, Basis(20, words))
         monkeypatch.setattr(magnus, "NUMPY_SPLITS", fast[0].basis.splits + 1)
-        exact = wirtinger._graded(walk, Basis(20, words))
+        exact = graded(walk, Basis(20, words))
         assert not fast[0].basis.small and exact[0].basis.small
         assert values(fast) == values(exact)
         for comp in (1, 2):
@@ -386,9 +384,9 @@ class TestOneExactnessRule:
 
         walk = wirtinger._walk(from_braid(3, [1, 1, 2, 2, -1, -1]))
         words = numpy_basis(3).words
-        fast = wirtinger._graded(walk, Basis(3, words))
+        fast = graded(walk, Basis(3, words))
         monkeypatch.setattr(magnus, "NUMPY_SPLITS", fast[0].basis.splits + 1)
-        exact = wirtinger._graded(walk, Basis(3, words))
+        exact = graded(walk, Basis(3, words))
         monkeypatch.undo()
         assert not fast[0].basis.small and exact[0].basis.small
         # int64 rows of a meridian and the inverse of another as operands
@@ -399,7 +397,7 @@ class TestOneExactnessRule:
         monkeypatch.setattr(magnus, "fits", lambda start, l1, peak: False)
         for got, want in [(a * b, x * y), (a / b, x / y), (b / a, y / x)]:
             assert got.x.dtype == object and got.x.tolist() == want.x
-        fast = wirtinger._graded(walk, Basis(3, words))
+        fast = graded(walk, Basis(3, words))
         assert fast[0].x.dtype == object and values(fast) == values(exact)
         for comp in (1, 2, 3):
             got = graded_longitude(walk, fast, comp)
