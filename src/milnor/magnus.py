@@ -16,12 +16,16 @@ tabulates, degree by degree from 2, the inner splits w = uv (u and v both
 nonempty) of every monomial, as two position lists; ``Basis.inner`` sums
 the products over those of one degree.  Degree 1 has no inner split, so no
 operation sums there: a product or quotient writes it directly, and the
-meridian walk starts every arc at its generator 1 + X_c.  Every series
-operation is one graded recursion on that step: a product x y is solved
-degree by degree from out[w] = x0 y[w] + x[w] y0 + s(x, y)[w], a right
-quotient p / o from the same identity read for q in q o = p, the inverse
-is the quotient 1 / o, and ``meridian_walk`` solves the conjugations of a
-Wirtinger walk the same way.
+meridian walk starts every arc at its generator 1 + X_c.  The Magnus
+expansion maps the free group into the units 1 + I of the series ring
+(Milnor, Isotopy of links, 1957), so every series that is multiplied or
+divided has constant term 1, and a product or quotient refuses any other.
+Every series operation is then one graded recursion on that step: a
+product x y is solved degree by degree from out[w] = x[w] + y[w] +
+s(x, y)[w], a right quotient p / o from q[w] = p[w] - o[w] - s(q, o)[w],
+the same identity read for q in q o = p, the inverse is the quotient
+1 / o, and ``meridian_walk`` solves the conjugations of a Wirtinger walk
+the same way.
 The basis picks one of two kernels from its split count (every split,
 len(w) + 1 per monomial):
 
@@ -266,27 +270,33 @@ class Series:
             return NotImplemented
         return self.basis == other.basis and list(self.x) == list(other.x)
 
+    def _operand_basis(self, other: "Series") -> Basis:
+        """The basis of a product or quotient of self and other.  Both are
+        Magnus-group elements, units 1 + I of the series ring, so they share
+        a basis and have constant term 1."""
+        if self.basis != other.basis:
+            raise ValueError("series bases differ")
+        if self.constant != 1 or other.constant != 1:
+            raise ValueError("series products and quotients need constant term 1")
+        return self.basis
+
     def __mul__(self, other: "Series") -> "Series":
         """The product, solved degree by degree: for w nonempty,
-        out[w] = x0 y[w] + x[w] y0 + s(x, y)[w], where s sums x[u] y[v] over
-        the inner splits w = uv (``Basis.inner``)."""
+        out[w] = x[w] + y[w] + s(x, y)[w], where s sums x[u] y[v] over the
+        inner splits w = uv (``Basis.inner``); both constant terms are 1."""
         if not isinstance(other, Series):
             return NotImplemented
-        b = self.basis
-        if b != other.basis:
-            raise ValueError("series bases differ")
+        b = self._operand_basis(other)
         x, y = self.x, other.x
         # out[w] sums x[u] y[v] over every split w = uv, whose u differ
         if not b.small and not (
             is_int64(x) and is_int64(y) and fits(0.0, self._l1_peak()[0], other._l1_peak()[1])
         ):
             x, y = widen(x), widen(y)
-        x0, y0 = self.constant, other.constant
         # the splits with u or v empty, then every degree's inner splits;
         # degree 1 has none
-        left, right = _scaled(x0, y), _scaled(y0, x)
-        out = list(map(add, left, right)) if b.small else left + right
-        out[0] = x0 * y0
+        out = list(map(add, x, y)) if b.small else x + y
+        out[0] = 1
         for d in range(2, b.q + 1):
             lo, hi = b.bounds[d], b.bounds[d + 1]
             out[lo:hi] = b.inner(d, x, y, out[lo:hi])
@@ -294,46 +304,38 @@ class Series:
 
     def __truediv__(self, other: "Series") -> "Series":
         """The right quotient q with q o = p, where p is self and o is other;
-        requires o's constant term o0 to be +1 or -1.
+        both constant terms are 1, and so is q's.
 
         Solved degree by degree from the product's identity: for w nonempty,
-        q[w] = o0 (p[w] - q0 o[w] - s(q, o)[w]), where s reads only the
-        degrees of q below w's, which are solved already.
+        q[w] = p[w] - o[w] - s(q, o)[w], where s reads only the degrees of q
+        below w's, which are solved already.
         """
         if not isinstance(other, Series):
             return NotImplemented
-        b = self.basis
-        if b != other.basis:
-            raise ValueError("series bases differ")
-        c0 = other.constant
-        if c0 not in (1, -1):
-            raise ValueError("series with constant term != +-1 has no inverse")
+        b = self._operand_basis(other)
         p, o = self.x, other.x
-        p0 = self.constant
-        q0 = c0 * p0
-        q = [0] * len(b) if b.small else np.zeros_like(p)
-        if not b.small and not (is_int64(p) and is_int64(o)):
-            p, o, q = widen(p), widen(o), widen(q)
-        q[0] = q0
-        peak = float(abs(q0))
-        for d in range(1, b.q + 1):
+        # q[w] is p[w] - o[w] less q[u] o[v] over the inner splits w = uv,
+        # whose v differ and whose u are shorter than w; each step asks
+        # ``fits`` with the largest |q[u]| so far, 1 before degree 1 is read
+        peak = 1.0
+        if not b.small and not (
+            is_int64(p) and is_int64(o) and fits(self._l1_peak()[1], other._l1_peak()[0] - 1, peak)
+        ):
+            p, o = widen(p), widen(o)
+        # the ends, p[w] - o[w]; degree 1 has no other split
+        q = list(map(sub, p, o)) if b.small else p - o
+        q[0] = 1
+        for d in range(2, b.q + 1):
             lo, hi = b.bounds[d], b.bounds[d + 1]
-            # o0 q[w] is p[w] less q[u] o[v] over the splits w = uv with v
-            # nonempty, whose v differ and whose u are shorter than w
-            if is_int64(q) and not fits(self._l1_peak()[1], other._l1_peak()[0] - 1, peak):
-                p, o, q = widen(p), widen(o), widen(q)
-            # o0 (p[w] - q0 o[w]), the split with u empty, since o0 q0 = p0;
-            # degree 1 has no other split
-            left, right = _scaled(c0, p[lo:hi]), _scaled(p0, o[lo:hi])
-            acc = map(sub, left, right) if b.small else left - right
-            q[lo:hi] = b.inner(d, q, o, acc, -c0) if d > 1 else acc
             if is_int64(q):
-                peak = max(peak, norms(q, lo, hi)[1])
+                peak = max(peak, norms(q, b.bounds[d - 1], lo)[1])
+                if not fits(self._l1_peak()[1], other._l1_peak()[0] - 1, peak):
+                    q, o = widen(q), widen(o)
+            q[lo:hi] = b.inner(d, q, o, q[lo:hi], -1)
         return Series(b, q)
 
     def inverse(self) -> "Series":
-        """Ring inverse, the quotient 1 / self; requires constant term +1 or
-        -1."""
+        """Group inverse, the quotient 1 / self; requires constant term 1."""
         return unit(self.basis) / self
 
     def monomials(self):
@@ -360,13 +362,6 @@ class Series:
         return text[2:] if text.startswith("+ ") else text
 
     __repr__ = __str__
-
-
-def _scaled(c: int, part):
-    """c times a coefficient slice, the slice itself when c is 1."""
-    if c == 1:
-        return part
-    return [c * v for v in part] if isinstance(part, list) else c * part
 
 
 def _int_array(values):

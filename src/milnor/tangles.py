@@ -81,11 +81,13 @@ def run_slices(n, ops, closed=False, name=None):
             down_leg.down_link = up_leg
         else:
             raise DiagramError(f"unknown op {op!r}")
+    # every max adds one up-flowing leg and every min removes exactly one,
+    # since it joins opposite directions, so a row of n points has none
+    # left; every down-flowing leg gets its down_link at its join or here,
+    # and every up-flowing leg its up_link at birth, so no walk runs off
     if len(row) != len(starts):
         raise DiagramError("program ends with wrong point count")
     for want, leg in enumerate(row, start=1):
-        if leg.direction != 1:
-            raise DiagramError("a strand exits flowing upward")
         leg.down_link = want
     walks, exit_of = {}, {}
     for strand, leg in enumerate(starts, start=1):
@@ -98,8 +100,6 @@ def run_slices(n, ops, closed=False, name=None):
             else:
                 acc.extend(reversed(leg.events))
                 nxt = leg.up_link
-            if nxt is None:
-                raise DiagramError("a strand runs off the diagram")
             if isinstance(nxt, int):
                 break
             leg = nxt
@@ -198,8 +198,6 @@ def commutator_tangle(word: Word, target: int, n: int) -> Diagram:
 
 def _pure_braid_generator(i, j, m):
     """Braid word clasping strands i < j of m, positive linking."""
-    if not 1 <= i < j <= m:
-        raise DiagramError("need 1 <= i < j <= m")
     conj = list(range(j - 1, i, -1))
     return conj + [i, i] + [-g for g in reversed(conj)]
 

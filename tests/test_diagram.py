@@ -514,6 +514,28 @@ class TestSlices:
         with pytest.raises(DiagramError, match="closed loop meets no strand"):
             run_slices(1, [("max", 1, "L"), ("min", 1)], closed=closed)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("x"), st.integers(-1, 5), st.sampled_from("LR")),
+                st.tuples(st.just("max"), st.integers(-1, 5), st.sampled_from("LR")),
+                st.tuples(st.just("min"), st.integers(-1, 5)),
+            ),
+            max_size=10,
+        ),
+        st.booleans(),
+    )
+    def test_every_program_gives_a_diagram_or_a_diagram_error(self, n, ops, closed):
+        # the executor needs no check for a strand that exits flowing up or
+        # runs off the diagram: no program reaches either
+        try:
+            d = run_slices(n, ops, closed=closed)
+        except DiagramError:
+            return
+        assert isinstance(d, Diagram)
+
 
 class TestPDFiles:
     def test_roundtrip_stringlink(self):

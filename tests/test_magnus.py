@@ -1,4 +1,5 @@
 import itertools
+import operator
 
 import numpy as np
 import pytest
@@ -47,15 +48,15 @@ def poly_expand(word, q):
 
 
 def poly_inverse(a, q):
-    """(c0 + N)^-1 = c0 sum_k (-c0 N)^k, truncated beyond degree q."""
-    c0 = a[()]
-    step = {m: -c0 * c for m, c in a.items() if m}
+    """(1 + N)^-1 = sum_k (-N)^k, truncated beyond degree q."""
+    assert a[()] == 1
+    step = {m: -c for m, c in a.items() if m}
     out, term = {(): 1}, {(): 1}
     for _ in range(q):
         term = poly_mul(term, step, q)
         for m, c in term.items():
             out[m] = out.get(m, 0) + c
-    return {m: c0 * c for m, c in out.items() if c}
+    return {m: c for m, c in out.items() if c}
 
 
 def as_dict(series):
@@ -115,6 +116,16 @@ class TestMultiply:
             unit(dense(2, 3)) * unit(dense(2, 2))
         with pytest.raises(ValueError, match="series bases differ"):
             unit(dense(2, 3)) / unit(dense(2, 2))
+        # series are Magnus-group elements: on both kernels, either operand
+        # of a product or quotient with another constant term is refused
+        for basis in (dense(2, 2), large_basis(2, 2)):
+            one = unit(basis)
+            for c in (-1, 2):
+                other = on_basis(basis, {(): c, (1,): 1})
+                for op in (operator.mul, operator.truediv):
+                    for pair in ((one, other), (other, one)):
+                        with pytest.raises(ValueError, match="constant term 1"):
+                            op(*pair)
 
 
 class TestExpand:
@@ -168,6 +179,9 @@ class TestSeriesOps:
     def test_inverse_needs_unit(self):
         with pytest.raises(ValueError):
             Series(dense(2, 2)).inverse()
+        for c in (-1, 2):
+            with pytest.raises(ValueError, match="constant term 1"):
+                on_basis(dense(2, 2), {(): c, (1,): 1}).inverse()
 
     def test_str(self):
         w = commutator(Word(2, (1,)), Word(2, (2,)))
@@ -230,25 +244,37 @@ class TestOverflowGuard:
         assert s * s.inverse() == unit(large_basis(1, 3))
 
     def test_division_leaves_int64_exactly(self):
-        # (1 + cX) / (-1 + cX) = -(1 + 2cX + 2c^2 X^2 + 2c^3 X^3): degree 2
-        # crosses the guard, and the rest is solved on Python integers
+        # (1 + cX) / (1 - cX) = 1 + 2cX + 2c^2 X^2 + 2c^3 X^3: the ends fit,
+        # degree 2 crosses the guard, and the rest is solved on Python
+        # integers
         c = 2**40
         p = on_basis(large_basis(1, 3), {(): 1, (1,): c})
-        o = on_basis(large_basis(1, 3), {(): -1, (1,): c})
+        o = on_basis(large_basis(1, 3), {(): 1, (1,): -c})
         q = p / o
         assert q.x.dtype == object
-        assert as_dict(q) == {(): -1, (1,): -2 * c, (1, 1): -2 * c**2, (1, 1, 1): -2 * c**3}
+        assert as_dict(q) == {(): 1, (1,): 2 * c, (1, 1): 2 * c**2, (1, 1, 1): 2 * c**3}
+        assert q * o == p
+
+    def test_quotient_ends_leave_int64_exactly(self):
+        # q[X1] = p[X1] - o[X1] = 3 * 2**62 wraps in int64, so the ends are
+        # refused before they are written
+        c = 2**62 + 2**61
+        p = on_basis(large_basis(1, 2), {(): 1, (1,): c})
+        o = on_basis(large_basis(1, 2), {(): 1, (1,): -c})
+        q = p / o
+        assert q.coefficient((1,)) == 2 * c
         assert q * o == p
 
     def test_object_dividend_widens_the_divisor(self):
-        # p is a product that left int64, o is int64: q[X1] subtracts
-        # p0 o[X1] = 2**80, which must not be taken in int64
+        # p is a product that left int64, o is int64: q[X1X1] subtracts
+        # q[X1] o[X1], about 2**80, which must not be taken in int64
         basis = large_basis(1, 3)
-        s = on_basis(basis, {(): 2**20, (1,): 2**35})
+        s = on_basis(basis, {(): 1, (1,): 2**35})
         p, o = s * s, on_basis(basis, {(): 1, (1,): 2**40})
         assert p.x.dtype == object and o.x.dtype == np.int64
         q = p / o
-        assert q.coefficient((1,)) == 2**56 - 2**80
+        assert q.coefficient((1,)) == 2**36 - 2**40
+        assert q.coefficient((1, 1)) == 2**70 - (2**36 - 2**40) * 2**40
         assert q * o == p
 
 
@@ -376,8 +402,8 @@ class TestBasis:
 def basis_series(draw):
     """A factor-closed basis (injective words, repetition at most 2, every
     word, or the closure of random words) on either side of NUMPY_SPLITS,
-    with two random series on it, the second with constant term +-1;
-    coefficients sometimes leave int64 range."""
+    with two random series on it, both with constant term 1; coefficients
+    sometimes leave int64 range."""
     if draw(st.booleans()):
         # the numpy kernel: 1,317, 1,529 and 1,593 splits
         n, q, kind = draw(
@@ -408,16 +434,16 @@ def basis_series(draw):
             for _ in range(2)
         ]
     a, b = (dict(zip(basis.words, v)) for v in values)
-    b[()] = draw(st.sampled_from([1, -1]))
+    a[()] = b[()] = 1
     return basis, a, b
 
 
 def near_2_62(basis):
-    """Two series with every coefficient within 2**11 of +-2**62 (bases of at
-    most 682 monomials), the second with constant term -1."""
+    """Two series with constant term 1 and every other coefficient within
+    2**11 of +-2**62 (bases of at most 682 monomials)."""
     a = {w: (-1) ** i * (2**62 - i) for i, w in enumerate(basis.words)}
     b = {w: (-1) ** i * (2**62 - 3 * i) for i, w in enumerate(basis.words)}
-    b[()] = -1
+    a[()] = b[()] = 1
     return basis, a, b
 
 
