@@ -20,12 +20,12 @@ meridian walk starts every arc at its generator 1 + X_c.  The Magnus
 expansion maps the free group into the units 1 + I of the series ring
 (Milnor, Isotopy of links, 1957), so every series that is multiplied or
 divided has constant term 1, and a product or quotient refuses any other.
-Every series operation is then one graded recursion on that step: a
-product x y is solved degree by degree from out[w] = x[w] + y[w] +
-s(x, y)[w], a right quotient p / o from q[w] = p[w] - o[w] - s(q, o)[w],
-the same identity read for q in q o = p, the inverse is the quotient
-1 / o, and ``meridian_walk`` solves the conjugations of a Wirtinger walk
-the same way.
+Every series operation is then one graded recursion on that step.  A
+product p o and a right quotient q (q o = p) are one solve,
+out[w] = p[w] + sign (o[w] + s(l, o)[w]), where s sums l[u] o[v] over the
+inner splits and l is p for the product, out itself for the quotient; the
+inverse is the quotient 1 / o, and ``meridian_walk`` solves the
+conjugations of a Wirtinger walk the same way.
 The basis picks one of two kernels from its split count (every split,
 len(w) + 1 per monomial):
 
@@ -36,10 +36,10 @@ len(w) + 1 per monomial):
 * from ``NUMPY_SPLITS`` on the vector is an int64 array, the position lists
   are ``np.intp`` arrays and a degree's sums are one gather, multiply and
   reshaped row sum.  Exactness rests on one rule, ``fits``: before each
-  int64 step (a product, a quotient's degree, a degree of the meridian
-  walk) every value it computes is bounded in floating point from norms
-  taken by ``norms``, and past 2**60 the step and everything after it run
-  with Python-integer (object) dtype instead.
+  int64 step (a product, a quotient's ends and degrees, a degree of the
+  meridian walk) every value it computes is bounded in floating point from
+  norms taken by ``norms``, and past 2**60 the step and everything after
+  it run with Python-integer (object) dtype instead.
 """
 
 from __future__ import annotations
@@ -270,69 +270,57 @@ class Series:
             return NotImplemented
         return self.basis == other.basis and list(self.x) == list(other.x)
 
-    def _operand_basis(self, other: "Series") -> Basis:
-        """The basis of a product or quotient of self and other.  Both are
-        Magnus-group elements, units 1 + I of the series ring, so they share
-        a basis and have constant term 1."""
-        if self.basis != other.basis:
-            raise ValueError("series bases differ")
-        if self.constant != 1 or other.constant != 1:
-            raise ValueError("series products and quotients need constant term 1")
-        return self.basis
+    def _solve(self, other: "Series", sign: int) -> "Series":
+        """out[w] = p[w] + sign (o[w] + s(l, o)[w]) for w nonempty, where p
+        is self, o is other, out[()] = 1 and s sums l[u] o[v] over the inner
+        splits w = uv (``Basis.inner``).  For sign +1, l is p and out is the
+        product p o; for sign -1, l is out itself, whose degrees below w's are
+        solved already, and out is the right quotient q with q o = p.  Both
+        operands are Magnus-group elements, units 1 + I of the series ring,
+        so they share a basis and have constant term 1.
 
-    def __mul__(self, other: "Series") -> "Series":
-        """The product, solved degree by degree: for w nonempty,
-        out[w] = x[w] + y[w] + s(x, y)[w], where s sums x[u] y[v] over the
-        inner splits w = uv (``Basis.inner``); both constant terms are 1."""
-        if not isinstance(other, Series):
-            return NotImplemented
-        b = self._operand_basis(other)
-        x, y = self.x, other.x
-        # out[w] sums x[u] y[v] over every split w = uv, whose u differ
-        if not b.small and not (
-            is_int64(x) and is_int64(y) and fits(0.0, self._l1_peak()[0], other._l1_peak()[1])
-        ):
-            x, y = widen(x), widen(y)
-        # the splits with u or v empty, then every degree's inner splits;
-        # degree 1 has none
-        out = list(map(add, x, y)) if b.small else x + y
-        out[0] = 1
-        for d in range(2, b.q + 1):
-            lo, hi = b.bounds[d], b.bounds[d + 1]
-            out[lo:hi] = b.inner(d, x, y, out[lo:hi])
-        return Series(b, out)
-
-    def __truediv__(self, other: "Series") -> "Series":
-        """The right quotient q with q o = p, where p is self and o is other;
-        both constant terms are 1, and so is q's.
-
-        Solved degree by degree from the product's identity: for w nonempty,
-        q[w] = p[w] - o[w] - s(q, o)[w], where s reads only the degrees of q
-        below w's, which are solved already.
+        One ``fits`` rule guards every int64 step: the v of a monomial's
+        splits are distinct and o[()] = 1, so |out[w]| <= peak(p) +
+        (L1(o) - 1) max(1, peak(l)).  A product asks it once; a quotient
+        before its ends and before each degree, with the largest |q[u]| so
+        far.
         """
         if not isinstance(other, Series):
             return NotImplemented
-        b = self._operand_basis(other)
+        b = self.basis
+        if b != other.basis:
+            raise ValueError("series bases differ")
+        if self.constant != 1 or other.constant != 1:
+            raise ValueError("series products and quotients need constant term 1")
         p, o = self.x, other.x
-        # q[w] is p[w] - o[w] less q[u] o[v] over the inner splits w = uv,
-        # whose v differ and whose u are shorter than w; each step asks
-        # ``fits`` with the largest |q[u]| so far, 1 before degree 1 is read
-        peak = 1.0
-        if not b.small and not (
-            is_int64(p) and is_int64(o) and fits(self._l1_peak()[1], other._l1_peak()[0] - 1, peak)
-        ):
+        int64 = not b.small and is_int64(p) and is_int64(o)
+        if int64:
+            start, l1 = self._l1_peak()[1], other._l1_peak()[0] - 1
+            peak = start if sign > 0 else 1.0
+        if not (b.small or (int64 and fits(start, l1, peak))):
             p, o = widen(p), widen(o)
-        # the ends, p[w] - o[w]; degree 1 has no other split
-        q = list(map(sub, p, o)) if b.small else p - o
-        q[0] = 1
+        # the ends, where u or v is empty, then every degree's inner
+        # splits; degree 1 has none
+        op = add if sign > 0 else sub
+        out = list(map(op, p, o)) if b.small else op(p, o)
+        out[0] = 1
         for d in range(2, b.q + 1):
             lo, hi = b.bounds[d], b.bounds[d + 1]
-            if is_int64(q):
-                peak = max(peak, norms(q, b.bounds[d - 1], lo)[1])
-                if not fits(self._l1_peak()[1], other._l1_peak()[0] - 1, peak):
-                    q, o = widen(q), widen(o)
-            q[lo:hi] = b.inner(d, q, o, q[lo:hi], -1)
-        return Series(b, q)
+            if sign < 0 and is_int64(out):
+                peak = max(peak, norms(out, b.bounds[d - 1], lo)[1])
+                if not fits(start, l1, peak):
+                    out, o = widen(out), widen(o)
+            out[lo:hi] = b.inner(d, p if sign > 0 else out, o, out[lo:hi], sign)
+        return Series(b, out)
+
+    def __mul__(self, other: "Series") -> "Series":
+        """The product, ``_solve`` with sign +1."""
+        return self._solve(other, 1)
+
+    def __truediv__(self, other: "Series") -> "Series":
+        """The right quotient q with q o = p, where p is self and o is
+        other, ``_solve`` with sign -1."""
+        return self._solve(other, -1)
 
     def inverse(self) -> "Series":
         """Group inverse, the quotient 1 / self; requires constant term 1."""
@@ -378,18 +366,13 @@ def unit(basis: Basis) -> Series:
     return s
 
 
-def generator_series(j: int, sign: int, basis: Basis) -> Series:
-    """1 + X_j for sign +1; 1 - X_j + X_j^2 - ... for -1, on the basis."""
+def generator_series(j: int, basis: Basis) -> Series:
+    """1 + X_j on the basis, or 1 where X_j is outside it."""
     if type(j) is not int or not 1 <= j <= basis.n:
         raise ValueError(f"variable index {j!r} out of range 1..{basis.n}")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     s = unit(basis)
-    for d in range(1, basis.q + 1 if sign == -1 else min(basis.q, 1) + 1):
-        i = basis.pos.get((j,) * d)
-        if i is None:
-            break
-        s.x[i] = sign**d
+    if (j,) in basis.pos:
+        s.x[basis.pos[(j,)]] = 1
     return s
 
 
@@ -417,7 +400,7 @@ def meridian_walk(basis: Basis, comps, passages) -> list:
     equals at depth q + 1 (depth stability: Milnor, Isotopy of links,
     1957).
     """
-    gens = {c: generator_series(c, 1, basis).x for c in set(comps)}
+    gens = {c: generator_series(c, basis).x for c in set(comps)}
     m = [gens[c][:] for c in comps]
     if not basis.small:
         m = np.array(m)
@@ -450,5 +433,6 @@ def expand(word: Word, q: int) -> Series:
     basis = dense(word.rank, q)
     out = unit(basis)
     for x in word.letters:
-        out = out * generator_series(abs(x), 1 if x > 0 else -1, basis)
+        g = generator_series(abs(x), basis)
+        out = out * g if x > 0 else out / g
     return out

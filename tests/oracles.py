@@ -32,7 +32,7 @@ from milnor.wirtinger import _longitude, _refine, _walk
 
 def meridian_series(d, depth, basis):
     """Every arc's meridian after ``depth`` passes, in ``_walk`` order."""
-    return _refine(_walk(d), depth, lambda c: magnus.generator_series(c, 1, basis))
+    return _refine(_walk(d), depth, lambda c: magnus.generator_series(c, basis))
 
 
 def longitude_series(d, comp, depth, basis):

@@ -1005,12 +1005,12 @@ class TestStartup:
         bytecode exists, peaks at about 1.46 MB under tracemalloc on CPython
         3.11.  ``cli.py``, a 1.14 MB compile, runs first, with no module of
         the engine held.  The peak is ``pdfile.py``'s compile on top of the
-        modules loaded before it; ``magnus.py``'s, a 1.13 MB compile on the
-        0.29 MB of ``cli``, ``classify`` and ``invariants``, comes within
-        0.02 MB of it, and set it at 1.49 MB while ``magnus.py`` compiled at
-        1.18 MB.  When ``milnor/__init__.py`` imported every module,
-        ``cli.py`` compiled last, on 0.53 MB of held modules, and the import
-        peaked at 1.64 MB."""
+        modules loaded before it; ``magnus.py``'s, a 1.09 MB compile on the
+        0.29 MB of ``cli``, ``classify`` and ``invariants``, reaches 1.40 MB,
+        and set the peak at 1.49 MB while ``magnus.py`` compiled at 1.18 MB.
+        When ``milnor/__init__.py`` imported every module, ``cli.py``
+        compiled last, on 0.53 MB of held modules, and the import peaked at
+        1.64 MB."""
         package = tmp_path / "milnor"
         package.mkdir()
         for path in (SRC / "milnor").glob("*.py"):

@@ -77,32 +77,32 @@ words3 = st.builds(
 
 class TestGeneratorSeries:
     def test_positive(self):
-        s = generator_series(1, 1, dense(2, 3))
+        s = generator_series(1, dense(2, 3))
         assert as_dict(s) == {(): 1, (1,): 1}
 
     def test_negative(self):
-        s = generator_series(1, -1, dense(2, 3))
+        b = dense(2, 3)
+        s = unit(b) / generator_series(1, b)
         assert as_dict(s) == {(): 1, (1,): -1, (1, 1): 1, (1, 1, 1): -1}
 
     def test_geometric_identity(self):
-        s = generator_series(1, 1, dense(2, 3)) * generator_series(1, -1, dense(2, 3))
-        assert s == unit(dense(2, 3))
+        b = dense(2, 3)
+        s = generator_series(1, b) * (unit(b) / generator_series(1, b))
+        assert s == unit(b)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            generator_series(3, 1, dense(2, 3))
-        with pytest.raises(ValueError):
-            generator_series(1, 2, dense(2, 3))
+            generator_series(3, dense(2, 3))
 
 
 class TestMultiply:
     def test_distributes(self):
-        a = generator_series(1, 1, dense(2, 2))
-        b = generator_series(2, 1, dense(2, 2))
+        a = generator_series(1, dense(2, 2))
+        b = generator_series(2, dense(2, 2))
         assert as_dict(a * b) == {(): 1, (1,): 1, (2,): 1, (1, 2): 1}
 
     def test_truncates(self):
-        a = generator_series(1, 1, dense(2, 1))
+        a = generator_series(1, dense(2, 1))
         assert as_dict(a * a) == {(): 1, (1,): 2}
 
     def test_identity(self):
@@ -153,8 +153,12 @@ class TestExpand:
                     assert s.coefficient(mono) == 0
 
     def test_against_oracle(self):
+        # q = 5 on rank 3 has 2,005 splits: the numpy kernel, whose inverse
+        # letters divide int64 vectors
+        assert dense(3, 4).small and dense(3, 5).splits == 2005 >= NUMPY_SPLITS
         w = Word(3, (1, 2, -1, 3, 3, -2, -3))
-        assert as_dict(expand(w, 4)) == poly_expand(w, 4)
+        for q in (4, 5):
+            assert as_dict(expand(w, q)) == poly_expand(w, q)
 
 
 class TestCoefficient:
@@ -214,28 +218,55 @@ class TestOverflowGuard:
     """The int64 kernel's guard, on bases of at least NUMPY_SPLITS splits."""
 
     def test_l1_sum_does_not_wrap(self):
-        # L1(a) = 1 + 2**63 wraps to a negative int64; the guard must still
-        # see that the product leaves int64 range
+        # L1(a) = 1 + 2**63 wraps to a negative int64; the guard of b a,
+        # which reads L1(a), must still see that it leaves int64 range
         a = on_basis(large_basis(2, 2), {(): 1, (1,): 2**62, (2,): 2**62})
         b = on_basis(large_basis(2, 2), {(): 1, (1,): 3})
-        p = a * b
+        p = b * a
         assert p.coefficient((1, 1)) == 3 * 2**62
-        assert p.coefficient((2, 1)) == 3 * 2**62
+        assert p.coefficient((1, 2)) == 3 * 2**62
         assert p.coefficient((1,)) == 2**62 + 3
 
-    def test_near_boundary_stays_int64(self):
-        # L1(a) * peak(b) = 2**60 exactly: the guard's bound, still int64
+    @pytest.mark.parametrize(
+        "op, p, o, o_over, want, want_over",
+        [
+            # a product: peak(p) + (L1(o) - 1) peak(p) = 2**30 + (2**30 - 1)
+            # 2**30
+            pytest.param(
+                operator.mul,
+                {(1,): 2**30},
+                {(2,): 2**30 - 1},
+                {(2,): 2**30},
+                {(1,): 2**30, (2,): 2**30 - 1, (1, 2): 2**60 - 2**30},
+                {(1,): 2**30, (2,): 2**30, (1, 2): 2**60},
+                id="product",
+            ),
+            # a quotient of (1 + 2**30 X1)(1 + 2**29 X2) by 1 + 2**29 X2:
+            # from degree 2 on, peak(p) + (L1(o) - 1) peak(q) = 2**59 +
+            # 2**29 2**30; one more unit of o[X2] adds 2**31
+            pytest.param(
+                operator.truediv,
+                {(1,): 2**30, (2,): 2**29, (1, 2): 2**59},
+                {(2,): 2**29},
+                {(2,): 2**29 + 1},
+                {(1,): 2**30},
+                {(1,): 2**30, (2,): -1, (1, 2): -(2**30), (2, 2): 2**29 + 1},
+                id="quotient",
+            ),
+        ],
+    )
+    def test_near_boundary_stays_int64(self, op, p, o, o_over, want, want_over):
+        # the one rule, peak(p) + (L1(o) - 1) max(1, peak(l)) <= 2**60: at
+        # 2**60 exactly the result stays int64, one unit more of L1(o) falls
+        # back to Python integers; every bound is exact in float64
         basis = large_basis(2, 2)
-        a = on_basis(basis, {(): 1, (1,): 2**30 - 1})
-        b = on_basis(basis, {(): 1, (2,): 2**30})
-        p = a * b
-        assert p.coeffs[0].dtype == np.int64
-        assert p.coefficient((1, 2)) == (2**30 - 1) * 2**30
-        # one more unit of L1 crosses the bound and falls back, still exact
-        a = on_basis(basis, {(): 1, (1,): 2**30})
-        p = a * b
-        assert p.coeffs[0].dtype == object
-        assert p.coefficient((1, 2)) == 2**60
+        p = on_basis(basis, {(): 1, **p})
+        out = op(p, on_basis(basis, {(): 1, **o}))
+        assert out.x.dtype == np.int64
+        assert as_dict(out) == {(): 1, **want}
+        out = op(p, on_basis(basis, {(): 1, **o_over}))
+        assert out.x.dtype == object
+        assert as_dict(out) == {(): 1, **want_over}
 
     def test_inverse_leaves_int64_exactly(self):
         s = on_basis(large_basis(1, 3), {(): 1, (1,): 2**40})
@@ -370,7 +401,7 @@ class TestBasis:
     def test_generator_series_takes_an_integer_index(self):
         for j in (True, 1.0):
             with pytest.raises(ValueError, match="variable index"):
-                generator_series(j, 1, dense(2, 2))
+                generator_series(j, dense(2, 2))
 
     def test_outside_the_basis(self):
         s = Series(closure(2, [(1, 2)]))
@@ -384,7 +415,7 @@ class TestBasis:
         # degree 1 has no inner split, so no operation sums there; on both
         # kernels a call at degree 1, or outside 2..q, finds no table
         for b in (dense(2, 3), large_basis(2, 3)):
-            x = generator_series(1, 1, b).x
+            x = generator_series(1, b).x
             lo, hi = b.bounds[2], b.bounds[3]
             got = list(b.inner(2, x, x, x[lo:hi]))
             assert got == [int(w == (1, 1)) for w in b.words[lo:hi]]
@@ -394,8 +425,8 @@ class TestBasis:
 
     def test_generator_series_stops_at_the_basis(self):
         b = closure(2, [(1, 1, 2)])
-        assert as_dict(generator_series(1, -1, b)) == {(): 1, (1,): -1, (1, 1): 1}
-        assert as_dict(generator_series(2, 1, b)) == {(): 1, (2,): 1}
+        assert as_dict(unit(b) / generator_series(1, b)) == {(): 1, (1,): -1, (1, 1): 1}
+        assert as_dict(generator_series(2, b)) == {(): 1, (2,): 1}
 
 
 @st.composite

@@ -337,10 +337,10 @@ class TestGradedOverflowGuard:
         walk = wirtinger._walk(from_braid(2, word))
         generator_series = magnus.generator_series
 
-        def scaled(j, sign, basis):
+        def scaled(j, basis):
             # the walk's starting rows: every arc of component j starts as
             # 1 + c X_j
-            s = generator_series(j, sign, basis)
+            s = generator_series(j, basis)
             s.x[basis.pos[(j,)]] = c
             return s
 
