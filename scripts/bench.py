@@ -2,7 +2,8 @@
 """Time the milnor CLI at scale, one fresh process per run, and write the
 figures as JSON.
 
-Usage: python3 scripts/bench.py [--out FILE] [--root DIR]
+Usage: python3 scripts/bench.py [--out FILE] [--root DIR] [--ops PATTERN]
+       python3 scripts/bench.py --against DIR [--out FILE] [--root DIR] [--ops PATTERN]
        python3 scripts/bench.py --inputs DIR [--root DIR]
 
 The inputs are built from fixed seeds by the checkout under test (``--root``,
@@ -29,6 +30,21 @@ imported from, so the file records the length of the package directory's
 path: files made from paths of one length compare.  Without ``--out`` the
 file is the first ``BENCH_<k>.json`` at the root of this script's checkout
 that does not exist yet, so a re-run never overwrites an earlier one.
+``--ops PATTERN`` runs only the ops whose names the regular expression
+matches (searched, as in ``--ops 'homotopy|cli'``), and then skips the
+tier-1 suite.
+
+``--against DIR`` pairs the checkout under test, the change, with the one
+in DIR, its parent.  Both ``src/`` trees are copied to ``change/src`` and
+``parent/src`` under one temporary directory, so the two package paths have
+one length, and the inputs are built by the change.  Each op runs from both
+sides in as many rounds as it has repeats, the side that goes first
+alternating from round to round.  Per op and side the file records the
+minimum and median CPU and the peak RSS, and per op the rounds the change
+took less CPU than its parent (``change_won``) and which side went first in
+each round.  A run whose exit code or output differs
+from the change's first run, on either side, stops the script with exit 1.
+The tier-1 suite does not run.
 """
 
 from __future__ import annotations
@@ -39,7 +55,10 @@ import json
 import os
 import platform
 import random
+import re
 import resource
+import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -52,6 +71,22 @@ BIG_REPEATS = 2  # the n = 5 ops, up to about 13 s of CPU each
 # link-homotopy products: nonzero exponents per arity 2..n, each +1 or -1
 PRODUCT_SHAPES = {6: (2, 2, 2, 2, 1), 7: (2, 2, 2, 2, 2, 1), 8: (2, 2, 2, 2, 2, 2, 1)}
 PRODUCT_SEED = 31
+SIDES = ("change", "parent")  # names of one length, so the copies' paths are too
+ABOUT = (
+    "Each op is a fresh `python -m milnor.cli` process under a 2 GiB RLIMIT_AS on "
+    "the child. cpu_s_min and wall_s_min are minima over `repeats` runs; peak_rss_mb "
+    "is the maximum ru_maxrss over them; all from wait4. Every run of an op had the "
+    "recorded exit code and stdout digest. Built by scripts/bench.py."
+)
+PAIRED_ABOUT = (
+    "Each op is a fresh `python -m milnor.cli` process under a 2 GiB RLIMIT_AS on "
+    "the child, run from copies of the change's and its parent's src/ trees at paths of "
+    "one length, for `rounds` rounds, the side named in `first` going first. Per side, "
+    "cpu_s_min and cpu_s_median are over the rounds and peak_rss_mb is the maximum "
+    "ru_maxrss, all from wait4; change_won counts the rounds in which the change took "
+    "less CPU. Every run of both sides had the recorded exit code and stdout digest. "
+    "Built by scripts/bench.py --against."
+)
 
 
 def _env(root: Path) -> dict:
@@ -186,21 +221,78 @@ def measure(ops, root: Path) -> list:
 
 
 def _record(op, argv, runs) -> dict:
-    first = runs[0]
     rec = {
         "op": op,
-        "argv": [Path(a).stem if a.endswith(".json") else a for a in argv],
+        "argv": _argv(argv),
         "repeats": len(runs),
         "cpu_s_min": round(min(r["cpu_s"] for r in runs), 3),
         "wall_s_min": round(min(r["wall_s"] for r in runs), 3),
         "peak_rss_mb": round(max(r["rss_mb"] for r in runs), 1),
-        "exit": first["exit"],
-        "stdout_sha256": first["stdout_sha256"],
-        "stdout_bytes": first["stdout_bytes"],
     }
+    return rec | _outcome(runs[0])
+
+
+def _argv(argv) -> list:
+    """An op's arguments with each input file named by its stem."""
+    return [Path(a).stem if a.endswith(".json") else a for a in argv]
+
+
+def _outcome(first) -> dict:
+    """The exit code and stdout of an op's first run, and its stderr's last
+    line when it failed."""
+    out = {key: first[key] for key in ("exit", "stdout_sha256", "stdout_bytes")}
     if first["exit"]:
-        rec["stderr"] = first["stderr"]
-    return rec
+        out["stderr"] = first["stderr"]
+    return out
+
+
+def copy_sides(tmp: Path, change: Path, parent: Path) -> dict:
+    """Each side's ``src/`` tree, without bytecode, copied to
+    ``tmp/<side>/src``; the checkout each side runs from, by side."""
+    sides = dict(zip(SIDES, (tmp / side for side in SIDES)))
+    for side, root in zip(SIDES, (change, parent)):
+        shutil.copytree(root / "src", sides[side] / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    return sides
+
+
+def measure_pairs(ops, sides: dict) -> list:
+    """Run the ops from both sides in passes, one round of each op per pass
+    while it has repeats left, the side that goes first alternating between
+    rounds.  One record per op."""
+    runs = {op: {side: [] for side in SIDES} for op, _, _ in ops}
+    first = {op: [] for op, _, _ in ops}
+    for k in range(max(repeats for *_, repeats in ops)):
+        for op, argv, repeats in ops:
+            if k >= repeats:
+                continue
+            order = SIDES if k % 2 == 0 else SIDES[::-1]
+            first[op].append(order[0])
+            for side in order:
+                cmd = [sys.executable, "-m", "milnor.cli", *argv]
+                rec = run_child(cmd, sides[side], cap=True)
+                print(f"{op}: {side}, round {k + 1}, {rec['cpu_s']:.2f} s", file=sys.stderr,
+                      flush=True)
+                ref = (runs[op]["change"] or [rec])[0]
+                if (rec["exit"], rec["stdout_sha256"]) != (ref["exit"], ref["stdout_sha256"]):
+                    raise SystemExit(f"{op}: the {side} side's round {k + 1} differs from the "
+                                     "change's first run in exit code or output")
+                runs[op][side].append(rec)
+    return [_pair_record(op, argv, runs[op], first[op]) for op, argv, _ in ops]
+
+
+def _pair_record(op, argv, runs, first) -> dict:
+    rec = {"op": op, "argv": _argv(argv), "rounds": len(first), "first": first}
+    for side in SIDES:
+        cpu = [r["cpu_s"] for r in runs[side]]
+        rec[side] = {
+            "cpu_s_min": round(min(cpu), 3),
+            "cpu_s_median": round(statistics.median(cpu), 3),
+            "peak_rss_mb": round(max(r["rss_mb"] for r in runs[side]), 1),
+        }
+    pairs = zip(runs["change"], runs["parent"])
+    rec["change_won"] = sum(a["cpu_s"] < b["cpu_s"] for a, b in pairs)
+    return rec | _outcome(runs["change"][0])
 
 
 def tier1(root: Path) -> dict:
@@ -227,6 +319,8 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, default=next_out(here))
     ap.add_argument("--root", type=Path, default=here, help="the checkout under test")
     ap.add_argument("--inputs", type=Path, help="only write the inputs to this directory")
+    ap.add_argument("--ops", help="run only the ops whose names this regular expression matches")
+    ap.add_argument("--against", type=Path, help="the parent checkout to pair the runs with")
     args = ap.parse_args(argv)
     root = args.root.resolve()
     if args.inputs:
@@ -237,15 +331,18 @@ def main(argv=None) -> int:
         print(json.dumps({"numpy": numpy.__version__, "inputs": facts, "ops": ops}))
         return 0
     with tempfile.TemporaryDirectory() as tmp:
-        built = build_in_child(Path(tmp), root)
-        records = measure(built["ops"], root)
+        tmp = Path(tmp)
+        built = build_in_child(tmp / "inputs", root)
+        ops = [op for op in built["ops"] if re.search(args.ops or "", op[0])]
+        if args.against:
+            sides = copy_sides(tmp, root, args.against.resolve())
+            package = sides["change"] / "src" / "milnor"
+            records = measure_pairs(ops, sides)
+        else:
+            package = root / "src" / "milnor"
+            records = measure(ops, root)
     report = {
-        "about": (
-            "Each op is a fresh `python -m milnor.cli` process under a 2 GiB RLIMIT_AS on "
-            "the child. cpu_s_min and wall_s_min are minima over `repeats` runs; peak_rss_mb "
-            "is the maximum ru_maxrss over them; all from wait4. Every run of an op had the "
-            "recorded exit code and stdout digest. Built by scripts/bench.py."
-        ),
+        "about": PAIRED_ABOUT if args.against else ABOUT,
         "machine": {
             "cpus": os.cpu_count(),
             "python": platform.python_version(),
@@ -255,16 +352,17 @@ def main(argv=None) -> int:
         "memory_cap_bytes": MEMORY_CAP,
         # peaks move with the package's path; its length, not the path, is
         # kept, so the file names no directory of the machine that made it
-        "package_dir_chars": len(str(root / "src" / "milnor")),
+        "package_dir_chars": len(str(package)),
         "inputs": built["inputs"],
         "inputs_build": built["inputs_build"],
         "ops": records,
-        "tier1": tier1(root),
-        # a forked op's peak counts the anonymous pages this process holds at
-        # the fork, which is why it holds no diagram and no op's output
-        "bench_process_peak_rss_mb": round(
-            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
+    if not args.against and args.ops is None:
+        report["tier1"] = tier1(root)
+    # a forked op's peak counts the anonymous pages this process holds at
+    # the fork, which is why it holds no diagram and no op's output
+    report["bench_process_peak_rss_mb"] = round(
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(args.out)
     return 0

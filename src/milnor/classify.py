@@ -15,6 +15,7 @@ the diagram, and read by every verdict on that input.
 from __future__ import annotations
 
 import enum
+import math
 
 from . import invariants
 from .diagram import Diagram, cable, closure, power, reduced, stack_all, trivial_string_link
@@ -247,11 +248,25 @@ def link_homotopy_trivial(l: Diagram) -> bool:
     vanishes, the level-k exponents of the cut-open link's normal form
     (``homotopy_normal_form``) are exactly these values, and they vanish
     iff every repetition-free value of length k does (Habegger-Lin, The
-    classification of links up to link-homotopy, 1990).
+    classification of links up to link-homotopy, 1990).  A length whose
+    injections could not even be listed under the soft ``RLIMIT_AS`` is
+    refused with ``MemoryError`` before any is listed.
     """
     if not l.closed:
         raise ValueError("this decision applies to closed links")
+    import resource
+    import sys
+
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
     for k in range(2, l.n + 1):
+        # refuse a length whose list alone cannot fit: C(n, k) (k - 2)!
+        # injections, each listed as at least a k-tuple
+        need = math.comb(l.n, k) * math.factorial(k - 2) * sys.getsizeof((0,) * k)
+        if limit != resource.RLIM_INFINITY and need > limit:
+            raise MemoryError(
+                f"the {k}-entry injections of {l.n} components need at least "
+                f"{need:,} bytes, over the {limit:,}-byte address-space limit"
+            )
         indices = [pi.values for pi in injections(k, l.n)]
         if any(invariants.evaluate(l, indices).values()):
             return False

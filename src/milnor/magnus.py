@@ -68,6 +68,9 @@ _GUARD = float(2**60)
 # 4-component link (35,157) and the doubling scan of one from length 5
 # (1,773) use numpy.
 NUMPY_SPLITS = 1024
+# float64 entries per chunk of ``norms`` (8 MiB): a walk's block of rows is
+# far larger, 1,551 x 63,000 at degree 8 of the n = 5, m = 10 generator
+NORM_ENTRIES = 1 << 20
 
 np = None  # numpy, bound by _numpy() when the first large basis is built
 
@@ -92,9 +95,15 @@ def fits(start: float, l1: float, peak: float) -> bool:
 
 def norms(a, lo: int = 0, hi: int | None = None) -> tuple[float, float]:
     """The largest row L1 norm and largest magnitude over columns lo:hi of
-    an int64 vector or block of rows, in float64 so that neither wraps."""
-    a = np.abs(a[..., lo:hi], dtype=np.float64)
-    return float(np.max(a.sum(axis=-1), initial=0.0)), float(np.max(a, initial=0.0))
+    an int64 vector or block of rows, in float64 so that neither wraps,
+    read ``NORM_ENTRIES`` entries of whole rows at a time."""
+    rows = np.atleast_2d(a[..., lo:hi])
+    step = max(1, NORM_ENTRIES // max(1, rows.shape[1]))
+    l1 = peak = 0.0
+    for i in range(0, len(rows), step):
+        chunk = np.abs(rows[i : i + step], dtype=np.float64)
+        l1, peak = max(l1, chunk.sum(axis=1).max()), max(peak, chunk.max(initial=0.0))
+    return float(l1), float(peak)
 
 
 def is_int64(x) -> bool:
@@ -385,17 +394,16 @@ def meridian_walk(basis: Basis, comps, passages) -> list:
 
     No passage changes degree 1: a conjugate of m has m's degree-1 part.
     So every arc of component c starts at 1 + X_c, and the walk solves
-    degrees 2..q.  At an under-passage with sign +1 the next arc's meridian
-    is m' = o^-1 m o, where o is the over-arc's meridian, so o m' = m o;
-    with sign -1, m' o = o m.  All constant terms are 1, so degree d of
-    these identities reads
+    degrees 2..q.  A passage under o takes m to m' with x y = u v, where
+    (x, y | u, v) is (m, o | o, m') at sign +1 (m' = o^-1 m o) and
+    (o, m | m', o) at sign -1 (m' = o m o^-1).  All constant terms are 1,
+    so degree d of that identity is the one step
 
-        m'[d] = m[d] + s(m, o)[d] - s(o, m')[d]      (sign +1)
-        m'[d] = m[d] + s(o, m)[d] - s(m', o)[d]      (sign -1)
+        m'[d] = m[d] + s(x, y)[d] - s(u, v)[d],
 
-    where s(x, y)[d] sums x[u] y[v] over the inner splits of each degree-d
-    monomial (``Basis.inner``), which read degrees below d only.  One walk
-    per degree, in walk order, therefore fills degree d of every arc.  The
+    where s(x, y)[d] is ``Basis.inner``'s sum over the inner splits of
+    each degree-d monomial, which reads degrees below d only.  One walk per
+    degree, in walk order, therefore fills degree d of every arc.  The
     result is the fixed point of the depth-by-depth refinement, which it
     equals at depth q + 1 (depth stability: Milnor, Isotopy of links,
     1957).
@@ -404,6 +412,9 @@ def meridian_walk(basis: Basis, comps, passages) -> list:
     m = [gens[c][:] for c in comps]
     if not basis.small:
         m = np.array(m)
+    # each passage as the arcs of its step: in, out, then x, y and u, v
+    steps = [(a, out, *((a, o, o, out) if sign == 1 else (o, a, out, o)))
+             for a, out, o, sign in passages]
     # the largest row L1 norm and the largest entry over the finished
     # degrees, while the rows are int64
     l1 = peak = 0.0
@@ -417,13 +428,9 @@ def meridian_walk(basis: Basis, comps, passages) -> list:
             # l1 * peak, to a running value that starts at most 1
             if not fits(1.0, 2 * len(passages) * l1, peak):
                 m = widen(m)
-        for a, out, o, sign in passages:
-            if sign == 1:
-                step = inner(deg, m[a], m[o], m[a][lo:hi])
-                m[out][lo:hi] = inner(deg, m[o], m[out], step, -1)
-            else:
-                step = inner(deg, m[o], m[a], m[a][lo:hi])
-                m[out][lo:hi] = inner(deg, m[out], m[o], step, -1)
+        for a, out, x, y, u, v in steps:
+            added = inner(deg, m[x], m[y], m[a][lo:hi])
+            m[out][lo:hi] = inner(deg, m[u], m[v], added, -1)
     # each row wrapped once, so its guard norms are computed once
     return [Series(basis, row) for row in m]
 

@@ -945,14 +945,13 @@ class TestOutOfMemory:
     standard error that names ``MemoryError`` and nothing on standard
     output.  The cap is set on the child only."""
 
-    def run_capped(self, *argv):
-        cap = 64 << 20
+    def run_capped(self, *argv, cap=64 << 20, timeout=60):
         proc = subprocess.run(
             [sys.executable, "-m", "milnor.cli", *argv],
             env=dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1"),
             capture_output=True,
             text=True,
-            timeout=60,
+            timeout=timeout,
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
         )
         assert proc.returncode == 4, proc.stderr[-2000:]
@@ -973,6 +972,15 @@ class TestOutOfMemory:
         path = tmp_path / "milnor4.json"
         path.write_text(json.dumps(to_pd_json(milnor_link(4))))
         assert "numpy" in self.run_capped("classify", "--self-delta", str(path))
+
+    def test_homotopy_refuses_before_listing(self, tmp_path):
+        # a trivial 200,000-component link has about 2 * 10**10 ordered
+        # injections of length 2: the refusal is sized from n, before any is
+        # listed, so it comes within seconds
+        path = tmp_path / "trivial.json"
+        path.write_text(json.dumps({"strands": 200000, "word": [], "kind": "closure"}))
+        line = self.run_capped("classify", "--homotopy", str(path), cap=1 << 30, timeout=20)
+        assert "2-entry injections of 200000 components" in line
 
 
 class TestStartup:

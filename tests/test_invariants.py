@@ -516,6 +516,22 @@ def assert_parallel_copies(l):
         assert [got[j] for j in js] == [want[index]] * 2, index
 
 
+def assert_copy_swaps(l):
+    """Milnor, Isotopy of links (1957): on the zero-framed 2-cable a half
+    turn of a component's tubular neighbourhood about its core, tapered to
+    the identity, is an isotopy that exchanges the two copies 2c - 1 and 2c
+    of component c, so every residue is unchanged by that swap of labels."""
+    c = reduced(cable(l, [2] * l.n))
+    indices = [
+        index for k in range(2, 6) for index in itertools.permutations(range(1, c.n + 1), k)
+    ]
+    got = residues(c, indices)
+    for comp in range(1, l.n + 1):
+        swap = {2 * comp - 1: 2 * comp, 2 * comp: 2 * comp - 1}
+        for index in indices:
+            assert got[tuple(swap.get(i, i) for i in index)] == got[index], (comp, index)
+
+
 # closed corpus links on at most 3 components and under 100 crossings
 SMALL_CLOSED = {
     "hopf": hopf(),
@@ -597,6 +613,17 @@ class TestTheorems:
     @given(kinked_closed_braids())
     def test_parallel_copies_kinked_braids(self, l):
         assert_parallel_copies(l)
+
+    @pytest.mark.parametrize("name", ["hopf", "whitehead", "milnor3"])
+    def test_copy_swaps_corpus(self, name):
+        assert_copy_swaps(SMALL_CLOSED[name])
+
+    @settings(max_examples=40, deadline=None)
+    @given(kinked_closed_braids())
+    def test_copy_swaps_kinked_braids(self, l):
+        # with self-writhe, so that the cable adds framing twists
+        assume(any(l.writhe(comp) for comp in range(1, l.n + 1)))
+        assert_copy_swaps(l)
 
     @settings(max_examples=60, deadline=None)
     @given(kinked_closed_braids(kinks=(0, 2)), st.data())

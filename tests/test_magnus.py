@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from oracles import commutator, nested_commutator, repeat_max
 
+from milnor import magnus
 from milnor.freegroup import Word
 from milnor.invariants import indices_up_to
 from milnor.magnus import (
@@ -307,6 +308,22 @@ class TestOverflowGuard:
         assert q.coefficient((1,)) == 2**36 - 2**40
         assert q.coefficient((1, 1)) == 2**70 - (2**36 - 2**40) * 2**40
         assert q * o == p
+
+    @pytest.mark.parametrize("lo, hi", [(0, None), (3, 17), (10, 10), (49, 50)])
+    def test_norms_read_a_block_in_chunks(self, monkeypatch, lo, hi):
+        # norms reads a block of rows NORM_ENTRIES entries at a time; its
+        # figures are bit for bit those of one float64 copy of the block
+        def one_shot(a):
+            a = np.abs(a[..., lo:hi], dtype=np.float64)
+            return float(np.max(a.sum(axis=-1), initial=0.0)), float(np.max(a, initial=0.0))
+
+        large_basis(1, 1)  # loads numpy into magnus
+        block = np.random.default_rng(0).integers(-(2**62), 2**62, (37, 50), np.int64)
+        block[30] = 2**62 - 1  # the largest row and entry, in a late chunk
+        monkeypatch.setattr(magnus, "NORM_ENTRIES", 120)  # two rows a chunk
+        assert magnus.norms(block, lo, hi) == one_shot(block)
+        assert magnus.norms(block[:1], lo, hi) == one_shot(block[:1])
+        assert magnus.norms(block[5], lo, hi) == one_shot(block[5])
 
 
 class TestPythonKernelExactness:

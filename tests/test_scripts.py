@@ -188,3 +188,48 @@ def test_bench_records_the_package_path_length(tmp_path, monkeypatch):
     assert bench.main(["--out", str(out)]) == 0
     recorded = json.loads(out.read_text())["package_dir_chars"]
     assert recorded == len(str(ROOT / "src" / "milnor"))
+
+
+
+def test_bench_pairs_two_copies_of_one_tree(tmp_path, monkeypatch):
+    # --against runs each op from copies of both src/ trees at paths of one
+    # length, one round per repeat, the side that goes first alternating;
+    # one tree against itself gives one exit code and digest on both sides.
+    # The input build is stubbed out and --ops leaves one op of two
+    bench = _bench()
+    ops = [["cli --help", ["--help"], 2], ["trivial-2", ["generate", "trivial", "2"], 2]]
+    built = {"numpy": "", "inputs": {}, "ops": ops, "inputs_build": {}}
+    monkeypatch.setattr(bench, "build_in_child", lambda work, root: built)
+    copies, copy_sides = [], bench.copy_sides
+
+    def spy(*args):
+        copies.append(copy_sides(*args))
+        return copies[-1]
+
+    monkeypatch.setattr(bench, "copy_sides", spy)
+    out = tmp_path / "PAIRED.json"
+    assert bench.main(["--against", str(ROOT), "--ops", "^cli", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    (rec,) = report["ops"]
+    assert rec["op"] == "cli --help" and rec["exit"] == 0 and rec["rounds"] == 2
+    assert rec["first"] == ["change", "parent"]
+    for side in ("change", "parent"):
+        assert rec[side]["cpu_s_min"] > 0 and rec[side]["peak_rss_mb"] > 0
+        assert rec[side]["cpu_s_min"] <= rec[side]["cpu_s_median"]
+    assert 0 <= rec["change_won"] <= 2
+    assert "tier1" not in report
+    (sides,) = copies
+    assert len({len(str(path)) for path in sides.values()}) == 1
+    assert report["package_dir_chars"] == len(str(sides["change"] / "src" / "milnor"))
+
+
+def test_bench_pairs_stop_on_differing_output(tmp_path):
+    # a parent that prints another help text stops the paired run
+    bench = _bench()
+    sides = bench.copy_sides(tmp_path, ROOT, ROOT)
+    assert not list(tmp_path.rglob("__pycache__"))
+    cli = sides["parent"] / "src" / "milnor" / "cli.py"
+    cli.write_text(cli.read_text(encoding="utf-8").replace("usage: milnor", "usage: milnor2"),
+                   encoding="utf-8")
+    with pytest.raises(SystemExit, match="cli --help: the parent side's round 1 differs"):
+        bench.measure_pairs([("cli --help", ["--help"], 2)], sides)
