@@ -2,8 +2,8 @@
 """Time the milnor CLI at scale, one fresh process per run, and write the
 figures as JSON.
 
-Usage: python3 scripts/bench.py [--out FILE] [--root DIR] [--ops PATTERN]
-       python3 scripts/bench.py --against DIR [--out FILE] [--root DIR] [--ops PATTERN]
+Usage: python3 scripts/bench.py [--out FILE] [--root DIR]
+       python3 scripts/bench.py --against DIR [--out FILE] [--root DIR]
        python3 scripts/bench.py --inputs DIR [--root DIR]
 
 The inputs are built from fixed seeds by the checkout under test (``--root``,
@@ -30,9 +30,6 @@ imported from, so the file records the length of the package directory's
 path: files made from paths of one length compare.  Without ``--out`` the
 file is the first ``BENCH_<k>.json`` at the root of this script's checkout
 that does not exist yet, so a re-run never overwrites an earlier one.
-``--ops PATTERN`` runs only the ops whose names the regular expression
-matches (searched, as in ``--ops 'homotopy|cli'``), and then skips the
-tier-1 suite.
 
 ``--against DIR`` pairs the checkout under test, the change, with the one
 in DIR, its parent.  Both ``src/`` trees are copied to ``change/src`` and
@@ -55,7 +52,6 @@ import json
 import os
 import platform
 import random
-import re
 import resource
 import shutil
 import statistics
@@ -202,22 +198,34 @@ def build_in_child(work: Path, root: Path) -> dict:
     return built
 
 
-def measure(ops, root: Path) -> list:
-    """Run the ops in passes, each op once per pass while it has repeats
-    left, so that a slow spell of the machine costs one run of several ops
-    rather than every run of one; one record per op."""
-    runs = {op: [] for op, _, _ in ops}
+def measure(ops, sides: dict) -> list:
+    """Run the ops from each side's checkout in passes, one round of each op
+    per pass while it has repeats left, so that a slow spell of the machine
+    costs one round of several ops rather than every round of one.  With two
+    sides the side that goes first alternates between rounds.  One record
+    per op: ``_record``'s for one side, ``_pair_record``'s for two."""
+    names = list(sides)
+    runs = {op: {side: [] for side in names} for op, _, _ in ops}
+    first = {op: [] for op, _, _ in ops}
     for k in range(1, max(repeats for *_, repeats in ops) + 1):
         for op, argv, repeats in ops:
             if k > repeats:
                 continue
-            rec = run_child([sys.executable, "-m", "milnor.cli", *argv], root, cap=True)
-            print(f"{op}: run {k} of {repeats}, {rec['cpu_s']:.2f} s", file=sys.stderr, flush=True)
-            first = (runs[op] or [rec])[0]
-            if (rec["exit"], rec["stdout_sha256"]) != (first["exit"], first["stdout_sha256"]):
-                raise SystemExit(f"{op}: run {k} differs from run 1 in exit code or output")
-            runs[op].append(rec)
-    return [_record(op, argv, runs[op]) for op, argv, _ in ops]
+            order = names if k % 2 else names[::-1]
+            first[op].append(order[0])
+            for side in order:
+                cmd = [sys.executable, "-m", "milnor.cli", *argv]
+                rec = run_child(cmd, sides[side], cap=True)
+                print(f"{op}: {side}, round {k} of {repeats}, {rec['cpu_s']:.2f} s",
+                      file=sys.stderr, flush=True)
+                ref = (runs[op]["change"] or [rec])[0]
+                if (rec["exit"], rec["stdout_sha256"]) != (ref["exit"], ref["stdout_sha256"]):
+                    raise SystemExit(f"{op}: the {side} side's round {k} differs from the "
+                                     "change's first run in exit code or output")
+                runs[op][side].append(rec)
+    if len(names) == 1:
+        return [_record(op, argv, runs[op]["change"]) for op, argv, _ in ops]
+    return [_pair_record(op, argv, runs[op], first[op]) for op, argv, _ in ops]
 
 
 def _record(op, argv, runs) -> dict:
@@ -254,31 +262,6 @@ def copy_sides(tmp: Path, change: Path, parent: Path) -> dict:
         shutil.copytree(root / "src", sides[side] / "src",
                         ignore=shutil.ignore_patterns("__pycache__"))
     return sides
-
-
-def measure_pairs(ops, sides: dict) -> list:
-    """Run the ops from both sides in passes, one round of each op per pass
-    while it has repeats left, the side that goes first alternating between
-    rounds.  One record per op."""
-    runs = {op: {side: [] for side in SIDES} for op, _, _ in ops}
-    first = {op: [] for op, _, _ in ops}
-    for k in range(max(repeats for *_, repeats in ops)):
-        for op, argv, repeats in ops:
-            if k >= repeats:
-                continue
-            order = SIDES if k % 2 == 0 else SIDES[::-1]
-            first[op].append(order[0])
-            for side in order:
-                cmd = [sys.executable, "-m", "milnor.cli", *argv]
-                rec = run_child(cmd, sides[side], cap=True)
-                print(f"{op}: {side}, round {k + 1}, {rec['cpu_s']:.2f} s", file=sys.stderr,
-                      flush=True)
-                ref = (runs[op]["change"] or [rec])[0]
-                if (rec["exit"], rec["stdout_sha256"]) != (ref["exit"], ref["stdout_sha256"]):
-                    raise SystemExit(f"{op}: the {side} side's round {k + 1} differs from the "
-                                     "change's first run in exit code or output")
-                runs[op][side].append(rec)
-    return [_pair_record(op, argv, runs[op], first[op]) for op, argv, _ in ops]
 
 
 def _pair_record(op, argv, runs, first) -> dict:
@@ -319,7 +302,6 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, default=next_out(here))
     ap.add_argument("--root", type=Path, default=here, help="the checkout under test")
     ap.add_argument("--inputs", type=Path, help="only write the inputs to this directory")
-    ap.add_argument("--ops", help="run only the ops whose names this regular expression matches")
     ap.add_argument("--against", type=Path, help="the parent checkout to pair the runs with")
     args = ap.parse_args(argv)
     root = args.root.resolve()
@@ -333,14 +315,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         built = build_in_child(tmp / "inputs", root)
-        ops = [op for op in built["ops"] if re.search(args.ops or "", op[0])]
-        if args.against:
-            sides = copy_sides(tmp, root, args.against.resolve())
-            package = sides["change"] / "src" / "milnor"
-            records = measure_pairs(ops, sides)
-        else:
-            package = root / "src" / "milnor"
-            records = measure(ops, root)
+        sides = copy_sides(tmp, root, args.against.resolve()) if args.against else {"change": root}
+        package = sides["change"] / "src" / "milnor"
+        records = measure(built["ops"], sides)
     report = {
         "about": PAIRED_ABOUT if args.against else ABOUT,
         "machine": {
@@ -357,7 +334,7 @@ def main(argv=None) -> int:
         "inputs_build": built["inputs_build"],
         "ops": records,
     }
-    if not args.against and args.ops is None:
+    if not args.against:
         report["tier1"] = tier1(root)
     # a forked op's peak counts the anonymous pages this process holds at
     # the fork, which is why it holds no diagram and no op's output

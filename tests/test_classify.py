@@ -2,6 +2,7 @@ import ast
 import gc
 import itertools
 import random
+import sys
 import weakref
 from pathlib import Path
 
@@ -380,6 +381,13 @@ class TestSelfDelta:
     def test_homotopy_triviality(self):
         assert link_homotopy_trivial(whitehead_link())
         assert not link_homotopy_trivial(hopf())
+        assert not link_homotopy_trivial(milnor_link(3))
+
+    def test_homotopy_triviality_without_resource(self, monkeypatch):
+        # where there is no resource module there is no limit to refuse
+        # against, and the decision runs as it does without a limit
+        monkeypatch.setitem(sys.modules, "resource", None)
+        assert link_homotopy_trivial(whitehead_link())
         assert not link_homotopy_trivial(milnor_link(3))
 
     # when every shorter value vanishes, the ordered injections of length k

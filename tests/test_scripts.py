@@ -132,7 +132,7 @@ def test_bench_records_each_op_from_wait4():
     # scripts/bench.py runs an op as fresh CLI processes under the memory
     # cap and keeps its exit code and stdout digest, the same on every run
     bench = _bench()
-    (rec,) = bench.measure([("trivial-2", ["generate", "trivial", "2"], 2)], ROOT)
+    (rec,) = bench.measure([("trivial-2", ["generate", "trivial", "2"], 2)], {"change": ROOT})
     d = trivial_link(2)
     d.name = "trivial-2"
     text = json.dumps(to_pd_json(d), sort_keys=True, indent=2)
@@ -182,7 +182,7 @@ def test_bench_records_the_package_path_length(tmp_path, monkeypatch):
     bench = _bench()
     built = {"numpy": "", "inputs": {}, "ops": [], "inputs_build": {}}
     monkeypatch.setattr(bench, "build_in_child", lambda work, root: built)
-    monkeypatch.setattr(bench, "measure", lambda ops, root: [])
+    monkeypatch.setattr(bench, "measure", lambda ops, sides: [])
     monkeypatch.setattr(bench, "tier1", lambda root: {})
     out = tmp_path / "BENCH.json"
     assert bench.main(["--out", str(out)]) == 0
@@ -190,15 +190,13 @@ def test_bench_records_the_package_path_length(tmp_path, monkeypatch):
     assert recorded == len(str(ROOT / "src" / "milnor"))
 
 
-
 def test_bench_pairs_two_copies_of_one_tree(tmp_path, monkeypatch):
     # --against runs each op from copies of both src/ trees at paths of one
     # length, one round per repeat, the side that goes first alternating;
     # one tree against itself gives one exit code and digest on both sides.
-    # The input build is stubbed out and --ops leaves one op of two
+    # The input build is stubbed out to the one op cli --help
     bench = _bench()
-    ops = [["cli --help", ["--help"], 2], ["trivial-2", ["generate", "trivial", "2"], 2]]
-    built = {"numpy": "", "inputs": {}, "ops": ops, "inputs_build": {}}
+    built = {"numpy": "", "inputs": {}, "ops": [["cli --help", ["--help"], 2]], "inputs_build": {}}
     monkeypatch.setattr(bench, "build_in_child", lambda work, root: built)
     copies, copy_sides = [], bench.copy_sides
 
@@ -208,7 +206,7 @@ def test_bench_pairs_two_copies_of_one_tree(tmp_path, monkeypatch):
 
     monkeypatch.setattr(bench, "copy_sides", spy)
     out = tmp_path / "PAIRED.json"
-    assert bench.main(["--against", str(ROOT), "--ops", "^cli", "--out", str(out)]) == 0
+    assert bench.main(["--against", str(ROOT), "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     (rec,) = report["ops"]
     assert rec["op"] == "cli --help" and rec["exit"] == 0 and rec["rounds"] == 2
@@ -232,4 +230,4 @@ def test_bench_pairs_stop_on_differing_output(tmp_path):
     cli.write_text(cli.read_text(encoding="utf-8").replace("usage: milnor", "usage: milnor2"),
                    encoding="utf-8")
     with pytest.raises(SystemExit, match="cli --help: the parent side's round 1 differs"):
-        bench.measure_pairs([("cli --help", ["--help"], 2)], sides)
+        bench.measure([("cli --help", ["--help"], 2)], sides)
