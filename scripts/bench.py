@@ -2,8 +2,8 @@
 """Time the milnor CLI at scale, one fresh process per run, and write the
 figures as JSON.
 
-Usage: python3 scripts/bench.py [--out FILE] [--root DIR]
-       python3 scripts/bench.py --against DIR [--out FILE] [--root DIR]
+Usage: python3 scripts/bench.py [--ops NAME[,NAME...]] [--out FILE] [--root DIR]
+       python3 scripts/bench.py --against DIR [--ops NAME[,NAME...]] [--out FILE] [--root DIR]
        python3 scripts/bench.py --inputs DIR [--root DIR]
 
 The inputs are built from fixed seeds by the checkout under test (``--root``,
@@ -42,6 +42,10 @@ took less CPU than its parent (``change_won``) and which side went first in
 each round.  A run whose exit code or output differs
 from the change's first run, on either side, stops the script with exit 1.
 The tier-1 suite does not run.
+
+``--ops`` runs only the named ops, in either mode, such as
+``--ops "self-delta gen-n4-m8,homotopy product-n8"``; a name that is not an
+op is a usage error that lists the ops.
 """
 
 from __future__ import annotations
@@ -303,6 +307,8 @@ def main(argv=None) -> int:
     ap.add_argument("--root", type=Path, default=here, help="the checkout under test")
     ap.add_argument("--inputs", type=Path, help="only write the inputs to this directory")
     ap.add_argument("--against", type=Path, help="the parent checkout to pair the runs with")
+    ap.add_argument("--ops", type=lambda text: [name.strip() for name in text.split(",")],
+                    help="run only these ops, named as in the file and separated by commas")
     args = ap.parse_args(argv)
     root = args.root.resolve()
     if args.inputs:
@@ -315,6 +321,13 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         built = build_in_child(tmp / "inputs", root)
+        if args.ops:
+            known = [op for op, _, _ in built["ops"]]
+            unknown = [name for name in args.ops if name not in known]
+            if unknown:
+                ap.error(f"unknown op(s) {', '.join(map(repr, unknown))}; "
+                         f"the ops are: {', '.join(map(repr, known))}")
+            built["ops"] = [op for op in built["ops"] if op[0] in args.ops]
         sides = copy_sides(tmp, root, args.against.resolve()) if args.against else {"change": root}
         package = sides["change"] / "src" / "milnor"
         records = measure(built["ops"], sides)

@@ -12,34 +12,37 @@ of all monomials of degree at most q; a batch of queries needs only the
 factor closure of its own monomials.
 
 A series is one flat coefficient vector over its basis.  The basis
-tabulates, degree by degree from 2, the inner splits w = uv (u and v both
-nonempty) of every monomial, as two position lists; ``Basis.inner`` sums
-the products over those of one degree.  Degree 1 has no inner split, so no
-operation sums there: a product or quotient writes it directly, and the
-meridian walk starts every arc at its generator 1 + X_c.  The Magnus
-expansion maps the free group into the units 1 + I of the series ring
-(Milnor, Isotopy of links, 1957), so every series that is multiplied or
-divided has constant term 1, and a product or quotient refuses any other.
-Every series operation is then one graded recursion on that step.  A
-product p o and a right quotient q (q o = p) are one solve,
-out[w] = p[w] + sign (o[w] + s(l, o)[w]), where s sums l[u] o[v] over the
-inner splits and l is p for the product, out itself for the quotient; the
-inverse is the quotient 1 / o, and ``meridian_walk`` solves the
-conjugations of a Wirtinger walk the same way.
-The basis picks one of two kernels from its split count (every split,
-len(w) + 1 per monomial):
+tabulates, degree by degree from 2, the inner splits w = ab (a and b both
+nonempty) of every monomial, as two position lists.  The Magnus expansion
+maps the free group into the units 1 + I of the series ring (Milnor,
+Isotopy of links, 1957), so a product or quotient refuses a series whose
+constant term is not 1.  Every series operation solves one identity
+x y = u v for one factor, degree by degree; with constant terms 1 it reads
+
+    x[w] + y[w] + s(x, y)[w] = u[w] + v[w] + s(u, v)[w]   (w nonempty),
+
+where s(x, y)[w] sums x[a] y[b] over the inner splits w = ab and reads
+lower degrees only.  So the unknown's degree d is its ends (x[w] + y[w]
+less the other factor of its side) plus ``Basis.inner``'s one step,
+s(x, y) - s(u, v).  A product p o is (p, o | out, 1), a right quotient
+q o = p is (p, 1 | out, o), whose 1 has no nonempty part and adds terms 0,
+and the inverse is 1 / o.  ``meridian_walk`` solves each Wirtinger
+conjugation the same way.  Degree 1 has no inner split: the ends alone
+write it, and the walk starts every arc at 1 + X_c.  The basis picks one
+of two kernels from its split count (len(w) + 1 per monomial):
 
 * below ``NUMPY_SPLITS`` splits the vector is a list of Python integers,
-  a degree's products are one comprehension over its position lists and
-  each monomial's d - 1 consecutive products are summed.  Python integers
-  are exact, so no guard is needed, and numpy is never imported;
+  a degree's step is one comprehension over its position lists and each
+  monomial's d - 1 consecutive terms are summed.  Python integers are
+  exact, so no guard is needed, and numpy is never imported;
 * from ``NUMPY_SPLITS`` on the vector is an int64 array, the position lists
-  are ``np.intp`` arrays and a degree's sums are one gather, multiply and
-  reshaped row sum.  Exactness rests on one rule, ``fits``: before each
-  int64 step (a product, a quotient's ends and degrees, a degree of the
-  meridian walk) every value it computes is bounded in floating point from
-  norms taken by ``norms``, and past 2**60 the step and everything after
-  it run with Python-integer (object) dtype instead.
+  are ``np.intp`` arrays and a degree's step is one gather, multiply and
+  subtract, then one reshaped row sum (a product with ones).  Exactness
+  rests on one rule, ``fits``: before each int64 step (a product, a
+  quotient's ends and degrees, a degree of the meridian walk) every value
+  it computes is bounded in floating point from norms taken by ``norms``,
+  and past 2**60 the step and everything after it run with Python-integer
+  (object) dtype instead.
 """
 
 from __future__ import annotations
@@ -54,19 +57,19 @@ _GUARD = float(2**60)
 # stored.  Measured on a 2-CPU x86-64 machine, Python 3.11, numpy 2.4, with
 # both kernels on one word set: ``longitude_series`` of every component of
 # the reduced closure of Surjection(3, 3, (1, 1, 2, 2))'s generator (101
-# crossings) and of its 2-cable (410), minima of 15 calls.  The Python
-# kernel takes 1.4-1.6x numpy's time at 583 and 940 splits, 2.0-2.6x at
-# 961 to 2,005 and 3.1-3.3x at 2,383; numpy saves about 0.1 us per passage
-# and split, 96-101 ms on the cable's walk at 2,383 splits.  Importing
-# numpy costs about 0.125 s of CPU, so on one walk numpy repays its import
-# only from about 1.2 million passages x splits (near 3,000 splits on the
-# cable, 13,000 on the link).  The threshold keeps on Python integers every
-# link-homotopy query (at most 141 splits), the r <= 2 table of a
-# 3-component link (940) and every length of the doubling scan of a
-# 3-component link (at most 587, at length 6), so no 3-component
-# self-delta report loads numpy.  The r <= 2 table of a
-# 4-component link (35,157) and the doubling scan of one from length 5
-# (1,773) use numpy.
+# crossings) and of its 2-cable (410), minima of 15 calls, two runs.  The
+# Python kernel takes 1.0-1.3x numpy's time at 547 splits (dense(3, 4)),
+# 1.4-1.6x at 583 (the cable's injective words) and 940 (the link's r <= 2
+# words), 2.9-3.9x at 2,005 and 2,383 and 4.7-6.4x at 6,703 and 7,108;
+# numpy saves about 0.1 us per passage and split.
+# Importing numpy costs 0.11-0.12 s of CPU, so on one walk numpy repays its
+# import only from about 1.2 million passages x splits (near 3,000 splits
+# on the cable, 12,000 on the link).  The threshold keeps on Python
+# integers every link-homotopy query (at most 141 splits), the r <= 2 table
+# of a 3-component link (940) and every length of the doubling scan of a
+# 3-component link (at most 587, at length 6), so no 3-component self-delta
+# report loads numpy.  The r <= 2 table of a 4-component link (35,157) and
+# the doubling scan of one from length 5 (1,773) use numpy.
 NUMPY_SPLITS = 1024
 # float64 entries per chunk of ``norms`` (8 MiB): a walk's block of rows is
 # far larger, 1,551 x 63,000 at degree 8 of the n = 5, m = 10 generator
@@ -121,12 +124,12 @@ class Basis:
 
     ``pos`` maps each monomial to its position and ``bounds[d]`` is the
     position of the first monomial of degree d.  ``splits`` counts the
-    splits w = uv of every monomial, len(w) + 1 each; below
+    splits w = ab of every monomial, len(w) + 1 each; below
     ``NUMPY_SPLITS`` of them ``small`` is true and coefficient vectors are
-    Python lists, otherwise numpy arrays.  Only the inner splits (u and v
+    Python lists, otherwise numpy arrays.  Only the inner splits (a and b
     both nonempty) are tabulated, d - 1 per degree-d monomial, as one pair
-    of position lists per degree from 2 (degree 1 has none): ``inner`` sums
-    over one of them, the step of every series operation.
+    of position lists per degree from 2 (degree 1 has none): ``inner`` runs
+    over one of them, the one step of every series operation.
     """
 
     __slots__ = ("n", "q", "words", "pos", "bounds", "splits", "small", "_inner")
@@ -167,26 +170,28 @@ class Basis:
                 left, right = np.array(left, np.intp), np.array(right, np.intp)
             self._inner[d] = left, right
 
-    def inner(self, d: int, x, y, acc, sign: int = 1):
-        """acc + sign * s over the monomials of degree d >= 2, where s sums
-        x[u] y[v] over each monomial's d - 1 inner splits w = uv (u and v
-        nonempty); acc is a degree-d slice, or on the Python kernel any
-        iterable of one.  Degree 1 has no inner splits and no table, so a
-        call at d = 1 raises ``KeyError``.
+    def inner(self, d: int, acc, x, y, u, v):
+        """acc + s(x, y) - s(u, v) over the monomials of degree d >= 2, the
+        step of the identity x y = u v (module docstring), where s(x, y)
+        sums x[a] y[b] over each monomial's d - 1 inner splits w = ab; acc
+        is a degree-d slice, or on the Python kernel any iterable of one.
+        Degree 1 has no inner splits and no table, so a call at d = 1
+        raises ``KeyError``.
 
-        Only degrees 1..d-1 of x and y are read, so a recursion that solves
-        degree d from lower degrees can call it on the vectors it is
+        Only degrees 1..d-1 of x, y, u and v are read, so a recursion that
+        solves degree d from lower degrees can call it on the vectors it is
         filling.  Every argument is a coefficient vector or slice of this
         basis's kernel; the result is a new list or array.
         """
         left, right = self._inner[d]
         if self.small:
-            terms = iter([x[i] * y[j] for i, j in zip(left, right)])
+            terms = iter([x[i] * y[j] - u[i] * v[j] for i, j in zip(left, right)])
             # each monomial's d - 1 consecutive terms, summed
             sums = terms if d == 2 else map(sum, zip(*[terms] * (d - 1)))
-            return list(map(add if sign > 0 else sub, acc, sums))
-        sums = (x[left] * y[right]).reshape(-1, d - 1).sum(axis=1)
-        return acc + sums if sign > 0 else acc - sums
+            return list(map(add, acc, sums))
+        terms = (x[left] * y[right] - u[left] * v[right]).reshape(-1, d - 1)
+        # each row summed as a product with ones, about 3x faster than sum(axis=1)
+        return acc + terms @ np.ones(d - 1, np.int64)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -280,19 +285,17 @@ class Series:
         return self.basis == other.basis and list(self.x) == list(other.x)
 
     def _solve(self, other: "Series", sign: int) -> "Series":
-        """out[w] = p[w] + sign (o[w] + s(l, o)[w]) for w nonempty, where p
-        is self, o is other, out[()] = 1 and s sums l[u] o[v] over the inner
-        splits w = uv (``Basis.inner``).  For sign +1, l is p and out is the
-        product p o; for sign -1, l is out itself, whose degrees below w's are
-        solved already, and out is the right quotient q with q o = p.  Both
-        operands are Magnus-group elements, units 1 + I of the series ring,
-        so they share a basis and have constant term 1.
+        """The unknown out of the identity x y = u v (module docstring), with
+        p self and o other: the product p o, (p, o | out, 1), at sign +1 and
+        the right quotient q o = p, (p, 1 | out, o), at sign -1.  Its ends
+        are p + sign o; each degree from 2 is one ``Basis.inner`` step.
 
-        One ``fits`` rule guards every int64 step: the v of a monomial's
-        splits are distinct and o[()] = 1, so |out[w]| <= peak(p) +
-        (L1(o) - 1) max(1, peak(l)).  A product asks it once; a quotient
-        before its ends and before each degree, with the largest |q[u]| so
-        far.
+        One ``fits`` rule guards every int64 step: the b of a monomial's
+        splits w = ab are distinct, o[()] = 1 and the 1's terms are 0, so
+        |out[w]| <= peak(p) + (L1(o) - 1) max(1, peak(l)), with l = p for
+        the product and l = q for the quotient.  A product asks it once; a
+        quotient before its ends and before each degree, with the largest
+        |q[a]| so far.
         """
         if not isinstance(other, Series):
             return NotImplemented
@@ -308,18 +311,19 @@ class Series:
             peak = start if sign > 0 else 1.0
         if not (b.small or (int64 and fits(start, l1, peak))):
             p, o = widen(p), widen(o)
-        # the ends, where u or v is empty, then every degree's inner
-        # splits; degree 1 has none
+        # the ends, where a or b is empty, then one step per degree from 2
         op = add if sign > 0 else sub
         out = list(map(op, p, o)) if b.small else op(p, o)
         out[0] = 1
+        one = unit(b).x
         for d in range(2, b.q + 1):
             lo, hi = b.bounds[d], b.bounds[d + 1]
             if sign < 0 and is_int64(out):
                 peak = max(peak, norms(out, b.bounds[d - 1], lo)[1])
                 if not fits(start, l1, peak):
                     out, o = widen(out), widen(o)
-            out[lo:hi] = b.inner(d, p if sign > 0 else out, o, out[lo:hi], sign)
+            y, v = (o, one) if sign > 0 else (one, o)
+            out[lo:hi] = b.inner(d, out[lo:hi], p, y, out, v)
         return Series(b, out)
 
     def __mul__(self, other: "Series") -> "Series":
@@ -394,19 +398,15 @@ def meridian_walk(basis: Basis, comps, passages) -> list:
 
     No passage changes degree 1: a conjugate of m has m's degree-1 part.
     So every arc of component c starts at 1 + X_c, and the walk solves
-    degrees 2..q.  A passage under o takes m to m' with x y = u v, where
-    (x, y | u, v) is (m, o | o, m') at sign +1 (m' = o^-1 m o) and
-    (o, m | m', o) at sign -1 (m' = o m o^-1).  All constant terms are 1,
-    so degree d of that identity is the one step
-
-        m'[d] = m[d] + s(x, y)[d] - s(u, v)[d],
-
-    where s(x, y)[d] is ``Basis.inner``'s sum over the inner splits of
-    each degree-d monomial, which reads degrees below d only.  One walk per
-    degree, in walk order, therefore fills degree d of every arc.  The
-    result is the fixed point of the depth-by-depth refinement, which it
-    equals at depth q + 1 (depth stability: Milnor, Isotopy of links,
-    1957).
+    degrees 2..q.  A passage under o takes m to m' by the identity
+    x y = u v (module docstring), where (x, y | u, v) is (m, o | o, m') at
+    sign +1 (m' = o^-1 m o) and (o, m | m', o) at sign -1 (m' = o m o^-1).
+    Its ends are m's at either sign, so degree d of m' is one
+    ``Basis.inner`` step, m'[d] = m[d] + s(x, y)[d] - s(u, v)[d], which
+    reads degrees below d only.  One walk per degree, in walk order,
+    therefore fills degree d of every arc.  The result is the fixed point
+    of the depth-by-depth refinement, which it equals at depth q + 1
+    (depth stability: Milnor, Isotopy of links, 1957).
     """
     gens = {c: generator_series(c, basis).x for c in set(comps)}
     m = [gens[c][:] for c in comps]
@@ -424,13 +424,12 @@ def meridian_walk(basis: Basis, comps, passages) -> list:
         if is_int64(m):
             deg_l1, deg_peak = norms(m, bounds[deg - 1], lo)
             l1, peak = l1 + deg_l1, max(peak, deg_peak)
-            # each passage adds two inner-split sums, each at most
-            # l1 * peak, to a running value that starts at most 1
+            # each passage's step adds s(x, y) - s(u, v), at most
+            # 2 l1 peak, to a running value that starts at most 1
             if not fits(1.0, 2 * len(passages) * l1, peak):
                 m = widen(m)
         for a, out, x, y, u, v in steps:
-            added = inner(deg, m[x], m[y], m[a][lo:hi])
-            m[out][lo:hi] = inner(deg, m[u], m[v], added, -1)
+            m[out][lo:hi] = inner(deg, m[a][lo:hi], m[x], m[y], m[u], m[v])
     # each row wrapped once, so its guard norms are computed once
     return [Series(basis, row) for row in m]
 

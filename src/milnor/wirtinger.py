@@ -21,13 +21,13 @@ depth by depth, each pass conjugating by the previous pass's meridians, and
 element with ``*``, ``/`` and ``inverse()``: on free-group words they give
 ``meridian_words`` and ``longitude_word``, exact at every depth, and the
 tests run them on Magnus series as the oracle of the graded walk.
-The invariant engine solves the meridians on a monomial basis, which it
-sizes by its query, with ``magnus.meridian_walk``, whose docstring derives
-the graded recursion; ``longitude_series(d, comps, basis)`` walks once for
-a batch of components and returns their longitudes.  A base arc's row is
+The engine solves the meridians on a basis sized by its query with
+``magnus.meridian_walk``, one step per passage and degree of the identity
+x y = u v that the ``magnus`` module docstring writes once for every
+series operation; ``longitude_series(d, comps, basis)`` walks once for a
+batch of components and returns their longitudes.  A base arc's row is
 1 + X_c, so the framing factors of ``_longitude`` divide or multiply by
-x_c.  Nothing sized by the basis is kept on the diagram, so the rows die
-with the query.
+x_c.  Nothing sized by the basis is kept on the diagram or outlives the query.
 """
 
 from __future__ import annotations

@@ -787,7 +787,7 @@ class TestCablingCrossCheck:
         # repetition-free value below length 6, so the check reads every
         # length k on the closure of its ordered injections' monomials; each
         # basis is built once, and every degree from 2 of every arc's
-        # meridian once on it, two inner-split sums per passage
+        # meridian once on it, one kernel step per passage
         from milnor import magnus, wirtinger
         from milnor.diagram import reduced
 
@@ -797,7 +797,7 @@ class TestCablingCrossCheck:
         graded, inner = magnus.meridian_walk, magnus.Basis.inner
 
         def spy_graded(basis, comps, passages):
-            # the degree of each inner-split sum while the walk is open
+            # the degree of each kernel step while the walk is open
             open_walks.append([])
             rows = graded(basis, comps, passages)
             sums = open_walks.pop()
@@ -824,7 +824,7 @@ class TestCablingCrossCheck:
         assert [len(b) for b in built] == [6, 16, 42, 88, 130]
         passages = len(wirtinger._walk(reduced(doubled)).passages)
         assert degrees == [
-            (b, d, 2 * passages) for b in want for d in range(2, b.q + 1)
+            (b, d, passages) for b in want for d in range(2, b.q + 1)
         ]
 
 

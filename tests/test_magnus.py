@@ -429,16 +429,35 @@ class TestBasis:
             s * unit(dense(2, 2))
 
     def test_inner_has_no_degree_one_table(self):
-        # degree 1 has no inner split, so no operation sums there; on both
-        # kernels a call at degree 1, or outside 2..q, finds no table
+        # degree 1 has no inner split, so no operation steps there; on both
+        # kernels the step at degree 2 is acc + s(x, y) - s(u, v), and a
+        # call at degree 1, or outside 2..q, finds no table
         for b in (dense(2, 3), large_basis(2, 3)):
-            x = generator_series(1, b).x
+            x, u = generator_series(1, b).x, generator_series(2, b).x
             lo, hi = b.bounds[2], b.bounds[3]
-            got = list(b.inner(2, x, x, x[lo:hi]))
-            assert got == [int(w == (1, 1)) for w in b.words[lo:hi]]
+            got = list(b.inner(2, x[lo:hi], x, x, u, u))
+            assert got == [(w == (1, 1)) - (w == (2, 2)) for w in b.words[lo:hi]]
             for d in (0, 1, b.q + 1):
                 with pytest.raises(KeyError):
-                    b.inner(d, x, x, x[b.bounds[1] : b.bounds[2]])
+                    b.inner(d, x[b.bounds[1] : b.bounds[2]], x, x, u, u)
+
+    def test_every_operation_is_one_step_per_degree(self, monkeypatch):
+        # a product, a quotient and an inverse each solve one identity
+        # x y = u v, so each takes one step per degree 2..q, on both kernels
+        step = Basis.inner
+        degrees = []
+
+        def spy(basis, d, *args):
+            degrees.append(d)
+            return step(basis, d, *args)
+
+        monkeypatch.setattr(Basis, "inner", spy)
+        for b in (dense(2, 3), large_basis(2, 3)):
+            g, h = generator_series(1, b), generator_series(2, b)
+            for op in (lambda: g * h, lambda: g / h, g.inverse):
+                degrees.clear()
+                op()
+                assert degrees == list(range(2, b.q + 1))
 
     def test_generator_series_stops_at_the_basis(self):
         b = closure(2, [(1, 1, 2)])

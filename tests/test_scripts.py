@@ -231,3 +231,29 @@ def test_bench_pairs_stop_on_differing_output(tmp_path):
                    encoding="utf-8")
     with pytest.raises(SystemExit, match="cli --help: the parent side's round 1 differs"):
         bench.measure([("cli --help", ["--help"], 2)], sides)
+
+
+@pytest.mark.parametrize("against", [False, True])
+def test_bench_runs_only_the_named_ops(tmp_path, monkeypatch, capsys, against):
+    # --ops keeps the named ops, in the order of the file, in both modes;
+    # an unknown name is a usage error that lists the ops.  The input build
+    # and the timing are stubbed out
+    bench = _bench()
+    ops = [["cli --help", ["--help"], 5], ["self-delta a", ["classify"], 5],
+           ["homotopy b", ["classify"], 5]]
+    built = {"numpy": "", "inputs": {}, "ops": ops, "inputs_build": {}}
+    ran = []
+    monkeypatch.setattr(bench, "build_in_child", lambda work, root: dict(built))
+    monkeypatch.setattr(bench, "measure", lambda ops, sides: ran.append(ops) or [])
+    monkeypatch.setattr(bench, "tier1", lambda root: {})
+    monkeypatch.setattr(bench, "copy_sides", lambda tmp, change, parent: {"change": change})
+    mode = ["--against", str(ROOT)] if against else []
+    out = str(tmp_path / "BENCH.json")
+    assert bench.main([*mode, "--ops", "homotopy b, cli --help", "--out", out]) == 0
+    assert ran == [[ops[0], ops[2]]]
+    with pytest.raises(SystemExit) as exc:
+        bench.main([*mode, "--ops", "cli --help,self-delta c", "--out", out])
+    assert exc.value.code == 2 and len(ran) == 1
+    err = capsys.readouterr().err
+    assert "unknown op(s) 'self-delta c'" in err
+    assert all(repr(op) in err for op, _, _ in ops)
