@@ -272,10 +272,17 @@ COMMANDS = {"invariants": cmd_invariants, "classify": cmd_classify,
 
 def main(argv=None) -> int:
     try:
-        code = _run(argv)
+        parsed = parse(sys.argv[1:] if argv is None else list(argv))
+        if parsed is None:
+            print(USAGE)
+            code = 0
+        else:
+            command, values = parsed
+            code = COMMANDS[command](**values)
         # a piped stdout is block-buffered: write it out here, where a closed
         # pipe can still be caught, not at interpreter exit
         sys.stdout.flush()
+        return code
     except BrokenPipeError:
         # the reader is gone; what is left unwritten goes nowhere, so that
         # exiting does not raise again, and nothing is reported
@@ -283,17 +290,6 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    return code
-
-
-def _run(argv) -> int:
-    try:
-        parsed = parse(sys.argv[1:] if argv is None else list(argv))
-        if parsed is None:
-            print(USAGE)
-            return 0
-        command, values = parsed
-        return COMMANDS[command](**values)
     except UsageError as exc:
         print(f"{USAGE}\nmilnor: error: {exc}", file=sys.stderr)
         return 1

@@ -1,11 +1,13 @@
 """Morse slice constructions of diagrams.
 
-Braids and their closures, commutator tangles, tree tangles (and with them
-the generator links) and a cable's framing twists all run one Morse slice
-executor, ``run_slices``, so every diagram it returns is planar by
-construction.  With the diagram sign convention, a braid generator acting as
-"left strand passes over right strand" on two downward strands is positive,
-and the linking number of the resulting clasp is +1.
+Braids and their closures, tree tangles (and with them the generator
+links) and a cable's framing twists all run one Morse slice executor,
+``run_slices``, so every diagram it returns is planar by construction.  A
+commutator tangle is a braid word.  The move that carries one point across
+the row, over the points between, is written once, as ``_over``.  With the
+diagram sign convention, a braid generator acting as "left strand passes
+over right strand" on two downward strands is positive, and the linking
+number of the resulting clasp is +1.
 """
 
 from __future__ import annotations
@@ -155,6 +157,16 @@ def from_braid(strands, word, closed=False, name=None):
 # -- commutator tangles and generator links -----------------------------------
 
 
+def _over(a, b):
+    """Braid letters carrying the point at row position a (from 0) to
+    position b, over every point between."""
+    return list(range(a + 1, b + 1)) if a < b else list(range(-a, -b))
+
+
+def _inverse(word):
+    return [-g for g in reversed(word)]
+
+
 def commutator_tangle(word: Word, target: int, n: int) -> Diagram:
     """A pure string link whose target strand reads the word: for each letter
     the target strand travels over to the named strand and encircles it once
@@ -170,36 +182,23 @@ def commutator_tangle(word: Word, target: int, n: int) -> Diagram:
         raise DiagramError("word rank must equal the component count")
     if word.exponent_sum(target) != 0 or any(abs(x) == target for x in word.letters):
         raise DiagramError("word may not mention the target strand's meridian")
-    ops = []
+    letters = []
     pos = target - 1  # current position of the target point (0-based)
     for x in word.letters:
-        j, sign = abs(x), (1 if x > 0 else -1)
-        jpos = j - 1 if j < target else j - 2  # position of strand j's point
-        # travel: move the target point next to strand j, passing over
-        while pos < jpos:
-            ops.append(("x", pos, "L"))
-            pos += 1
-        while pos > jpos + 1:
-            ops.append(("x", pos - 1, "R"))
-            pos -= 1
-        side = "L" if sign == 1 else "R"
-        ops.append(("x", min(pos, jpos), side))
-        ops.append(("x", min(pos, jpos), side))
-    # travel home
-    home = target - 1
-    while pos < home:
-        ops.append(("x", pos, "L"))
-        pos += 1
-    while pos > home:
-        ops.append(("x", pos - 1, "R"))
-        pos -= 1
-    return run_slices(n, ops, closed=False)
+        # carry the target beside strand |x|, whose point is at jpos with
+        # the target on its right and at jpos + 1 with it on its left
+        jpos = abs(x) - 1 if abs(x) < target else abs(x) - 2
+        dest = min(max(pos, jpos), jpos + 1)
+        clasp = jpos + 1 if x > 0 else -(jpos + 1)
+        letters += _over(pos, dest) + [clasp, clasp]
+        pos = dest
+    return from_braid(n, letters + _over(pos, target - 1))
 
 
 def _pure_braid_generator(i, j, m):
     """Braid word clasping strands i < j of m, positive linking."""
     conj = list(range(j - 1, i, -1))
-    return conj + [i, i] + [-g for g in reversed(conj)]
+    return conj + [i, i] + _inverse(conj)
 
 
 def _bracket_braid(m):
@@ -208,9 +207,7 @@ def _bracket_braid(m):
     word = _pure_braid_generator(m - 1, m, m)
     for i in range(m - 2, 0, -1):
         a = _pure_braid_generator(i, m, m)
-        inv = [-g for g in reversed(word)]
-        ainv = [-g for g in reversed(a)]
-        word = a + word + ainv + inv
+        word = a + word + _inverse(a) + _inverse(word)
     return word
 
 
@@ -243,12 +240,9 @@ def tree_tangle(n: int, leaves: Sequence[int]) -> Diagram:
     for i, c in enumerate(leaves, start=1):
         p = c - 1
         x = n + m + (m - i)  # position of the return of loop i
-        for pos in range(p, x - 1):
-            ops.append(("x", pos, "L"))
-        ops.append(("min", x - 1))
-        ops.append(("max", x - 1, "L"))
-        for pos in range(x - 1, p, -1):
-            ops.append(("x", pos - 1, "R"))
+        ops += _braid_ops(_over(p, x - 1))
+        ops += [("min", x - 1), ("max", x - 1, "L")]
+        ops += _braid_ops(_over(x - 1, p))
     # the chain pattern itself
     ops.extend(_braid_ops(_bracket_braid(m), n))
     # close the chain off: entries meet their returns, innermost first

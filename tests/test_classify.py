@@ -828,6 +828,43 @@ class TestCablingCrossCheck:
         ]
 
 
+def test_deterministic_costs(monkeypatch):
+    # braid letters, crossings and walk sizes that no timing noise moves:
+    # a change that draws the generators or walks the arcs differently
+    # shows here first
+    from milnor import magnus
+    from milnor.tangles import _bracket_braid
+
+    sizes = []
+    for m in range(2, 8):
+        t = tree_tangle(m, tuple(range(1, m + 1)))
+        sizes.append((len(_bracket_braid(m)), t.crossing_count,
+                      reduced(closure(t)).crossing_count))
+    assert sizes == [(2, 14, 2), (12, 42, 8), (36, 92, 20), (88, 178, 44),
+                     (196, 328, 92), (416, 598, 188)]
+    for n, m, crossings in ((3, 6, (310, 101)), (4, 8, (1068, 394))):
+        link = closure(surjection_generator(selfdelta_generator_indices(n, m)[0]))
+        assert (link.crossing_count, reduced(link).crossing_count) == crossings
+
+    walks, graded = [], magnus.meridian_walk
+
+    def spy(basis, comps, passages):
+        walks.append((len(basis), basis.splits, basis.small, len(passages)))
+        return graded(basis, comps, passages)
+
+    monkeypatch.setattr(magnus, "meridian_walk", spy)
+    invariants.table(milnor_link(4), 8, 2)
+    assert walks == [(4845, 35157, False, 16)]  # the numpy kernel
+    walks.clear()
+    selfdelta_vector(closure(surjection_generator(Surjection(3, 1, (2, 3)))))
+    assert walks == [(181, 940, True, 20)]  # the Python kernel
+    walks.clear()
+    g = lambda values, e: injection_generator(Injection(5, values), e)
+    homotopy_normal_form(reduced(stack_all(
+        [g((1, 2), 1), g((1, 2, 3), -1), g((2, 1, 3, 4), 1)], 5)))
+    assert [size for size, *_ in walks] == [32, 5, 11, 22, 32]
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
