@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
+from collections import namedtuple
 
 from . import invariants
 from .diagram import Diagram, cable, closure, power, reduced, stack_all, trivial_string_link
@@ -53,9 +54,15 @@ def surjection_generator(tau: Surjection, exponent: int = 1) -> Diagram:
         # measured correcting factors; the matched partner value stays odd
         etas = {eta.index(): eta for eta in ascending_surjections(2 * n, n, n)}
         strays = invariants.evaluate(base, etas)
-        fixes = [surjection_generator(etas[i], -s) for i, s in strays.items() if s]
-        base = stack_all([base, *fixes], n)
+        fixes = [(etas[i], -s) for i, s in strays.items()]
+        base = _product(n, fixes, surjection_generator, [base])
     return power(base, exponent)
+
+
+def _product(n: int, terms, generator, parts=()) -> Diagram:
+    """``parts``, then ``generator(t, e)`` for each (t, e) of ``terms`` with
+    e nonzero, stacked top to bottom: every stack of generator powers here."""
+    return stack_all([*parts, *(generator(t, e) for t, e in terms if e)], n)
 
 
 def milnor_link(n: int) -> Diagram:
@@ -77,24 +84,16 @@ def mu_of(l: Diagram, pi: Injection) -> int:
     return invariants.mu(l, pi.values)
 
 
-class HomotopyNormalForm:
-    def __init__(self, n: int, exponents: dict):
-        self.n = n
-        self.exponents = exponents  # Injection -> int, over all injections for this n
+class HomotopyNormalForm(namedtuple("HomotopyNormalForm", "n exponents")):
+    """``exponents`` maps every ordered injection for n to an integer."""
 
-    def __eq__(self, other):
-        if not isinstance(other, HomotopyNormalForm):
-            return NotImplemented
-        return (self.n, self.exponents) == (other.n, other.exponents)
+    __slots__ = ()
 
     def ordered(self):
         return [(pi, self.exponents[pi]) for pi in all_injections(self.n)]
 
     def realize(self) -> Diagram:
-        parts = [
-            injection_generator(pi, e) for pi, e in self.ordered() if e != 0
-        ]
-        return stack_all(parts, self.n)
+        return _product(self.n, self.ordered(), injection_generator)
 
     def to_json(self):
         return [
@@ -127,8 +126,8 @@ def homotopy_normal_form(l: Diagram) -> HomotopyNormalForm:
             exponents[pi] = target[pi.values] - built[pi.values]
         if k == n:
             break  # nothing reads the product of every level
-        gens = [injection_generator(pi, exponents[pi]) for pi in level if exponents[pi]]
-        partial = reduced(stack_all([partial, *gens], n))
+        terms = [(pi, exponents[pi]) for pi in level]
+        partial = reduced(_product(n, terms, injection_generator, [partial]))
     l._cache["normal_form"] = HomotopyNormalForm(n, exponents)
     return l._cache["normal_form"]
 
@@ -282,21 +281,16 @@ def link_homotopy_trivial(l: Diagram) -> bool:
     return True
 
 
-class BrunnianForm:
-    def __init__(self, n: int, parity: dict, doubled: dict, single: dict):
-        self.n = n
-        self.parity = parity  # Surjection (palindromic, odd length family) -> 0 or 1
-        self.doubled = doubled  # Surjection (palindromic, length 2n) -> int
-        self.single = single  # Surjection (ascending, length 2n) -> int
+class BrunnianForm(namedtuple("BrunnianForm", "n parity doubled single")):
+    """Exponents by surjection family: ``parity`` (palindromic, odd length) 0
+    or 1; ``doubled`` (palindromic) and ``single`` (ascending), length 2n."""
+
+    __slots__ = ()
 
     def realize(self) -> Diagram:
-        parts = [
-            surjection_generator(t, e)
-            for family in (self.parity, self.doubled, self.single)
-            for t, e in sorted(family.items(), key=lambda kv: kv[0].values)
-            if e
-        ]
-        return stack_all(parts, self.n)
+        families = (self.parity, self.doubled, self.single)
+        terms = [kv for f in families for kv in sorted(f.items(), key=lambda kv: kv[0].values)]
+        return _product(self.n, terms, surjection_generator)
 
 
 def brunnian_representative(l: Diagram) -> BrunnianForm:
@@ -319,7 +313,7 @@ def brunnian_representative(l: Diagram) -> BrunnianForm:
     for phi in palindromic_surjections(2 * n - 1, n, n):
         parity[phi] = vec.entries[palindromic_partner(phi).index()].value % 2
     # palindromic surjections come out lexicographically, realize's order
-    base = BrunnianForm(n, parity, {}, {}).realize()
+    base = _product(n, parity.items(), surjection_generator)
     doubled = {}
     taus = palindromic_surjections(2 * n, n, n)
     built = invariants.evaluate(base, [tau.index() for tau in taus])

@@ -9,8 +9,8 @@ of every report and diagram.  Exit codes: 0 success, 1 usage, 2 parse or
 validation failure (a non-integer specification word or an unwritable
 output file among them), 3 hypothesis not met in strict mode, 4 out of
 memory (a ``MemoryError``, or numpy failing to load), 141 when the reader
-closes standard output early (as for a process ended by SIGPIPE).  ``run``
-is the process entry: it ends the process with ``main``'s code.
+closes standard output early, or standard error before a report (as for
+SIGPIPE).  ``run`` is the process entry: it ends it with ``main``'s code.
 """
 
 from __future__ import annotations
@@ -270,6 +270,15 @@ COMMANDS = {"invariants": cmd_invariants, "classify": cmd_classify,
             "generate": cmd_generate, "cable": cmd_cable}
 
 
+def _closed(stream) -> int:
+    """141: the reader of ``stream`` is gone, and what is left unwritten goes
+    nowhere, so that exiting does not raise again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+    return 141
+
+
 def main(argv=None) -> int:
     try:
         parsed = parse(sys.argv[1:] if argv is None else list(argv))
@@ -284,30 +293,26 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # the reader is gone; what is left unwritten goes nowhere, so that
-        # exiting does not raise again, and nothing is reported
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return 141
+        return _closed(sys.stdout)
     except UsageError as exc:
-        print(f"{USAGE}\nmilnor: error: {exc}", file=sys.stderr)
-        return 1
+        code, report = 1, f"{USAGE}\nmilnor: error: {exc}"
     except ValueError as exc:  # DiagramError among them
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, report = 2, f"error: {exc}"
     except MemoryError as exc:
-        reason = str(exc) or "out of memory"
+        code, report = 4, f"error: MemoryError: {str(exc) or 'out of memory'}"
     except ImportError as exc:
         if isinstance(exc, ModuleNotFoundError):
             raise
         # past start-up only numpy is imported (``magnus._numpy``): an
         # installed numpy that cannot map its shared libraries is out of memory
-        reason = "numpy failed to load its shared libraries"
-    # every other path has returned; the traceback, which holds the frames
-    # that filled the memory, is gone once the handler is left
-    print(f"error: MemoryError: {reason}", file=sys.stderr)
-    return 4
+        code, report = 4, "error: MemoryError: numpy failed to load its shared libraries"
+    # reported once the handler is left and the traceback, which holds the
+    # frames that filled the memory, is gone; a closed stderr ends as stdout
+    try:
+        print(report, file=sys.stderr)
+    except BrokenPipeError:
+        return _closed(sys.stderr)
+    return code
 
 
 def run() -> None:

@@ -17,15 +17,23 @@ traced, and the integer reader must accept and reject exactly as it does.
 ``milnor.cli.parse`` read it from one grammar table.
 ``selfdelta_equivalent`` compares two self-delta tables entry by entry, as
 ``SelfDeltaVector.equivalent`` did before it read only nonzero residues.
+``realization`` stacks a normal form's or a Brunnian form's generator powers
+one at a time, where ``realize`` stacks them in one product.
 """
 
 import argparse
 import itertools
 
 from milnor import magnus
-from milnor.classify import Verdict
-from milnor.diagram import OVER, UNDER, Diagram, DiagramError
+from milnor.classify import (
+    HomotopyNormalForm,
+    Verdict,
+    injection_generator,
+    surjection_generator,
+)
+from milnor.diagram import OVER, UNDER, Diagram, DiagramError, stack, trivial_string_link
 from milnor.invariants import evaluate
+from milnor.multiindex import all_injections
 from milnor.pdfile import _int, _owned, to_pd_json
 from milnor.wirtinger import _longitude, _refine, _walk
 
@@ -70,6 +78,26 @@ def selfdelta_equivalent(a, b):
         top = [{i: r for i, r in t.items() if len(i) == 2 * n} for t in tables]
         return Verdict.YES if top[0] == top[1] else Verdict.NO
     return Verdict.NO if tables[0] != tables[1] else Verdict.UNDECIDED
+
+
+def realization(form):
+    """The string link of a ``HomotopyNormalForm`` (its injections in
+    ``all_injections`` order) or of a ``BrunnianForm`` (parity, doubled, then
+    single, each by surjection values): each nonzero generator power stacked
+    in turn under the product so far, from the trivial string link."""
+    if isinstance(form, HomotopyNormalForm):
+        terms = [(pi, form.exponents[pi]) for pi in all_injections(form.n)]
+        generator = injection_generator
+    else:
+        terms = []
+        for family in (form.parity, form.doubled, form.single):
+            terms += sorted(family.items(), key=lambda kv: kv[0].values)
+        generator = surjection_generator
+    product = trivial_string_link(form.n)
+    for label, e in terms:
+        if e:
+            product = stack(product, generator(label, e))
+    return product
 
 
 def canonical_form(d):

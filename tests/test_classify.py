@@ -12,6 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from milnor import invariants
 from milnor.classify import (
+    BrunnianForm,
+    HomotopyNormalForm,
     SelfDeltaVector,
     Verdict,
     brunnian_representative,
@@ -129,6 +131,28 @@ def normal_form_pairs(draw):
         other = [injection_generator(q, exps[q]) for q in pis if exps.get(q)]
         homotopic = False
     return stack_all(parts, n), stack_all(other, n), homotopic
+
+
+@st.composite
+def exponent_vectors(draw):
+    """A normal form on n = 2..4 components with exponents in -2..2."""
+    n = draw(st.integers(2, 4))
+    pis = all_injections(n)
+    values = draw(st.lists(st.integers(-2, 2), min_size=len(pis), max_size=len(pis)))
+    return HomotopyNormalForm(n, dict(zip(pis, values)))
+
+
+@st.composite
+def brunnian_forms(draw):
+    """A Brunnian form on n = 2 or 3 components: parity exponents 0 or 1,
+    the others in -2..2."""
+    n = draw(st.integers(2, 3))
+    families = [
+        (palindromic_surjections(2 * n - 1, n, n), st.integers(0, 1)),
+        (palindromic_surjections(2 * n, n, n), st.integers(-2, 2)),
+        (ascending_surjections(2 * n, n, n), st.integers(-2, 2)),
+    ]
+    return BrunnianForm(n, *({t: draw(e) for t in ts} for ts, e in families))
 
 
 @st.composite
@@ -281,6 +305,28 @@ class TestNormalForm:
         with pytest.raises(ValueError):
             homotopy_normal_form(hopf())
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_zero_forms_realize_the_trivial_string_link(self, n):
+        zero = HomotopyNormalForm(n, dict.fromkeys(all_injections(n), 0))
+        families = [
+            palindromic_surjections(2 * n - 1, n, n),
+            palindromic_surjections(2 * n, n, n),
+            ascending_surjections(2 * n, n, n),
+        ]
+        brunnian = BrunnianForm(n, *(dict.fromkeys(ts, 0) for ts in families))
+        t = trivial_string_link(n)
+        for form in (zero, brunnian):
+            d = form.realize()
+            assert (d.n, d.closed, d.events, d.signs) == (n, False, t.events, t.signs)
+
+    # one product stacks every form: the same diagram, crossing for
+    # crossing, as stacking its generator powers one at a time
+    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(exponent_vectors(), brunnian_forms()))
+    def test_realize_is_the_part_by_part_stack(self, form):
+        got, want = form.realize(), oracles.realization(form)
+        assert (got.events, got.signs) == (want.events, want.signs)
+
 
 class TestLinkHomotopic:
     def test_reflexive(self):
@@ -334,6 +380,15 @@ class TestLinkHomotopic:
     def test_normal_forms_decide_generator_products(self, pair):
         a, b, homotopic = pair
         assert link_homotopic(a, b) == homotopy_classes_agree(a, b, a.n) == homotopic
+        # forms are equal iff their (n, exponents) are: a rebuilt form with a
+        # copy of the exponents is equal, and one changed exponent is not
+        fa, fb = homotopy_normal_form(a), homotopy_normal_form(b)
+        assert tuple(fa) == (a.n, fa.exponents)
+        assert fa == HomotopyNormalForm(a.n, dict(fa.exponents))
+        assert link_homotopic(a, b) == (fa.exponents == fb.exponents) == homotopic
+        pi = all_injections(a.n)[-1]
+        changed = HomotopyNormalForm(a.n, {**fa.exponents, pi: fa.exponents[pi] + 1})
+        assert fa != changed
 
     def test_classes_agree_count_mismatch(self):
         with pytest.raises(ValueError, match="component counts differ"):

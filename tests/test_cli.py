@@ -858,6 +858,25 @@ def test_a_closed_pipe_ends_the_cli_quietly():
     assert err == b""
 
 
+@pytest.mark.parametrize("argv", [["bogus"], ["invariants", "missing.json"]])
+def test_a_closed_stderr_ends_the_cli_as_a_closed_stdout_does(tmp_path, argv):
+    # the usage report and the validation report each meet the closed end
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "milnor.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            cwd=tmp_path,
+            stdout=subprocess.PIPE,
+            stderr=write,
+            timeout=300,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stdout) == (141, b"")
+
+
 def cli_process(*argv, flags=()):
     """A fresh ``python -m milnor.cli`` process run to its end."""
     return subprocess.run(

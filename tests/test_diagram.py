@@ -589,10 +589,14 @@ class TestPDFiles:
                 lambda h, s: {**s, "endpoints": {"top": [1, 2], "bottom": [3, 6]}},
                 "top endpoints must cover all components",
             ),
+            (
+                lambda h, s: {**s, "endpoints": {**s["endpoints"], "top": [1]}},
+                "need one top endpoint per component",
+            ),
             (lambda h, s: {"strands": 2, "word": [1, 1], "kind": "knot"}, "unknown braid kind"),
             (lambda h, s: {"name": "x"}, "neither a PD diagram nor a braid"),
         ],
-        ids=["link-endpoints", "labels", "top-misses", "braid-kind", "name-only"],
+        ids=["link-endpoints", "labels", "top-misses", "top-length", "braid-kind", "name-only"],
     )
     def test_rejects(self, edit, message):
         hopf = to_pd_json(closure(from_braid(2, [1, 1])))
