@@ -20,7 +20,16 @@ import sys
 from collections import namedtuple
 
 from . import invariants
-from .diagram import Diagram, cable, closure, power, reduced, stack_all, trivial_string_link
+from .diagram import (
+    Diagram,
+    _must_fit,
+    cable,
+    closure,
+    power,
+    reduced,
+    stack_all,
+    trivial_string_link,
+)
 from .multiindex import (
     Injection,
     Surjection,
@@ -237,17 +246,6 @@ def selfdelta_trivial(l: Diagram) -> bool:
     return selfdelta_vector(l).trivial
 
 
-def _address_space_limit() -> int | None:
-    """The soft ``RLIMIT_AS`` in bytes; None when there is none, or no
-    ``resource`` module to read it from."""
-    try:
-        import resource
-    except ImportError:
-        return None
-    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
-    return None if limit == resource.RLIM_INFINITY else limit
-
-
 def link_homotopy_trivial(l: Diagram) -> bool:
     """Link-homotopic to a trivial link iff every repetition-free invariant
     vanishes.
@@ -265,16 +263,11 @@ def link_homotopy_trivial(l: Diagram) -> bool:
     """
     if not l.closed:
         raise ValueError("this decision applies to closed links")
-    limit = _address_space_limit()
     for k in range(2, l.n + 1):
         # refuse a length whose list alone cannot fit: C(n, k) (k - 2)!
         # injections, each listed as at least a k-tuple
         need = math.comb(l.n, k) * math.factorial(k - 2) * sys.getsizeof((0,) * k)
-        if limit is not None and need > limit:
-            raise MemoryError(
-                f"the {k}-entry injections of {l.n} components need at least "
-                f"{need:,} bytes, over the {limit:,}-byte address-space limit"
-            )
+        _must_fit(need, f"the {k}-entry injections of {l.n} components")
         indices = [pi.values for pi in injections(k, l.n)]
         if any(invariants.evaluate(l, indices).values()):
             return False

@@ -16,6 +16,7 @@ direction.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Sequence
 
 OVER = "o"
@@ -100,12 +101,36 @@ class Diagram:
         return f"<{kind}{label} n={self.n} crossings={self.crossing_count}>"
 
 
+def _must_fit(need: int, what: str) -> None:
+    """Refuse with ``MemoryError`` a job whose floor of ``need`` bytes for
+    ``what`` exceeds the soft ``RLIMIT_AS``; nothing is refused with no
+    limit, or no ``resource`` module to read it from."""
+    try:
+        import resource
+    except ImportError:
+        return
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if limit != resource.RLIM_INFINITY and need > limit:
+        raise MemoryError(
+            f"{what} need at least {need:,} bytes, over the {limit:,}-byte "
+            "address-space limit"
+        )
+
+
+_SLOT = sys.getsizeof([None]) - sys.getsizeof([])  # bytes of one list entry
+
+
+def _empty_walks(n):
+    _must_fit(n * sys.getsizeof([]), f"the walks of {n} components")
+    return [[] for _ in range(n)]
+
+
 def trivial_string_link(n):
-    return Diagram(n, [[] for _ in range(n)], [], closed=False)
+    return Diagram(n, _empty_walks(n), [], closed=False)
 
 
 def trivial_link(n):
-    return Diagram(n, [[] for _ in range(n)], [], closed=True)
+    return Diagram(n, _empty_walks(n), [], closed=True)
 
 
 # -- composition operations ----------------------------------------------
@@ -282,6 +307,10 @@ def cable(l: Diagram, multiplicities: Sequence[int]) -> Diagram:
     if not l.closed:
         raise DiagramError("cabling is defined for closed links")
     mult = _multiplicities(l, multiplicities)
+    # each crossing copy holds a sign and two passages, each a 2-tuple
+    copies = sum(mult[o[0] - 1] * mult[u[0] - 1] for o, u in zip(l.over_at, l.under_at))
+    need = copies * (_SLOT + 2 * sys.getsizeof((0, OVER)))
+    _must_fit(need, f"the {copies} crossings of the cable")
     # the copies of crossing cid are base[cid] + s * c + t for the s-th
     # under-copy and t-th over-copy, c the over-component's multiplicity
     base: list[int] = []

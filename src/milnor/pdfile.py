@@ -59,17 +59,23 @@ def to_pd_json(d: Diagram) -> dict:
     return data
 
 
-def _owned(data):
-    """data as an object the reader may take its tables out of: JSON text
-    decoded, a dict copied shallowly (the caller's tables are only read),
-    anything else as given.  Nesting too deep for the decoder is a
-    DiagramError."""
-    if isinstance(data, dict):
-        return dict(data)
-    try:
-        return json.loads(data) if isinstance(data, str) else data
-    except RecursionError:
-        raise DiagramError("JSON nested too deeply") from None
+def _owned(data) -> dict:
+    """data as a dict the reader may take its tables out of: JSON text
+    decoded, a dict copied shallowly (the caller's tables are only read).
+    Both readers enter here: anything but a JSON object whose name is a
+    string or absent, or nesting too deep to decode, is a DiagramError."""
+    if isinstance(data, str):
+        try:
+            data = json.loads(data)
+        except RecursionError:
+            raise DiagramError("JSON nested too deeply") from None
+    elif isinstance(data, dict):
+        data = dict(data)
+    if not isinstance(data, dict):
+        raise DiagramError("a diagram file holds a JSON object")
+    if not isinstance(data.get("name", ""), (str, type(None))):
+        raise DiagramError("a diagram name is a string")
+    return data
 
 
 def _int(value):
@@ -257,24 +263,18 @@ def _check_planar(rows, join) -> None:
 
 
 def load_diagram(data) -> Diagram:
-    """Load either a PD file or a braid file."""
+    """Load either a PD file or a braid file.  A braid file's strand count
+    and letters are checked by ``from_braid``."""
     data = _owned(data)
-    if not isinstance(data, dict):
-        raise DiagramError("a diagram file holds a JSON object")
-    if not isinstance(data.get("name", ""), (str, type(None))):
-        raise DiagramError("a diagram name is a string")
     if "pd" in data:
         return _read_pd(data)
     if "word" in data:
         try:
-            strands = _int(data["strands"])
-            word = [_int(g) for g in data["word"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            strands, letters = data["strands"], iter(data["word"])
+        except (KeyError, TypeError) as exc:
             raise DiagramError(f"malformed braid file: {exc}") from None
         kind = data.get("kind", "stringlink")
         if kind not in ("stringlink", "closure"):
             raise DiagramError(f"unknown braid kind {kind!r}")
-        return from_braid(
-            strands, word, closed=(kind == "closure"), name=data.get("name")
-        )
+        return from_braid(strands, letters, closed=(kind == "closure"), name=data.get("name"))
     raise DiagramError("file is neither a PD diagram nor a braid")

@@ -12,9 +12,10 @@ number of the resulting clasp is +1.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Sequence
 
-from .diagram import OVER, UNDER, Diagram, DiagramError
+from .diagram import _SLOT, OVER, UNDER, Diagram, DiagramError, _must_fit
 
 
 # -- Morse slice executor ----------------------------------------------------
@@ -41,10 +42,13 @@ def run_slices(n, ops, closed=False, name=None):
     """Execute a slice program and return the resulting Diagram.
 
     The program starts from n downward strands and must end with the points
-    of strands 1..n, in order, all flowing down.
+    of strands 1..n, in order, all flowing down; on a string link each
+    strand must end at its own.  A first row of n legs, each with its
+    passage list, that cannot fit is refused before it is built.
     """
     if type(n) is not int:
         raise DiagramError(f"strand count {n!r} is not an integer")
+    _must_fit(n * (sys.getsizeof(_Leg(0, 1)) + sys.getsizeof([])), f"the legs of {n} strands")
     row = [_Leg(i, 1) for i in range(1, n + 1)]
     starts = list(row)
     legs = len(row)
@@ -124,34 +128,29 @@ def run_slices(n, ops, closed=False, name=None):
 # -- braids ------------------------------------------------------------------
 
 
-def braid_permutation(strands, word):
-    if type(strands) is not int:
-        raise DiagramError(f"strand count {strands!r} is not an integer")
-    perm = list(range(1, strands + 1))
-    for g in word:
-        if type(g) is not int or g == 0:
-            raise DiagramError(f"braid letter {g!r} is not a nonzero integer")
-        i = abs(g) - 1
-        if i + 1 >= strands:
-            raise DiagramError(f"braid letter {g} needs more than {strands} strands")
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-    return perm
-
-
 def _braid_ops(word, offset=0):
     """Slice ops of a braid word whose first strand is at ``offset``."""
-    return [("x", offset + abs(g) - 1, "L" if g > 0 else "R") for g in word]
+    return (("x", offset + abs(g) - 1, "L" if g > 0 else "R") for g in word)
+
+
+def _letters(strands, word):
+    """word's letters, each checked as it is read to name two adjacent
+    strands of ``strands``."""
+    for g in word:
+        if type(g) is not int or g == 0:
+            why = "it is zero" if type(g) is int else "it is not an integer"
+            raise DiagramError(f"braid letter {g!r} is not a nonzero integer: {why}")
+        if abs(g) >= strands:
+            raise DiagramError(f"braid letter {g} needs more than {strands} strands")
+        yield g
 
 
 def from_braid(strands, word, closed=False, name=None):
     """The string link traced by a pure braid word, or the closure of any
     braid word; generator +i is the strand at position i passing over its
-    right neighbour, -i the mirror crossing."""
-    word = list(word)
-    perm = braid_permutation(strands, word)
-    if not closed and perm != list(range(1, strands + 1)):
-        raise DiagramError(f"braid is not pure (permutation {perm})")
-    return run_slices(strands, _braid_ops(word), closed=closed, name=name)
+    right neighbour, -i the mirror crossing.  ``run_slices`` checks the
+    strand count before it reads a letter, and a string link's purity."""
+    return run_slices(strands, _braid_ops(_letters(strands, word)), closed=closed, name=name)
 
 
 # -- commutator tangles and generator links -----------------------------------
@@ -203,7 +202,13 @@ def _pure_braid_generator(i, j, m):
 
 def _bracket_braid(m):
     """Braid word of the nested clasp commutator on m strands: the m-th
-    strand carries the iterated commutator of the others' meridians."""
+    strand carries the iterated commutator of the others' meridians.  A
+    word whose list cannot fit, its length from |w| <- 2|a| + 2|w| with
+    |a| = 2(m - i), is refused before it is built."""
+    size = 2
+    for i in range(m - 2, 0, -1):
+        size = 4 * (m - i) + 2 * size
+    _must_fit(size * _SLOT, f"the {size} letters of a {m}-leaf chain")
     word = _pure_braid_generator(m - 1, m, m)
     for i in range(m - 2, 0, -1):
         a = _pure_braid_generator(i, m, m)

@@ -19,6 +19,9 @@ traced, and the integer reader must accept and reject exactly as it does.
 ``SelfDeltaVector.equivalent`` did before it read only nonzero residues.
 ``realization`` stacks a normal form's or a Brunnian form's generator powers
 one at a time, where ``realize`` stacks them in one product.
+``braid_permutation`` is where a braid word takes its strands, which the
+engine never computes: ``run_slices`` checks a string link's purity strand by
+strand as it traces the walks.
 """
 
 import argparse
@@ -78,6 +81,16 @@ def selfdelta_equivalent(a, b):
         top = [{i: r for i, r in t.items() if len(i) == 2 * n} for t in tables]
         return Verdict.YES if top[0] == top[1] else Verdict.NO
     return Verdict.NO if tables[0] != tables[1] else Verdict.UNDECIDED
+
+
+def braid_permutation(strands, word):
+    """The strands in the order a braid word's letters leave them: entry p is
+    the strand that ends at position p + 1.  The letters must be valid."""
+    perm = list(range(1, strands + 1))
+    for g in word:
+        i = abs(g) - 1
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+    return perm
 
 
 def realization(form):

@@ -7,6 +7,7 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -15,11 +16,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import build_parser, canonical_form, spy_graded
 
-from milnor.classify import surjection_generator
+from milnor.classify import surjection_generator, whitehead_link
 from milnor.cli import GRAMMAR, KINDS, USAGE, UsageError, main, parse
-from milnor.diagram import closure, trivial_link, with_kink
+from milnor.diagram import DiagramError, closure, trivial_link, with_kink
 from milnor.multiindex import Surjection
-from milnor.pdfile import parse_pd, to_pd_json
+from milnor.pdfile import load_diagram, parse_pd, to_pd_json
 from milnor.tangles import from_braid
 
 
@@ -118,6 +119,29 @@ class TestInvariantsCmd:
         bad.write_text(text)
         assert main(["invariants", str(bad)]) == 2
         assert "holds a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "braid, message",
+        [
+            ({"word": [1, 1]}, "malformed braid file"),
+            ({"strands": 2, "word": 5}, "malformed braid file"),
+            ({"strands": 2, "word": [1.5]}, "braid letter 1.5 is not a nonzero integer"),
+            ({"strands": 2, "word": [0]}, "braid letter 0 is not a nonzero integer"),
+            ({"strands": 2, "word": [2]}, "braid letter 2 needs more than 2 strands"),
+            ({"strands": 3, "word": [1, 2, 2]}, "strand 1 exits at position 2"),
+        ],
+        ids=["no-strands", "word-number", "letter-float", "letter-zero", "letter-past", "not-pure"],
+    )
+    def test_braid_file_exit_code(self, capsys, tmp_path, braid, message):
+        # load_diagram checks only the fields' presence and kind; the strand
+        # count and each letter are from_braid's, purity is run_slices'
+        with pytest.raises(DiagramError) as refused:
+            load_diagram(braid)
+        assert message in str(refused.value)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(braid))
+        assert main(["invariants", str(bad)]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("field", ["component_of_arc", "orientation"])
     def test_list_mapping_exit_code(self, capsys, tmp_path, field):
@@ -965,23 +989,62 @@ class TestOutOfMemory:
     output.  The cap is set on the child only."""
 
     def run_capped(self, *argv, cap=64 << 20, timeout=60):
-        proc = subprocess.run(
-            [sys.executable, "-m", "milnor.cli", *argv],
-            env=dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1"),
-            capture_output=True,
-            text=True,
-            timeout=timeout,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
-        )
-        assert proc.returncode == 4, proc.stderr[-2000:]
-        assert proc.stdout == ""
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and "MemoryError" in lines[0], proc.stderr[-2000:]
-        return lines[0]
+        """The one line on standard error and the child's peak resident
+        size in bytes, from ``wait4``; ``timeout`` caps the child's CPU
+        seconds."""
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+            resource.setrlimit(resource.RLIMIT_CPU, (timeout, timeout))
+
+        with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "milnor.cli", *argv],
+                env=dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1"),
+                stdin=subprocess.DEVNULL,
+                stdout=out,
+                stderr=err,
+                preexec_fn=limit,
+            )
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            for f in (out, err):
+                f.seek(0)
+            stdout, stderr = out.read().decode(), err.read().decode()
+        assert proc.returncode == 4, stderr[-2000:]
+        assert stdout == ""
+        lines = stderr.splitlines()
+        assert len(lines) == 1 and "MemoryError" in lines[0], stderr[-2000:]
+        return lines[0], usage.ru_maxrss * 1024
 
     def test_allocation(self):
-        # the 30-component Milnor link's tangle outgrows 64 MB as it is built
+        # the 30-component Milnor link's chain braid, about 3.5 * 2**30
+        # letters, is refused from its length before it is built
         self.run_capped("generate", "milnor-link", "30")
+
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["classify", "--homotopy", "braid.json"], "the legs of 20000000 strands"),
+            (["generate", "trivial", "50000000"], "the walks of 50000000 components"),
+            (["generate", "milnor-link", "28"], "letters of a 28-leaf chain"),
+            (["cable", "whitehead.json", "3000"], "crossings of the cable"),
+        ],
+        ids=["braid-strands", "trivial", "milnor-link", "cable"],
+    )
+    def test_refused_before_it_is_built(self, tmp_path, argv, what):
+        # a few bytes of input that ask for gigabytes: the job is refused
+        # from a floor of its size before any of it is allocated, so the
+        # child peaks near its start-up size, far below the 1 GiB cap
+        (tmp_path / "braid.json").write_text(
+            json.dumps({"strands": 20000000, "word": [], "kind": "closure"})
+        )
+        (tmp_path / "whitehead.json").write_text(json.dumps(to_pd_json(whitehead_link())))
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        cap = 1 << 30
+        line, peak = self.run_capped(*argv, cap=cap, timeout=20)
+        assert peak < cap // 2, f"peak {peak:,} bytes"
+        assert what in line and "address-space limit" in line
 
     def test_numpy_that_cannot_load(self, tmp_path):
         # the doubling check's cable needs the numpy kernel, whose shared
@@ -990,7 +1053,7 @@ class TestOutOfMemory:
 
         path = tmp_path / "milnor4.json"
         path.write_text(json.dumps(to_pd_json(milnor_link(4))))
-        assert "numpy" in self.run_capped("classify", "--self-delta", str(path))
+        assert "numpy" in self.run_capped("classify", "--self-delta", str(path))[0]
 
     def test_homotopy_refuses_before_listing(self, tmp_path):
         # a trivial 200,000-component link has about 2 * 10**10 ordered
@@ -998,7 +1061,7 @@ class TestOutOfMemory:
         # listed, so it comes within seconds
         path = tmp_path / "trivial.json"
         path.write_text(json.dumps({"strands": 200000, "word": [], "kind": "closure"}))
-        line = self.run_capped("classify", "--homotopy", str(path), cap=1 << 30, timeout=20)
+        line, _ = self.run_capped("classify", "--homotopy", str(path), cap=1 << 30, timeout=20)
         assert "2-entry injections of 200000 components" in line
 
 

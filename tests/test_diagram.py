@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import canonical_form, commutator, roundtrip_parse_pd
+from oracles import braid_permutation, canonical_form, commutator, roundtrip_parse_pd
 
 from milnor.diagram import (
     Diagram,
@@ -42,13 +42,7 @@ from milnor.multiindex import (
     all_injections,
 )
 from milnor.pdfile import load_diagram, parse_pd, to_pd_json
-from milnor.tangles import (
-    braid_permutation,
-    commutator_tangle,
-    from_braid,
-    run_slices,
-    tree_tangle,
-)
+from milnor.tangles import commutator_tangle, from_braid, run_slices, tree_tangle
 from milnor import diagram, invariants, pdfile, tangles, wirtinger
 
 
@@ -238,9 +232,8 @@ class TestBraids:
         ],
     )
     def test_strands_and_letters_are_integers(self, strands, word, message):
-        for build in (from_braid, braid_permutation):
-            with pytest.raises(DiagramError, match=message):
-                build(strands, word)
+        with pytest.raises(DiagramError, match=message):
+            from_braid(strands, word)
 
     def test_closure_keeps_name(self):
         assert from_braid(2, [1, 1], closed=True, name="hopf").name == "hopf"
@@ -576,6 +569,14 @@ class TestPDFiles:
     def test_missing_fields(self):
         with pytest.raises(DiagramError):
             parse_pd({"components": 2})
+
+    @pytest.mark.parametrize("name", [5, ["x"]])
+    def test_name_is_a_string(self, name):
+        # both readers enter through one check of the object and its name
+        data = {**to_pd_json(closure(from_braid(2, [1, 1]))), "name": name}
+        for read in (parse_pd, load_diagram):
+            with pytest.raises(DiagramError, match="a diagram name is a string"):
+                read(data)
 
     @pytest.mark.parametrize(
         "edit, message",

@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from oracles import repeat_max, shuffles
+from oracles import braid_permutation, repeat_max, shuffles
 
 from milnor.classify import (
     injection_generator,
@@ -37,7 +37,7 @@ from milnor.invariants import (
 )
 from milnor.magnus import dense
 from milnor.multiindex import Injection, selfdelta_generator_indices
-from milnor.tangles import braid_permutation, from_braid, tree_tangle
+from milnor.tangles import from_braid, tree_tangle
 from milnor.wirtinger import longitude_series
 
 

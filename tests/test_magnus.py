@@ -197,6 +197,17 @@ class TestSeriesOps:
         s = on_basis(dense(2, 2), {(): -3, (1, 2): 2})
         assert str(s) == "- 3 + 2X1X2"
 
+    def test_operators_take_only_their_own_type(self):
+        # series multiply and divide series only, and neither a series nor a
+        # basis equals an object of another type
+        s = expand(Word(2, (1, 2)), 2)
+        with pytest.raises(TypeError):
+            s * 3
+        with pytest.raises(TypeError):
+            s / 3
+        assert (s.basis == object()) is False
+        assert (s == object()) is False
+
     def test_object_fallback_exactness(self):
         # huge coefficients leave int64 range but stay exact
         s = on_basis(dense(1, 2), {(): 1, (1,): 2**40})
