@@ -198,8 +198,12 @@ def with_kink(d: Diagram, comp: int, sign: int, at: int = 0) -> Diagram:
     component.  Used to exercise framing corrections."""
     if sign not in (1, -1):
         raise DiagramError("kink sign must be +-1")
+    if type(comp) is not int:
+        raise DiagramError(f"component {comp!r} is not an integer")
     if not 1 <= comp <= d.n:
         raise DiagramError(f"component {comp} out of range")
+    if type(at) is not int:
+        raise DiagramError(f"kink position {at!r} is not an integer")
     if not 0 <= at <= len(d.events[comp - 1]):
         raise DiagramError(f"kink position {at} out of range")
     events = [list(ev) for ev in d.events]

@@ -34,10 +34,11 @@ straight to the assembly.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
 from . import magnus, wirtinger
-from .diagram import Diagram, reduced
+from .diagram import _SLOT, Diagram, _must_fit, reduced
 from .multiindex import format_index
 
 
@@ -159,6 +160,33 @@ def indices_up_to(n: int, max_len: int, max_r: int):
             yield from words
 
 
+_TUPLE = sys.getsizeof(())  # bytes of a tuple before its entries
+
+
+def _refuse_unlistable(n: int, max_len: int, max_r: int) -> None:
+    """Refuse with ``MemoryError`` a table whose indices cannot all be
+    listed, each of length k at least a k-tuple.  Of length k there are
+    n^k indices while k <= max_r, and in general k! times the x^k
+    coefficient of (sum of x^c / c! over c <= max_r)^n, from J. C. P.
+    Miller's recurrence for the powers of a series.  The count stops at
+    n * max_r, past which no index lies, or where no address space holds
+    the floor."""
+    counts = [1]  # indices of length k, from k = 0
+    total = need = 0
+    for k in range(1, min(max_len, n * max_r) + 1):
+        if k <= max_r:
+            counts.append(counts[-1] * n)
+        else:
+            terms = (((n + 1) * j - k) * math.comb(k, j) * counts[k - j] for j in range(1, max_r + 1))
+            counts.append(sum(terms) // k)
+        if k >= 2:
+            total += counts[k]
+            need += counts[k] * (_TUPLE + k * _SLOT)
+            _must_fit(need, f"the {total:,} indices of length 2 to {k} on {n} components")
+            if need > sys.maxsize:
+                break
+
+
 class InvariantTable:
     """The residue of every index within the filters, in ``entries`` by
     length, then lexicographically (``indices_up_to``'s order)."""
@@ -212,6 +240,7 @@ def table(d: Diagram, max_len: int, max_r: int) -> InvariantTable:
         raise ValueError("max_len must be at least 2")
     if max_r < 1:
         raise ValueError("max_r must be at least 1")
+    _refuse_unlistable(d.n, max_len, max_r)
     indices = indices_up_to(d.n, max_len, max_r)
     if d.closed:
         entries = _assemble(d, indices)  # closed under deletion already

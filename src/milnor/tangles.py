@@ -28,14 +28,14 @@ from .diagram import _SLOT, OVER, UNDER, Diagram, DiagramError, _must_fit
 
 
 class _Leg:
-    __slots__ = ("strand", "direction", "events", "up_link", "down_link")
+    __slots__ = ("direction", "events", "next")
 
-    def __init__(self, strand, direction):
-        self.strand = strand
+    def __init__(self, direction):
         self.direction = direction  # +1 flows down, -1 flows up
         self.events = []
-        self.up_link = None  # leg continuing past this leg's top end
-        self.down_link = None  # leg continuing past this leg's bottom end
+        # the leg the walk follows past the end this leg flows to, or, on
+        # the final row, this leg's position there (from 1)
+        self.next = None
 
 
 def run_slices(n, ops, closed=False, name=None):
@@ -48,8 +48,8 @@ def run_slices(n, ops, closed=False, name=None):
     """
     if type(n) is not int:
         raise DiagramError(f"strand count {n!r} is not an integer")
-    _must_fit(n * (sys.getsizeof(_Leg(0, 1)) + sys.getsizeof([])), f"the legs of {n} strands")
-    row = [_Leg(i, 1) for i in range(1, n + 1)]
+    _must_fit(n * (sys.getsizeof(_Leg(1)) + sys.getsizeof([])), f"the legs of {n} strands")
+    row = [_Leg(1) for _ in range(n)]
     starts = list(row)
     legs = len(row)
     signs = []
@@ -72,9 +72,9 @@ def run_slices(n, ops, closed=False, name=None):
             _, pos, down = op
             if not 0 <= pos <= len(row):
                 raise DiagramError(f"birth position {pos} out of range")
-            a, b = _Leg(None, 1), _Leg(None, -1)
+            a, b = _Leg(1), _Leg(-1)
             legs += 2
-            b.up_link = a
+            b.next = a
             row[pos:pos] = [a, b] if down == "L" else [b, a]
         elif kind == "min":
             _, pos = op
@@ -84,34 +84,27 @@ def run_slices(n, ops, closed=False, name=None):
             if left.direction == right.direction:
                 raise DiagramError("a local minimum needs opposite directions")
             down_leg, up_leg = (left, right) if left.direction == 1 else (right, left)
-            down_leg.down_link = up_leg
+            down_leg.next = up_leg
         else:
             raise DiagramError(f"unknown op {op!r}")
     # every max adds one up-flowing leg and every min removes exactly one,
     # since it joins opposite directions, so a row of n points has none
-    # left; every down-flowing leg gets its down_link at its join or here,
-    # and every up-flowing leg its up_link at birth, so no walk runs off
+    # left; every down-flowing leg gets its next at its join or here, and
+    # every up-flowing leg its next at birth, so no walk runs off
     if len(row) != len(starts):
         raise DiagramError("program ends with wrong point count")
     for want, leg in enumerate(row, start=1):
-        leg.down_link = want
+        leg.next = want
     walks, exit_of = {}, {}
     for strand, leg in enumerate(starts, start=1):
         acc = walks[strand] = []
-        while True:
+        while not isinstance(leg, int):
             legs -= 1
-            if leg.direction == 1:
-                acc.extend(leg.events)
-                nxt = leg.down_link
-            else:
-                acc.extend(reversed(leg.events))
-                nxt = leg.up_link
-            if isinstance(nxt, int):
-                break
-            leg = nxt
-        if not closed and nxt != strand:
-            raise DiagramError(f"strand {strand} exits at position {nxt}")
-        exit_of[strand] = nxt
+            acc.extend(leg.events if leg.direction == 1 else reversed(leg.events))
+            leg = leg.next
+        if not closed and leg != strand:
+            raise DiagramError(f"strand {strand} exits at position {leg}")
+        exit_of[strand] = leg
     if legs:
         raise DiagramError("a closed loop meets no strand")
     # each strand continues as the strand that starts where it exits

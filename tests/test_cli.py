@@ -1029,8 +1029,17 @@ class TestOutOfMemory:
             (["generate", "trivial", "50000000"], "the walks of 50000000 components"),
             (["generate", "milnor-link", "28"], "letters of a 28-leaf chain"),
             (["cable", "whitehead.json", "3000"], "crossings of the cable"),
+            # counted length by length until the floor passes the cap
+            (
+                ["invariants", "whitehead.json", "--max-length", "40", "--max-r", "20"],
+                "the 8,388,556 indices of length 2 to 22 on 2 components",
+            ),
+            (
+                ["classify", "--self-delta", "trivial12.json"],
+                "the 32,090,136 indices of length 2 to 7 on 12 components",
+            ),
         ],
-        ids=["braid-strands", "trivial", "milnor-link", "cable"],
+        ids=["braid-strands", "trivial", "milnor-link", "cable", "table", "self-delta-table"],
     )
     def test_refused_before_it_is_built(self, tmp_path, argv, what):
         # a few bytes of input that ask for gigabytes: the job is refused
@@ -1040,6 +1049,7 @@ class TestOutOfMemory:
             json.dumps({"strands": 20000000, "word": [], "kind": "closure"})
         )
         (tmp_path / "whitehead.json").write_text(json.dumps(to_pd_json(whitehead_link())))
+        (tmp_path / "trivial12.json").write_text(json.dumps(to_pd_json(trivial_link(12))))
         argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
         cap = 1 << 30
         line, peak = self.run_capped(*argv, cap=cap, timeout=20)

@@ -1,6 +1,7 @@
 import ast
 import copy
 import gc
+import hashlib
 import itertools
 import json
 import random
@@ -315,6 +316,10 @@ class TestKinks:
             (3, 0, "component 3 out of range"),
             (1, -1, "kink position -1 out of range"),
             (1, 3, "kink position 3 out of range"),
+            # integers only, as the range checks assume
+            (1.0, 0, "component 1.0 is not an integer"),
+            (True, 0, "component True is not an integer"),
+            (1, 1.5, "kink position 1.5 is not an integer"),
         ],
     )
     def test_rejects_bad_place(self, comp, at, message):
@@ -528,6 +533,48 @@ class TestSlices:
         except DiagramError:
             return
         assert isinstance(d, Diagram)
+
+    def test_family_digest(self):
+        # every diagram the executor draws for a fixed family, crossing for
+        # crossing; recorded from a tree whose diagrams are known good, and
+        # re-recorded only by a change that means to draw them differently
+        digest = hashlib.sha256()
+        count = 0
+        for d in slice_family():
+            digest.update(repr((d.n, d.events, d.signs, d.closed)).encode())
+            count += 1
+        assert count == 866
+        assert digest.hexdigest() == SLICE_FAMILY_SHA256
+
+
+SLICE_FAMILY_SHA256 = "a1b6e93d98e5c2f9a8dbcc55c3b70508e3741d289e5f78d58448a81b563e427e"
+
+
+def slice_family():
+    """Diagrams drawn by ``run_slices``: 100 seeded closed braids on each of
+    2-6 strands; every tree tangle on at most 3 strands with 2-6 leaves,
+    none grasped more than twice; both signs of every injection generator
+    for n <= 4; and the closure of every corpus surjection generator with
+    its cables (2, ..., 2) and (3, 1, ..., 1), whose framing twists are
+    braids."""
+    rng = random.Random(0)
+    for strands in range(2, 7):
+        for _ in range(100):
+            size = rng.randint(0, 12)
+            word = [rng.choice((-1, 1)) * rng.randint(1, strands - 1) for _ in range(size)]
+            yield from_braid(strands, word, closed=True)
+    for n in range(1, 4):
+        for m in range(2, 7):
+            for leaves in itertools.product(range(1, n + 1), repeat=m):
+                if all(leaves.count(c) <= 2 for c in leaves):
+                    yield tree_tangle(n, leaves)
+    for n in range(1, 5):
+        for pi in all_injections(n):
+            for e in (1, -1):
+                yield injection_generator(pi, e)
+    for name, l in corpus().items():
+        if name.startswith("vtau"):
+            yield from (l, cable(l, [2] * l.n), cable(l, [3] + [1] * (l.n - 1)))
 
 
 class TestPDFiles:
