@@ -16,16 +16,22 @@ SIGPIPE).  ``run`` is the process entry: it ends it with ``main``'s code.
 from __future__ import annotations
 
 import atexit
-import json
 import os
 import re
 import sys
 from pathlib import Path
 
-from . import classify, invariants
+# A process running from source compiles each module on top of every module
+# it already holds, so the largest compiles go first: invariants brings in
+# magnus and diagram, pdfile comes before classify, and the JSON codec loads
+# only after the last engine module has compiled.
+from . import invariants
+from .pdfile import load_diagram, to_pd_json
+from . import classify
 from .diagram import Diagram, DiagramError, cable, cable_map, reduced, trivial_link
 from .multiindex import Injection, Surjection
-from .pdfile import load_diagram, to_pd_json
+
+import json
 
 
 def _read(path: str) -> Diagram:

@@ -37,8 +37,11 @@ import math
 import sys
 from collections import namedtuple
 
-from . import magnus, wirtinger
+# magnus and diagram first, the largest compiles, on the fewest modules held
+# (the order of cli.py's imports says why)
+from . import magnus
 from .diagram import _SLOT, Diagram, _must_fit, reduced
+from . import wirtinger
 from .multiindex import format_index
 
 

@@ -9,7 +9,6 @@ realizes it.  A braid file names a braid word, built by the slice executor.
 from __future__ import annotations
 
 import itertools
-import json
 
 from .diagram import OVER, UNDER, Diagram, DiagramError
 from .tangles import from_braid
@@ -65,6 +64,8 @@ def _owned(data) -> dict:
     Both readers enter here: anything but a JSON object whose name is a
     string or absent, or nesting too deep to decode, is a DiagramError."""
     if isinstance(data, str):
+        import json  # here, so that importing pdfile loads no codec
+
         try:
             data = json.loads(data)
         except RecursionError:

@@ -1084,10 +1084,11 @@ class TestStartup:
         """A process running from source, without cached bytecode (as the
         benchmark's children run), compiles each module it imports.  Its
         memory peak is the modules already held plus the compile in
-        progress, so no single compile may dominate it.  Before
-        ``diagram.py`` (805 lines) was split in three, it compiled at a
-        2.40 MB peak under tracemalloc, against 1.09 MB for the next
-        largest, ``magnus.py``, on CPython 3.11."""
+        progress, so no single compile may dominate it.  Under tracemalloc
+        on CPython 3.11 the largest compiles are ``cli.py`` at 1.14 MB,
+        ``magnus.py`` at 1.12 MB and ``diagram.py`` at 1.10 MB; before
+        ``diagram.py`` (805 lines) was split in three, it compiled at
+        2.40 MB."""
         for path in sorted((SRC / "milnor").glob("*.py")):
             source = path.read_text(encoding="utf-8")
             tracemalloc.start()
@@ -1100,27 +1101,14 @@ class TestStartup:
                 tracemalloc.stop()
             assert peak <= 1.25e6, f"{path.name} compiles at {peak / 1e6:.2f} MB"
 
-    def test_cli_compiles_before_the_engine(self, tmp_path):
-        """``import milnor.cli`` from a copy of the source, so that no cached
-        bytecode exists, peaks at about 1.46 MB under tracemalloc on CPython
-        3.11.  ``cli.py``, a 1.14 MB compile, runs first, with no module of
-        the engine held.  The peak is ``pdfile.py``'s compile on top of the
-        modules loaded before it; ``magnus.py``'s, a 1.09 MB compile on the
-        0.29 MB of ``cli``, ``classify`` and ``invariants``, reaches 1.40 MB,
-        and set the peak at 1.49 MB while ``magnus.py`` compiled at 1.18 MB.
-        When ``milnor/__init__.py`` imported every module, ``cli.py``
-        compiled last, on 0.53 MB of held modules, and the import peaked at
-        1.64 MB."""
+    @staticmethod
+    def import_from_source(tmp_path, code):
+        """Run ``code`` in a child that imports a copy of the package, so
+        that no cached bytecode exists and every module compiles."""
         package = tmp_path / "milnor"
         package.mkdir()
         for path in (SRC / "milnor").glob("*.py"):
             (package / path.name).write_bytes(path.read_bytes())
-        code = (
-            "import tracemalloc\n"
-            "tracemalloc.start()\n"
-            "import milnor.cli\n"
-            "print(tracemalloc.get_traced_memory()[1])\n"
-        )
         proc = subprocess.run(
             [sys.executable, "-c", code],
             env=dict(os.environ, PYTHONPATH=str(tmp_path), PYTHONDONTWRITEBYTECODE="1"),
@@ -1130,8 +1118,51 @@ class TestStartup:
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert not list(tmp_path.rglob("__pycache__"))
-        peak = int(proc.stdout)
+        return proc.stdout
+
+    def test_cli_compiles_before_the_engine(self, tmp_path):
+        """``import milnor.cli`` from source peaks at about 1.33 MB under
+        tracemalloc on CPython 3.11.  ``cli.py``, a 1.14 MB compile, runs
+        first, with no module of the engine held.  The engine then compiles
+        largest first, each compile on the modules already held:
+        ``magnus.py`` (1.12 MB on 0.16 MB) reaches 1.28 MB, ``diagram.py``
+        (1.10 MB on 0.23 MB) sets the peak, and ``pdfile.py`` (0.91 MB on
+        0.37 MB) reaches 1.28 MB.  While ``cli.py`` loaded the JSON codec
+        and ``classify`` first, ``diagram.py`` compiled on 0.40 MB and the
+        import peaked at 1.50 MB."""
+        code = (
+            "import tracemalloc\n"
+            "tracemalloc.start()\n"
+            "import milnor.cli\n"
+            "print(tracemalloc.get_traced_memory()[1])\n"
+        )
+        peak = int(self.import_from_source(tmp_path, code))
         assert peak <= 1.5e6, f"import milnor.cli peaks at {peak / 1e6:.2f} MB"
+
+    def test_engine_compiles_before_the_json_codec(self, tmp_path):
+        # every module compile goes through builtins.compile: record each
+        # module of the package as it compiles, and whether json is loaded
+        code = (
+            "import builtins, os, sys\n"
+            "compile_, order = builtins.compile, []\n"
+            "def spy(source, filename, *args, **kwargs):\n"
+            "    if os.path.basename(os.path.dirname(str(filename))) == 'milnor':\n"
+            "        order.append((os.path.basename(filename), 'json' in sys.modules))\n"
+            "    return compile_(source, filename, *args, **kwargs)\n"
+            "builtins.compile = spy\n"
+            "import milnor.cli\n"
+            "builtins.compile = compile_\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'milnor']\n"
+            "print((order, loaded, 'json' in sys.modules))\n"
+        )
+        order, loaded, codec = ast.literal_eval(self.import_from_source(tmp_path, code))
+        names = [name for name, _ in order]
+        # every module the import loads was compiled from its source
+        assert sorted(names) == sorted(
+            f"{m.partition('.')[2] or '__init__'}.py" for m in loaded)
+        assert [name for name, json_held in order if json_held] == []
+        assert codec  # cli.py still loads it, after the engine
+        assert names.index("magnus.py") < names.index("classify.py")
 
     def test_package_import_loads_no_module(self):
         # each module loads when it is named; ``from milnor import *`` names
